@@ -50,13 +50,11 @@ def _apply_overrides(args):
 
 
 def _load(args):
-    sc = load_scenario(args.scenario)
-    doc = dict(sc.raw)
-    for k, v in _apply_overrides(args).items():
-        doc[k] = v
-    if doc != sc.raw:
-        sc = load_scenario(doc)
-    return sc
+    with open(args.scenario, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict):
+        doc.update(_apply_overrides(args))
+    return load_scenario(doc)
 
 
 def _params(sc, args):

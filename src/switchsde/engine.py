@@ -324,10 +324,13 @@ class _ChunkRun:
     # -- bookkeeping
 
     def _record_stats(self, r):
-        x2 = (self.X**2).sum(axis=1)
-        self.sum_x2[r] = x2.sum()
-        self.sum_x4[r] = (x2**2).sum()
-        self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
+        # squares of a diverging state overflow before the state does; a
+        # non-finite state raises in the step update
+        with np.errstate(over="ignore"):
+            x2 = (self.X**2).sum(axis=1)
+            self.sum_x2[r] = x2.sum()
+            self.sum_x4[r] = (x2**2).sum()
+            self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
 
     def _record_grid(self, k):
         rl = self.record_local

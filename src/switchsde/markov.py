@@ -1,34 +1,28 @@
 """Finite-state generator algebra: validation, invariant measures, skeleton
-transition matrices via uniformization, row tilting, Perron roots by power
-iteration, exponential functionals, and the spectral abscissa of a
+transition matrices via scaled uniformization, row tilting, Perron roots,
+exponential functionals, and the spectral abscissa of a
 diagonally-perturbed generator.
 
 All matrices are dense numpy arrays; states are 1..M externally and 0-based
-internally.  Dominant eigenvalues are only ever needed for (shifted)
-nonnegative irreducible matrices, so power iteration is the sole eigensolver.
+internally.  M is small, so dominant eigenvalues are read off the full
+spectrum from ``np.linalg.eigvals``: nothing here iterates to a tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
 INVARIANT_RESIDUAL_TOL = 1e-10
-EIG_TOL = 1e-13
-POISSON_TAIL = 1e-14
-MAX_POWER_ITER = 100_000
+# Poisson(1/2) mass beyond the first 18 terms is below 1e-20
+UNIFORMIZATION_TERMS = 18
 
 
 class MarkovError(ValueError):
     pass
-
-
-class ConvergenceError(MarkovError):
-    def __init__(self, message, iterations):
-        super().__init__(f"{message} after {iterations} iterations")
-        self.iterations = iterations
 
 
 @dataclass
@@ -58,23 +52,17 @@ def _as_matrix(Q) -> np.ndarray:
 
 
 def is_irreducible(Q) -> bool:
-    """Strong connectivity of the positive off-diagonal rate graph."""
+    """Strong connectivity of the positive off-diagonal rate graph.
+
+    Boolean squaring of I + adjacency doubles the path length it covers, so
+    ceil(log2(M - 1)) squarings give the reachability matrix.
+    """
     Q = _as_matrix(Q)
     M = Q.shape[0]
-    adj = Q > 0
-    np.fill_diagonal(adj, False)
-
-    def reachable(a):
-        seen = np.zeros(M, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = a[frontier].any(axis=0) & ~seen
-            frontier = np.flatnonzero(nxt).tolist()
-            seen |= nxt
-        return bool(seen.all())
-
-    return reachable(adj) and reachable(adj.T)
+    reach = (Q > 0) | np.eye(M, dtype=bool)
+    for _ in range(max(M - 2, 0).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def validate_generator(Q, tol: float = ROW_SUM_TOL) -> GeneratorDiagnostics:
@@ -120,10 +108,13 @@ def invariant_measure(Q) -> np.ndarray:
 
 
 def skeleton_transition(Q, tau: float) -> np.ndarray:
-    """P = exp(tau Q) by uniformization, truncated at Poisson tail < 1e-14.
+    """P = exp(tau Q) by uniformization on tau / 2^s, then s squarings.
 
-    Nonnegativity-preserving by construction; rows are renormalized to sum
-    exactly to 1.
+    With lam the largest exit rate, A = I + Q / lam is stochastic and
+    exp(tau Q / 2^s) is the Poisson(r) mixture of powers of A, r = lam tau / 2^s.
+    Choosing r <= 1/2 makes a fixed number of terms exact to double precision;
+    every term and product is nonnegative, so nothing cancels or underflows
+    however large lam tau is.  Rows are renormalized to sum exactly to 1.
     """
     Q = _as_matrix(Q)
     if tau <= 0:
@@ -132,22 +123,17 @@ def skeleton_transition(Q, tau: float) -> np.ndarray:
     lam = float(np.max(-np.diag(Q)))
     if lam <= 0:
         return np.eye(M)
+    s = max(0, math.ceil(math.log2(2.0 * lam * tau)))
+    r = lam * tau / 2.0**s
     A = np.eye(M) + Q / lam
-    r = lam * tau
-    # term-by-term accumulation of the Poisson mixture sum_k w_k A^k
-    w = np.exp(-r)
     term = np.eye(M)
-    P = w * term
-    mass = w
-    k = 0
-    while 1.0 - mass > POISSON_TAIL:
-        k += 1
-        w *= r / k
-        term = term @ A
-        P += w * term
-        mass += w
-        if k > 100_000:  # unreachable for sane inputs
-            raise ConvergenceError("uniformization series did not converge", k)
+    P = term.copy()
+    for k in range(1, UNIFORMIZATION_TERMS):
+        term = term @ A * (r / k)
+        P += term
+    P *= math.exp(-r)
+    for _ in range(s):
+        P = P @ P
     P = np.maximum(P, 0.0)
     P /= P.sum(axis=1, keepdims=True)
     return P
@@ -162,31 +148,19 @@ def tilt(P, theta) -> np.ndarray:
     return np.exp(theta)[:, None] * P
 
 
-def perron_root(P, tol: float = EIG_TOL, max_iter: int = MAX_POWER_ITER) -> float:
-    """Dominant eigenvalue of a nonnegative primitive matrix by power iteration.
+def perron_root(P) -> float:
+    """Dominant eigenvalue of a nonnegative matrix.
 
-    Convergence: successive Rayleigh quotients within tol.  Raises on the zero
-    matrix, on negative entries, and on non-convergence.
+    By Perron-Frobenius the spectral radius of a nonnegative matrix is itself
+    an eigenvalue, so it is the eigenvalue of largest real part.  Raises on
+    the zero matrix and on negative entries.
     """
     P = _as_matrix(P)
     if P.min() < 0:
         raise MarkovError("perron_root requires a nonnegative matrix")
     if P.max() == 0:
         raise MarkovError("perron_root of the zero matrix is undefined")
-    M = P.shape[0]
-    v = np.full(M, 1.0 / M)
-    lam_prev = np.inf
-    for it in range(1, max_iter + 1):
-        w = P @ v
-        lam = float(v @ w) / float(v @ v)
-        nw = np.abs(w).sum()
-        if nw == 0:
-            raise MarkovError("power iteration collapsed to zero vector")
-        v = w / nw
-        if abs(lam - lam_prev) < tol:
-            return lam
-        lam_prev = lam
-    raise ConvergenceError("power iteration did not converge", max_iter)
+    return float(np.linalg.eigvals(P).real.max())
 
 
 def exp_functional(mu, P, theta, n: int) -> float:
@@ -204,19 +178,11 @@ def exp_functional(mu, P, theta, n: int) -> float:
 
 
 def spectral_abscissa(Q, C, p: float) -> float:
-    """eta = -max Re(spec(Q + p diag(C))) for a conservative irreducible Q.
-
-    Computed by shifting: with s = max_i(q_i - p C_i) + 1 the matrix
-    B = Q + p diag(C) + s I is nonnegative with positive diagonal, so its
-    dominant eigenvalue is real and equals the spectral bound plus s.
-    """
+    """eta = -max Re(spec(Q + p diag(C))) for a conservative irreducible Q."""
     Q = _as_matrix(Q)
     C = np.asarray(C, dtype=float)
     if C.shape != (Q.shape[0],):
         raise MarkovError(f"C has length {C.shape}, expected {Q.shape[0]}")
     if not is_irreducible(Q):
         raise MarkovError("spectral_abscissa requires an irreducible generator")
-    q = -np.diag(Q)
-    s = float(np.max(q - p * C)) + 1.0
-    B = Q + p * np.diag(C) + s * np.eye(Q.shape[0])
-    return -(perron_root(B) - s)
+    return -float(np.linalg.eigvals(Q + p * np.diag(C)).real.max())

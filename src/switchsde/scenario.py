@@ -13,6 +13,7 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -171,8 +172,9 @@ def _parse_expr(source, where, errors):
 
 
 def load_scenario(source) -> Scenario:
-    """Load and schema-validate a scenario from a path, JSON text, or dict."""
-    if isinstance(source, dict):
+    """Load and schema-validate a scenario from a path, JSON text, or an
+    already-parsed document."""
+    if not isinstance(source, (str, os.PathLike)):
         doc = source
     else:
         text = source

@@ -72,7 +72,6 @@ def max_tau_for_contraction(Cbar: float, Ma: float, bbar: float) -> float:
 class StabilityCertificate:
     tau: float
     k_tau: float
-    k_lt_1: bool
     eta_3C: float
     lam_star: float  # per-unit-time root of the -6b tilt on the lower skeleton
     lam_bar: float  # per-unit-time root of the lag tilt on the upper skeleton
@@ -87,7 +86,6 @@ class StabilityCertificate:
         return {
             "tau": self.tau,
             "k_tau": self.k_tau,
-            "k_lt_1": self.k_lt_1,
             "eta_3C": self.eta_3C,
             "lam_star": self.lam_star,
             "lam_bar": self.lam_bar,
@@ -139,7 +137,6 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     lam_bar = lam_bar_step ** (1.0 / tau)
 
     conditions = {
-        "k_lt_1": True,
         "eta_positive": eta > 0.0,
         "lam_star_le_1": lam_star <= 1.0 + PASS_TOL,
         "lam_bar_le_1": lam_bar <= 1.0 + PASS_TOL,
@@ -149,7 +146,6 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     return StabilityCertificate(
         tau=tau,
         k_tau=K,
-        k_lt_1=True,
         eta_3C=eta,
         lam_star=lam_star,
         lam_bar=lam_bar,

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = [
+    "two_state_trig.json",
+    "three_state_rational.json",
+    "two_state_balanced.json",
+    "linear_feedback.json",
+    "lag_bound.json",
+    "linear_unstable.json",
+]
 
 
 @pytest.fixture(scope="session")
@@ -128,3 +136,23 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
+
+
+def bfs_irreducible(Q):
+    """Strong connectivity of the positive off-diagonal graph of Q by a
+    breadth-first search forwards and backwards from state 0."""
+    Q = np.asarray(Q, dtype=float)
+    M = Q.shape[0]
+
+    def reaches_all(adj):
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            i = frontier.pop()
+            for j in range(M):
+                if j != i and adj[i, j] > 0 and j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        return len(seen) == M
+
+    return reaches_all(Q) and reaches_all(Q.T)

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from switchsde import stability as ce
-from switchsde import markov as mk
-from tests.conftest import dominant_eig_2x2, skeleton_2state_closed_form
+from tests.conftest import (
+    FIXTURE_NAMES,
+    dominant_eig_2x2,
+    load_fixture,
+    skeleton_2state_closed_form,
+)
 
 QBAR = np.array([[-2.0, 2.0], [1.0, -1.0]])
 
@@ -108,6 +113,14 @@ class TestCertify:
                 math.exp(-6 * s) * base.lam_star, rel=1e-10
             )
 
+    def test_conditions_are_the_three_tests(self):
+        cert = ce.certify(QBAR, QBAR, [-1.5, -1.5], [-1.5, -1.5], [0.0, 0.0], 1.0, 0.05)
+        assert set(cert.conditions) == {"eta_positive", "lam_star_le_1", "lam_bar_le_1"}
+        assert set(cert.to_dict()) - {"conditions"} == {
+            "tau", "k_tau", "eta_3C", "lam_star", "lam_bar", "lam_star_step",
+            "lam_bar_step", "lag_tilt_coefficient", "passed", "rho",
+        }
+
     def test_k_at_least_one_rejected(self):
         with pytest.raises(ce.CertifyError, match="certificate undefined"):
             ce.certify(QBAR, QBAR, [3.0, 3.0], [3.0, 3.0], [2.0, 2.0], 1.0, 1.0)
@@ -148,3 +161,48 @@ class TestFeasibleTauSearch:
         )
         lam_bars = np.array([cert.lam_bar for _, cert in certs])
         assert np.all(np.diff(lam_bars) >= -1e-9)
+
+
+def reference_certificate(qbar, qstar, C, b, Ma, tau):
+    """lam_star, lam_bar and eta_3C from scipy's expm and numpy's eigvals."""
+    K = max(ce.k_tau(tau, float(C.max()), Ma, float(b.max())), 0.0)
+    lag = 6.0 * math.sqrt(K / (1.0 - K))
+
+    def dominant(A):
+        return float(np.linalg.eigvals(A).real.max())
+
+    root_star = dominant(np.exp(-6.0 * tau * b)[:, None] * expm(tau * qstar))
+    root_bar = dominant(np.exp(lag * tau * b)[:, None] * expm(tau * qbar))
+    return {
+        "lam_star": root_star ** (1.0 / tau),
+        "lam_bar": root_bar ** (1.0 / tau),
+        "eta_3C": -dominant(qbar + 3.0 * np.diag(C)),
+    }
+
+
+def _rel_errors(sc, cert, tau):
+    env = sc.envelopes
+    ref = reference_certificate(env.qbar, env.qstar, sc.C, sc.gains, sc.Ma, tau)
+    return {k: abs(getattr(cert, k) - v) / abs(v) for k, v in ref.items()}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_sweep_matches_reference(name):
+    sc = load_fixture(name)
+    env = sc.envelopes
+    certs, _, _ = ce.feasible_tau_search(env.qbar, env.qstar, sc.C, sc.c, sc.gains, sc.Ma)
+    assert len(certs) == 40
+    for tau, cert in certs:
+        errs = _rel_errors(sc, cert, tau)
+        assert max(errs.values()) <= 1e-10, (tau, errs)
+
+
+@pytest.mark.parametrize("tau", [1e-5, 1e-6])
+def test_small_tau_certifies(ex_linear, tau):
+    env = ex_linear.envelopes
+    cert = ce.certify(
+        env.qbar, env.qstar, ex_linear.C, ex_linear.c, ex_linear.gains, ex_linear.Ma, tau
+    )
+    assert cert.passed
+    # the per-step root is exact to a few ulps; ^(1/tau) scales that by 1/tau
+    assert max(_rel_errors(ex_linear, cert, tau).values()) <= 1e-15 / tau

@@ -266,6 +266,7 @@ class TestGuards:
         with pytest.raises(en.EngineError, match="need 0 < h"):
             en.SimParams(tau=0.5, h=0.7, horizon=5.0, seed=1, n_paths=1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_reported(self):
         sc = load(
             no_switching(

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import markov as mk
-from tests.conftest import dominant_eig_2x2, random_generator, skeleton_2state_closed_form
+from tests.conftest import (
+    bfs_irreducible,
+    dominant_eig_2x2,
+    random_generator,
+    skeleton_2state_closed_form,
+)
 
 Q21 = np.array([[-2.0, 2.0], [1.0, -1.0]])
 Q21_STAR = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -20,6 +25,26 @@ class TestValidate:
     def test_zero_generator_is_reducible(self):
         d = mk.validate_generator(np.zeros((2, 2)))
         assert d.conservative and not d.irreducible
+
+    def test_irreducible_matches_bfs_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(3000):
+            M = int(rng.integers(1, 9))
+            Q = np.where(rng.random((M, M)) < rng.uniform(0.05, 0.6), 1.0, 0.0)
+            want = bfs_irreducible(Q)
+            seen.add(want)
+            assert mk.is_irreducible(Q) == want
+        assert seen == {True, False}
+
+    def test_irreducible_long_path_graph(self):
+        M = 300
+        Q = np.eye(M, k=1) + np.eye(M, k=-1)
+        assert bfs_irreducible(Q) and mk.is_irreducible(Q)
+        for drop in ((0, 1), (M - 1, M - 2), (150, 151)):
+            Qd = Q.copy()
+            Qd[drop] = 0.0
+            assert not bfs_irreducible(Qd) and not mk.is_irreducible(Qd)
 
     def test_row_sum_violation(self):
         d = mk.validate_generator(np.array([[-1.0, 2.0], [1.0, -1.0]]))
@@ -83,6 +108,22 @@ class TestSkeleton:
         with pytest.raises(mk.MarkovError):
             mk.skeleton_transition(Q21, 0.0)
 
+    @pytest.mark.parametrize("tau", [1.0, 12.5])
+    def test_stiff_generator(self, tau):
+        # rate * tau up to 1e4: exp(-rate * tau) underflows, the skeleton must not
+        P = mk.skeleton_transition(np.array([[-800.0, 800.0], [400.0, -400.0]]), tau)
+        assert P.min() >= 0
+        assert np.abs(P - [1 / 3, 2 / 3]).max() < 1e-12
+
+    def test_matches_expm(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(9)
+        for M in (2, 3, 6):
+            Q = random_generator(rng, M, lo=0.01, hi=50.0)
+            for tau in (1e-8, 1e-3, 0.37, 20.0):
+                assert np.abs(mk.skeleton_transition(Q, tau) - expm(tau * Q)).max() < 1e-13
+
 
 class TestTiltAndPerron:
     def test_zero_tilt(self):
@@ -117,6 +158,16 @@ class TestTiltAndPerron:
     def test_zero_matrix_raises(self):
         with pytest.raises(mk.MarkovError):
             mk.perron_root(np.zeros((2, 2)))
+
+    def test_negative_entry_raises(self):
+        with pytest.raises(mk.MarkovError, match="nonnegative"):
+            mk.perron_root(np.array([[0.5, -0.1], [0.2, 0.3]]))
+
+    def test_periodic_and_reducible(self):
+        # cyclic permutations: the whole spectrum sits on the unit circle
+        for M in (2, 3, 5):
+            assert abs(mk.perron_root(2.0 * np.roll(np.eye(M), 1, axis=1)) - 2.0) < 1e-12
+        assert abs(mk.perron_root(np.array([[0.2, 0.7], [0.0, 0.9]])) - 0.9) < 1e-15
 
 
 class TestExpFunctional:

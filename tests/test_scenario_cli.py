@@ -7,16 +7,7 @@ import pytest
 
 from switchsde import cli
 from switchsde import scenario as sn
-from tests.conftest import FIXTURES, make_scenario, write_scenario
-
-FIXTURE_NAMES = [
-    "two_state_trig.json",
-    "three_state_rational.json",
-    "two_state_balanced.json",
-    "linear_feedback.json",
-    "lag_bound.json",
-    "linear_unstable.json",
-]
+from tests.conftest import FIXTURE_NAMES, FIXTURES, make_scenario, write_scenario
 
 
 class TestSchema:
@@ -224,3 +215,19 @@ class TestCli:
         r1 = run_cli("mc", fx, "--horizon", "2.0", "--paths", "16", "--seed", "1")
         r2 = run_cli("mc", fx, "--horizon", "2.0", "--paths", "16", "--seed", "2")
         assert json.loads(r1.stdout)["mean_x2"] != json.loads(r2.stdout)["mean_x2"]
+
+    def test_overrides_load_the_scenario_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting_load(source):
+            calls.append(source)
+            return sn.load_scenario(source)
+
+        monkeypatch.setattr(cli, "load_scenario", counting_load)
+        fx = str(FIXTURES / "two_state_balanced.json")
+        assert cli.main(["mc", fx, "--horizon", "0.5", "--paths", "8", "--seed", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert doc["scenario_hash"] == sn.scenario_hash(
+            sn.load_scenario(fx).raw | {"horizon": 0.5, "paths": 8, "seed": 3}
+        )
