@@ -277,6 +277,10 @@ def coupling_rows_batch(R1, R2, ii, jj) -> np.ndarray:
     rows restore the marginals exactly whenever the partial-sum domination
     holds.  Without domination the corrections may leave one marginal short
     (or produce negative entries), which verify_coupling_matrix reports.
+
+    For M > 2 the recursion is swept by diagonals: entry (m, n) reads only
+    (m, n-1) and (m+1, n), both on diagonal n - m - 1, so each diagonal is
+    one batch of slice operations and a call costs O(M) numpy operations.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
@@ -315,41 +319,37 @@ def _coupling_rows_two_state(R1, R2, ii, jj) -> np.ndarray:
 def _coupling_rows_general(R1, R2, ii, jj) -> np.ndarray:
     n, M, _ = R1.shape
     ar = np.arange(n)
+    states = np.arange(M)[:, None]
+    # the rows read from each chain, laid out (M, n): every slice below is
+    # contiguous along the batch
+    r1 = np.take(R1.reshape(n * M, M), ar * M + ii, axis=0).T
+    r2 = np.take(R2.reshape(n * M, M), ar * M + jj, axis=0).T
+    ne_i, ne_j = states != ii, states != jj
 
-    # 1-based recursion tables a[m, col], b[m, col]
-    a = np.zeros((n, M + 2, M + 2))
-    b = np.zeros((n, M + 2, M + 2))
-    for s in range(1, M + 1):
-        a[:, s, s] = np.where(ii == s - 1, 0.0, R1[ar, ii, s - 1])
-        b[:, s, s] = np.where(jj == s - 1, 0.0, R2[ar, jj, s - 1])
-    for col in range(2, M + 1):
-        for m in range(col - 1, 0, -1):
-            a[:, m, col] = _relu(a[:, m, col - 1]) - _relu(b[:, m, col - 1])
-            b[:, m, col] = _relu(b[:, m + 1, col]) - _relu(a[:, m + 1, col])
+    # a[m, m+k], b[m, m+k] of diagonal k, from the seeds at k = 0
+    a = np.where(ne_i, r1, 0.0)
+    b = np.where(ne_j, r2, 0.0)
+    flat = np.zeros((M * M, n))  # flat[m*M + c] = rate of target (m, c)
+    for k in range(M):
+        ra, rb = _relu(a), _relu(b)
+        flat[k:k + (M - k) * (M + 1):M + 1] = np.minimum(ra, rb)
+        a = ra[:-1] - rb[:-1]
+        b = rb[1:] - ra[1:]
+    base = np.where(ne_i[:, None] & ne_j, flat.reshape(M, M, n), 0.0)
 
-    base = np.zeros((n, M, M))
-    for m in range(1, M + 1):
-        for col in range(m, M + 1):
-            rate = np.minimum(_relu(a[:, m, col]), _relu(b[:, m, col]))
-            mask = (ii != m - 1) & (jj != col - 1)
-            base[:, m - 1, col - 1] = np.where(mask, rate, 0.0)
+    # column sums over m <= c and row sums over c' >= m, added in cumsum order
+    csum = base[0].copy()
+    for m in range(1, M):
+        csum[m:] += base[m, m:]
+    suffix = base[:, M - 1].copy()
+    for c in range(M - 2, -1, -1):
+        suffix[:c + 1] += base[:c + 1, c]
 
-    out = base.copy()
-    csum = np.cumsum(base, axis=1)  # csum[:, r, c] = sum_{m <= r} base[m, c]
-    suffix = np.cumsum(base[:, :, ::-1], axis=2)[:, :, ::-1]  # sum_{c' >= c}
-
+    out = np.ascontiguousarray(base.transpose(2, 0, 1))
     # correction row for the upper chain: targets (i, c), c >= i, c != j
-    for c in range(M):
-        val = R2[ar, jj, c] - csum[:, c, c]
-        mask = (c >= ii) & (c != jj)
-        out[ar[mask], ii[mask], c] = val[mask]
+    out[ar, ii] = np.where((states >= ii) & ne_j, r2 - csum, 0.0).T
     # correction column for the lower chain: targets (m, j), m <= j, m != i
-    for m in range(M):
-        val = R1[ar, ii, m] - suffix[:, m, m]
-        mask = (m <= jj) & (m != ii)
-        out[ar[mask], m, jj[mask]] = val[mask]
-
-    out[ar, ii, jj] = 0.0
+    out[ar, :, jj] = np.where((states <= jj) & ne_i, r1 - suffix, 0.0).T
     out[ar, ii, jj] = -out.sum(axis=(1, 2))
     return out
 

@@ -360,9 +360,8 @@ class _ChunkRun:
         occ_row = self.occ[chain_row]
         np.subtract.at(occ_row, old, rem)
         np.add.at(occ_row, new, rem)
-        pop_row = self.pop[chain_row]
-        np.subtract.at(pop_row, old, 1.0)
-        np.add.at(pop_row, new, 1.0)
+        # exact integer counts: the same bytes as per-index updates
+        self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
         if self.recording:
             tc = tc[moved]
             rl = self.record_local
@@ -417,9 +416,7 @@ class _ChunkRun:
     def _marginal_jump(self, Roff, mark, p, rem, tc):
         hit, tgt, _, _ = self._row_block_pick(Roff, mark, p)
         if hit.any():
-            self._apply_jump(
-                1, self.lam, p[hit], tgt[hit].astype(np.int64), rem[hit], tc[hit], "lambda"
-            )
+            self._apply_jump(1, self.lam, p[hit], tgt[hit], rem[hit], tc[hit], "lambda")
 
     def _two_state_jump(self, Roff, mark, p, rem, tc):
         env = self.env
@@ -441,20 +438,18 @@ class _ChunkRun:
 
     def _matrix_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         nc = len(p)
-        ar = np.arange(nc)
         M = self.M
         lam_c = self.lam[p]
         bar_c = self.lam_b[p]
         star_c = self.lam_s[p]
         # one fused batch: rows of (switching, upper) then (lower, switching)
-        R1 = np.concatenate([Roff, np.broadcast_to(self.Rstar, (nc, M, M))])
-        R2 = np.concatenate([np.broadcast_to(self.Rbar, (nc, M, M)), Roff])
-        rows = cpl.coupling_rows_batch(
-            R1, R2, np.concatenate([lam_c, star_c]), np.concatenate([bar_c, lam_c])
-        )
-        row1, row2 = rows[:nc], rows[nc:]
-        row1[ar, lam_c, bar_c] = 0.0
-        row2[ar, star_c, lam_c] = 0.0
+        R1, R2 = np.empty((2, 2 * nc, M, M))
+        R1[:nc], R1[nc:] = Roff, self.Rstar
+        R2[:nc], R2[nc:] = self.Rbar, Roff
+        ii = np.concatenate([lam_c, star_c])
+        jj = np.concatenate([bar_c, lam_c])
+        rows = cpl.coupling_rows_batch(R1, R2, ii, jj)
+        rows[np.arange(2 * nc), ii, jj] = 0.0
         neg = rows.min()
         if neg < -1e-9:
             c, m, n = np.unravel_index(int(rows.argmin()), rows.shape)
@@ -462,53 +457,41 @@ class _ChunkRun:
                 f"coupling produced negative rate {neg:.3e} to ({m + 1},{n + 1}) at "
                 f"x={Xc[c % nc].tolist()}; the declared envelopes are inconsistent"
             )
-        np.maximum(row1, 0.0, out=row1)
-        np.maximum(row2, 0.0, out=row2)
+        np.maximum(rows, 0.0, out=rows)
+        row1, row2 = rows[:nc], rows[nc:]
 
         # region A: the switching chain's own mark space [0, L)
         hitA, mv, width, u2 = self._row_block_pick(Roff, mark, p)
         hitA &= mark < self.L
         if hitA.any():
             sub = np.flatnonzero(hitA)
-            mvs = mv[sub]
-            sar = np.arange(len(sub))
-            wbar = row1[sub][sar, mvs, :]
-            okb, nb = _conditional_pick(wbar, width[sub], u2[sub])
-            wstar = np.swapaxes(row2[sub], 1, 2)[sar, mvs, :]
-            oks, ns = _conditional_pick(wstar, width[sub], aux[sub])
-            pj = p[sub]
-            self._apply_jump(1, self.lam, pj, mvs.astype(np.int64), rem[sub], tc[sub], "lambda")
-            new_b = np.where(okb, nb, self.lam_b[pj])
-            self._apply_jump(2, self.lam_b, pj, new_b.astype(np.int64), rem[sub], tc[sub], "lambda_bar")
-            new_s = np.where(oks, ns, self.lam_s[pj])
-            self._apply_jump(0, self.lam_s, pj, new_s.astype(np.int64), rem[sub], tc[sub], "lambda_star")
+            pj, mvs, w, rs, ts = p[sub], mv[sub], width[sub], rem[sub], tc[sub]
+            okb, nb = _pick(row1[sub, mvs], u2[sub], w)
+            oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
+            self._apply_jump(1, self.lam, pj, mvs, rs, ts, "lambda")
+            self._apply_jump(2, self.lam_b, pj, np.where(okb, nb, bar_c[sub]), rs, ts, "lambda_bar")
+            self._apply_jump(0, self.lam_s, pj, np.where(oks, ns, star_c[sub]), rs, ts, "lambda_star")
 
         # region B: upper chain moves alone
         hitB = (mark >= self.L) & (mark < self.L + self.Hbar)
         if hitB.any():
             sub = np.flatnonzero(hitB)
-            w = mark[sub] - self.L
-            wrow = row1[sub][np.arange(len(sub)), lam_c[sub], :]
-            picked, nb = _threshold_pick(wrow, w)
+            picked, nb = _pick(row1[sub, lam_c[sub]], mark[sub] - self.L)
             if picked.any():
                 pj = p[sub[picked]]
                 self._apply_jump(
-                    2, self.lam_b, pj, nb[picked].astype(np.int64),
-                    rem[sub[picked]], tc[sub[picked]], "lambda_bar",
+                    2, self.lam_b, pj, nb[picked], rem[sub[picked]], tc[sub[picked]], "lambda_bar"
                 )
 
         # region C: lower chain moves alone
         hitC = mark >= self.L + self.Hbar
         if hitC.any():
             sub = np.flatnonzero(hitC)
-            w = mark[sub] - self.L - self.Hbar
-            wcol = np.swapaxes(row2[sub], 1, 2)[np.arange(len(sub)), lam_c[sub], :]
-            picked, ns = _threshold_pick(wcol, w)
+            picked, ns = _pick(row2[sub, :, lam_c[sub]], mark[sub] - self.L - self.Hbar)
             if picked.any():
                 pj = p[sub[picked]]
                 self._apply_jump(
-                    0, self.lam_s, pj, ns[picked].astype(np.int64),
-                    rem[sub[picked]], tc[sub[picked]], "lambda_star",
+                    0, self.lam_s, pj, ns[picked], rem[sub[picked]], tc[sub[picked]], "lambda_star"
                 )
 
     # -- main loop
@@ -639,26 +622,17 @@ def _interval_move(states, mark, a12, a21):
     return new
 
 
-def _conditional_pick(weights, denom, u):
-    """Sample a categorical from rate weights / denom with a stay fallback.
-
-    Returns (picked mask, index); entries with u beyond the covered mass keep
-    their current state (the caller interprets 'not picked' as 'stay')."""
-    tot = weights.sum(axis=1)
-    deno = np.maximum(denom, tot) + 1e-300
-    thr = np.cumsum(weights, axis=1) / deno[:, None]
-    picked = u < thr[:, -1]
-    idxs = (u[:, None] < thr).argmax(axis=1)
-    return picked, idxs
-
-
-def _threshold_pick(weights, w):
-    """Thinning against cumulative rate intervals: w in [0, sum) picks the
-    interval, anything beyond is a no-op candidate."""
+def _pick(weights, u, denom=None):
+    """Categorical pick against cumulative rate intervals; returns (picked
+    mask, index).  Without ``denom``, u in [0, total) picks an interval and
+    anything beyond is a no-op candidate.  With ``denom`` the intervals are
+    scaled by max(denom, total), so a uniform u beyond the covered mass keeps
+    the current state (the caller interprets 'not picked' as 'stay')."""
     thr = np.cumsum(weights, axis=1)
-    picked = w < thr[:, -1]
-    idxs = (w[:, None] < thr).argmax(axis=1)
-    return picked, idxs
+    if denom is not None:
+        thr /= (np.maximum(denom, weights.sum(axis=1)) + 1e-300)[:, None]
+    picked = u < thr[:, -1]
+    return picked, (u[:, None] < thr).argmax(axis=1)
 
 
 def _merge(results, sc, params, coupled, route, warnings) -> McSummary:
@@ -682,8 +656,12 @@ def _merge(results, sc, params, coupled, route, warnings) -> McSummary:
         n += res.n_active
     times = np.array(params.record_steps()) * params.h
     mean_x2 = sum_x2 / n
-    var = np.maximum(sum_x4 / n - mean_x2**2, 0.0)
-    se = np.sqrt(var / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = sum_x4 / n - mean_x2**2  # not finite whenever sum_x4 is not
+    if not np.isfinite(var).all():
+        t = times[np.flatnonzero(~np.isfinite(var))[0]]
+        raise EngineError(f"variance of |X|^2 is not finite at recording time t={t:.6g} (overflow)")
+    se = np.sqrt(np.maximum(var, 0.0) / n)
     occupation = {}
     skeleton = {}
     chains = CHAIN_NAMES if coupled else ("lambda",)

@@ -12,6 +12,7 @@ Trees are immutable; parse -> to_source -> parse is the identity on trees.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -310,17 +311,40 @@ def compile_vectorized(e: Expr):
     No domain checks: division by zero and invalid powers propagate as
     inf/nan, to be caught by the caller's finiteness checks.
     """
+    return _as_array(_compile(e))
+
+
+def constant_value(e: Expr) -> float | None:
+    """The value of a tree built from literals by ``+ - * /`` and unary
+    minus, else None.  It equals every entry of ``compile_vectorized(e)``."""
+    f = _compile(e)
+    return None if callable(f) else f
+
+
+def _as_array(f):
+    if callable(f):
+        return f
+    return lambda X: np.full(X.shape[0], f)
+
+
+def _compile(e: Expr):
+    """A closure of X, or a float for a constant subtree of ``+ - * /`` and
+    unary minus.  These operations round once, so a float operand gives the
+    same bits as a constant array.  The exponent of ``^`` and the arguments of
+    calls stay arrays: numpy's scalar fast paths for ``power`` (2, 0.5, -1)
+    round differently."""
     if isinstance(e, Num):
-        v = e.value
-        return lambda X: np.full(X.shape[0], v)
+        return float(e.value)
     if isinstance(e, Var):
         k = e.index - 1
         return lambda X: X[:, k]
     if isinstance(e, Neg):
-        f = compile_vectorized(e.arg)
+        f = _compile(e.arg)
+        if not callable(f):
+            return -f
         return lambda X: -f(X)
     if isinstance(e, Call):
-        fs = [compile_vectorized(a) for a in e.args]
+        fs = [_as_array(_compile(a)) for a in e.args]
         ufunc = {
             "sin": np.sin,
             "cos": np.cos,
@@ -335,18 +359,20 @@ def compile_vectorized(e: Expr):
         f0, f1 = fs
         return lambda X: ufunc(f0(X), f1(X))
     if isinstance(e, BinOp):
-        fl = compile_vectorized(e.left)
-        fr = compile_vectorized(e.right)
-        op = e.op
-        if op == "+":
-            return lambda X: fl(X) + fr(X)
-        if op == "-":
-            return lambda X: fl(X) - fr(X)
-        if op == "*":
-            return lambda X: fl(X) * fr(X)
-        if op == "/":
-            return lambda X: _safe_div(fl(X), fr(X))
-        return lambda X: _safe_pow(fl(X), fr(X))
+        fl = _compile(e.left)
+        fr = _compile(e.right)
+        if e.op == "^":
+            fl, fr = _as_array(fl), _as_array(fr)
+            return lambda X: _safe_pow(fl(X), fr(X))
+        op = _ARITH[e.op]
+        if callable(fl) and callable(fr):
+            return lambda X: op(fl(X), fr(X))
+        if callable(fl):
+            return lambda X: op(fl(X), fr)
+        if callable(fr):
+            return lambda X: op(fl, fr(X))
+        with np.errstate(all="ignore"):
+            return float(op(np.float64(fl), fr))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -358,3 +384,6 @@ def _safe_div(a, b):
 def _safe_pow(a, b):
     with np.errstate(all="ignore"):
         return np.power(a, b)
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _safe_div}

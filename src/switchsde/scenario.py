@@ -13,6 +13,7 @@ import hashlib
 import importlib.resources
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -58,26 +59,31 @@ class StateRates:
     d: int
     exprs: list  # M x M of Expr (diagonal entries unused)
     H: float
-    _compiled: list = field(default_factory=list, repr=False)
+    _fills: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
-        if not self._compiled:
-            self._compiled = [
-                [
-                    exprlang.compile_vectorized(self.exprs[i][j]) if i != j else None
-                    for j in range(self.M)
-                ]
-                for i in range(self.M)
-            ]
-
-    def offdiag_batch(self, X: np.ndarray) -> np.ndarray:
-        """Off-diagonal rates at a batch of points, shape (n, M, M)."""
-        n = X.shape[0]
-        R = np.zeros((n, self.M, self.M))
+        # decided once: +0.0 entries are skipped (R starts as zeros), other
+        # constants are broadcast, and the entries that share an expression
+        # are filled from one evaluation
+        groups = {}
         for i in range(self.M):
             for j in range(self.M):
                 if i != j:
-                    R[:, i, j] = self._compiled[i][j](X)
+                    groups.setdefault(self.exprs[i][j], []).append((i, j))
+        for e, entries in groups.items():
+            v = exprlang.constant_value(e)
+            if v == 0.0 and math.copysign(1.0, v) > 0:
+                continue
+            rows, cols = zip(*entries)
+            idx = (rows[0], cols[0]) if len(entries) == 1 else (list(rows), list(cols))
+            self._fills.append((idx, exprlang.compile_vectorized(e) if v is None else v))
+
+    def offdiag_batch(self, X: np.ndarray) -> np.ndarray:
+        """Off-diagonal rates at a batch of points, shape (n, M, M)."""
+        R = np.zeros((X.shape[0], self.M, self.M))
+        Rt = R.transpose(1, 2, 0)  # Rt[i, j] is entry (i, j) across the batch
+        for idx, fill in self._fills:
+            Rt[idx] = fill(X) if callable(fill) else fill
         return R
 
     def at(self, x) -> np.ndarray:

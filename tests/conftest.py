@@ -156,3 +156,52 @@ def bfs_irreducible(Q):
         return len(seen) == M
 
     return reaches_all(Q) and reaches_all(Q.T)
+
+
+def _relu(a):
+    return np.maximum(a, 0.0)
+
+
+def coupling_rows_reference(R1, R2, ii, jj) -> np.ndarray:
+    """Order-preserving coupling rows, general M: the entry-by-entry loop form
+    of the triangular recursion, the bitwise reference for the kernel in
+    coupling.coupling_rows_batch (see its docstring)."""
+    n, M, _ = R1.shape
+    ar = np.arange(n)
+
+    # 1-based recursion tables a[m, col], b[m, col]
+    a = np.zeros((n, M + 2, M + 2))
+    b = np.zeros((n, M + 2, M + 2))
+    for s in range(1, M + 1):
+        a[:, s, s] = np.where(ii == s - 1, 0.0, R1[ar, ii, s - 1])
+        b[:, s, s] = np.where(jj == s - 1, 0.0, R2[ar, jj, s - 1])
+    for col in range(2, M + 1):
+        for m in range(col - 1, 0, -1):
+            a[:, m, col] = _relu(a[:, m, col - 1]) - _relu(b[:, m, col - 1])
+            b[:, m, col] = _relu(b[:, m + 1, col]) - _relu(a[:, m + 1, col])
+
+    base = np.zeros((n, M, M))
+    for m in range(1, M + 1):
+        for col in range(m, M + 1):
+            rate = np.minimum(_relu(a[:, m, col]), _relu(b[:, m, col]))
+            mask = (ii != m - 1) & (jj != col - 1)
+            base[:, m - 1, col - 1] = np.where(mask, rate, 0.0)
+
+    out = base.copy()
+    csum = np.cumsum(base, axis=1)  # csum[:, r, c] = sum_{m <= r} base[m, c]
+    suffix = np.cumsum(base[:, :, ::-1], axis=2)[:, :, ::-1]  # sum_{c' >= c}
+
+    # correction row for the upper chain: targets (i, c), c >= i, c != j
+    for c in range(M):
+        val = R2[ar, jj, c] - csum[:, c, c]
+        mask = (c >= ii) & (c != jj)
+        out[ar[mask], ii[mask], c] = val[mask]
+    # correction column for the lower chain: targets (m, j), m <= j, m != i
+    for m in range(M):
+        val = R1[ar, ii, m] - suffix[:, m, m]
+        mask = (m <= jj) & (m != ii)
+        out[ar[mask], m, jj[mask]] = val[mask]
+
+    out[ar, ii, jj] = 0.0
+    out[ar, ii, jj] = -out.sum(axis=(1, 2))
+    return out

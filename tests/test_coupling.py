@@ -3,7 +3,7 @@ import pytest
 
 from switchsde import coupling as cp
 from switchsde import exprlang as ex
-from tests.conftest import random_dominated_pair
+from tests.conftest import coupling_rows_reference, random_dominated_pair
 
 QBAR = np.array([[-2.0, 2.0], [1.0, -1.0]])
 QSTAR = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -194,8 +194,25 @@ class TestOrderPreservingCoupling:
             ii = np.full(200, i)
             jj = np.full(200, j)
             a = cp._coupling_rows_two_state(R1, R2, ii, jj)
-            b = cp._coupling_rows_general(R1, R2, ii, jj)
+            b = coupling_rows_reference(R1, R2, ii, jj)
             assert np.abs(a - b).max() < 1e-13
+
+    @pytest.mark.parametrize("M", range(3, 11))
+    def test_general_kernel_matches_reference_bitwise(self, M):
+        rng = np.random.default_rng(15 + M)
+        pairs = [random_dominated_pair(rng, M) for _ in range(60)]
+        dominated = (np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs]))
+        undominated = []
+        for _ in range(2):
+            R = rng.uniform(0.0, 3.0, (200, M, M))
+            R[rng.random(R.shape) < 0.3] = 0.0  # zero rates
+            R[:, np.arange(M), np.arange(M)] = 0.0
+            undominated.append(R)
+        for R1, R2 in (dominated, tuple(undominated)):
+            n = len(R1)
+            ii, jj = np.sort(rng.integers(0, M, (2, n)), axis=0)
+            got = cp.coupling_rows_batch(R1, R2, ii, jj)
+            assert got.tobytes() == coupling_rows_reference(R1, R2, ii, jj).tobytes()
 
     def test_requires_ordered_pair(self):
         with pytest.raises(cp.CouplingError):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from switchsde import cli
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
-from tests.conftest import make_scenario
+from tests.conftest import make_scenario, write_scenario
 
 
 def load(doc):
@@ -277,6 +278,16 @@ class TestGuards:
         p = en.SimParams.from_scenario(sc, chunk_size=4)
         with pytest.raises(en.EngineError, match="non-finite state"):
             en.simulate_hybrid(sc, p, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_moments_reported(self, tmp_path, capsys):
+        # |X| reaches about 1e90 by t = 3: finite, but |X|^4 overflows
+        doc = make_scenario(drift=[["100*x1"], ["100*x1"]], horizon=3.0)
+        sc = load(doc)
+        with pytest.raises(en.EngineError, match="recording time t=3 "):
+            en.monte_carlo(sc, en.SimParams.from_scenario(sc, n_paths=8))
+        assert cli.main(["mc", write_scenario(tmp_path, doc), "--paths", "8"]) == 2
+        assert "t=3 " in capsys.readouterr().err
 
     def test_path_index_range(self, ex_balanced):
         p = en.SimParams.from_scenario(ex_balanced, n_paths=4, horizon=2.0)

@@ -94,6 +94,33 @@ def test_vectorized_matches_scalar():
         assert math.isclose(vec[k], ex.evaluate(e, [x]), rel_tol=1e-13)
 
 
+@pytest.mark.parametrize("source", ["0", "1 + 2", "2*3", "-4 / 8"])
+def test_vectorized_constant_is_a_float_array(source):
+    X = np.linspace(-1.0, 1.0, 7)[:, None]
+    out = ex.compile_vectorized(ex.parse(source))(X)
+    assert out.shape == (7,) and out.dtype == np.float64
+    assert (out == ex.constant_value(ex.parse(source))).all()
+
+
+@pytest.mark.parametrize("e", [2.0, 0.5, -1.0])
+def test_vectorized_power_keeps_array_exponent(e):
+    # numpy's scalar-exponent fast paths (square, sqrt, reciprocal) can
+    # round differently from the array form
+    x = np.random.default_rng(4).uniform(0.1, 10.0, 1000)
+    got = ex.compile_vectorized(ex.parse(f"x1^{e!r}"))(x[:, None])
+    assert got.tobytes() == np.power(x, np.full(x.size, e)).tobytes()
+
+
+def test_vectorized_constant_operands_match_arrays():
+    # + - * / round once, so a folded literal gives the bits of an array operand
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, 1000)
+    got = ex.compile_vectorized(ex.parse("(0.3 - x1) / 7 * -1.1 + 2 / x1"))(x[:, None])
+    c = lambda v: np.full_like(x, v)  # noqa: E731
+    want = (c(0.3) - x) / c(7.0) * -c(1.1) + c(2.0) / x
+    assert got.tobytes() == want.tobytes()
+    assert ex.constant_value(ex.parse("x1 + 1")) is None
+
+
 # random expression generator for the round-trip invariant
 _rng = np.random.default_rng(20240810)
 

@@ -1,9 +1,11 @@
 """Golden hashes of the engine's artifacts.
 
 The sha256 of ``mc --coupled`` JSON and ``simulate --coupled`` CSV on every
-shipped fixture at 64 paths and horizon 1.  A refactor that should not change
-behaviour keeps these green; a change to the random stream or the step update
-changes them on purpose and records the new hashes with the reason.
+shipped fixture, and on a generated six-state scenario that takes the
+coupling-matrix route beyond M = 3, at 64 paths and horizon 1.  A refactor
+that should not change behaviour keeps these green; a change to the random
+stream or the step update changes them on purpose and records the new hashes
+with the reason.
 """
 
 import hashlib
@@ -11,7 +13,8 @@ import hashlib
 import pytest
 
 from switchsde import cli
-from tests.conftest import FIXTURES
+from switchsde import engine, scenario
+from tests.conftest import FIXTURES, write_scenario
 
 SIZE = ["--paths", "64", "--horizon", "1"]
 
@@ -43,15 +46,65 @@ GOLDEN = {
 }
 
 
+SIX_STATE_GOLDEN = (
+    "894cc5f095846a65abbc60d0ea66bdd5c42324d4a3c880d7abc8e82c9dfa39fd",
+    "cc3beaae1558aeb386115fa36285c0a7a96ad12f2f1a46b59b90e3519780a83c",
+)
+
+
+def six_state_birth_death():
+    """Birth-death chain on six states with up rates 1 + 0.5 sin(x1)^2 and
+    down rates 1 + 0.5 cos(x1)^2; the envelopes take the extreme rates, which
+    gives the partial-sum domination of the coupling-matrix route."""
+    M = 6
+    rates = [["0"] * M for _ in range(M)]
+    qbar = [[0.0] * M for _ in range(M)]
+    qstar = [[0.0] * M for _ in range(M)]
+    for i in range(M - 1):
+        rates[i][i + 1], rates[i + 1][i] = "1 + 0.5*sin(x1)^2", "1 + 0.5*cos(x1)^2"
+        qbar[i][i + 1], qbar[i + 1][i] = 1.5, 1.0
+        qstar[i][i + 1], qstar[i + 1][i] = 1.0, 1.5
+    for Q in (qbar, qstar):
+        for i in range(M):
+            Q[i][i] = -sum(Q[i])
+    return {
+        "dimensions": {"d": 1, "M": M},
+        "tau": 0.5,
+        "step": 0.01,
+        "horizon": 1.0,
+        "seed": 1,
+        "paths": 64,
+        "drift": [["-1*x1"]] * M,
+        "diffusion": [[["0.3*x1"]]] * M,
+        "gains": [0.0] * M,
+        "rates": rates,
+        "rate_bound": 3.0,
+        "envelopes": {"qbar": qbar, "qstar": qstar},
+        "coefficient_bounds": {"C": [-1.91] * M, "c": [-1.91] * M, "Ma": 1.0},
+        "initial": {"x": [2.0], "state": 1},
+        "grid": {"lo": -10.0, "hi": 10.0, "n": 401},
+    }
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _artifact_hashes(fx, tmp_path, capsys):
+    mc_out, sim_out = tmp_path / "mc.json", tmp_path / "path.csv"
+    assert cli.main(["mc", fx, "--coupled", *SIZE, "--out", str(mc_out)]) == 0
+    assert cli.main(["simulate", fx, "--coupled", *SIZE, "--out", str(sim_out)]) == 0
+    capsys.readouterr()
+    return _sha256(mc_out), _sha256(sim_out)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_artifacts(name, tmp_path, capsys):
     fx = str(FIXTURES / f"{name}.json")
-    mc_out, sim_out = tmp_path / "mc.json", tmp_path / "path.csv"
-    assert cli.main(["mc", fx, "--coupled", *SIZE, "--out", str(mc_out)]) == 0
-    assert cli.main(["simulate", fx, "--coupled", *SIZE, "--out", str(sim_out)]) == 0
-    capsys.readouterr()
-    assert (_sha256(mc_out), _sha256(sim_out)) == GOLDEN[name]
+    assert _artifact_hashes(fx, tmp_path, capsys) == GOLDEN[name]
+
+
+def test_golden_six_state_matrix_route(tmp_path, capsys):
+    fx = write_scenario(tmp_path, six_state_birth_death())
+    assert engine.choose_route(scenario.load_scenario(fx))[::2] == ("matrix", [])
+    assert _artifact_hashes(fx, tmp_path, capsys) == SIX_STATE_GOLDEN
