@@ -121,17 +121,14 @@ def cmd_couple(args):
     Rstar = cpl.offdiag(sc.envelopes.qstar)
 
     def table(R1, R2, label):
-        rows = {}
         M = sc.M
-        for i in range(M):
-            for j in range(M):
-                if args.pair and (i + 1, j + 1) != args.pair:
-                    continue
-                if i <= j:
-                    T = cpl.order_preserving_rows(R1, R2, i, j)
-                else:
-                    T = cpl.basic_coupling_rows(R1[i], R2[j], i, j)
-                rows[f"({i + 1},{j + 1})"] = T.tolist()
+        Qt = cpl.full_coupling_generator(R1, R2).reshape(M, M, M, M)
+        rows = {
+            f"({i + 1},{j + 1})": Qt[i, j].tolist()
+            for i in range(M)
+            for j in range(M)
+            if not args.pair or (i + 1, j + 1) == args.pair
+        }
         return {"pairs": rows, "marginals": label}
 
     doc = {

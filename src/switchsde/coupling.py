@@ -19,6 +19,8 @@ import numpy as np
 
 MARGINALITY_TOL = 1e-10
 RATE_TOL = 1e-12
+CHECK_TOL = 1e-9  # slack of the grid checks and of the exit-rate bound H
+MAX_VIOLATIONS = 200  # domination violations kept in a report
 
 
 class CouplingError(ValueError):
@@ -53,7 +55,7 @@ class EnvelopePair:
     qstar_up_positive: bool = False  # two-state: lower up-rate > 0
 
 
-def two_state_envelopes(rates_on_grid: np.ndarray, source: str = "grid-certified") -> EnvelopePair:
+def two_state_envelopes(rates_on_grid: np.ndarray) -> EnvelopePair:
     """Extremal two-state envelopes from rates evaluated on a grid.
 
     ``rates_on_grid``: stack (n, 2, 2) of off-diagonal rates q_ij(x) over the
@@ -73,7 +75,7 @@ def two_state_envelopes(rates_on_grid: np.ndarray, source: str = "grid-certified
     return EnvelopePair(
         qbar,
         qstar,
-        source,
+        "grid-certified",
         qbar_down_positive=up21 > 0,
         qstar_up_positive=lo12 > 0,
     )
@@ -111,7 +113,7 @@ class TwoStateConditions:
         return self.upper.holds and self.lower.holds
 
 
-def check_two_state_conditions(env: EnvelopePair, rates_on_grid, grid_points, tol=1e-9) -> TwoStateConditions:
+def check_two_state_conditions(env: EnvelopePair, rates_on_grid, grid_points) -> TwoStateConditions:
     R = np.asarray(rates_on_grid, dtype=float)
     xs = np.asarray(grid_points, dtype=float)
     if xs.ndim == 1:
@@ -121,13 +123,13 @@ def check_two_state_conditions(env: EnvelopePair, rates_on_grid, grid_points, to
     lo_sum = float(env.qstar[0, 1] + env.qstar[1, 0])
     k_min, k_max = int(total.argmin()), int(total.argmax())
     upper = ConditionResult(
-        holds=bool(up_sum <= total[k_min] + tol),
+        holds=bool(up_sum <= total[k_min] + CHECK_TOL),
         witness_x=xs[k_min].tolist(),
         lhs=up_sum,
         rhs=float(total[k_min]),
     )
     lower = ConditionResult(
-        holds=bool(lo_sum >= total[k_max] - tol),
+        holds=bool(lo_sum >= total[k_max] - CHECK_TOL),
         witness_x=xs[k_max].tolist(),
         lhs=lo_sum,
         rhs=float(total[k_max]),
@@ -159,7 +161,7 @@ class DominationReport:
         }
 
 
-def check_domination(R1, R2, grid_points=None, tol=1e-9, max_violations=200) -> DominationReport:
+def check_domination(R1, R2, grid_points=None) -> DominationReport:
     """Check the partial-sum preorder between two rate stacks.
 
     ``R1``, ``R2``: either (M, M) constant off-diagonal arrays or (n, M, M)
@@ -207,7 +209,7 @@ def check_domination(R1, R2, grid_points=None, tol=1e-9, max_violations=200) -> 
         if margin < worst_margin:
             worst_margin = margin
             worst = entry
-        if margin < -tol and len(violations) < max_violations:
+        if margin < -CHECK_TOL and len(violations) < MAX_VIOLATIONS:
             violations.append(entry)
 
     for m in range(M):
@@ -474,7 +476,8 @@ class IntervalPartition:
     Rows are laid out consecutively over the whole mark space [0, L) with
     L = M * H: row 1 starts at 0, row i at the sum of the preceding rows'
     total rates.  A mark landing outside all of row i's intervals produces no
-    jump.
+    jump.  ``target_of`` answers through ``row_block_pick``, the engine's own
+    pick, so a mark on an interval edge goes where a simulated jump goes.
     """
 
     state: int  # 1-based
@@ -482,44 +485,66 @@ class IntervalPartition:
     total: float  # q_i(x)
     offset: float  # start of this row's block
     L: float
+    rates: np.ndarray = field(repr=False, compare=False)  # off-diagonal, at x
 
     def target_of(self, u: float) -> int | None:
-        for iv in self.intervals:
-            if iv.lo <= u < iv.hi:
-                return iv.target
-        return None
+        hit, tgt, *_ = row_block_pick(
+            self.rates[None], np.array([self.state - 1]), np.array([u], dtype=float)
+        )
+        return int(tgt[0]) + 1 if hit[0] else None
+
+
+def _row_blocks(Roff, states, ar):
+    """Consecutive-row layout of a batch (``ar`` is arange(n)): exit rates of
+    every state (n, M), the source rows' exit rates, the start of each source
+    row's block, and the source rows (n, M) with their cumulative sums."""
+    q = Roff.sum(axis=2)
+    qi = q[ar, states]
+    rows = Roff[ar, states]
+    return q, qi, np.cumsum(q, axis=1)[ar, states] - qi, rows, np.cumsum(rows, axis=1)
+
+
+def row_block_pick(Roff, states, mark):
+    """Locate jumps out of ``states`` (0-based, (n,)) for marks in the
+    consecutive-row layout of the off-diagonal rate stack ``Roff`` (n, M, M).
+
+    Returns (hit, target, width, u_in, q): whether the mark falls in the
+    source row's block, the target state, that interval's width, the mark's
+    position inside the interval as a fraction of the width, and the exit
+    rates of every state (n, M) that the layout was built from.
+    """
+    ar = np.arange(len(states))
+    q, qi, lo, rows, cums = _row_blocks(Roff, states, ar)
+    u_in = mark - lo
+    hit = (u_in >= 0) & (u_in < qi)
+    tgt = (u_in[:, None] < cums).argmax(axis=1)
+    width = rows[ar, tgt]
+    u_in = (u_in - (cums[ar, tgt] - width)) / np.maximum(width, 1e-300)
+    return hit, tgt, width, u_in, q
 
 
 def skorokhod_partition(rates_at_x, state: int, H: float) -> IntervalPartition:
     """Mark intervals for jumps out of ``state`` (1-based) at rates
-    ``rates_at_x`` (off-diagonal (M, M) array evaluated at the current point).
+    ``rates_at_x`` ((M, M) array evaluated at the current point; a diagonal
+    is ignored).
 
     Raises if the exit rate exceeds the declared bound H (an under-declared
     bound breaks the thinning construction).
     """
-    R = np.asarray(rates_at_x, dtype=float)
+    R = offdiag(rates_at_x)
     M = R.shape[0]
     if not 1 <= state <= M:
         raise CouplingError(f"state {state} out of range 1..{M}")
-    q = R.sum(axis=1) - np.diag(R)
-    if q[state - 1] > H + 1e-9:
+    _, qi, lo, _, cums = _row_blocks(R[None], np.array([state - 1]), np.arange(1))
+    total, offset = float(qi[0]), float(lo[0])
+    if total > H + CHECK_TOL:
         raise CouplingError(
-            f"exit rate {q[state - 1]:.6g} from state {state} exceeds declared bound H={H}"
+            f"exit rate {total:.6g} from state {state} exceeds declared bound H={H}"
         )
-    offset = float(q[: state - 1].sum())
-    lo = offset
-    intervals = []
-    for j in range(M):
-        if j == state - 1:
-            continue
-        ln = float(R[state - 1, j])
-        if ln > 0:
-            intervals.append(Interval(lo, lo + ln, j + 1))
-            lo += ln
-    return IntervalPartition(
-        state=state,
-        intervals=intervals,
-        total=float(q[state - 1]),
-        offset=offset,
-        L=M * H,
-    )
+    edges = offset + np.concatenate(([0.0], cums[0]))
+    intervals = [
+        Interval(float(edges[j]), float(edges[j + 1]), j + 1)
+        for j in range(M)
+        if R[state - 1, j] > 0
+    ]
+    return IntervalPartition(state, intervals, total, offset, M * H, R)

@@ -12,10 +12,15 @@ aggregation.
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the whole mark space; at each candidate the diffusion value is linearly
 interpolated inside the step and a uniform mark decides the jump through the
-consecutive-interval layout (see coupling.skorokhod_partition).  Coupled runs
-either share one mark among all three chains (two-state interval route, when
-the interval-sum conditions hold) or drive the pair transitions from the
-order-preserving coupling rows with shared candidate times (matrix route).
+consecutive-interval layout.  That layout exists once, as
+coupling.row_block_pick, which the marginal and matrix routes call and
+coupling.skorokhod_partition answers through.  Every candidate round checks
+the exit rates it reads against the declared bound H and raises EngineError
+beyond it.  Coupled runs either share one mark among all three chains
+(two-state interval route, when the interval-sum conditions hold) or drive
+the pair transitions from the order-preserving coupling rows with shared
+candidate times (matrix route).  Each route is one jump rule with a common
+signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
 from the next grid node (consistent with the first-order scheme).
@@ -30,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupling as cpl
-from .coupling import EnvelopePair
 from .scenario import Scenario, load_scenario
 
 _NOISE = 1
@@ -228,13 +232,14 @@ class _ChunkResult:
 class _ChunkRun:
     """State and step logic for one block of paths."""
 
-    def __init__(self, sc, params, chunk_idx, coupled, route, env, record_local=None):
+    def __init__(self, sc, params, chunk_idx, route, env, record_local=None):
         self.sc = sc
         self.params = params
         self.chunk_idx = chunk_idx
-        self.coupled = coupled
         self.route = route
+        self.coupled = coupled = route != "marginal"
         self.env = env
+        self._jump = getattr(self, f"_{route}_jump")
         self.record_local = record_local
 
         M, d = sc.M, sc.d
@@ -242,21 +247,19 @@ class _ChunkRun:
         self.h = params.h
         self.sqrt_h = math.sqrt(self.h)
         self.W = params.chunk_size
-        start = chunk_idx * self.W
-        self.start = start
+        self.start = start = chunk_idx * self.W
         self.na = min(params.n_paths - start, self.W)
         if self.na <= 0:
             raise EngineError(f"chunk {chunk_idx} has no paths")
 
         self.L = M * sc.rates.H
-        if coupled:
+        self.H_max = sc.rates.H + cpl.CHECK_TOL
+        self.R_cand = self.L
+        if route == "matrix":
             self.Rbar = cpl.offdiag(env.qbar)
             self.Rstar = cpl.offdiag(env.qstar)
             self.Hbar = float(self.Rbar.sum(axis=1).max())
-            self.Hstar = float(self.Rstar.sum(axis=1).max())
-            self.R_cand = self.L if route == "two_state" else self.L + self.Hbar + self.Hstar
-        else:
-            self.R_cand = self.L
+            self.R_cand = self.L + self.Hbar + float(self.Rstar.sum(axis=1).max())
 
         na = self.na
         self.X = np.tile(sc.x0, (na, 1)).astype(float)
@@ -266,19 +269,15 @@ class _ChunkRun:
         self.X_obs = self.X.copy()
         self.lam_obs = self.lam.copy()
 
-        self.rec_steps = params.record_steps()
-        self.rec_index = {k: r for r, k in enumerate(self.rec_steps)}
-        n_rec = len(self.rec_steps)
+        self.rec_index = {k: r for r, k in enumerate(params.record_steps())}
+        n_rec = len(self.rec_index)
         self.sum_x2 = np.zeros(n_rec)
         self.sum_x4 = np.zeros(n_rec)
         self.sum_lag2 = np.zeros(n_rec)
         self.occ = np.zeros((3, M))
         # state population per chain, updated incrementally at jumps
         self.pop = np.zeros((3, M))
-        self.pop[1] = np.bincount(self.lam, minlength=M)
-        if coupled:
-            self.pop[0] = self.pop[1].copy()
-            self.pop[2] = self.pop[1].copy()
+        self.pop[[0, 1, 2] if coupled else [1]] = np.bincount(self.lam, minlength=M)
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
         self.violations = 0
@@ -350,7 +349,7 @@ class _ChunkRun:
                     np.add.at(self.skel[cc], (self.prev_obs_states[cc], cur[cc]), 1)
             self.prev_obs_states = cur
 
-    def _apply_jump(self, chain_row, states, pj, new, rem, tc, name):
+    def _apply_jump(self, chain_row, states, pj, new, rem, tc):
         old = states[pj]
         moved = old != new
         if not moved.any():
@@ -367,7 +366,7 @@ class _ChunkRun:
             rl = self.record_local
             for q, o, nn, t in zip(pj, old, new, tc):
                 if q == rl:
-                    self.jump_rec[name].append((float(t), int(o) + 1, int(nn) + 1))
+                    self.jump_rec[CHAIN_NAMES[chain_row]].append((float(t), int(o) + 1, int(nn) + 1))
 
     def _order_violations(self, idx=None) -> int:
         if not self.coupled:
@@ -381,65 +380,49 @@ class _ChunkRun:
 
     def _process_candidates(self, t, Xn, p, offs, marks, aux):
         frac = offs / self.h
-        Xc = self.X[p] + (Xn[p] - self.X[p]) * frac[:, None]
+        X0 = self.X[p]
+        Xc = X0 + (Xn[p] - X0) * frac[:, None]
         Roff = self.sc.rates.offdiag_batch(Xc)
-        rem = self.h - offs
-        tc = t + offs
-        if self.route == "two_state":
-            self._two_state_jump(Roff, marks, p, rem, tc)
-        elif self.route == "matrix":
-            self._matrix_jump(Roff, marks, aux, p, rem, tc, Xc)
-        else:
-            self._marginal_jump(Roff, marks, p, rem, tc)
+        self._jump(Roff, marks, aux, p, self.h - offs, t + offs, Xc)
         if self.coupled:
             self.violations += self._order_violations(p)
 
-    def _row_block_pick(self, Roff, mark, p):
-        """Locate the switching chain's own jump in the consecutive-row mark
-        layout; returns (hit mask, target, interval width, in-interval u)."""
-        nc = len(p)
-        ar = np.arange(nc)
-        qrow = Roff.sum(axis=2)
-        ends = np.cumsum(qrow, axis=1)
-        lam_c = self.lam[p]
-        qi = qrow[ar, lam_c]
-        lo = ends[ar, lam_c] - qi
-        u_in = mark - lo
-        hit = (u_in >= 0) & (u_in < qi)
-        rowrates = Roff[ar, lam_c, :]
-        cums = np.cumsum(rowrates, axis=1)
-        tgt = (u_in[:, None] < cums).argmax(axis=1)
-        width = rowrates[ar, tgt]
-        u2 = (u_in - (cums[ar, tgt] - width)) / np.maximum(width, 1e-300)
-        return hit, tgt, width, u2
+    def _check_rate_bound(self, q, p, tc, Xc):
+        """Thinning is exact only while every exit rate ``q`` (n, M) at the
+        candidate points stays within H."""
+        if q.max() > self.H_max:
+            c, i = np.unravel_index(int(q.argmax()), q.shape)
+            raise EngineError(
+                f"exit rate {q[c, i]:.6g} from state {i + 1} exceeds declared bound "
+                f"H={self.sc.rates.H} at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + p[c]}"
+            )
 
-    def _marginal_jump(self, Roff, mark, p, rem, tc):
-        hit, tgt, _, _ = self._row_block_pick(Roff, mark, p)
+    # The three jump rules share one signature: (off-diagonal rates at the
+    # candidates, marks, auxiliary uniforms, local path indices, time left in
+    # the step, candidate times, diffusion values at the candidates).
+
+    def _marginal_jump(self, Roff, mark, aux, p, rem, tc, Xc):
+        hit, tgt, _, _, q = cpl.row_block_pick(Roff, self.lam[p], mark)
+        self._check_rate_bound(q, p, tc, Xc)
         if hit.any():
-            self._apply_jump(1, self.lam, p[hit], tgt[hit], rem[hit], tc[hit], "lambda")
+            self._apply_jump(1, self.lam, p[hit], tgt[hit], rem[hit], tc[hit])
 
-    def _two_state_jump(self, Roff, mark, p, rem, tc):
-        env = self.env
-        q12 = Roff[:, 0, 1]
-        q21 = Roff[:, 1, 0]
-        self._apply_jump(
-            1, self.lam, p, _interval_move(self.lam[p], mark, q12, q21), rem, tc, "lambda"
-        )
-        self._apply_jump(
-            2, self.lam_b, p,
-            _interval_move(self.lam_b[p], mark, env.qbar[0, 1], env.qbar[1, 0]),
-            rem, tc, "lambda_bar",
-        )
-        self._apply_jump(
-            0, self.lam_s, p,
-            _interval_move(self.lam_s[p], mark, env.qstar[0, 1], env.qstar[1, 0]),
-            rem, tc, "lambda_star",
-        )
+    def _two_state_jump(self, Roff, mark, aux, p, rem, tc, Xc):
+        self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
+        qbar, qstar = self.env.qbar, self.env.qstar
+        for row, states, a12, a21 in (
+            (1, self.lam, Roff[:, 0, 1], Roff[:, 1, 0]),
+            (2, self.lam_b, qbar[0, 1], qbar[1, 0]),
+            (0, self.lam_s, qstar[0, 1], qstar[1, 0]),
+        ):
+            self._apply_jump(row, states, p, _interval_move(states[p], mark, a12, a21), rem, tc)
 
     def _matrix_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         nc = len(p)
         M = self.M
         lam_c = self.lam[p]
+        hitA, mv, width, u2, q = cpl.row_block_pick(Roff, lam_c, mark)
+        self._check_rate_bound(q, p, tc, Xc)
         bar_c = self.lam_b[p]
         star_c = self.lam_s[p]
         # one fused batch: rows of (switching, upper) then (lower, switching)
@@ -461,16 +444,15 @@ class _ChunkRun:
         row1, row2 = rows[:nc], rows[nc:]
 
         # region A: the switching chain's own mark space [0, L)
-        hitA, mv, width, u2 = self._row_block_pick(Roff, mark, p)
         hitA &= mark < self.L
         if hitA.any():
             sub = np.flatnonzero(hitA)
             pj, mvs, w, rs, ts = p[sub], mv[sub], width[sub], rem[sub], tc[sub]
             okb, nb = _pick(row1[sub, mvs], u2[sub], w)
             oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
-            self._apply_jump(1, self.lam, pj, mvs, rs, ts, "lambda")
-            self._apply_jump(2, self.lam_b, pj, np.where(okb, nb, bar_c[sub]), rs, ts, "lambda_bar")
-            self._apply_jump(0, self.lam_s, pj, np.where(oks, ns, star_c[sub]), rs, ts, "lambda_star")
+            self._apply_jump(1, self.lam, pj, mvs, rs, ts)
+            self._apply_jump(2, self.lam_b, pj, np.where(okb, nb, bar_c[sub]), rs, ts)
+            self._apply_jump(0, self.lam_s, pj, np.where(oks, ns, star_c[sub]), rs, ts)
 
         # region B: upper chain moves alone
         hitB = (mark >= self.L) & (mark < self.L + self.Hbar)
@@ -479,9 +461,7 @@ class _ChunkRun:
             picked, nb = _pick(row1[sub, lam_c[sub]], mark[sub] - self.L)
             if picked.any():
                 pj = p[sub[picked]]
-                self._apply_jump(
-                    2, self.lam_b, pj, nb[picked], rem[sub[picked]], tc[sub[picked]], "lambda_bar"
-                )
+                self._apply_jump(2, self.lam_b, pj, nb[picked], rem[sub[picked]], tc[sub[picked]])
 
         # region C: lower chain moves alone
         hitC = mark >= self.L + self.Hbar
@@ -490,9 +470,7 @@ class _ChunkRun:
             picked, ns = _pick(row2[sub, :, lam_c[sub]], mark[sub] - self.L - self.Hbar)
             if picked.any():
                 pj = p[sub[picked]]
-                self._apply_jump(
-                    0, self.lam_s, pj, ns[picked], rem[sub[picked]], tc[sub[picked]], "lambda_star"
-                )
+                self._apply_jump(0, self.lam_s, pj, ns[picked], rem[sub[picked]], tc[sub[picked]])
 
     # -- main loop
 
@@ -635,7 +613,7 @@ def _pick(weights, u, denom=None):
     return picked, (u[:, None] < thr).argmax(axis=1)
 
 
-def _merge(results, sc, params, coupled, route, warnings) -> McSummary:
+def _merge(results, sc, params, route, warnings) -> McSummary:
     n_rec = results[0].sum_x2.shape[0]
     sum_x2 = np.zeros(n_rec)
     sum_x4 = np.zeros(n_rec)
@@ -662,13 +640,10 @@ def _merge(results, sc, params, coupled, route, warnings) -> McSummary:
         t = times[np.flatnonzero(~np.isfinite(var))[0]]
         raise EngineError(f"variance of |X|^2 is not finite at recording time t={t:.6g} (overflow)")
     se = np.sqrt(np.maximum(var, 0.0) / n)
-    occupation = {}
-    skeleton = {}
-    chains = CHAIN_NAMES if coupled else ("lambda",)
-    for name in chains:
-        cc = CHAIN_NAMES.index(name)
-        occupation[name] = occ[cc] / (n * params.horizon)
-        skeleton[name] = skel[cc]
+    coupled = route != "marginal"
+    rows = (0, 1, 2) if coupled else (1,)
+    occupation = {CHAIN_NAMES[cc]: occ[cc] / (n * params.horizon) for cc in rows}
+    skeleton = {CHAIN_NAMES[cc]: skel[cc] for cc in rows}
     return McSummary(
         times=times,
         mean_x2=mean_x2,
@@ -691,32 +666,31 @@ def _merge(results, sc, params, coupled, route, warnings) -> McSummary:
     )
 
 
-def _worker_chunk(raw, params, chunk_idx, coupled, route):
-    sc = load_scenario(raw)
-    env = None
-    if coupled:
-        _, env, _ = choose_route(sc)
-    return _ChunkRun(sc, params, chunk_idx, coupled, route, env).run()
+def _plan(sc, coupled):
+    """(route, envelopes, warnings) of a run; a marginal run has no envelopes."""
+    return choose_route(sc) if coupled else ("marginal", None, [])
+
+
+def _worker_chunk(raw, params, chunk_idx, route, env):
+    return _ChunkRun(load_scenario(raw), params, chunk_idx, route, env).run()
 
 
 def monte_carlo(sc: Scenario, params: SimParams, coupled: bool = False) -> McSummary:
     """Run n_paths independent paths and aggregate in path-index order."""
-    route, env, warnings = ("marginal", None, [])
-    if coupled:
-        route, env, warnings = choose_route(sc)
+    route, env, warnings = _plan(sc, coupled)
     n_chunks = (params.n_paths + params.chunk_size - 1) // params.chunk_size
     if params.workers > 1 and n_chunks > 1:
         with ProcessPoolExecutor(max_workers=params.workers) as pool:
             futs = [
-                pool.submit(_worker_chunk, sc.raw, params, ci, coupled, route)
+                pool.submit(_worker_chunk, sc.raw, params, ci, route, env)
                 for ci in range(n_chunks)
             ]
             results = [f.result() for f in futs]
     else:
         results = [
-            _ChunkRun(sc, params, ci, coupled, route, env).run() for ci in range(n_chunks)
+            _ChunkRun(sc, params, ci, route, env).run() for ci in range(n_chunks)
         ]
-    return _merge(results, sc, params, coupled, route, warnings)
+    return _merge(results, sc, params, route, warnings)
 
 
 def simulate_hybrid(sc: Scenario, params: SimParams, path_index: int = 0) -> HybridPath:
@@ -732,12 +706,9 @@ def simulate_coupled(sc: Scenario, params: SimParams, path_index: int = 0) -> Hy
 def _simulate_one(sc, params, path_index, coupled):
     if not 0 <= path_index < params.n_paths:
         raise EngineError(f"path_index {path_index} out of range 0..{params.n_paths - 1}")
-    route, env, warnings = ("marginal", None, [])
-    if coupled:
-        route, env, warnings = choose_route(sc)
-    chunk_idx = path_index // params.chunk_size
+    route, env, warnings = _plan(sc, coupled)
     run = _ChunkRun(
-        sc, params, chunk_idx, coupled, route, env,
+        sc, params, path_index // params.chunk_size, route, env,
         record_local=path_index % params.chunk_size,
     )
     res = run.run()

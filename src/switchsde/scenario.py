@@ -323,7 +323,7 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
             f"rates: negative rate q[{i + 1}][{j + 1}] = {R[k, i, j]:.6g} at x = {pts[k].tolist()}"
         )
     qi = R.sum(axis=2)
-    if qi.max() > sc.rates.H + 1e-9:
+    if qi.max() > sc.rates.H + coupling.CHECK_TOL:
         k, i = np.unravel_index(int(qi.argmax()), qi.shape)
         rep.structural.append(
             f"rates: exit rate {qi[k, i]:.6g} from state {i + 1} at x = {pts[k].tolist()} "

@@ -35,6 +35,7 @@ import numpy as np
 from . import markov
 
 PASS_TOL = 1e-9
+TAU_CAP = 10.0  # largest tau a sweep visits
 
 
 class CertifyError(ValueError):
@@ -158,7 +159,7 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     )
 
 
-def feasible_tau_search(qbar, qstar, C, c, b, Ma: float, n_grid: int = 40, tau_cap: float = 10.0):
+def feasible_tau_search(qbar, qstar, C, c, b, Ma: float, n_grid: int = 40):
     """Sweep a log-spaced tau grid below the contraction threshold.
 
     Returns (certificates, passing, best) where ``certificates`` pairs each
@@ -168,7 +169,7 @@ def feasible_tau_search(qbar, qstar, C, c, b, Ma: float, n_grid: int = 40, tau_c
     Cbar = float(np.max(C))
     bbar = float(np.max(b))
     tau_star = max_tau_for_contraction(Cbar, Ma, bbar)
-    hi = min(tau_star * 0.999, tau_cap) if math.isfinite(tau_star) else tau_cap
+    hi = min(tau_star * 0.999, TAU_CAP) if math.isfinite(tau_star) else TAU_CAP
     taus = np.geomspace(hi * 1e-4, hi, n_grid)
     certificates = []
     for t in taus:

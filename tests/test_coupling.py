@@ -307,6 +307,30 @@ class TestSkorokhodPartition:
         with pytest.raises(cp.CouplingError, match="exceeds declared bound"):
             cp.skorokhod_partition(R, 1, 2.0)
 
+    def test_partition_agrees_with_engine_pick(self):
+        # edge marks are where a separately coded layout used to disagree
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            M = int(rng.integers(2, 7))
+            R = rng.uniform(0, 1, (M, M)) * (rng.random((M, M)) < 0.7)
+            np.fill_diagonal(R, 0.0)
+            H = float(R.sum(axis=1).max()) + 0.25
+            for state in range(1, M + 1):
+                part = cp.skorokhod_partition(R, state, H)
+
+                def pick(u):
+                    hit, tgt, *_ = cp.row_block_pick(R[None], np.array([state - 1]), np.array([u]))
+                    return int(tgt[0]) + 1 if hit[0] else None
+
+                for iv in part.intervals:
+                    assert part.target_of((iv.lo + iv.hi) / 2) == iv.target
+                    for edge in (iv.lo, iv.hi):
+                        for u in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+                            assert part.target_of(u) == pick(u)
+                end = part.offset + part.total
+                for u in (np.nextafter(part.offset, -np.inf), end + 0.5 * (part.L - end) + 1e-3):
+                    assert part.target_of(u) is None
+
 
 def test_rates_match_expression_language():
     # the grid helpers above mirror the fixture expressions

@@ -289,6 +289,36 @@ class TestGuards:
         assert cli.main(["mc", write_scenario(tmp_path, doc), "--paths", "8"]) == 2
         assert "t=3 " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["marginal", "matrix", "two_state"])
+    def test_rate_bound_breach_reported(self, route, tmp_path, capsys):
+        # rates 1 + x1^2 reach 10 at x = 3, far off the grid [-1, 1] on which
+        # H = 2 is checked; with zero drift the path stays there
+        doc = make_scenario(
+            drift=[["0"], ["0"]], rates=[["0", "1 + x1^2"], ["1 + x1^2", "0"]],
+            rate_bound=2.0, grid={"lo": -1.0, "hi": 1.0, "n": 41},
+            initial={"x": [3.0], "state": 1}, horizon=200.0,
+            coefficient_bounds={"C": [0.0, 0.0], "c": [0.0, 0.0], "Ma": 0.0},
+        )
+        if route == "two_state":
+            doc["envelopes"] = {"qbar": [[-1, 1], [1, -1]], "qstar": [[-2, 2], [2, -2]]}
+        sc = load(doc)
+        if route == "marginal":
+            assert sn.validate_scenario(sc).ok  # the grid check passes it
+        coupled = route != "marginal"
+        if coupled:
+            assert en.choose_route(sc)[0] == route
+        sim = en.simulate_coupled if coupled else en.simulate_hybrid
+        msg = r"exit rate 10 from state 1 exceeds declared bound H=2.0 at t=[0-9.e-]+, x=\[3.0\], path 0$"
+        with pytest.raises(en.EngineError, match=msg):
+            sim(sc, en.SimParams.from_scenario(sc, n_paths=1), 0)
+        fx = write_scenario(tmp_path, doc)
+        flag = ["--coupled"] if coupled else []
+        assert cli.main(["simulate", fx, *flag, "--out", str(tmp_path / "p.csv")]) == 2
+        assert cli.main(["mc", fx, *flag, "--paths", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("exceeds declared bound H=2.0 at t=") == 2
+        assert err.count("x=[3.0], path ") == 2
+
     def test_path_index_range(self, ex_balanced):
         p = en.SimParams.from_scenario(ex_balanced, n_paths=4, horizon=2.0)
         with pytest.raises(en.EngineError, match="out of range"):

@@ -1,8 +1,8 @@
 """Golden hashes of the engine's artifacts.
 
-The sha256 of ``mc --coupled`` JSON and ``simulate --coupled`` CSV on every
-shipped fixture, and on a generated six-state scenario that takes the
-coupling-matrix route beyond M = 3, at 64 paths and horizon 1.  A refactor
+The sha256 of ``mc`` JSON and ``simulate`` CSV, with and without
+``--coupled``, on every shipped fixture and on a generated six-state scenario
+that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1.  A refactor
 that should not change behaviour keeps these green; a change to the random
 stream or the step update changes them on purpose and records the new hashes
 with the reason.
@@ -46,9 +46,42 @@ GOLDEN = {
 }
 
 
+# the same runs without --coupled: the marginal route
+GOLDEN_MARGINAL = {
+    "lag_bound": (
+        "c514a94a839b2a4450de745dff080eb6954ae1ee37ea933c6e143a768e9f6aeb",
+        "d0aafd49fa5128eba29f38f8f39e2f2cd92dd60a38511d8dd61861dc9e521585",
+    ),
+    "linear_feedback": (
+        "b10f4b6820124e214ff4851a90715bbd6916c3baee93414093dc7442fbf71604",
+        "75b9ed08ab8cdf42d661cb794799e4c97c788e412e2a8683bac2d28372c1276c",
+    ),
+    "linear_unstable": (
+        "79f3be51ab3af5e35059e4e3408a5218ee3132fa202c793ace66e9291cc5ec90",
+        "61d453936812a5404bc059237f5ed59eecf9af99339f469b4d7f2041d06b24cb",
+    ),
+    "three_state_rational": (
+        "758b5617e44c94d612051ce47796798516d284c227d7e32da34bc5b7ece283f1",
+        "604f4225625095ab35bd6d76931d9cc5cccae943ce4fdbd2bbf5f099a319bbb0",
+    ),
+    "two_state_balanced": (
+        "61b237b614debf6b12c8c977e45186b9695c58dfe421434c4551ba95e892e880",
+        "713deaedc32b84f295b5a3f90d143a5a62b2c33639f4d24fdfe31cb3904d0986",
+    ),
+    "two_state_trig": (
+        "7c7adc963930d3c40051ee565bf60253b504774a0a43df9c5209cbcffac22b01",
+        "d4e613667ac7840c5e4b8ba0fc5979cc04d9dbffdd7bc80ccb39ad7565d69c16",
+    ),
+}
+
+
 SIX_STATE_GOLDEN = (
     "894cc5f095846a65abbc60d0ea66bdd5c42324d4a3c880d7abc8e82c9dfa39fd",
     "cc3beaae1558aeb386115fa36285c0a7a96ad12f2f1a46b59b90e3519780a83c",
+)
+SIX_STATE_GOLDEN_MARGINAL = (
+    "66e493040ed581bc9bce824dc2a311fc9ca041b88620e0933459dcde31406cc6",
+    "b4c6e717c2211e2d30b2de3f0f7e7114eb566cdebe3aa2ed9730970b7f67353e",
 )
 
 
@@ -90,21 +123,28 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _artifact_hashes(fx, tmp_path, capsys):
+def _artifact_hashes(fx, tmp_path, capsys, coupled):
     mc_out, sim_out = tmp_path / "mc.json", tmp_path / "path.csv"
-    assert cli.main(["mc", fx, "--coupled", *SIZE, "--out", str(mc_out)]) == 0
-    assert cli.main(["simulate", fx, "--coupled", *SIZE, "--out", str(sim_out)]) == 0
+    flag = ["--coupled"] if coupled else []
+    assert cli.main(["mc", fx, *flag, *SIZE, "--out", str(mc_out)]) == 0
+    assert cli.main(["simulate", fx, *flag, *SIZE, "--out", str(sim_out)]) == 0
     capsys.readouterr()
     return _sha256(mc_out), _sha256(sim_out)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_artifacts(name, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, coupled",
+    [pytest.param(name, True, id=name) for name in sorted(GOLDEN)]
+    + [pytest.param(name, False, id=f"{name}-marginal") for name in sorted(GOLDEN_MARGINAL)],
+)
+def test_golden_artifacts(name, coupled, tmp_path, capsys):
     fx = str(FIXTURES / f"{name}.json")
-    assert _artifact_hashes(fx, tmp_path, capsys) == GOLDEN[name]
+    want = GOLDEN[name] if coupled else GOLDEN_MARGINAL[name]
+    assert _artifact_hashes(fx, tmp_path, capsys, coupled) == want
 
 
 def test_golden_six_state_matrix_route(tmp_path, capsys):
     fx = write_scenario(tmp_path, six_state_birth_death())
     assert engine.choose_route(scenario.load_scenario(fx))[::2] == ("matrix", [])
-    assert _artifact_hashes(fx, tmp_path, capsys) == SIX_STATE_GOLDEN
+    assert _artifact_hashes(fx, tmp_path, capsys, coupled=True) == SIX_STATE_GOLDEN
+    assert _artifact_hashes(fx, tmp_path, capsys, coupled=False) == SIX_STATE_GOLDEN_MARGINAL
