@@ -51,8 +51,16 @@ class EnvelopePair:
     qbar: np.ndarray  # upper generator (with diagonal)
     qstar: np.ndarray  # lower generator (with diagonal)
     source: str  # "grid-certified" | "user-asserted"
-    qbar_down_positive: bool = False  # two-state: upper down-rate > 0
-    qstar_up_positive: bool = False  # two-state: lower up-rate > 0
+
+    @property
+    def qbar_down_positive(self) -> bool:
+        """Two-state: the upper envelope's down-rate is positive."""
+        return len(self.qbar) == 2 and bool(self.qbar[1, 0] > 0)
+
+    @property
+    def qstar_up_positive(self) -> bool:
+        """Two-state: the lower envelope's up-rate is positive."""
+        return len(self.qstar) == 2 and bool(self.qstar[0, 1] > 0)
 
 
 def two_state_envelopes(rates_on_grid: np.ndarray) -> EnvelopePair:
@@ -72,13 +80,7 @@ def two_state_envelopes(rates_on_grid: np.ndarray) -> EnvelopePair:
     lo12, lo21 = float(q12.min()), float(q21.max())
     qbar = np.array([[-up12, up12], [up21, -up21]])
     qstar = np.array([[-lo12, lo12], [lo21, -lo21]])
-    return EnvelopePair(
-        qbar,
-        qstar,
-        "grid-certified",
-        qbar_down_positive=up21 > 0,
-        qstar_up_positive=lo12 > 0,
-    )
+    return EnvelopePair(qbar, qstar, "grid-certified")
 
 
 @dataclass
@@ -497,11 +499,13 @@ class IntervalPartition:
 def _row_blocks(Roff, states, ar):
     """Consecutive-row layout of a batch (``ar`` is arange(n)): exit rates of
     every state (n, M), the source rows' exit rates, the start of each source
-    row's block, and the source rows (n, M) with their cumulative sums."""
-    q = Roff.sum(axis=2)
+    row's block, and the source rows (n, M) with their cumulative sums.  A
+    row's block ends at the last of its cumulative sums, so every mark inside
+    the block lies below some target's upper edge."""
+    cums = np.cumsum(Roff, axis=2)
+    q = cums[:, :, -1]
     qi = q[ar, states]
-    rows = Roff[ar, states]
-    return q, qi, np.cumsum(q, axis=1)[ar, states] - qi, rows, np.cumsum(rows, axis=1)
+    return q, qi, np.cumsum(q, axis=1)[ar, states] - qi, Roff[ar, states], cums[ar, states]
 
 
 def row_block_pick(Roff, states, mark):

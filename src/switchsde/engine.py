@@ -14,13 +14,15 @@ the whole mark space; at each candidate the diffusion value is linearly
 interpolated inside the step and a uniform mark decides the jump through the
 consecutive-interval layout.  That layout exists once, as
 coupling.row_block_pick, which the marginal and matrix routes call and
-coupling.skorokhod_partition answers through.  Every candidate round checks
-the exit rates it reads against the declared bound H and raises EngineError
-beyond it.  Coupled runs either share one mark among all three chains
-(two-state interval route, when the interval-sum conditions hold) or drive
-the pair transitions from the order-preserving coupling rows with shared
-candidate times (matrix route).  Each route is one jump rule with a common
-signature, bound once per chunk.
+coupling.skorokhod_partition answers through.  The candidates of a step block
+are scheduled once, from the block's draws, in groups of (step, round): round
+r holds the r-th candidate in time of every live path, and each step walks its
+contiguous rounds.  Every candidate round checks the exit rates it reads
+against the declared bound H and raises EngineError beyond it.  Coupled runs
+either share one mark among all three chains (two-state interval route, when
+the interval-sum conditions hold) or drive the pair transitions from the
+order-preserving coupling rows with shared candidate times (matrix route).
+Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
 from the next grid node (consistent with the first-order scheme).
@@ -70,13 +72,8 @@ class SimParams:
 
     @classmethod
     def from_scenario(cls, sc: Scenario, **overrides):
-        kw = dict(
-            tau=sc.tau, h=sc.step, horizon=sc.horizon, seed=sc.seed, n_paths=sc.paths
-        )
-        aliases = {"step": "h", "paths": "n_paths"}
-        for k, v in overrides.items():
-            kw[aliases.get(k, k)] = v
-        return cls(**kw)
+        kw = dict(tau=sc.tau, h=sc.step, horizon=sc.horizon, seed=sc.seed, n_paths=sc.paths)
+        return cls(**(kw | overrides))
 
     @property
     def n_steps(self) -> int:
@@ -362,18 +359,14 @@ class _ChunkRun:
         # exact integer counts: the same bytes as per-index updates
         self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
         if self.recording:
-            tc = tc[moved]
-            rl = self.record_local
-            for q, o, nn, t in zip(pj, old, new, tc):
-                if q == rl:
+            for q, o, nn, t in zip(pj, old, new, tc[moved]):
+                if q == self.record_local:
                     self.jump_rec[CHAIN_NAMES[chain_row]].append((float(t), int(o) + 1, int(nn) + 1))
 
-    def _order_violations(self, idx=None) -> int:
+    def _order_violations(self, idx=slice(None)) -> int:
         if not self.coupled:
             return 0
-        ls, lm, lb = self.lam_s, self.lam, self.lam_b
-        if idx is not None:
-            ls, lm, lb = ls[idx], lm[idx], lb[idx]
+        ls, lm, lb = self.lam_s[idx], self.lam[idx], self.lam_b[idx]
         return int(((ls > lm) | (lm > lb)).sum())
 
     # -- jump dispatch
@@ -384,8 +377,7 @@ class _ChunkRun:
         Xc = X0 + (Xn[p] - X0) * frac[:, None]
         Roff = self.sc.rates.offdiag_batch(Xc)
         self._jump(Roff, marks, aux, p, self.h - offs, t + offs, Xc)
-        if self.coupled:
-            self.violations += self._order_violations(p)
+        self.violations += self._order_violations(p)
 
     def _check_rate_bound(self, q, p, tc, Xc):
         """Thinning is exact only while every exit rate ``q`` (n, M) at the
@@ -454,23 +446,18 @@ class _ChunkRun:
             self._apply_jump(2, self.lam_b, pj, np.where(okb, nb, bar_c[sub]), rs, ts)
             self._apply_jump(0, self.lam_s, pj, np.where(oks, ns, star_c[sub]), rs, ts)
 
-        # region B: upper chain moves alone
-        hitB = (mark >= self.L) & (mark < self.L + self.Hbar)
-        if hitB.any():
-            sub = np.flatnonzero(hitB)
-            picked, nb = _pick(row1[sub, lam_c[sub]], mark[sub] - self.L)
-            if picked.any():
-                pj = p[sub[picked]]
-                self._apply_jump(2, self.lam_b, pj, nb[picked], rem[sub[picked]], tc[sub[picked]])
-
-        # region C: lower chain moves alone
-        hitC = mark >= self.L + self.Hbar
-        if hitC.any():
-            sub = np.flatnonzero(hitC)
-            picked, ns = _pick(row2[sub, :, lam_c[sub]], mark[sub] - self.L - self.Hbar)
-            if picked.any():
-                pj = p[sub[picked]]
-                self._apply_jump(0, self.lam_s, pj, ns[picked], rem[sub[picked]], tc[sub[picked]])
+        # regions B and C: the upper chain moves alone on [L, L + Hbar), the
+        # lower chain from L + Hbar; the lower table is read transposed
+        L, Hbar = self.L, self.Hbar
+        for row, states, table, lo, hi, shift in (
+            (2, self.lam_b, row1, L, L + Hbar, 0.0),
+            (0, self.lam_s, row2.transpose(0, 2, 1), L + Hbar, np.inf, Hbar),
+        ):
+            sub = np.flatnonzero((mark >= lo) & (mark < hi))
+            if len(sub):
+                picked, new = _pick(table[sub, lam_c[sub]], (mark[sub] - L) - shift)
+                s = sub[picked]
+                self._apply_jump(row, states, p[s], new[picked], rem[s], tc[s])
 
     # -- main loop
 
@@ -481,18 +468,15 @@ class _ChunkRun:
         n_steps = params.n_steps
         obs_every = params.obs_every
         W, na = self.W, self.na
-        d = self.d
 
-        for block_start in range(0, n_steps, _STEP_BLOCK):
-            block = block_start // _STEP_BLOCK
+        for block, block_start in enumerate(range(0, n_steps, _STEP_BLOCK)):
             bsz = min(_STEP_BLOCK, n_steps - block_start)
             ngen = _philox(params.seed, _NOISE, self.chunk_idx, block)
-            xi_block = ngen.standard_normal((bsz, W, d))
+            xi_block = ngen.standard_normal((bsz, W, self.d))
             jgen = _philox(params.seed, _JUMPS, self.chunk_idx, block)
-            counts_block = jgen.poisson(self.R_cand * h, (bsz, W))
-            tot_per_step = counts_block.sum(axis=1)
-            u_all = jgen.random(3 * int(tot_per_step.sum()))
-            u_off = np.concatenate(([0], np.cumsum(3 * tot_per_step)))
+            counts = jgen.poisson(self.R_cand * h, (bsz, W))
+            u = jgen.random(3 * int(counts.sum()))
+            p, offs, marks, aux, bounds, groups = _candidate_schedule(counts, u, na, h, self.R_cand)
 
             for kk in range(bsz):
                 k = block_start + kk
@@ -516,32 +500,9 @@ class _ChunkRun:
 
                 self.occ += self.pop * h  # whole step to the start states; jumps correct below
 
-                counts = counts_block[kk]
-                tot = int(tot_per_step[kk])
-                if tot:
-                    u = u_all[u_off[kk]:u_off[kk + 1]]
-                    offs = u[0::3] * h
-                    marks = u[1::3] * self.R_cand
-                    aux = u[2::3]
-                    cmax = int(counts.max())
-                    if cmax == 1:
-                        idx = np.flatnonzero(counts)
-                        live = idx < na
-                        if live.any():
-                            self._process_candidates(
-                                t, Xn, idx[live], offs[live], marks[live], aux[live]
-                            )
-                    else:
-                        idx = np.repeat(np.arange(W), counts)
-                        order = np.lexsort((offs, idx))
-                        idx, offs, marks, aux = idx[order], offs[order], marks[order], aux[order]
-                        gstart = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                        pos = np.arange(tot) - np.repeat(gstart, counts)
-                        for rnd in range(cmax):
-                            sel = (pos == rnd) & (idx < na)
-                            if not sel.any():
-                                continue
-                            self._process_candidates(t, Xn, idx[sel], offs[sel], marks[sel], aux[sel])
+                for g in range(groups[kk], groups[kk + 1]):
+                    lo, hi = bounds[g], bounds[g + 1]
+                    self._process_candidates(t, Xn, p[lo:hi], offs[lo:hi], marks[lo:hi], aux[lo:hi])
 
                 self.X = Xn
                 if k >= self.tail_start:
@@ -558,9 +519,8 @@ class _ChunkRun:
 
         path = None
         if self.recording:
-            times = np.arange(n_steps + 1) * h
             path = HybridPath(
-                times=times,
+                times=np.arange(n_steps + 1) * h,
                 X=self.rX,
                 lam=self.rlam + 1,
                 lam_star=(self.rstar + 1) if self.coupled else None,
@@ -589,6 +549,40 @@ class _ChunkRun:
         )
 
 
+def _candidate_schedule(counts, u, na, h, R_cand):
+    """Thinning candidates of one step block in the order they are processed.
+
+    ``counts`` (steps, W) holds the candidate count of every (step, column)
+    and ``u`` three uniforms per candidate, candidates in row-major (step,
+    column) order.  Columns ``>= na`` are dropped.  The rest are grouped by
+    (step, round), round r holding the r-th candidate in time of every path,
+    with paths ascending inside a group.  Returns the per-candidate (path,
+    offset in the step, mark, auxiliary uniform), the group bounds, and the
+    first group of every step with one more entry closing the last step.
+    """
+    W = counts.shape[1]
+    cells = np.flatnonzero(counts)
+    n = counts.ravel()[cells]
+    first = np.cumsum(n) - n  # draw index of each cell's first candidate
+    live = cells % W < na
+    cells, n, first = cells[live], n[live], first[live]
+    rnd = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+    cand = np.repeat(first, n) + rnd
+    cell = np.repeat(cells, n)
+    cand = cand[np.lexsort((u[3 * cand] * h, cell))]  # rank in time inside each cell
+    step, path = np.divmod(cell, W)
+    rounds = int(n.max(initial=0))
+    key = step * rounds + rnd
+    order = np.argsort(key, kind="stable")  # paths stay ascending in a group
+    cand, key = cand[order], key[order]
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    step_first = np.searchsorted(key[bounds[:-1]], rounds * np.arange(len(counts) + 1))
+    return (
+        path[order], u[3 * cand] * h, u[3 * cand + 1] * R_cand, u[3 * cand + 2],
+        bounds.tolist(), step_first.tolist(),
+    )
+
+
 def _interval_move(states, mark, a12, a21):
     """Two-state interval rule: up-interval [0, a12), down-interval
     [a12, a12 + a21); returns the new states."""
@@ -609,8 +603,7 @@ def _pick(weights, u, denom=None):
     thr = np.cumsum(weights, axis=1)
     if denom is not None:
         thr /= (np.maximum(denom, weights.sum(axis=1)) + 1e-300)[:, None]
-    picked = u < thr[:, -1]
-    return picked, (u[:, None] < thr).argmax(axis=1)
+    return u < thr[:, -1], (u[:, None] < thr).argmax(axis=1)
 
 
 def _merge(results, sc, params, route, warnings) -> McSummary:
@@ -707,11 +700,8 @@ def _simulate_one(sc, params, path_index, coupled):
     if not 0 <= path_index < params.n_paths:
         raise EngineError(f"path_index {path_index} out of range 0..{params.n_paths - 1}")
     route, env, warnings = _plan(sc, coupled)
-    run = _ChunkRun(
-        sc, params, path_index // params.chunk_size, route, env,
-        record_local=path_index % params.chunk_size,
-    )
-    res = run.run()
+    chunk, local = divmod(path_index, params.chunk_size)
+    res = _ChunkRun(sc, params, chunk, route, env, record_local=local).run()
     res.path.meta["warnings"] = warnings
     res.path.meta["ordering_violations_in_chunk"] = res.violations
     return res.path

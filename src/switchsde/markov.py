@@ -65,17 +65,17 @@ def is_irreducible(Q) -> bool:
     return bool(reach.all())
 
 
-def validate_generator(Q, tol: float = ROW_SUM_TOL) -> GeneratorDiagnostics:
+def validate_generator(Q) -> GeneratorDiagnostics:
     """Diagnostics for conservativeness and irreducibility; never raises."""
     Q = _as_matrix(Q)
     diag = GeneratorDiagnostics()
     M = Q.shape[0]
     for i in range(M):
         for j in range(M):
-            if i != j and Q[i, j] < -tol:
+            if i != j and Q[i, j] < -ROW_SUM_TOL:
                 diag.negative_entries.append((i + 1, j + 1, float(Q[i, j])))
         s = float(Q[i].sum())
-        if abs(s) > tol:
+        if abs(s) > ROW_SUM_TOL:
             diag.row_sum_violations.append((i + 1, s))
     diag.irreducible = is_irreducible(Q)
     return diag

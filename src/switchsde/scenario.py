@@ -253,13 +253,7 @@ def load_scenario(source) -> Scenario:
         qstar = np.array(doc["envelopes"]["qstar"], dtype=float)
         if qbar.shape != (M, M) or qstar.shape != (M, M):
             raise ScenarioError(f"$.envelopes: matrices must be {M}x{M}")
-        envelopes = EnvelopePair(
-            qbar,
-            qstar,
-            source="user-asserted",
-            qbar_down_positive=M == 2 and qbar[1, 0] > 0,
-            qstar_up_positive=M == 2 and qstar[0, 1] > 0,
-        )
+        envelopes = EnvelopePair(qbar, qstar, source="user-asserted")
 
     rates = StateRates(M=M, d=d, exprs=rate_exprs, H=float(doc["rate_bound"]))
     return Scenario(

@@ -205,3 +205,38 @@ def coupling_rows_reference(R1, R2, ii, jj) -> np.ndarray:
     out[ar, ii, jj] = 0.0
     out[ar, ii, jj] = -out.sum(axis=(1, 2))
     return out
+
+
+def candidate_rounds_reference(counts_block, u_all, na, h, R_cand):
+    """The engine's per-step round loop before candidates were scheduled per
+    step block, kept verbatim as the reference for
+    engine._candidate_schedule: yields (step, paths, offs, marks, aux) for
+    every candidate round it processed, in processing order."""
+    bsz, W = counts_block.shape
+    tot_per_step = counts_block.sum(axis=1)
+    u_off = np.concatenate(([0], np.cumsum(3 * tot_per_step)))
+    for kk in range(bsz):
+        counts = counts_block[kk]
+        tot = int(tot_per_step[kk])
+        if tot:
+            u = u_all[u_off[kk]:u_off[kk + 1]]
+            offs = u[0::3] * h
+            marks = u[1::3] * R_cand
+            aux = u[2::3]
+            cmax = int(counts.max())
+            if cmax == 1:
+                idx = np.flatnonzero(counts)
+                live = idx < na
+                if live.any():
+                    yield kk, idx[live], offs[live], marks[live], aux[live]
+            else:
+                idx = np.repeat(np.arange(W), counts)
+                order = np.lexsort((offs, idx))
+                idx, offs, marks, aux = idx[order], offs[order], marks[order], aux[order]
+                gstart = np.concatenate(([0], np.cumsum(counts)[:-1]))
+                pos = np.arange(tot) - np.repeat(gstart, counts)
+                for rnd in range(cmax):
+                    sel = (pos == rnd) & (idx < na)
+                    if not sel.any():
+                        continue
+                    yield kk, idx[sel], offs[sel], marks[sel], aux[sel]

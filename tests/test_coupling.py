@@ -63,7 +63,7 @@ class TestEnvelopes:
 
 class TestTwoStateConditions:
     def test_trig_upper_fails_at_quarter_turn(self):
-        env = cp.EnvelopePair(QBAR, QSTAR, "user-asserted", True, True)
+        env = cp.EnvelopePair(QBAR, QSTAR, "user-asserted")
         conds = cp.check_two_state_conditions(env, trig_rates_on(GRID), GRID)
         assert not conds.upper.holds
         # witness: rate sum dips to 2 where cos vanishes, below 2 + 1
@@ -87,7 +87,7 @@ class TestTwoStateConditions:
         R = np.zeros((len(xs), 2, 2))
         R[:, 0, 1] = 1.5 + 0.5 * np.sin(xs)
         R[:, 1, 0] = 1.5 - 0.5 * np.sin(xs)
-        env = cp.EnvelopePair(QBAR, QSTAR, "user-asserted", True, True)
+        env = cp.EnvelopePair(QBAR, QSTAR, "user-asserted")
         conds = cp.check_two_state_conditions(env, R, xs)
         assert conds.upper.holds and conds.lower.holds
 
@@ -330,6 +330,36 @@ class TestSkorokhodPartition:
                 end = part.offset + part.total
                 for u in (np.nextafter(part.offset, -np.inf), end + 0.5 * (part.L - end) + 1e-3):
                     assert part.target_of(u) is None
+
+
+@pytest.mark.parametrize("M", [8, 9, 10])
+def test_pick_hits_lie_in_their_target_interval(M):
+    """A hit lies inside its target's interval of the cumulative row sums,
+    also for marks at and just below the end of the source row's block (a
+    block that ended at the pairwise row sum left an ulp gap from 8 states
+    on, where the pick answered state 1)."""
+    rng = np.random.default_rng(M)
+    n = 3000
+    R = rng.uniform(0.0, 1.0, (n, M, M)) * (rng.random((n, M, M)) < 0.8)
+    R[:, np.arange(M), np.arange(M)] = 0.0
+    states = rng.integers(0, M, n)
+    ar = np.arange(n)
+    cums = np.cumsum(R, axis=2)
+    rows = cums[ar, states]
+    q = cums[:, :, -1]
+    lo = np.cumsum(q, axis=1)[ar, states] - q[ar, states]
+    marks = [lo + q[ar, states]]
+    for _ in range(8):
+        marks.append(np.nextafter(marks[-1], -np.inf))
+    marks.append(lo + rng.random(n) * q[ar, states])
+    for mark in marks:
+        hit, tgt, *_ = cp.row_block_pick(R, states, mark)
+        u = (mark - lo)[hit]
+        upper = rows[ar, tgt][hit]
+        lower = np.where(tgt > 0, rows[ar, tgt - 1], 0.0)[hit]
+        assert np.all((lower <= u) & (u < upper))
+        u = mark - lo
+        assert np.array_equal(hit, (u >= 0) & (u < rows[:, -1]))
 
 
 def test_rates_match_expression_language():

@@ -6,7 +6,7 @@ from switchsde import cli
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
-from tests.conftest import make_scenario, write_scenario
+from tests.conftest import candidate_rounds_reference, make_scenario, write_scenario
 
 
 def load(doc):
@@ -203,6 +203,53 @@ class TestCoupledRoutes:
         for i in range(2):
             emp = counts[i] / counts[i].sum()
             assert np.abs(emp - P[i]).sum() / 2 < 0.05
+
+
+def _schedule_rounds(counts, u, na, h, R_cand):
+    p, offs, marks, aux, bounds, step_first = en._candidate_schedule(counts, u, na, h, R_cand)
+    for kk in range(len(counts)):
+        for g in range(step_first[kk], step_first[kk + 1]):
+            lo, hi = bounds[g], bounds[g + 1]
+            yield kk, p[lo:hi], offs[lo:hi], marks[lo:hi], aux[lo:hi]
+
+
+class TestCandidateSchedule:
+    """The step-block schedule visits the candidates of the per-step round
+    loop (tests/conftest.py) in the same order with the same bytes."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.02, 0.3, 1.5])
+    @pytest.mark.parametrize("W, na", [(16, 16), (37, 9), (8, 1)])
+    @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "ties"])
+    def test_matches_round_loop(self, rate, W, na, ties):
+        rng = np.random.default_rng(int(rate * 100) + W + na)
+        steps = 40
+        counts = rng.poisson(rate, (steps, W))
+        counts[5] = 0  # an empty step
+        if rate:
+            counts[7, W - 1] = 6  # six rounds at one path (dropped when na < W)
+            counts[9, 0] = 6
+        n = int(counts.sum())
+        # coarse uniforms give equal offsets inside a path, ranked by draw order
+        u = rng.integers(0, 4, 3 * n) / 4 if ties else rng.random(3 * n)
+        h, R_cand = 0.01, 7.5
+        got = list(_schedule_rounds(counts, u, na, h, R_cand))
+        want = list(candidate_rounds_reference(counts, u, na, h, R_cand))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g[0] == w[0]
+            assert np.array_equal(g[1], w[1])
+            for a, b in zip(g[2:], w[2:]):
+                assert a.tobytes() == b.tobytes()
+        if rate == 0.0:
+            assert got == []
+
+    def test_live_columns_only(self):
+        counts = np.zeros((3, 4), dtype=np.int64)
+        counts[1] = [0, 2, 0, 3]
+        u = np.random.default_rng(0).random(3 * 5)
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 2, 1.0, 1.0)
+        assert p.tolist() == [1, 1] and bounds == [0, 1, 2] and step_first == [0, 0, 2, 2]
+        assert offs[0] <= offs[1]
 
 
 class TestReproducibility:

@@ -2,10 +2,10 @@
 
 The sha256 of ``mc`` JSON and ``simulate`` CSV, with and without
 ``--coupled``, on every shipped fixture and on a generated six-state scenario
-that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1.  A refactor
-that should not change behaviour keeps these green; a change to the random
-stream or the step update changes them on purpose and records the new hashes
-with the reason.
+that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1,
+plus one coupled run over two chunks.  A refactor that should not change
+behaviour keeps these green; a change to the random stream or the step update
+changes them on purpose and records the new hashes with the reason.
 """
 
 import hashlib
@@ -85,6 +85,13 @@ SIX_STATE_GOLDEN_MARGINAL = (
 )
 
 
+# mc --coupled over two chunks (2,048 paths and 52) and simulate of the last path
+MULTI_CHUNK_GOLDEN = (
+    "c9e76fee6acf76095dd322d3dfc2ffdbc521e30361b47da8c0c621147011aeff",
+    "2202ebcfa4c12161f9b9296a6e05d4e5872c43837111e346fe64f85871111403",
+)
+
+
 def six_state_birth_death():
     """Birth-death chain on six states with up rates 1 + 0.5 sin(x1)^2 and
     down rates 1 + 0.5 cos(x1)^2; the envelopes take the extreme rates, which
@@ -123,11 +130,12 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _artifact_hashes(fx, tmp_path, capsys, coupled):
+def _artifact_hashes(fx, tmp_path, capsys, coupled, size=SIZE, path_index=0):
     mc_out, sim_out = tmp_path / "mc.json", tmp_path / "path.csv"
     flag = ["--coupled"] if coupled else []
-    assert cli.main(["mc", fx, *flag, *SIZE, "--out", str(mc_out)]) == 0
-    assert cli.main(["simulate", fx, *flag, *SIZE, "--out", str(sim_out)]) == 0
+    assert cli.main(["mc", fx, *flag, *size, "--out", str(mc_out)]) == 0
+    sim = ["simulate", fx, *flag, *size, "--path-index", str(path_index)]
+    assert cli.main([*sim, "--out", str(sim_out)]) == 0
     capsys.readouterr()
     return _sha256(mc_out), _sha256(sim_out)
 
@@ -148,3 +156,10 @@ def test_golden_six_state_matrix_route(tmp_path, capsys):
     assert engine.choose_route(scenario.load_scenario(fx))[::2] == ("matrix", [])
     assert _artifact_hashes(fx, tmp_path, capsys, coupled=True) == SIX_STATE_GOLDEN
     assert _artifact_hashes(fx, tmp_path, capsys, coupled=False) == SIX_STATE_GOLDEN_MARGINAL
+
+
+def test_golden_multi_chunk(tmp_path, capsys):
+    fx = str(FIXTURES / "three_state_rational.json")
+    size = ["--paths", "2100", "--horizon", "1"]
+    got = _artifact_hashes(fx, tmp_path, capsys, coupled=True, size=size, path_index=2099)
+    assert got == MULTI_CHUNK_GOLDEN
