@@ -5,14 +5,10 @@ switching rates."""
 from .stability import StabilityCertificate, certify, feasible_tau_search, k_tau, max_tau_for_contraction
 from .coupling import (
     EnvelopePair,
-    basic_coupling_rows,
     check_domination,
     check_two_state_conditions,
     full_coupling_generator,
-    order_preserving_rows,
-    skorokhod_partition,
     two_state_envelopes,
-    verify_coupling_matrix,
 )
 from .engine import (
     HybridPath,
@@ -37,10 +33,9 @@ from .scenario import Scenario, load_scenario, scenario_hash, validate_scenario
 
 __all__ = [
     "StabilityCertificate", "certify", "feasible_tau_search", "k_tau",
-    "max_tau_for_contraction", "EnvelopePair", "basic_coupling_rows",
-    "check_domination", "check_two_state_conditions", "full_coupling_generator",
-    "order_preserving_rows", "skorokhod_partition", "two_state_envelopes",
-    "verify_coupling_matrix", "HybridPath", "McSummary", "SimParams",
+    "max_tau_for_contraction", "EnvelopePair", "check_domination",
+    "check_two_state_conditions", "full_coupling_generator",
+    "two_state_envelopes", "HybridPath", "McSummary", "SimParams",
     "monte_carlo", "occupation_time_average", "simulate_coupled",
     "simulate_hybrid", "EvalError", "ParseError", "evaluate", "parse",
     "to_source", "exp_functional", "invariant_measure", "perron_root",

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-MARGINALITY_TOL = 1e-10
-RATE_TOL = 1e-12
 CHECK_TOL = 1e-9  # slack of the grid checks and of the exit-rate bound H
 MAX_VIOLATIONS = 200  # domination violations kept in a report
 
@@ -236,34 +234,6 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
 # coupling constructions
 
 
-def basic_coupling_rows(r1_row, r2_row, i: int, j: int) -> np.ndarray:
-    """Coupling rates from (i, j) for the independent-excess construction.
-
-    ``r1_row``, ``r2_row``: off-diagonal rate rows of the two chains from
-    states i and j (entries at their own indices are ignored).  Returns the
-    (M, M) target-rate array; entry (i, j) holds the (negative) diagonal.
-    Intended for product states with i > j, but defined for any i != j.
-    """
-    r1 = np.array(r1_row, dtype=float)
-    r2 = np.array(r2_row, dtype=float)
-    M = r1.shape[0]
-    if i == j:
-        raise CouplingError("basic coupling rows are defined for i != j")
-    r1[i] = 0.0
-    r2[j] = 0.0
-    T = np.zeros((M, M))
-    for k in range(M):
-        if k != i:
-            T[k, j] += max(r1[k] - r2[k], 0.0)  # chain 1 moves alone
-        if k != j:
-            T[i, k] += max(r2[k] - r1[k], 0.0)  # chain 2 moves alone
-        if (k, k) != (i, j):
-            T[k, k] += min(r1[k], r2[k])  # synchronous move
-    total = T.sum() - T[i, j]
-    T[i, j] = -total
-    return T
-
-
 def _relu(a):
     return np.maximum(a, 0.0)
 
@@ -280,7 +250,7 @@ def coupling_rows_batch(R1, R2, ii, jj) -> np.ndarray:
     the two marginal rows and propagates excesses backwards; two correction
     rows restore the marginals exactly whenever the partial-sum domination
     holds.  Without domination the corrections may leave one marginal short
-    (or produce negative entries), which verify_coupling_matrix reports.
+    (or produce negative entries); the engine raises on a negative rate.
 
     For M > 2 the recursion is swept by diagonals: entry (m, n) reads only
     (m, n-1) and (m+1, n), both on diagonal n - m - 1, so each diagonal is
@@ -358,159 +328,46 @@ def _coupling_rows_general(R1, R2, ii, jj) -> np.ndarray:
     return out
 
 
-def order_preserving_rows(Q1, Q2, i: int, j: int) -> np.ndarray:
-    """Coupling rates from product state (i, j), i <= j, of generators
-    Q1 (lower chain) and Q2 (upper chain).  See coupling_rows_batch."""
-    R1 = offdiag(Q1)[None]
-    R2 = offdiag(Q2)[None]
-    return coupling_rows_batch(R1, R2, np.array([i]), np.array([j]))[0]
-
-
 def full_coupling_generator(Q1, Q2) -> np.ndarray:
     """Complete coupling generator on the product space, indexed (i*M + j).
 
-    Order-preserving rows on i <= j, basic-coupling rows on i > j.
+    Order-preserving rows (coupling_rows_batch) on i <= j.  On i > j the
+    independent-excess rows: each chain moves alone at its excess rate over
+    the other's, and both move together at the smaller of the two rates.
     """
     R1 = offdiag(Q1)
     R2 = offdiag(Q2)
     M = R1.shape[0]
-    Qt = np.zeros((M * M, M * M))
-    for i in range(M):
-        for j in range(M):
-            if i <= j:
-                T = order_preserving_rows(R1, R2, i, j)
-            else:
-                T = basic_coupling_rows(R1[i], R2[j], i, j)
-            Qt[i * M + j, :] = T.reshape(-1)
-    return Qt
-
-
-@dataclass
-class CouplingDiagnostics:
-    negative_rates: list = field(default_factory=list)  # ((i,j),(m,n),rate)
-    row_sum_violations: list = field(default_factory=list)  # ((i,j), sum)
-    marginality_violations: list = field(default_factory=list)  # (chain,(i,j),target,got,want)
-    order_violations: list = field(default_factory=list)  # ((i,j),(m,n),rate)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.negative_rates
-            or self.row_sum_violations
-            or self.marginality_violations
-            or self.order_violations
-        )
-
-    def summary(self) -> str:
-        if self.ok:
-            return "coupling matrix clean"
-        parts = []
-        for name in ("negative_rates", "row_sum_violations", "marginality_violations", "order_violations"):
-            items = getattr(self, name)
-            if items:
-                parts.append(f"{name}: {len(items)} (first: {items[0]})")
-        return "; ".join(parts)
-
-
-def verify_coupling_matrix(Qt, Q1, Q2, tol: float = MARGINALITY_TOL) -> CouplingDiagnostics:
-    """Check the four coupling invariants of a product-space generator.
-
-    Conservativeness, nonnegative off-diagonal rates, marginality against the
-    two input generators, and no rate from any (i, j) with i <= j into the
-    region m > n.  This is the oracle used by every coupling test.
-    """
-    Qt = np.asarray(Qt, dtype=float)
-    R1 = offdiag(Q1)
-    R2 = offdiag(Q2)
-    M = R1.shape[0]
-    diag = CouplingDiagnostics()
-    for i in range(M):
-        for j in range(M):
-            row = Qt[i * M + j].reshape(M, M)
-            s = float(row.sum())
-            if abs(s) > tol:
-                diag.row_sum_violations.append(((i + 1, j + 1), s))
-            for m in range(M):
-                for n_ in range(M):
-                    if (m, n_) == (i, j):
-                        continue
-                    r = row[m, n_]
-                    if r < -RATE_TOL:
-                        diag.negative_rates.append(((i + 1, j + 1), (m + 1, n_ + 1), float(r)))
-                    if i <= j and m > n_ and r > RATE_TOL:
-                        diag.order_violations.append(((i + 1, j + 1), (m + 1, n_ + 1), float(r)))
-            for m in range(M):
-                if m != i:
-                    got = float(row[m, :].sum())
-                    if abs(got - R1[i, m]) > tol:
-                        diag.marginality_violations.append(
-                            ("lower", (i + 1, j + 1), m + 1, got, float(R1[i, m]))
-                        )
-            for n_ in range(M):
-                if n_ != j:
-                    got = float(row[:, n_].sum())
-                    if abs(got - R2[j, n_]) > tol:
-                        diag.marginality_violations.append(
-                            ("upper", (i + 1, j + 1), n_ + 1, got, float(R2[j, n_]))
-                        )
-    return diag
+    Qt = np.zeros((M, M, M, M))
+    ii, jj = np.triu_indices(M)
+    shape = (len(ii), M, M)
+    Qt[ii, jj] = coupling_rows_batch(np.broadcast_to(R1, shape), np.broadcast_to(R2, shape), ii, jj)
+    for i, j in zip(*np.tril_indices(M, -1)):
+        r1, r2, T = R1[i], R2[j], Qt[i, j]
+        for k in range(M):
+            if k != i:
+                T[k, j] += max(r1[k] - r2[k], 0.0)  # chain 1 moves alone
+            if k != j:
+                T[i, k] += max(r2[k] - r1[k], 0.0)  # chain 2 moves alone
+            T[k, k] += min(r1[k], r2[k])  # synchronous move
+        T[i, j] = -T.sum()
+    return Qt.reshape(M * M, M * M)
 
 
 # ---------------------------------------------------------------------------
-# mark-space interval partition
-
-
-@dataclass
-class Interval:
-    lo: float
-    hi: float
-    target: int  # 1-based state
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-
-@dataclass
-class IntervalPartition:
-    """Consecutive left-closed right-open mark intervals for one source state.
-
-    Rows are laid out consecutively over the whole mark space [0, L) with
-    L = M * H: row 1 starts at 0, row i at the sum of the preceding rows'
-    total rates.  A mark landing outside all of row i's intervals produces no
-    jump.  ``target_of`` answers through ``row_block_pick``, the engine's own
-    pick, so a mark on an interval edge goes where a simulated jump goes.
-    """
-
-    state: int  # 1-based
-    intervals: list  # of Interval
-    total: float  # q_i(x)
-    offset: float  # start of this row's block
-    L: float
-    rates: np.ndarray = field(repr=False, compare=False)  # off-diagonal, at x
-
-    def target_of(self, u: float) -> int | None:
-        hit, tgt, *_ = row_block_pick(
-            self.rates[None], np.array([self.state - 1]), np.array([u], dtype=float)
-        )
-        return int(tgt[0]) + 1 if hit[0] else None
-
-
-def _row_blocks(Roff, states, ar):
-    """Consecutive-row layout of a batch (``ar`` is arange(n)): exit rates of
-    every state (n, M), the source rows' exit rates, the start of each source
-    row's block, and the source rows (n, M) with their cumulative sums.  A
-    row's block ends at the last of its cumulative sums, so every mark inside
-    the block lies below some target's upper edge."""
-    cums = np.cumsum(Roff, axis=2)
-    q = cums[:, :, -1]
-    qi = q[ar, states]
-    return q, qi, np.cumsum(q, axis=1)[ar, states] - qi, Roff[ar, states], cums[ar, states]
+# mark-space layout
 
 
 def row_block_pick(Roff, states, mark):
     """Locate jumps out of ``states`` (0-based, (n,)) for marks in the
     consecutive-row layout of the off-diagonal rate stack ``Roff`` (n, M, M).
+
+    Rows are laid out consecutively over the mark space: row 0 starts at 0,
+    row i at the sum of the preceding rows' exit rates, and inside a row the
+    left-closed right-open target intervals follow in state order with
+    widths equal to the rates.  A row's block ends at the last of its
+    cumulative sums, so every mark inside the block lies below some target's
+    upper edge; a mark outside the source row's block is no jump.
 
     Returns (hit, target, width, u_in, q): whether the mark falls in the
     source row's block, the target state, that interval's width, the mark's
@@ -518,37 +375,13 @@ def row_block_pick(Roff, states, mark):
     rates of every state (n, M) that the layout was built from.
     """
     ar = np.arange(len(states))
-    q, qi, lo, rows, cums = _row_blocks(Roff, states, ar)
-    u_in = mark - lo
+    cums = np.cumsum(Roff, axis=2)
+    q = cums[:, :, -1]
+    qi = q[ar, states]
+    rows = cums[ar, states]
+    u_in = mark - (np.cumsum(q, axis=1)[ar, states] - qi)
     hit = (u_in >= 0) & (u_in < qi)
-    tgt = (u_in[:, None] < cums).argmax(axis=1)
-    width = rows[ar, tgt]
-    u_in = (u_in - (cums[ar, tgt] - width)) / np.maximum(width, 1e-300)
+    tgt = (u_in[:, None] < rows).argmax(axis=1)
+    width = Roff[ar, states, tgt]
+    u_in = (u_in - (rows[ar, tgt] - width)) / np.maximum(width, 1e-300)
     return hit, tgt, width, u_in, q
-
-
-def skorokhod_partition(rates_at_x, state: int, H: float) -> IntervalPartition:
-    """Mark intervals for jumps out of ``state`` (1-based) at rates
-    ``rates_at_x`` ((M, M) array evaluated at the current point; a diagonal
-    is ignored).
-
-    Raises if the exit rate exceeds the declared bound H (an under-declared
-    bound breaks the thinning construction).
-    """
-    R = offdiag(rates_at_x)
-    M = R.shape[0]
-    if not 1 <= state <= M:
-        raise CouplingError(f"state {state} out of range 1..{M}")
-    _, qi, lo, _, cums = _row_blocks(R[None], np.array([state - 1]), np.arange(1))
-    total, offset = float(qi[0]), float(lo[0])
-    if total > H + CHECK_TOL:
-        raise CouplingError(
-            f"exit rate {total:.6g} from state {state} exceeds declared bound H={H}"
-        )
-    edges = offset + np.concatenate(([0.0], cums[0]))
-    intervals = [
-        Interval(float(edges[j]), float(edges[j + 1]), j + 1)
-        for j in range(M)
-        if R[state - 1, j] > 0
-    ]
-    return IntervalPartition(state, intervals, total, offset, M * H, R)

@@ -13,15 +13,15 @@ Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the whole mark space; at each candidate the diffusion value is linearly
 interpolated inside the step and a uniform mark decides the jump through the
 consecutive-interval layout.  That layout exists once, as
-coupling.row_block_pick, which the marginal and matrix routes call and
-coupling.skorokhod_partition answers through.  The candidates of a step block
-are scheduled once, from the block's draws, in groups of (step, round): round
-r holds the r-th candidate in time of every live path, and each step walks its
-contiguous rounds.  Every candidate round checks the exit rates it reads
-against the declared bound H and raises EngineError beyond it.  Coupled runs
-either share one mark among all three chains (two-state interval route, when
-the interval-sum conditions hold) or drive the pair transitions from the
-order-preserving coupling rows with shared candidate times (matrix route).
+coupling.row_block_pick, which the marginal and matrix routes call.  The
+candidates of a step block are scheduled once, from the block's draws, in
+groups of (step, round): round r holds the r-th candidate in time of every
+live path, and each step walks its contiguous rounds.  Every candidate round
+checks the exit rates it reads against the declared bound H and raises
+EngineError beyond it.  Coupled runs either share one mark among all three
+chains (two-state interval route, when the interval-sum conditions hold) or
+drive the pair transitions from the order-preserving coupling rows with shared
+candidate times (matrix route).
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
@@ -273,8 +273,9 @@ class _ChunkRun:
         self.sum_lag2 = np.zeros(n_rec)
         self.occ = np.zeros((3, M))
         # state population per chain, updated incrementally at jumps
+        self.rows = [0, 1, 2] if coupled else [1]  # the CHAIN_NAMES rows this run moves
         self.pop = np.zeros((3, M))
-        self.pop[[0, 1, 2] if coupled else [1]] = np.bincount(self.lam, minlength=M)
+        self.pop[self.rows] = np.bincount(self.lam, minlength=M)
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
         self.violations = 0
@@ -339,12 +340,11 @@ class _ChunkRun:
     def _snapshot_obs(self):
         self.X_obs = self.X.copy()
         self.lam_obs = self.lam.copy()
-        if self.coupled:
-            cur = np.stack([self.lam_s, self.lam, self.lam_b])
-            if self.prev_obs_states is not None:
-                for cc in range(3):
-                    np.add.at(self.skel[cc], (self.prev_obs_states[cc], cur[cc]), 1)
-            self.prev_obs_states = cur
+        cur = np.stack([self.lam_s, self.lam, self.lam_b]) if self.coupled else [None, self.lam_obs]
+        if self.prev_obs_states is not None:
+            for cc in self.rows:
+                np.add.at(self.skel[cc], (self.prev_obs_states[cc], cur[cc]), 1)
+        self.prev_obs_states = cur
 
     def _apply_jump(self, chain_row, states, pj, new, rem, tc):
         old = states[pj]
@@ -359,9 +359,10 @@ class _ChunkRun:
         # exact integer counts: the same bytes as per-index updates
         self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
         if self.recording:
-            for q, o, nn, t in zip(pj, old, new, tc[moved]):
-                if q == self.record_local:
-                    self.jump_rec[CHAIN_NAMES[chain_row]].append((float(t), int(o) + 1, int(nn) + 1))
+            mine = pj == self.record_local
+            self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
+                tc[moved][mine].tolist(), (old[mine] + 1).tolist(), (new[mine] + 1).tolist()
+            )
 
     def _order_violations(self, idx=slice(None)) -> int:
         if not self.coupled:

@@ -36,6 +36,7 @@ from . import markov
 
 PASS_TOL = 1e-9
 TAU_CAP = 10.0  # largest tau a sweep visits
+SWEEP_POINTS = 40  # log-spaced taus a sweep visits
 
 
 class CertifyError(ValueError):
@@ -159,7 +160,7 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     )
 
 
-def feasible_tau_search(qbar, qstar, C, c, b, Ma: float, n_grid: int = 40):
+def feasible_tau_search(qbar, qstar, C, c, b, Ma: float):
     """Sweep a log-spaced tau grid below the contraction threshold.
 
     Returns (certificates, passing, best) where ``certificates`` pairs each
@@ -170,7 +171,7 @@ def feasible_tau_search(qbar, qstar, C, c, b, Ma: float, n_grid: int = 40):
     bbar = float(np.max(b))
     tau_star = max_tau_for_contraction(Cbar, Ma, bbar)
     hi = min(tau_star * 0.999, TAU_CAP) if math.isfinite(tau_star) else TAU_CAP
-    taus = np.geomspace(hi * 1e-4, hi, n_grid)
+    taus = np.geomspace(hi * 1e-4, hi, SWEEP_POINTS)
     certificates = []
     for t in taus:
         certificates.append((float(t), certify(qbar, qstar, C, c, b, Ma, float(t))))

@@ -1,8 +1,11 @@
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from switchsde.coupling import offdiag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = [
@@ -205,6 +208,81 @@ def coupling_rows_reference(R1, R2, ii, jj) -> np.ndarray:
     out[ar, ii, jj] = 0.0
     out[ar, ii, jj] = -out.sum(axis=(1, 2))
     return out
+
+
+MARGINALITY_TOL = 1e-10
+RATE_TOL = 1e-12
+
+
+@dataclass
+class CouplingDiagnostics:
+    negative_rates: list = field(default_factory=list)  # ((i,j),(m,n),rate)
+    row_sum_violations: list = field(default_factory=list)  # ((i,j), sum)
+    marginality_violations: list = field(default_factory=list)  # (chain,(i,j),target,got,want)
+    order_violations: list = field(default_factory=list)  # ((i,j),(m,n),rate)
+
+    @property
+    def ok(self) -> bool:
+        return not (
+            self.negative_rates
+            or self.row_sum_violations
+            or self.marginality_violations
+            or self.order_violations
+        )
+
+    def summary(self) -> str:
+        if self.ok:
+            return "coupling matrix clean"
+        parts = []
+        for name in ("negative_rates", "row_sum_violations", "marginality_violations", "order_violations"):
+            items = getattr(self, name)
+            if items:
+                parts.append(f"{name}: {len(items)} (first: {items[0]})")
+        return "; ".join(parts)
+
+
+def verify_coupling_matrix(Qt, Q1, Q2, tol: float = MARGINALITY_TOL) -> CouplingDiagnostics:
+    """Check the four coupling invariants of a product-space generator.
+
+    Conservativeness, nonnegative off-diagonal rates, marginality against the
+    two input generators, and no rate from any (i, j) with i <= j into the
+    region m > n.  This is the oracle used by every coupling test.
+    """
+    Qt = np.asarray(Qt, dtype=float)
+    R1 = offdiag(Q1)
+    R2 = offdiag(Q2)
+    M = R1.shape[0]
+    diag = CouplingDiagnostics()
+    for i in range(M):
+        for j in range(M):
+            row = Qt[i * M + j].reshape(M, M)
+            s = float(row.sum())
+            if abs(s) > tol:
+                diag.row_sum_violations.append(((i + 1, j + 1), s))
+            for m in range(M):
+                for n_ in range(M):
+                    if (m, n_) == (i, j):
+                        continue
+                    r = row[m, n_]
+                    if r < -RATE_TOL:
+                        diag.negative_rates.append(((i + 1, j + 1), (m + 1, n_ + 1), float(r)))
+                    if i <= j and m > n_ and r > RATE_TOL:
+                        diag.order_violations.append(((i + 1, j + 1), (m + 1, n_ + 1), float(r)))
+            for m in range(M):
+                if m != i:
+                    got = float(row[m, :].sum())
+                    if abs(got - R1[i, m]) > tol:
+                        diag.marginality_violations.append(
+                            ("lower", (i + 1, j + 1), m + 1, got, float(R1[i, m]))
+                        )
+            for n_ in range(M):
+                if n_ != j:
+                    got = float(row[:, n_].sum())
+                    if abs(got - R2[j, n_]) > tol:
+                        diag.marginality_violations.append(
+                            ("upper", (i + 1, j + 1), n_ + 1, got, float(R2[j, n_]))
+                        )
+    return diag
 
 
 def candidate_rounds_reference(counts_block, u_all, na, h, R_cand):

@@ -23,6 +23,7 @@ from tests.conftest import (
     random_dominated_pair,
     random_generator,
     skeleton_2state_closed_form,
+    verify_coupling_matrix,
 )
 
 QBAR2 = np.array([[-2.0, 2.0], [1.0, -1.0]])
@@ -76,7 +77,7 @@ def test_criterion_03_coupling_soundness():
         M = int(rng.integers(2, 7))
         R1, R2 = random_dominated_pair(rng, M)
         Qt = cp.full_coupling_generator(R1, R2)
-        diag = cp.verify_coupling_matrix(Qt, R1, R2, tol=1e-10)
+        diag = verify_coupling_matrix(Qt, R1, R2, tol=1e-10)
         assert diag.ok, diag.summary()
         checked += 1
     _report(3, "coupling soundness", checked == 500, f"{checked} dominated pairs verified")

@@ -3,7 +3,7 @@ import pytest
 
 from switchsde import coupling as cp
 from switchsde import exprlang as ex
-from tests.conftest import coupling_rows_reference, random_dominated_pair
+from tests.conftest import coupling_rows_reference, random_dominated_pair, verify_coupling_matrix
 
 QBAR = np.array([[-2.0, 2.0], [1.0, -1.0]])
 QSTAR = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -31,6 +31,21 @@ def three_state_rates_on(xs):
 
 
 GRID = np.linspace(-10, 10, 20001)
+
+
+def product_rows(Q1, Q2):
+    """full_coupling_generator as T[i, j, m, n]: the rate from (i, j) to (m, n)."""
+    M = len(Q1)
+    return cp.full_coupling_generator(Q1, Q2).reshape(M, M, M, M)
+
+
+def pick(R, state, u):
+    """row_block_pick for one mark out of ``state`` (0-based) of the rate
+    array R: (target or None on a miss, interval width, position in it)."""
+    hit, tgt, width, u_in, _ = cp.row_block_pick(
+        np.asarray(R, dtype=float)[None], np.array([state]), np.array([u], dtype=float)
+    )
+    return (int(tgt[0]) if hit[0] else None), float(width[0]), float(u_in[0])
 
 
 class TestEnvelopes:
@@ -121,9 +136,13 @@ class TestDomination:
 
 
 class TestBasicCoupling:
+    """The independent-excess rows of full_coupling_generator (i > j)."""
+
     def test_identical_rows_synchronize(self):
         row = np.array([0.0, 1.2, 0.8])
-        T = cp.basic_coupling_rows(row, row, 2, 0)
+        R1, R2 = np.zeros((2, 3, 3))
+        R1[2], R2[0] = row, row
+        T = product_rows(R1, R2)[2, 0]
         for m in range(3):
             for n in range(3):
                 if (m, n) == (2, 0):
@@ -142,7 +161,9 @@ class TestBasicCoupling:
             i, j = 1, 0
             r1[i] = 0.0
             r2[j] = 0.0
-            T = cp.basic_coupling_rows(r1, r2, i, j)
+            R1, R2 = np.zeros((2, M, M))
+            R1[i], R2[j] = r1, r2
+            T = product_rows(R1, R2)[i, j]
             for k in range(M):
                 if k != i:
                     assert abs(T[k, :].sum() - r1[k]) < 1e-12  # (a-b)+ + a^b = a
@@ -151,7 +172,7 @@ class TestBasicCoupling:
 
     def test_lower_row_against_upper_row(self):
         # rows from the two-state generators, product state (2, 1)
-        T = cp.basic_coupling_rows(cp.offdiag(QSTAR)[1], cp.offdiag(QBAR)[0], 1, 0)
+        T = product_rows(QSTAR, QBAR)[1, 0]
         assert T[0, 0] == 2.0  # chain 1 drops alone
         assert T[1, 1] == 2.0  # chain 2 rises alone
         assert T[1, 0] == -4.0
@@ -159,12 +180,12 @@ class TestBasicCoupling:
 
 class TestOrderPreservingCoupling:
     def test_worked_two_state_example(self):
-        T = cp.order_preserving_rows(QSTAR, QBAR, 0, 0)
+        T = product_rows(QSTAR, QBAR)[0, 0]
         assert np.allclose(T, [[-2.0, 1.0], [0.0, 1.0]], atol=1e-14)
 
     def test_synchronous_when_identical(self):
         for i in range(2):
-            T = cp.order_preserving_rows(QBAR, QBAR, i, i)
+            T = product_rows(QBAR, QBAR)[i, i]
             off = T.copy()
             off[i, i] = 0.0
             assert all(
@@ -216,7 +237,7 @@ class TestOrderPreservingCoupling:
 
     def test_requires_ordered_pair(self):
         with pytest.raises(cp.CouplingError):
-            cp.order_preserving_rows(QBAR, QBAR, 1, 0)
+            cp.coupling_rows_batch(cp.offdiag(QBAR)[None], cp.offdiag(QBAR)[None], [1], [0])
 
     def test_random_dominated_pairs_verify(self):
         rng = np.random.default_rng(14)
@@ -225,7 +246,7 @@ class TestOrderPreservingCoupling:
             R1, R2 = random_dominated_pair(rng, M)
             assert cp.check_domination(R1, R2).holds
             Qt = cp.full_coupling_generator(R1, R2)
-            diag = cp.verify_coupling_matrix(Qt, R1, R2)
+            diag = verify_coupling_matrix(Qt, R1, R2)
             assert diag.ok, diag.summary()
 
 
@@ -233,24 +254,24 @@ class TestVerifyOracle:
     def test_clean_on_trig_example(self):
         for x in (0.0, 0.7, 2.0, -4.4):
             Rx = trig_rates_on(np.array([x]))[0]
-            diag = cp.verify_coupling_matrix(
+            diag = verify_coupling_matrix(
                 cp.full_coupling_generator(Rx, cp.offdiag(QBAR)), Rx, QBAR
             )
             assert diag.ok, (x, diag.summary())
-            diag2 = cp.verify_coupling_matrix(
+            diag2 = verify_coupling_matrix(
                 cp.full_coupling_generator(cp.offdiag(QSTAR), Rx), QSTAR, Rx
             )
             assert diag2.ok, (x, diag2.summary())
 
     def test_synchronous_self_coupling(self):
         Qt = cp.full_coupling_generator(QBAR, QBAR)
-        assert cp.verify_coupling_matrix(Qt, QBAR, QBAR).ok
+        assert verify_coupling_matrix(Qt, QBAR, QBAR).ok
 
     def test_corrupted_rate_detected(self):
         Rx = trig_rates_on(np.array([0.3]))[0]
         Qt = cp.full_coupling_generator(Rx, cp.offdiag(QBAR))
         Qt[0, 3] += 0.25  # (1,1) -> (2,2) rate bumped
-        diag = cp.verify_coupling_matrix(Qt, Rx, QBAR)
+        diag = verify_coupling_matrix(Qt, Rx, QBAR)
         assert not diag.ok
         assert diag.row_sum_violations and diag.row_sum_violations[0][0] == (1, 1)
         chains = {v[0] for v in diag.marginality_violations}
@@ -261,7 +282,7 @@ class TestVerifyOracle:
         Rx = three_state_rates_on(np.array([0.0]))[0]
         qbar3 = np.array([[-4.0, 2, 2], [1, -3, 2], [2, 1, -3]])
         Qt = cp.full_coupling_generator(Rx, cp.offdiag(qbar3))
-        diag = cp.verify_coupling_matrix(Qt, Rx, qbar3)
+        diag = verify_coupling_matrix(Qt, Rx, qbar3)
         assert not diag.ok
         bad = {(v[0], v[1]) for v in diag.marginality_violations}
         assert bad == {("upper", (2, 3))}
@@ -269,70 +290,73 @@ class TestVerifyOracle:
 
 
 class TestSkorokhodPartition:
+    """The consecutive-row mark layout of row_block_pick: left-closed
+    right-open target intervals of width equal to the rates, rows laid out
+    one after another in state order."""
+
     def test_single_interval(self):
         R = np.array([[0.0, 1.5], [1.0, 0.0]])
-        part = cp.skorokhod_partition(R, 1, 2.0)
-        assert len(part.intervals) == 1
-        iv = part.intervals[0]
-        assert (iv.lo, iv.hi, iv.target) == (0.0, 1.5, 2)
-        assert part.L == 4.0
-        assert part.target_of(0.0) == 2 and part.target_of(1.5) is None
+        below = np.nextafter(1.5, -np.inf)
+        assert pick(R, 0, 0.0) == (1, 1.5, 0.0)
+        assert pick(R, 0, 0.75)[::2] == (1, 0.5)
+        assert pick(R, 0, below)[0] == 1
+        assert pick(R, 0, 1.5)[0] is None  # row 1's block starts here
+        assert pick(R, 0, np.nextafter(0.0, -np.inf))[0] is None
+        assert pick(R, 1, 1.5)[:2] == (0, 1.0)
+        assert pick(R, 1, below)[0] is None
+        _, _, _, _, q = cp.row_block_pick(R[None], np.array([0]), np.array([0.0]))
+        assert q.tolist() == [[1.5, 1.0]]
 
     def test_zero_rate_gives_no_interval(self):
         R = np.array([[0.0, 0.0], [1.0, 0.0]])
-        part = cp.skorokhod_partition(R, 1, 2.0)
-        assert part.intervals == [] and part.total == 0.0
+        for u in (np.nextafter(0.0, -np.inf), 0.0, 0.5, 1.0):
+            assert pick(R, 0, u)[0] is None
+        # the empty row takes no mark space: row 1 starts at 0
+        assert pick(R, 1, 0.0)[:2] == (0, 1.0)
+        assert pick(R, 1, 1.0)[0] is None
 
     def test_rows_are_offset_consecutively(self):
         R = np.array([[0.0, 1.2, 0.3], [0.4, 0.0, 0.6], [0.2, 0.1, 0.0]])
-        p2 = cp.skorokhod_partition(R, 2, 2.0)
-        assert p2.offset == pytest.approx(1.5)  # row 1's total
-        assert p2.intervals[0].lo == pytest.approx(1.5)
-        assert p2.intervals[0].target == 1
-        p3 = cp.skorokhod_partition(R, 3, 2.0)
-        assert p3.offset == pytest.approx(2.5)
-        lengths = [iv.length for iv in p3.intervals]
-        assert sum(lengths) == pytest.approx(p3.total)
+        # row 1 starts at row 0's total 1.5, row 2 at 1.5 + 1.0
+        assert pick(R, 1, 1.5 - 1e-9)[0] is None
+        assert pick(R, 1, 1.5 + 1e-9)[:2] == (0, 0.4)
+        assert pick(R, 1, 1.9 + 1e-9)[:2] == (2, 0.6)
+        assert pick(R, 1, 2.5 - 1e-9)[0] == 2
+        assert pick(R, 1, 2.5 + 1e-9)[0] is None
+        assert pick(R, 2, 2.5 - 1e-9)[0] is None
+        assert pick(R, 2, 2.5 + 1e-9)[:2] == (0, 0.2)
+        assert pick(R, 2, 2.7 + 1e-9)[:2] == (1, 0.1)
+        assert pick(R, 2, 2.8 + 1e-9)[0] is None
 
     def test_lengths_sum_to_exit_rate(self):
         rng = np.random.default_rng(15)
-        R = rng.uniform(0, 0.9, (4, 4))
+        R = rng.uniform(0, 0.9, (4, 4)) * (rng.random((4, 4)) < 0.8)
         np.fill_diagonal(R, 0.0)
-        for i in range(1, 5):
-            part = cp.skorokhod_partition(R, i, 3.0)
-            assert sum(iv.length for iv in part.intervals) == pytest.approx(part.total)
-
-    def test_rate_bound_enforced(self):
-        R = np.array([[0.0, 5.0], [1.0, 0.0]])
-        with pytest.raises(cp.CouplingError, match="exceeds declared bound"):
-            cp.skorokhod_partition(R, 1, 2.0)
-
-    def test_partition_agrees_with_engine_pick(self):
-        # edge marks are where a separately coded layout used to disagree
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            M = int(rng.integers(2, 7))
-            R = rng.uniform(0, 1, (M, M)) * (rng.random((M, M)) < 0.7)
-            np.fill_diagonal(R, 0.0)
-            H = float(R.sum(axis=1).max()) + 0.25
-            for state in range(1, M + 1):
-                part = cp.skorokhod_partition(R, state, H)
-
-                def pick(u):
-                    hit, tgt, *_ = cp.row_block_pick(R[None], np.array([state - 1]), np.array([u]))
-                    return int(tgt[0]) + 1 if hit[0] else None
-
-                for iv in part.intervals:
-                    assert part.target_of((iv.lo + iv.hi) / 2) == iv.target
-                    for edge in (iv.lo, iv.hi):
-                        for u in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
-                            assert part.target_of(u) == pick(u)
-                end = part.offset + part.total
-                for u in (np.nextafter(part.offset, -np.inf), end + 0.5 * (part.L - end) + 1e-3):
-                    assert part.target_of(u) is None
+        lo = 0.0
+        for i in range(4):
+            widths = []
+            for j in np.flatnonzero(R[i]):
+                mid = lo + R[i, :j].sum() + R[i, j] / 2
+                tgt, width, u_in = pick(R, i, mid)
+                assert tgt == j and width == R[i, j]
+                assert u_in == pytest.approx(0.5)
+                widths.append(width)
+            assert sum(widths) == pytest.approx(R[i].sum())
+            lo += R[i].sum()
+        # row 0 starts at 0, so its edges are exact marks: an edge belongs to
+        # the interval above it, one ulp below to the interval before
+        edges = np.cumsum(R[0])
+        targets = np.flatnonzero(R[0])
+        for k, j in enumerate(targets):
+            e = edges[j - 1] if j else 0.0
+            assert pick(R, 0, e)[0] == j
+            assert pick(R, 0, np.nextafter(e, np.inf))[0] == j
+            assert pick(R, 0, np.nextafter(e, -np.inf))[0] == (targets[k - 1] if k else None)
+        assert pick(R, 0, np.nextafter(edges[-1], -np.inf))[0] == targets[-1]
+        assert pick(R, 0, edges[-1])[0] is None
 
 
-@pytest.mark.parametrize("M", [8, 9, 10])
+@pytest.mark.parametrize("M", range(2, 11))
 def test_pick_hits_lie_in_their_target_interval(M):
     """A hit lies inside its target's interval of the cumulative row sums,
     also for marks at and just below the end of the source row's block (a

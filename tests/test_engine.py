@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -6,7 +8,7 @@ from switchsde import cli
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
-from tests.conftest import candidate_rounds_reference, make_scenario, write_scenario
+from tests.conftest import FIXTURES, candidate_rounds_reference, make_scenario, write_scenario
 
 
 def load(doc):
@@ -204,6 +206,25 @@ class TestCoupledRoutes:
             emp = counts[i] / counts[i].sum()
             assert np.abs(emp - P[i]).sum() / 2 < 0.05
 
+    def test_region_c_subtracts_l_then_hbar(self):
+        # the lower chain's mark space starts at L + Hbar, and region C places
+        # a mark in it as (mark - L) - Hbar; at this mark on the edge of the
+        # lower table's interval, mark - (L + Hbar) rounds to the other side
+        sc = load(make_scenario(
+            rates=[["0", "0.3"], ["0.3", "0"]], rate_bound=1.1, initial={"x": [1.0], "state": 2},
+            envelopes={"qbar": [[-0.3, 0.3], [0.3, -0.3]], "qstar": [[-0.2, 0.2], [0.8, -0.8]]},
+        ))
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), 0, "matrix", sc.envelopes)
+        L, Hbar = run.L, run.Hbar
+        edge = 0.8 - min(0.8, 0.3)  # lower-chain excess down-rate from (2, 2)
+        mark = (L + Hbar) + edge
+        assert (mark - L) - Hbar < edge <= mark - (L + Hbar)
+        Roff = sc.rates.offdiag_batch(run.X)
+        p = np.array([0])
+        run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.array([run.h]), np.zeros(1), run.X)
+        assert (run.lam_s[0], run.lam[0], run.lam_b[0]) == (0, 1, 1)
+        assert run.occ[0].tolist() == [run.h, -run.h]
+
 
 def _schedule_rounds(counts, u, na, h, R_cand):
     p, offs, marks, aux, bounds, step_first = en._candidate_schedule(counts, u, na, h, R_cand)
@@ -265,6 +286,30 @@ class TestReproducibility:
         path = en.simulate_hybrid(ex_balanced, p, 0)
         x2 = (path.X[::50, 0] ** 2)
         assert np.allclose(summ.mean_x2[: len(x2)], x2, atol=1e-14)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["marginal", "coupled"])
+    def test_skeleton_counts_follow_the_recorded_path(self, coupled, tmp_path, capsys):
+        # mc of one path counts the observation-epoch transitions of the path
+        # that simulate records, on every chain the run moves
+        fx = str(FIXTURES / "linear_feedback.json")
+        out = tmp_path / "mc.json"
+        flag = ["--coupled"] if coupled else []
+        assert cli.main(["mc", fx, *flag, "--paths", "1", "--out", str(out)]) == 0
+        counts = json.loads(out.read_text())["skeleton_counts"]
+        sc = sn.load_scenario(fx)
+        p = en.SimParams.from_scenario(sc, n_paths=1)
+        path = (en.simulate_coupled if coupled else en.simulate_hybrid)(sc, p, 0)
+        cols = {"lambda": path.lam}
+        if coupled:
+            cols |= {"lambda_star": path.lam_star, "lambda_bar": path.lam_bar}
+        assert counts.keys() == cols.keys()
+        for name, col in cols.items():
+            obs = col[:: p.obs_every] - 1
+            want = np.zeros((sc.M, sc.M), dtype=int)
+            np.add.at(want, (obs[:-1], obs[1:]), 1)
+            assert counts[name] == want.tolist(), name
+        assert want.sum() == p.n_steps // p.obs_every
+        assert want[0, 1] > 0 and want[1, 0] > 0
 
     def test_path_noise_independent_of_path_count(self, ex_balanced):
         p1 = en.SimParams.from_scenario(ex_balanced, n_paths=1, horizon=2.0)
