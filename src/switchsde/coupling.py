@@ -261,7 +261,7 @@ def coupling_rows_batch(R1, R2, ii, jj) -> np.ndarray:
     ii = np.asarray(ii, dtype=int)
     jj = np.asarray(jj, dtype=int)
     if np.any(ii > jj):
-        raise CouplingError("order-preserving rows require i <= j; use the basic coupling for i > j")
+        raise CouplingError("order-preserving rows require i <= j; full_coupling_generator covers i > j")
     if R1.shape[1] == 2:
         return _coupling_rows_two_state(R1, R2, ii, jj)
     return _coupling_rows_general(R1, R2, ii, jj)

@@ -340,10 +340,11 @@ class _ChunkRun:
     def _snapshot_obs(self):
         self.X_obs = self.X.copy()
         self.lam_obs = self.lam.copy()
-        cur = np.stack([self.lam_s, self.lam, self.lam_b]) if self.coupled else [None, self.lam_obs]
+        cur = np.stack([self.lam_s, self.lam, self.lam_b]) if self.coupled else self.lam_obs[None]
         if self.prev_obs_states is not None:
-            for cc in self.rows:
-                np.add.at(self.skel[cc], (self.prev_obs_states[cc], cur[cc]), 1)
+            M = self.M
+            for cc, prev, now in zip(self.rows, self.prev_obs_states, cur):
+                self.skel[cc] += np.bincount(prev * M + now, minlength=M * M).reshape(M, M)
         self.prev_obs_states = cur
 
     def _apply_jump(self, chain_row, states, pj, new, rem, tc):
