@@ -361,9 +361,10 @@ class _ChunkRun:
         self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
         if self.recording:
             mine = pj == self.record_local
-            self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
-                tc[moved][mine].tolist(), (old[mine] + 1).tolist(), (new[mine] + 1).tolist()
-            )
+            if mine.any():  # most calls move other paths only
+                self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
+                    tc[moved][mine].tolist(), (old[mine] + 1).tolist(), (new[mine] + 1).tolist()
+                )
 
     def _order_violations(self, idx=slice(None)) -> int:
         if not self.coupled:
