@@ -7,7 +7,8 @@ block), so every path's variates are a pure function of (scenario, params)
 independent of execution order; path-block parallelism cannot change results.
 Paths are processed in fixed-width blocks vectorized with numpy; per-path
 statistics are reduced block by block in path order for bit-reproducible
-aggregation.
+aggregation.  Paths never interact, so simulate advances the requested path
+alone, but it draws the block's full width: its bytes depend on chunk_size.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the whole mark space; at each candidate the diffusion value is linearly
@@ -69,6 +70,8 @@ class SimParams:
             raise EngineError(f"tau/h must be an integer, got {self.tau / self.h}")
         if abs(self.horizon / self.h - round(self.horizon / self.h)) > 1e-6:
             raise EngineError("horizon must be a multiple of the step")
+        if self.n_paths < 1 or self.chunk_size < 1:
+            raise EngineError(f"need n_paths, chunk_size >= 1, got {self.n_paths}, {self.chunk_size}")
 
     @classmethod
     def from_scenario(cls, sc: Scenario, **overrides):
@@ -227,7 +230,9 @@ class _ChunkResult:
 
 
 class _ChunkRun:
-    """State and step logic for one block of paths."""
+    """State and step logic for one block of paths.  It draws the block's
+    full width but advances only the columns [lo, lo + na), local path 0
+    being column lo: every live column, or the recorded one alone."""
 
     def __init__(self, sc, params, chunk_idx, route, env, record_local=None):
         self.sc = sc
@@ -237,7 +242,6 @@ class _ChunkRun:
         self.coupled = coupled = route != "marginal"
         self.env = env
         self._jump = getattr(self, f"_{route}_jump")
-        self.record_local = record_local
 
         M, d = sc.M, sc.d
         self.M, self.d = M, d
@@ -245,9 +249,8 @@ class _ChunkRun:
         self.sqrt_h = math.sqrt(self.h)
         self.W = params.chunk_size
         self.start = start = chunk_idx * self.W
-        self.na = min(params.n_paths - start, self.W)
-        if self.na <= 0:
-            raise EngineError(f"chunk {chunk_idx} has no paths")
+        self.recording = record_local is not None
+        self.lo, self.na = (record_local, 1) if self.recording else (0, min(params.n_paths - start, self.W))
 
         self.L = M * sc.rates.H
         self.H_max = sc.rates.H + cpl.CHECK_TOL
@@ -283,7 +286,6 @@ class _ChunkRun:
         self.tail_max = np.zeros(na)
         self.x0_norm = float(np.linalg.norm(sc.x0))
 
-        self.recording = record_local is not None
         if self.recording:
             n = params.n_steps
             self.rX = np.empty((n + 1, d))
@@ -330,12 +332,11 @@ class _ChunkRun:
             self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
 
     def _record_grid(self, k):
-        rl = self.record_local
-        self.rX[k] = self.X[rl]
-        self.rlam[k] = self.lam[rl]
+        self.rX[k] = self.X[0]
+        self.rlam[k] = self.lam[0]
         if self.coupled:
-            self.rstar[k] = self.lam_s[rl]
-            self.rbar[k] = self.lam_b[rl]
+            self.rstar[k] = self.lam_s[0]
+            self.rbar[k] = self.lam_b[0]
 
     def _snapshot_obs(self):
         self.X_obs = self.X.copy()
@@ -359,12 +360,10 @@ class _ChunkRun:
         np.add.at(occ_row, new, rem)
         # exact integer counts: the same bytes as per-index updates
         self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
-        if self.recording:
-            mine = pj == self.record_local
-            if mine.any():  # most calls move other paths only
-                self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
-                    tc[moved][mine].tolist(), (old[mine] + 1).tolist(), (new[mine] + 1).tolist()
-                )
+        if self.recording:  # the window is the recorded path alone
+            self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
+                tc[moved].tolist(), (old + 1).tolist(), (new + 1).tolist()
+            )
 
     def _order_violations(self, idx=slice(None)) -> int:
         if not self.coupled:
@@ -389,7 +388,7 @@ class _ChunkRun:
             c, i = np.unravel_index(int(q.argmax()), q.shape)
             raise EngineError(
                 f"exit rate {q[c, i]:.6g} from state {i + 1} exceeds declared bound "
-                f"H={self.sc.rates.H} at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + p[c]}"
+                f"H={self.sc.rates.H} at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}"
             )
 
     # The three jump rules share one signature: (off-diagonal rates at the
@@ -470,7 +469,7 @@ class _ChunkRun:
         h = self.h
         n_steps = params.n_steps
         obs_every = params.obs_every
-        W, na = self.W, self.na
+        W, lo, na = self.W, self.lo, self.na
 
         for block, block_start in enumerate(range(0, n_steps, _STEP_BLOCK)):
             bsz = min(_STEP_BLOCK, n_steps - block_start)
@@ -479,7 +478,7 @@ class _ChunkRun:
             jgen = _philox(params.seed, _JUMPS, self.chunk_idx, block)
             counts = jgen.poisson(self.R_cand * h, (bsz, W))
             u = jgen.random(3 * int(counts.sum()))
-            p, offs, marks, aux, bounds, groups = _candidate_schedule(counts, u, na, h, self.R_cand)
+            p, offs, marks, aux, bounds, groups = _candidate_schedule(counts, u, lo, na, h, self.R_cand)
 
             for kk in range(bsz):
                 k = block_start + kk
@@ -490,7 +489,7 @@ class _ChunkRun:
                 if r is not None:
                     self._record_stats(r)
 
-                xi = xi_block[kk, :na]
+                xi = xi_block[kk, lo:lo + na]
                 with np.errstate(over="ignore", invalid="ignore"):
                     a = self._drift(self.X, self.lam)
                     fb = sc.gains[self.lam_obs][:, None] * self.X_obs
@@ -498,14 +497,14 @@ class _ChunkRun:
                 if not np.isfinite(Xn).all():
                     bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
                     raise EngineError(
-                        f"non-finite state at t={t + h:.6g}, path {self.start + bad} (overflow)"
+                        f"non-finite state at t={t + h:.6g}, path {self.start + lo + bad} (overflow)"
                     )
 
                 self.occ += self.pop * h  # whole step to the start states; jumps correct below
 
                 for g in range(groups[kk], groups[kk + 1]):
-                    lo, hi = bounds[g], bounds[g + 1]
-                    self._process_candidates(t, Xn, p[lo:hi], offs[lo:hi], marks[lo:hi], aux[lo:hi])
+                    b0, b1 = bounds[g], bounds[g + 1]
+                    self._process_candidates(t, Xn, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1])
 
                 self.X = Xn
                 if k >= self.tail_start:
@@ -530,7 +529,7 @@ class _ChunkRun:
                 lam_bar=(self.rbar + 1) if self.coupled else None,
                 jumps=self.jump_rec,
                 meta={
-                    "path_index": self.start + self.record_local,
+                    "path_index": self.start + self.lo,
                     "seed": params.seed,
                     "tau": params.tau,
                     "h": h,
@@ -552,28 +551,29 @@ class _ChunkRun:
         )
 
 
-def _candidate_schedule(counts, u, na, h, R_cand):
+def _candidate_schedule(counts, u, lo, na, h, R_cand):
     """Thinning candidates of one step block in the order they are processed.
 
     ``counts`` (steps, W) holds the candidate count of every (step, column)
     and ``u`` three uniforms per candidate, candidates in row-major (step,
-    column) order.  Columns ``>= na`` are dropped.  The rest are grouped by
-    (step, round), round r holding the r-th candidate in time of every path,
-    with paths ascending inside a group.  Returns the per-candidate (path,
-    offset in the step, mark, auxiliary uniform), the group bounds, and the
-    first group of every step with one more entry closing the last step.
+    column) order.  Columns [lo, lo + na) are kept, as paths from lo, and
+    grouped by (step, round), round r holding the r-th candidate in time of
+    every path, with paths ascending inside a group.  Returns the per-candidate
+    (path, offset in the step, mark, auxiliary uniform), the group bounds, and
+    the first group of every step with one more entry closing the last step.
     """
     W = counts.shape[1]
     cells = np.flatnonzero(counts)
     n = counts.ravel()[cells]
     first = np.cumsum(n) - n  # draw index of each cell's first candidate
-    live = cells % W < na
+    col = cells % W
+    live = (col >= lo) & (col < lo + na)
     cells, n, first = cells[live], n[live], first[live]
     rnd = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
     cand = np.repeat(first, n) + rnd
     cell = np.repeat(cells, n)
     cand = cand[np.lexsort((u[3 * cand] * h, cell))]  # rank in time inside each cell
-    step, path = np.divmod(cell, W)
+    step, path = np.divmod(cell - lo, W)
     rounds = int(n.max(initial=0))
     key = step * rounds + rnd
     order = np.argsort(key, kind="stable")  # paths stay ascending in a group
@@ -706,5 +706,5 @@ def _simulate_one(sc, params, path_index, coupled):
     chunk, local = divmod(path_index, params.chunk_size)
     res = _ChunkRun(sc, params, chunk, route, env, record_local=local).run()
     res.path.meta["warnings"] = warnings
-    res.path.meta["ordering_violations_in_chunk"] = res.violations
+    res.path.meta["ordering_violations"] = res.violations
     return res.path

@@ -182,6 +182,13 @@ class TestCoupledRoutes:
         summ = en.monte_carlo(ex_two_state, p, coupled=True)
         assert summ.ordering_violations == 0
 
+    def test_path_reports_its_own_violations(self, ex_two_state):
+        p = en.SimParams.from_scenario(ex_two_state, n_paths=300, horizon=10.0)
+        path = en.simulate_coupled(ex_two_state, p, 257)
+        assert path.meta["route"] == "matrix"
+        assert path.meta["ordering_violations"] == 0
+        assert (path.lam_star <= path.lam).all() and (path.lam <= path.lam_bar).all()
+
     def test_three_state_sandwich(self, ex_three_state):
         p = en.SimParams.from_scenario(ex_three_state, n_paths=128, horizon=10.0)
         summ = en.monte_carlo(ex_three_state, p, coupled=True)
@@ -226,12 +233,32 @@ class TestCoupledRoutes:
         assert run.occ[0].tolist() == [run.h, -run.h]
 
 
-def _schedule_rounds(counts, u, na, h, R_cand):
-    p, offs, marks, aux, bounds, step_first = en._candidate_schedule(counts, u, na, h, R_cand)
+def _schedule_rounds(counts, u, lo, na, h, R_cand):
+    p, offs, marks, aux, bounds, step_first = en._candidate_schedule(counts, u, lo, na, h, R_cand)
     for kk in range(len(counts)):
         for g in range(step_first[kk], step_first[kk + 1]):
-            lo, hi = bounds[g], bounds[g + 1]
-            yield kk, p[lo:hi], offs[lo:hi], marks[lo:hi], aux[lo:hi]
+            b0, b1 = bounds[g], bounds[g + 1]
+            yield kk, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1]
+
+
+def _window_rounds_reference(counts, u, lo, na, h, R_cand):
+    """The per-step round loop over every column, cut to the window
+    [lo, lo + na) with paths counted from lo; rounds left empty are dropped."""
+    for kk, idx, *vals in candidate_rounds_reference(counts, u, counts.shape[1], h, R_cand):
+        keep = (idx >= lo) & (idx < lo + na)
+        if keep.any():
+            yield kk, idx[keep] - lo, *(v[keep] for v in vals)
+
+
+# (W, lo, na): Monte Carlo's live columns [0, na), then one-path and
+# three-path windows at the first, an interior and the last column
+WINDOWS = [pytest.param(16, 0, 16, id="16-16"), pytest.param(37, 0, 9, id="37-9"),
+           pytest.param(8, 0, 1, id="8-1")] + [
+    pytest.param(W, lo, na, id=f"{W}-{where}-{na}")
+    for W in (16, 37)
+    for na in (1, 3)
+    for where, lo in (("first", 0), ("interior", W // 2 - na // 2), ("last", W - na))
+]
 
 
 class TestCandidateSchedule:
@@ -239,9 +266,9 @@ class TestCandidateSchedule:
     loop (tests/conftest.py) in the same order with the same bytes."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.02, 0.3, 1.5])
-    @pytest.mark.parametrize("W, na", [(16, 16), (37, 9), (8, 1)])
+    @pytest.mark.parametrize("W, lo, na", WINDOWS)
     @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "ties"])
-    def test_matches_round_loop(self, rate, W, na, ties):
+    def test_matches_round_loop(self, rate, W, lo, na, ties):
         rng = np.random.default_rng(int(rate * 100) + W + na)
         steps = 40
         counts = rng.poisson(rate, (steps, W))
@@ -249,12 +276,13 @@ class TestCandidateSchedule:
         if rate:
             counts[7, W - 1] = 6  # six rounds at one path (dropped when na < W)
             counts[9, 0] = 6
+            counts[11, W // 2] = 6
         n = int(counts.sum())
         # coarse uniforms give equal offsets inside a path, ranked by draw order
         u = rng.integers(0, 4, 3 * n) / 4 if ties else rng.random(3 * n)
         h, R_cand = 0.01, 7.5
-        got = list(_schedule_rounds(counts, u, na, h, R_cand))
-        want = list(candidate_rounds_reference(counts, u, na, h, R_cand))
+        got = list(_schedule_rounds(counts, u, lo, na, h, R_cand))
+        want = list(_window_rounds_reference(counts, u, lo, na, h, R_cand))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[0] == w[0]
@@ -268,9 +296,13 @@ class TestCandidateSchedule:
         counts = np.zeros((3, 4), dtype=np.int64)
         counts[1] = [0, 2, 0, 3]
         u = np.random.default_rng(0).random(3 * 5)
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 2, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 0, 2, 1.0, 1.0)
         assert p.tolist() == [1, 1] and bounds == [0, 1, 2] and step_first == [0, 0, 2, 2]
         assert offs[0] <= offs[1]
+        # the window [3, 4): column 3's three candidates, as path 0
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 3, 1, 1.0, 1.0)
+        assert p.tolist() == [0, 0, 0] and bounds == [0, 1, 2, 3] and step_first == [0, 0, 3, 3]
+        assert offs.tolist() == sorted(offs.tolist())
 
 
 class TestReproducibility:
@@ -358,6 +390,11 @@ class TestGuards:
             en.SimParams(tau=0.5, h=0.3, horizon=5.0, seed=1, n_paths=1)
         with pytest.raises(en.EngineError, match="need 0 < h"):
             en.SimParams(tau=0.5, h=0.7, horizon=5.0, seed=1, n_paths=1)
+        # these once reached monte_carlo and died there with IndexError or
+        # ZeroDivisionError
+        for n_paths, chunk_size in [(0, 2048), (-3, 2048), (8, 0), (8, -4)]:
+            with pytest.raises(en.EngineError, match="need n_paths, chunk_size >= 1"):
+                en.SimParams.from_scenario(ex_balanced, n_paths=n_paths, chunk_size=chunk_size)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_reported(self):
@@ -370,6 +407,10 @@ class TestGuards:
         p = en.SimParams.from_scenario(sc, chunk_size=4)
         with pytest.raises(en.EngineError, match="non-finite state"):
             en.simulate_hybrid(sc, p, 0)
+        # the message names the requested path, not its column in the window
+        p = en.SimParams.from_scenario(sc, n_paths=8)
+        with pytest.raises(en.EngineError, match=r"path 5 \(overflow\)$"):
+            en.simulate_hybrid(sc, p, 5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_moments_reported(self, tmp_path, capsys):
@@ -403,6 +444,9 @@ class TestGuards:
         msg = r"exit rate 10 from state 1 exceeds declared bound H=2.0 at t=[0-9.e-]+, x=\[3.0\], path 0$"
         with pytest.raises(en.EngineError, match=msg):
             sim(sc, en.SimParams.from_scenario(sc, n_paths=1), 0)
+        # every path breaches; simulate advances and names the requested one
+        with pytest.raises(en.EngineError, match=msg.replace("path 0$", "path 5$")):
+            sim(sc, en.SimParams.from_scenario(sc, n_paths=8), 5)
         fx = write_scenario(tmp_path, doc)
         flag = ["--coupled"] if coupled else []
         assert cli.main(["simulate", fx, *flag, "--out", str(tmp_path / "p.csv")]) == 2

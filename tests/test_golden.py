@@ -3,9 +3,10 @@
 The sha256 of ``mc`` JSON and ``simulate`` CSV, with and without
 ``--coupled``, on every shipped fixture and on a generated six-state scenario
 that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1,
-plus one coupled run over two chunks.  A refactor that should not change
-behaviour keeps these green; a change to the random stream or the step update
-changes them on purpose and records the new hashes with the reason.
+plus one coupled run over two chunks and runs that record the interior path
+37 of 100.  A refactor that should not change behaviour keeps these green; a
+change to the random stream or the step update changes them on purpose and
+records the new hashes with the reason.
 """
 
 import hashlib
@@ -93,6 +94,25 @@ MULTI_CHUNK_GOLDEN = (
 )
 
 
+# simulate of the interior column 37 of 100 paths, and mc of those paths,
+# recorded before simulate advanced the requested column alone:
+# (mc, simulate) for --coupled and for the marginal route
+INTERIOR_GOLDEN = {
+    "three_state_rational": (
+        ("9b3eb9063fc4da86e74a6e365920be362b009be8478822dd26179b7ef8495978",
+         "76339f60263f281a90fbbf883bb59bd2e614a4ab6ab8313a56d27ad779896ce9"),
+        ("37f9bf784f2126155d9339be183ac78208eab961135355580c8d1af79d02f56f",
+         "e4338cf6008eb1410d79280502a2f4164d62ca672d63d6ebcf38c67697c0c308"),
+    ),
+    "six_state": (
+        ("f86f9668ccb8c2932e2779a8ee950a15dcc42ce2f0043063d96c3f61e96d265d",
+         "666716ddf597635bc309ade33ae46809458c8eca748df67841700a52c8347c30"),
+        ("d6858876d8d28138070cecec9a8cb0e570f852cc6372b39d00c2eba10ebac621",
+         "044cd69703d0c7c8a5b91548678533ee5b7595922a8750fc201072cbe270de5a"),
+    ),
+}
+
+
 def six_state_birth_death():
     """Birth-death chain on six states with up rates 1 + 0.5 sin(x1)^2 and
     down rates 1 + 0.5 cos(x1)^2; the envelopes take the extreme rates, which
@@ -164,3 +184,15 @@ def test_golden_multi_chunk(tmp_path, capsys):
     size = ["--paths", "2100", "--horizon", "1"]
     got = _artifact_hashes(fx, tmp_path, capsys, coupled=True, size=size, path_index=2099)
     assert got == MULTI_CHUNK_GOLDEN
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "marginal"])
+@pytest.mark.parametrize("name", sorted(INTERIOR_GOLDEN))
+def test_golden_interior_column(name, coupled, tmp_path, capsys):
+    if name == "six_state":
+        fx = write_scenario(tmp_path, six_state_birth_death())
+    else:
+        fx = str(FIXTURES / f"{name}.json")
+    size = ["--paths", "100", "--horizon", "1"]
+    got = _artifact_hashes(fx, tmp_path, capsys, coupled, size=size, path_index=37)
+    assert got == INTERIOR_GOLDEN[name][0 if coupled else 1]
