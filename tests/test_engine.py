@@ -274,7 +274,8 @@ class TestCandidateSchedule:
         counts = rng.poisson(rate, (steps, W))
         counts[5] = 0  # an empty step
         if rate:
-            counts[7, W - 1] = 6  # six rounds at one path (dropped when na < W)
+            # six rounds at the last, the first and the middle column
+            counts[7, W - 1] = 6
             counts[9, 0] = 6
             counts[11, W // 2] = 6
         n = int(counts.sum())

@@ -94,9 +94,8 @@ MULTI_CHUNK_GOLDEN = (
 )
 
 
-# simulate of the interior column 37 of 100 paths, and mc of those paths,
-# recorded before simulate advanced the requested column alone:
-# (mc, simulate) for --coupled and for the marginal route
+# (mc, simulate) of 100 paths recording path 37, for --coupled and for the
+# marginal route; taken while simulate still advanced the whole chunk
 INTERIOR_GOLDEN = {
     "three_state_rational": (
         ("9b3eb9063fc4da86e74a6e365920be362b009be8478822dd26179b7ef8495978",
