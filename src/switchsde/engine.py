@@ -2,13 +2,14 @@
 exact thinned jump clocks for the switching chain, with optional coupled
 envelope chains sandwiching the switching process pathwise.
 
-Randomness is counter-based (Philox keyed by seed, path block, and step
-block), so every path's variates are a pure function of (scenario, params)
-independent of execution order; path-block parallelism cannot change results.
-Paths are processed in fixed-width blocks vectorized with numpy; per-path
-statistics are reduced block by block in path order for bit-reproducible
-aggregation.  Paths never interact, so simulate advances the requested path
-alone, but it draws the block's full width: its bytes depend on chunk_size.
+Randomness is counter-based: Philox keyed by seed and by the group of 64
+paths, one noise and one jump stream per group, read step block by step block.
+A path's variates therefore do not depend on chunk_size, on the worker count
+or on n_paths; a chunk draws the whole groups that overlap its columns, and
+simulate, which advances the requested path alone, draws only its group.
+Paths are processed in fixed-width chunks vectorized with numpy; per-path
+statistics are reduced chunk by chunk in path order for bit-reproducible
+aggregation, so mc floats depend on chunk_size at the ulp level.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the whole mark space; at each candidate the diffusion value is linearly
@@ -43,6 +44,7 @@ from .scenario import Scenario, load_scenario
 _NOISE = 1
 _JUMPS = 2
 _STEP_BLOCK = 256
+_GROUP = 64  # paths per random-stream key
 CHAIN_NAMES = ("lambda_star", "lambda", "lambda_bar")
 
 
@@ -211,16 +213,17 @@ def choose_route(sc: Scenario):
     return "matrix", env, warnings
 
 
-def _philox(seed: int, kind: int, chunk: int, block: int) -> np.random.Generator:
-    packed = (kind << 60) | (chunk << 40) | block
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), packed]))
+def _philox(seed: int, kind: int, group: int) -> np.random.Generator:
+    if group >= 1 << 60:
+        raise EngineError(f"path group {group} does not fit in the stream key")
+    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), (kind << 60) | group]))
 
 
 @dataclass
 class _ChunkResult:
     n_active: int
     sum_x2: np.ndarray
-    sum_x4: np.ndarray
+    m2_x2: np.ndarray  # sum of squared deviations of |X|^2 from the chunk mean
     sum_lag2: np.ndarray
     occupation: np.ndarray  # (3, M) time sums; rows follow CHAIN_NAMES
     skeleton_counts: np.ndarray  # (3, M, M)
@@ -230,14 +233,13 @@ class _ChunkResult:
 
 
 class _ChunkRun:
-    """State and step logic for one block of paths.  It draws the block's
-    full width but advances only the columns [lo, lo + na), local path 0
-    being column lo: every live column, or the recorded one alone."""
+    """State and step logic for one block of paths.  It advances only the
+    columns [lo, lo + na), local path 0 being column lo: every live column,
+    or the recorded one alone, and draws the whole path groups under them."""
 
     def __init__(self, sc, params, chunk_idx, route, env, record_local=None):
         self.sc = sc
         self.params = params
-        self.chunk_idx = chunk_idx
         self.route = route
         self.coupled = coupled = route != "marginal"
         self.env = env
@@ -247,10 +249,10 @@ class _ChunkRun:
         self.M, self.d = M, d
         self.h = params.h
         self.sqrt_h = math.sqrt(self.h)
-        self.W = params.chunk_size
-        self.start = start = chunk_idx * self.W
+        W = params.chunk_size
+        self.start = start = chunk_idx * W
         self.recording = record_local is not None
-        self.lo, self.na = (record_local, 1) if self.recording else (0, min(params.n_paths - start, self.W))
+        self.lo, self.na = (record_local, 1) if self.recording else (0, min(params.n_paths - start, W))
 
         self.L = M * sc.rates.H
         self.H_max = sc.rates.H + cpl.CHECK_TOL
@@ -272,7 +274,7 @@ class _ChunkRun:
         self.rec_index = {k: r for r, k in enumerate(params.record_steps())}
         n_rec = len(self.rec_index)
         self.sum_x2 = np.zeros(n_rec)
-        self.sum_x4 = np.zeros(n_rec)
+        self.m2_x2 = np.zeros(n_rec)
         self.sum_lag2 = np.zeros(n_rec)
         self.occ = np.zeros((3, M))
         # state population per chain, updated incrementally at jumps
@@ -325,10 +327,10 @@ class _ChunkRun:
     def _record_stats(self, r):
         # squares of a diverging state overflow before the state does; a
         # non-finite state raises in the step update
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             x2 = (self.X**2).sum(axis=1)
             self.sum_x2[r] = x2.sum()
-            self.sum_x4[r] = (x2**2).sum()
+            self.m2_x2[r] = ((x2 - self.sum_x2[r] / self.na) ** 2).sum()
             self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
 
     def _record_grid(self, k):
@@ -469,16 +471,24 @@ class _ChunkRun:
         h = self.h
         n_steps = params.n_steps
         obs_every = params.obs_every
-        W, lo, na = self.W, self.lo, self.na
+        lo, na, d = self.lo, self.na, self.d
+        # the path groups g0, ..., g0 + ng - 1 hold global columns [start + lo,
+        # start + lo + na), each drawn whole; laid side by side, column lo is off
+        g0, off = divmod(self.start + lo, _GROUP)
+        ng = (off + na - 1) // _GROUP + 1
+        gens = [(_philox(params.seed, _NOISE, g), _philox(params.seed, _JUMPS, g))
+                for g in range(g0, g0 + ng)]
 
-        for block, block_start in enumerate(range(0, n_steps, _STEP_BLOCK)):
+        for block_start in range(0, n_steps, _STEP_BLOCK):
             bsz = min(_STEP_BLOCK, n_steps - block_start)
-            ngen = _philox(params.seed, _NOISE, self.chunk_idx, block)
-            xi_block = ngen.standard_normal((bsz, W, self.d))
-            jgen = _philox(params.seed, _JUMPS, self.chunk_idx, block)
-            counts = jgen.poisson(self.R_cand * h, (bsz, W))
-            u = jgen.random(3 * int(counts.sum()))
-            p, offs, marks, aux, bounds, groups = _candidate_schedule(counts, u, lo, na, h, self.R_cand)
+            xi_block = np.empty((ng, bsz, _GROUP, d))
+            counts = np.empty((ng, bsz, _GROUP), dtype=np.int64)
+            for j, (ngen, jgen) in enumerate(gens):
+                ngen.standard_normal(out=xi_block[j])
+                counts[j] = jgen.poisson(self.R_cand * h, (bsz, _GROUP))
+            n_cand = counts.sum(axis=(1, 2)).tolist()
+            u = np.concatenate([jgen.random(3 * n) for (_, jgen), n in zip(gens, n_cand)])
+            p, offs, marks, aux, bounds, step_first = _candidate_schedule(counts, u, off, na, h, self.R_cand)
 
             for kk in range(bsz):
                 k = block_start + kk
@@ -489,7 +499,7 @@ class _ChunkRun:
                 if r is not None:
                     self._record_stats(r)
 
-                xi = xi_block[kk, lo:lo + na]
+                xi = xi_block[:, kk].reshape(-1, d)[off:off + na]
                 with np.errstate(over="ignore", invalid="ignore"):
                     a = self._drift(self.X, self.lam)
                     fb = sc.gains[self.lam_obs][:, None] * self.X_obs
@@ -502,7 +512,7 @@ class _ChunkRun:
 
                 self.occ += self.pop * h  # whole step to the start states; jumps correct below
 
-                for g in range(groups[kk], groups[kk + 1]):
+                for g in range(step_first[kk], step_first[kk + 1]):
                     b0, b1 = bounds[g], bounds[g + 1]
                     self._process_candidates(t, Xn, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1])
 
@@ -541,7 +551,7 @@ class _ChunkRun:
         return _ChunkResult(
             n_active=na,
             sum_x2=self.sum_x2,
-            sum_x4=self.sum_x4,
+            m2_x2=self.m2_x2,
             sum_lag2=self.sum_lag2,
             occupation=self.occ,
             skeleton_counts=self.skel,
@@ -554,21 +564,27 @@ class _ChunkRun:
 def _candidate_schedule(counts, u, lo, na, h, R_cand):
     """Thinning candidates of one step block in the order they are processed.
 
-    ``counts`` (steps, W) holds the candidate count of every (step, column)
-    and ``u`` three uniforms per candidate, candidates in row-major (step,
-    column) order.  Columns [lo, lo + na) are kept, as paths from lo, and
+    ``counts`` (groups, steps, G) holds the candidate count of every (step,
+    column) of each path group, and ``u`` three uniforms per candidate, drawn
+    group by group, row-major (step, column) inside a group.  Columns [lo,
+    lo + na) of the groups laid side by side are kept, as paths from lo, and
     grouped by (step, round), round r holding the r-th candidate in time of
     every path, with paths ascending inside a group.  Returns the per-candidate
     (path, offset in the step, mark, auxiliary uniform), the group bounds, and
     the first group of every step with one more entry closing the last step.
     """
-    W = counts.shape[1]
+    ng, steps, G = counts.shape
+    W = ng * G
     cells = np.flatnonzero(counts)
     n = counts.ravel()[cells]
     first = np.cumsum(n) - n  # draw index of each cell's first candidate
-    col = cells % W
+    g, rest = np.divmod(cells, steps * G)
+    step, c = np.divmod(rest, G)
+    col = g * G + c
     live = (col >= lo) & (col < lo + na)
-    cells, n, first = cells[live], n[live], first[live]
+    cells = step[live] * W + col[live]  # row-major (step, column) cell ids
+    order = np.argsort(cells, kind="stable")  # the time ranking below needs row-major cells
+    cells, n, first = cells[order], n[live][order], first[live][order]
     rnd = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
     cand = np.repeat(first, n) + rnd
     cell = np.repeat(cells, n)
@@ -579,7 +595,7 @@ def _candidate_schedule(counts, u, lo, na, h, R_cand):
     order = np.argsort(key, kind="stable")  # paths stay ascending in a group
     cand, key = cand[order], key[order]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
-    step_first = np.searchsorted(key[bounds[:-1]], rounds * np.arange(len(counts) + 1))
+    step_first = np.searchsorted(key[bounds[:-1]], rounds * np.arange(steps + 1))
     return (
         path[order], u[3 * cand] * h, u[3 * cand + 1] * R_cand, u[3 * cand + 2],
         bounds.tolist(), step_first.tolist(),
@@ -612,7 +628,7 @@ def _pick(weights, u, denom=None):
 def _merge(results, sc, params, route, warnings) -> McSummary:
     n_rec = results[0].sum_x2.shape[0]
     sum_x2 = np.zeros(n_rec)
-    sum_x4 = np.zeros(n_rec)
+    m2 = np.zeros(n_rec)  # of |X|^2, merged by Chan, Golub and LeVeque (1983)
     sum_lag2 = np.zeros(n_rec)
     occ = np.zeros_like(results[0].occupation)
     skel = np.zeros_like(results[0].skeleton_counts)
@@ -620,8 +636,11 @@ def _merge(results, sc, params, route, warnings) -> McSummary:
     viol = 0
     n = 0
     for res in results:  # ascending chunk order: deterministic float reduction
+        if n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m2 += (res.sum_x2 / res.n_active - sum_x2 / n) ** 2 * (n * res.n_active / (n + res.n_active))
+        m2 += res.m2_x2
         sum_x2 += res.sum_x2
-        sum_x4 += res.sum_x4
         sum_lag2 += res.sum_lag2
         occ += res.occupation
         skel += res.skeleton_counts
@@ -631,11 +650,11 @@ def _merge(results, sc, params, route, warnings) -> McSummary:
     times = np.array(params.record_steps()) * params.h
     mean_x2 = sum_x2 / n
     with np.errstate(over="ignore", invalid="ignore"):
-        var = sum_x4 / n - mean_x2**2  # not finite whenever sum_x4 is not
-    if not np.isfinite(var).all():
-        t = times[np.flatnonzero(~np.isfinite(var))[0]]
-        raise EngineError(f"variance of |X|^2 is not finite at recording time t={t:.6g} (overflow)")
-    se = np.sqrt(np.maximum(var, 0.0) / n)
+        x4 = m2 / n + mean_x2**2  # mean of |X|^4: not finite once the paths diverge
+    if not np.isfinite(x4).all():
+        t = times[np.flatnonzero(~np.isfinite(x4))[0]]
+        raise EngineError(f"fourth moment of |X| is not finite at recording time t={t:.6g} (overflow)")
+    se = np.sqrt(m2 / n / n)
     coupled = route != "marginal"
     rows = (0, 1, 2) if coupled else (1,)
     occupation = {CHAIN_NAMES[cc]: occ[cc] / (n * params.horizon) for cc in rows}

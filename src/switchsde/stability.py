@@ -107,6 +107,12 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     K(tau) < 1 (otherwise the lag bound, hence the certificate, is undefined
     at this tau).
     """
+    return _certify_at(*_checked(qbar, qstar, C, c, b), Ma, tau)
+
+
+def _checked(qbar, qstar, C, c, b):
+    """The tau-free hypotheses of the certificate; returns (qbar, qstar, C, b)
+    as float arrays."""
     qbar = np.asarray(qbar, dtype=float)
     qstar = np.asarray(qstar, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -118,7 +124,12 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     for name, Q in (("qbar", qbar), ("qstar", qstar)):
         if not markov.is_irreducible(Q):
             raise CertifyError(f"{name} must be irreducible")
+    return qbar, qstar, C, b
 
+
+def _certify_at(qbar, qstar, C, b, Ma, tau, eta=None):
+    """The certificate at tau for checked inputs; ``eta`` (eta_3C, which does
+    not depend on tau) is computed when not given."""
     Cbar = float(C.max())
     bbar = float(b.max())
     K = k_tau(tau, Cbar, Ma, bbar)
@@ -130,7 +141,8 @@ def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate
     Keff = max(K, 0.0)
     lag_coef = 6.0 * math.sqrt(Keff / (1.0 - Keff))
 
-    eta = markov.spectral_abscissa(qbar, C, 3.0)
+    if eta is None:
+        eta = markov.spectral_abscissa(qbar, C, 3.0)
     Pbar = markov.skeleton_transition(qbar, tau)
     Pstar = markov.skeleton_transition(qstar, tau)
     lam_star_step = markov.perron_root(markov.tilt(Pstar, -6.0 * tau * b))
@@ -167,14 +179,12 @@ def feasible_tau_search(qbar, qstar, C, c, b, Ma: float):
     grid tau with its certificate, ``passing`` keeps the certified ones, and
     ``best`` minimizes the decay-rate bound rho (None when nothing passes).
     """
-    Cbar = float(np.max(C))
-    bbar = float(np.max(b))
-    tau_star = max_tau_for_contraction(Cbar, Ma, bbar)
+    qbar, qstar, C, b = _checked(qbar, qstar, C, c, b)
+    eta = markov.spectral_abscissa(qbar, C, 3.0)
+    tau_star = max_tau_for_contraction(float(C.max()), Ma, float(b.max()))
     hi = min(tau_star * 0.999, TAU_CAP) if math.isfinite(tau_star) else TAU_CAP
     taus = np.geomspace(hi * 1e-4, hi, SWEEP_POINTS)
-    certificates = []
-    for t in taus:
-        certificates.append((float(t), certify(qbar, qstar, C, c, b, Ma, float(t))))
+    certificates = [(float(t), _certify_at(qbar, qstar, C, b, Ma, float(t), eta)) for t in taus]
     passing = [(t, cert) for t, cert in certificates if cert.passed]
     best = min(passing, key=lambda tc: tc[1].rho) if passing else None
     return certificates, passing, best

@@ -195,6 +195,9 @@ def test_sweep_matches_reference(name):
     for tau, cert in certs:
         errs = _rel_errors(sc, cert, tau)
         assert max(errs.values()) <= 1e-10, (tau, errs)
+        # the sweep checks its hypotheses once; each point is still certify's
+        single = ce.certify(env.qbar, env.qstar, sc.C, sc.c, sc.gains, sc.Ma, tau)
+        assert cert.to_dict() == single.to_dict()
 
 
 @pytest.mark.parametrize("tau", [1e-5, 1e-6])

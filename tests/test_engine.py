@@ -235,7 +235,7 @@ class TestCoupledRoutes:
 
 def _schedule_rounds(counts, u, lo, na, h, R_cand):
     p, offs, marks, aux, bounds, step_first = en._candidate_schedule(counts, u, lo, na, h, R_cand)
-    for kk in range(len(counts)):
+    for kk in range(counts.shape[1]):
         for g in range(step_first[kk], step_first[kk + 1]):
             b0, b1 = bounds[g], bounds[g + 1]
             yield kk, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1]
@@ -250,14 +250,32 @@ def _window_rounds_reference(counts, u, lo, na, h, R_cand):
             yield kk, idx[keep] - lo, *(v[keep] for v in vals)
 
 
-# (W, lo, na): Monte Carlo's live columns [0, na), then one-path and
-# three-path windows at the first, an interior and the last column
-WINDOWS = [pytest.param(16, 0, 16, id="16-16"), pytest.param(37, 0, 9, id="37-9"),
-           pytest.param(8, 0, 1, id="8-1")] + [
-    pytest.param(W, lo, na, id=f"{W}-{where}-{na}")
+def _row_major(counts, u):
+    """Group-major counts (groups, steps, G) and their uniforms in draw order,
+    rearranged as (steps, groups * G) counts with uniforms in row-major draw
+    order, the layout of a single stream over every column."""
+    ng, steps, G = counts.shape
+    rm = counts.transpose(1, 0, 2).reshape(steps, ng * G)
+    g, step, c = np.indices(counts.shape)
+    cell = np.repeat((step * ng * G + g * G + c).ravel(), counts.ravel())
+    return rm, u.reshape(-1, 3)[np.argsort(cell, kind="stable")].ravel()
+
+
+# (groups, G, lo, na): Monte Carlo's live columns [0, na), one-path and
+# three-path windows at the first, an interior and the last column of one
+# group, and windows over two or three groups, some across a group edge
+WINDOWS = [pytest.param(1, 16, 0, 16, id="16-16"), pytest.param(1, 37, 0, 9, id="37-9"),
+           pytest.param(1, 8, 0, 1, id="8-1")] + [
+    pytest.param(1, W, lo, na, id=f"{W}-{where}-{na}")
     for W in (16, 37)
     for na in (1, 3)
     for where, lo in (("first", 0), ("interior", W // 2 - na // 2), ("last", W - na))
+] + [
+    pytest.param(ng, G, lo, na, id=f"{ng}x{G}-{lo}-{na}")
+    for ng, G, lo, na in (
+        (2, 16, 0, 32), (2, 16, 0, 20), (2, 16, 15, 2), (2, 16, 20, 1),
+        (3, 12, 0, 36), (3, 12, 5, 26), (3, 12, 22, 3), (3, 12, 35, 1),
+    )
 ]
 
 
@@ -266,24 +284,29 @@ class TestCandidateSchedule:
     loop (tests/conftest.py) in the same order with the same bytes."""
 
     @pytest.mark.parametrize("rate", [0.0, 0.02, 0.3, 1.5])
-    @pytest.mark.parametrize("W, lo, na", WINDOWS)
+    @pytest.mark.parametrize("ng, G, lo, na", WINDOWS)
     @pytest.mark.parametrize("ties", [False, True], ids=["uniform", "ties"])
-    def test_matches_round_loop(self, rate, W, lo, na, ties):
+    def test_matches_round_loop(self, rate, ng, G, lo, na, ties):
+        W = ng * G
         rng = np.random.default_rng(int(rate * 100) + W + na)
         steps = 40
         counts = rng.poisson(rate, (steps, W))
         counts[5] = 0  # an empty step
         if rate:
-            # six rounds at the last, the first and the middle column
+            # six rounds at the last, the first and the middle column, and
+            # at a column of the second group
             counts[7, W - 1] = 6
             counts[9, 0] = 6
             counts[11, W // 2] = 6
+            if ng > 1:
+                counts[13, G + 1] = 6
+        counts = counts.reshape(steps, ng, G).transpose(1, 0, 2).copy()  # group-major
         n = int(counts.sum())
         # coarse uniforms give equal offsets inside a path, ranked by draw order
         u = rng.integers(0, 4, 3 * n) / 4 if ties else rng.random(3 * n)
         h, R_cand = 0.01, 7.5
         got = list(_schedule_rounds(counts, u, lo, na, h, R_cand))
-        want = list(_window_rounds_reference(counts, u, lo, na, h, R_cand))
+        want = list(_window_rounds_reference(*_row_major(counts, u), lo, na, h, R_cand))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[0] == w[0]
@@ -294,9 +317,9 @@ class TestCandidateSchedule:
             assert got == []
 
     def test_live_columns_only(self):
-        counts = np.zeros((3, 4), dtype=np.int64)
-        counts[1] = [0, 2, 0, 3]
-        u = np.random.default_rng(0).random(3 * 5)
+        counts = np.zeros((1, 3, 4), dtype=np.int64)
+        counts[0, 1] = [0, 2, 0, 3]
+        u = np.random.default_rng(0).random(3 * 7)
         p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 0, 2, 1.0, 1.0)
         assert p.tolist() == [1, 1] and bounds == [0, 1, 2] and step_first == [0, 0, 2, 2]
         assert offs[0] <= offs[1]
@@ -304,6 +327,19 @@ class TestCandidateSchedule:
         p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 3, 1, 1.0, 1.0)
         assert p.tolist() == [0, 0, 0] and bounds == [0, 1, 2, 3] and step_first == [0, 0, 3, 3]
         assert offs.tolist() == sorted(offs.tolist())
+        # two groups of two columns: group 0 draws candidates 0 to 2 (column 1
+        # at step 1, column 0 at step 2) before group 1 draws candidate 3
+        # (column 2 at step 0) and 4 to 6 (column 3 at step 1)
+        counts = np.zeros((2, 3, 2), dtype=np.int64)
+        counts[0, 1, 1], counts[0, 2, 0], counts[1, 0, 0], counts[1, 1, 1] = 2, 1, 1, 3
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 3, 1, 1.0, 1.0)
+        assert p.tolist() == [0, 0, 0] and step_first == [0, 0, 3, 3]
+        assert offs.tolist() == sorted(u[[12, 15, 18]].tolist())
+        # the window [1, 3) in step order: column 2 at step 0 as path 1, then
+        # column 1's two candidates at step 1 as path 0
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 1, 2, 1.0, 1.0)
+        assert p.tolist() == [1, 0, 0] and step_first == [0, 1, 3, 3]
+        assert offs[0] == u[9] and sorted(offs[1:].tolist()) == sorted(u[[0, 3]].tolist())
 
 
 class TestReproducibility:
@@ -362,6 +398,81 @@ class TestReproducibility:
         a = en.monte_carlo(ex_balanced, p1, coupled=True)
         b = en.monte_carlo(ex_balanced, p2, coupled=True)
         assert a.to_dict() == b.to_dict()
+
+
+WIDTHS = (1, 7, 64, 2048, 8192)
+# a coupled run on the matrix route and a marginal run with switching
+WIDTH_CASES = [pytest.param("three_state_rational", True, id="coupled"),
+               pytest.param("two_state_trig", False, id="marginal")]
+
+
+def _assert_close(a, b, rel=1e-12):
+    """Equal integers and strings; floats within rel, entry by entry."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_close(a[k], b[k], rel)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_close(x, y, rel)
+    elif isinstance(a, float):
+        assert abs(a - b) <= rel * abs(a), (a, b)
+    else:
+        assert a == b
+
+
+class TestWidthInvariance:
+    """Streams are keyed by groups of 64 paths, so a path's realization does
+    not depend on chunk_size, on n_paths or on the worker count."""
+
+    @pytest.mark.parametrize("name, coupled", WIDTH_CASES)
+    def test_simulate_ignores_width_and_path_count(self, name, coupled):
+        sc = sn.load_scenario(str(FIXTURES / f"{name}.json"))
+        sim = en.simulate_coupled if coupled else en.simulate_hybrid
+        seen = set()
+        for n_paths in (38, 100, 3000):
+            for width in WIDTHS:
+                p = en.SimParams.from_scenario(sc, n_paths=n_paths, horizon=3.0, chunk_size=width)
+                path = sim(sc, p, 37)
+                cols = (path.X, path.lam, path.lam_star, path.lam_bar)
+                seen.add((*(c.tobytes() for c in cols if c is not None), repr(path.jumps)))
+                assert path.jumps["lambda"]
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("name, coupled", WIDTH_CASES)
+    def test_mc_ignores_workers_and_width_up_to_rounding(self, name, coupled):
+        sc = sn.load_scenario(str(FIXTURES / f"{name}.json"))
+        docs = []
+        for width in WIDTHS:
+            one, two = (
+                json.dumps(en.monte_carlo(sc, en.SimParams.from_scenario(
+                    sc, n_paths=100, horizon=3.0, chunk_size=width, workers=workers), coupled).to_dict())
+                for workers in (1, 2)
+            )
+            assert one == two, width
+            docs.append(json.loads(one))
+        for doc in docs[1:]:
+            _assert_close(docs[0], doc)
+
+
+class TestMerge:
+    def test_se_x2_at_a_large_mean(self, ex_balanced):
+        # |X|^2 is 1e8 + 0.1 on one chunk and 1e8 - 0.1 on the other: the
+        # variance 0.01 is below the rounding of (1e8)^2, so only the merged
+        # deviations (Chan, Golub and LeVeque) recover it
+        params = en.SimParams(tau=0.5, h=0.5, horizon=0.5, seed=1, n_paths=4)
+        results = []
+        for v in (1e8 + 0.1, 1e8 - 0.1):
+            x2 = np.array([v, v])
+            results.append(en._ChunkResult(
+                n_active=2, sum_x2=np.full(2, x2.sum()), m2_x2=np.full(2, ((x2 - x2.mean()) ** 2).sum()),
+                sum_lag2=np.zeros(2), occupation=np.zeros((3, 2)),
+                skeleton_counts=np.zeros((3, 2, 2), dtype=np.int64), tail_exceed=0, violations=0,
+            ))
+        summ = en._merge(results, ex_balanced, params, "marginal", [])
+        assert summ.mean_x2.tolist() == [1e8, 1e8]
+        assert np.allclose(summ.se_x2, np.sqrt(0.01 / 4), rtol=1e-6, atol=0)
 
 
 class TestOccupationAverage:

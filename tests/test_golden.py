@@ -6,7 +6,9 @@ that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1,
 plus one coupled run over two chunks and runs that record the interior path
 37 of 100.  A refactor that should not change behaviour keeps these green; a
 change to the random stream or the step update changes them on purpose and
-records the new hashes with the reason.
+records the new hashes with the reason.  Every hash here was last
+re-recorded when the random streams were keyed by groups of 64 paths and se_x2
+began to merge per-chunk squared deviations.
 """
 
 import hashlib
@@ -21,93 +23,92 @@ SIZE = ["--paths", "64", "--horizon", "1"]
 
 GOLDEN = {
     "lag_bound": (
-        "271f98040b02e77095fc69040da72ccdb137f6298c98484dbda9a63154fffa82",
-        "df28e32e5ebec47302c2361c20545cb9ed6c50a1a44ceafbc97775e64548f856",
+        "333da5fdcd6438d64b5051618c0166a9e6b20aa63d48724ee0ba4adeec71dc11",
+        "2c2f2ee0e5326c1b30a206e42028f25b4126edbe252f52dbafb80c4681b61a37",
     ),
     "linear_feedback": (
-        "435f28a6ba30767ea49eee6a747b3aad75842ec97ea69711de9b9084ec801244",
-        "7aa09c31f18ab146dc8769e41149cdb59b784819cdfd3d02d12003d23dc7ac9b",
+        "f27c9327b9334cd71fa3ae3b6716751070d9d5040bec65d6e97da13cef75302f",
+        "ac9ab1a29337d518d6f27139040f02ced4472e412e77f3b1871423696e1af034",
     ),
     "linear_unstable": (
-        "346f6cfb9fba3c443909879bdcb0bc60b7a84544cd1c59a7c4052d8ec0ee6216",
-        "b96e521137ae92573ddcb12c3ba0447c566347bd2f4c4315ae1aa675e1f45fa8",
+        "3c93db6d2da6f802854e5ca01b6e6f8c3791858e44817c44f4c0bc6301b7b8cf",
+        "be1cdc14bc0e26dbd18b24855e41427deada7c720475a29db93543bca8dee874",
     ),
     "three_state_rational": (
-        "a171b04c9b861f32daa1c6414aefd7cf2ba8644a20d39b332b139c757bc06d32",
-        "4f276b5d26101fffa43e5ac365e0959b2606f9753b67c1294416a8323f73b366",
+        "f2fe4981b8f2e95f0b5c45407d1376fdadfd2e8ec1592eb61b48f669a76214a6",
+        "7cd9a4d28031a75ab014285463f8ae10d5305488440ebfd816e67279cecdeb95",
     ),
     "two_state_balanced": (
-        "3367e988613816101388070a49a530a6fd5c5059c867d0cb9c62fd65891c4777",
-        "f849d2dfeb857480939e3af205b927843c5610ecd8626aaf81dc4e7d6a0bcf6b",
+        "1048be347660550d7afc518d1c3a1b25ae4aedd7044b8f6653a92b74721bbe59",
+        "26557a19b3515584282ad515981795bd4277203b35fd64f2a0c9a75188ce27b9",
     ),
     "two_state_trig": (
-        "c483ff1631f1a49720c615693691101d7963c7fabb19be3bcef2295399f818be",
-        "b01bfda61a19fa5ec10d78a57c8561a10f85d8b24a774b7a77d23caec4e23d3f",
+        "97b83e7e6801a3c60a525b812d920bc6c4867e89cbb15f04f4a0adc4fbb3e8b6",
+        "ecdce1e87414a8a0e2b140db2096fb69f2a424098ab79018cc76412c0b030cd6",
     ),
 }
 
 
-# the same runs without --coupled: the marginal route (mc hashes re-recorded
-# when marginal runs began to count the skeleton transitions of lambda)
+# the same runs without --coupled: the marginal route
 GOLDEN_MARGINAL = {
     "lag_bound": (
-        "da7f7401d20a53d087489e88d23910c9230974e542143ac9e3aedf039a436fee",
-        "d0aafd49fa5128eba29f38f8f39e2f2cd92dd60a38511d8dd61861dc9e521585",
+        "f89bbd7a8fb2b360bbec08aa65f2b85ae449632d197f533d692edd1ce5e131b4",
+        "8b24ab8c74d47b8f7a26aa74f18272dc81c092bb0955b7c468a3ee4a27426419",
     ),
     "linear_feedback": (
-        "f3bc5a83f72be506f0433cf87d6e74f93eb7a5a0fdfee702a32cfbcfc52f38af",
-        "75b9ed08ab8cdf42d661cb794799e4c97c788e412e2a8683bac2d28372c1276c",
+        "a7af03421c7f9768342314450b353f5f49d579539764f28d137b8e07f586c877",
+        "fb75936cdc7bd06c96342f67c4b09fca8c787353611c3191907c6288c159de4e",
     ),
     "linear_unstable": (
-        "fe2cbfc4fea2ea2b79407da2bbe47ca4a78384ce538a5d7d7095a81150bb395b",
-        "61d453936812a5404bc059237f5ed59eecf9af99339f469b4d7f2041d06b24cb",
+        "a5346fee52006784469e65e8e7c57c647843208a31cb15e94e8c80c7bb71afa6",
+        "db4f020b74ceeb336713c78fb867b2f3aa7d3f8a766208b902aa5025f595ab63",
     ),
     "three_state_rational": (
-        "f352a0c23706a11c4177823eccb6d4747ab2c50e4b5a6c4887de6218cff90ea3",
-        "604f4225625095ab35bd6d76931d9cc5cccae943ce4fdbd2bbf5f099a319bbb0",
+        "8e41dab1c735684db06061b8c69e447800f308d9cddef4a00ed0bff951b17032",
+        "5c40156d815e3021165ef8f1b10549160a72407e78f0f48da370c8097418a3ba",
     ),
     "two_state_balanced": (
-        "d3717273edde62cadb14982898cbe30753b6c74bd83cf611d19a473b780bc32c",
-        "713deaedc32b84f295b5a3f90d143a5a62b2c33639f4d24fdfe31cb3904d0986",
+        "ce9b8407d331b08dc7aae5ce4a59eefd6fda08435ece30bf3c27cc22d3df19e4",
+        "01cbd76926c6416dcd5c4fba12c93a9dee7800ff1d307c4e09b5fd367fdec19a",
     ),
     "two_state_trig": (
-        "e22e6534182e7db64ae22c49dde473cc47289633f38f33139d4257a716d4c983",
-        "d4e613667ac7840c5e4b8ba0fc5979cc04d9dbffdd7bc80ccb39ad7565d69c16",
+        "f1061e3bb3b659255cbbeb785e72fd6c6713b17758a83a0adb44daad67f47803",
+        "8ac5265e62ec5ccac3e1f7caea78a66042145b446ad480bb79efc20de2dd3d26",
     ),
 }
 
 
 SIX_STATE_GOLDEN = (
-    "894cc5f095846a65abbc60d0ea66bdd5c42324d4a3c880d7abc8e82c9dfa39fd",
-    "cc3beaae1558aeb386115fa36285c0a7a96ad12f2f1a46b59b90e3519780a83c",
+    "4f5b4b8ab9c8801783b4c40562834fab443390b7ce41ec50fdeadf7f19a507a3",
+    "68c63e7e60be17492cd2f0d94d9a16a4319395542878118d12da88a16dceb550",
 )
 SIX_STATE_GOLDEN_MARGINAL = (
-    "61c56ca548ce27d878a88b18d9344d4c5dc74a2f8ec9cb5a6837f97b0bde0a31",
-    "b4c6e717c2211e2d30b2de3f0f7e7114eb566cdebe3aa2ed9730970b7f67353e",
+    "7db58c9aea65ba36788af9631000061e74794d3a6bbc32d2fcd6a7ddf631bc47",
+    "50203bc8d988535aad12608e9fb022631fe4e58eea79b6d6ebde57b1b2942ceb",
 )
 
 
 # mc --coupled over two chunks (2,048 paths and 52) and simulate of the last path
 MULTI_CHUNK_GOLDEN = (
-    "c9e76fee6acf76095dd322d3dfc2ffdbc521e30361b47da8c0c621147011aeff",
-    "2202ebcfa4c12161f9b9296a6e05d4e5872c43837111e346fe64f85871111403",
+    "1df1491af3f232306007a79a53b8fec4295161547fce0f3a31320738f2b0a099",
+    "78899bcb384d13f8533e23c349f0dee365225d839c43aedd38dea9b8aa01d2c5",
 )
 
 
 # (mc, simulate) of 100 paths recording path 37, for --coupled and for the
-# marginal route; taken while simulate still advanced the whole chunk
+# marginal route
 INTERIOR_GOLDEN = {
     "three_state_rational": (
-        ("9b3eb9063fc4da86e74a6e365920be362b009be8478822dd26179b7ef8495978",
-         "76339f60263f281a90fbbf883bb59bd2e614a4ab6ab8313a56d27ad779896ce9"),
-        ("37f9bf784f2126155d9339be183ac78208eab961135355580c8d1af79d02f56f",
-         "e4338cf6008eb1410d79280502a2f4164d62ca672d63d6ebcf38c67697c0c308"),
+        ("6652aa98b77a5410066a0ff5f19d490e7a48e6e26aac5d738a457e74f88e3fe1",
+         "fef1aac0202148d4001fbf6a5252cb1d13c02822fa8635eaff51fd4e3c93c9cd"),
+        ("a2c4800a7d763e9e8e3de63516b465d4c60ae3043f8d3854516ab33a64c0990f",
+         "8462dfabe4a53a7e9df1773e49aadd5ca78c1ee426ea9415e69d59718de11d85"),
     ),
     "six_state": (
-        ("f86f9668ccb8c2932e2779a8ee950a15dcc42ce2f0043063d96c3f61e96d265d",
-         "666716ddf597635bc309ade33ae46809458c8eca748df67841700a52c8347c30"),
-        ("d6858876d8d28138070cecec9a8cb0e570f852cc6372b39d00c2eba10ebac621",
-         "044cd69703d0c7c8a5b91548678533ee5b7595922a8750fc201072cbe270de5a"),
+        ("87a6fc15843dd47c04ab5571034d581f86ed656865959fb6c6b9c8595d341372",
+         "ac01c1ff9b0961cf1f4087aefb34d4e329ba871543ea151774c663be46c5b6a3"),
+        ("f0a704d26160811749adce124097a2108db6c771f54e54266a30b7595a8fc4c5",
+         "d83c21f9880b273b371168781122c7d919ca3a77f76bead277a0e43bc5b0df7a"),
     ),
 }
 
