@@ -9,7 +9,9 @@ or on n_paths; a chunk draws the whole groups that overlap its columns, and
 simulate, which advances the requested path alone, draws only its group.
 Paths are processed in fixed-width chunks vectorized with numpy; per-path
 statistics are reduced chunk by chunk in path order for bit-reproducible
-aggregation, so mc floats depend on chunk_size at the ulp level.
+aggregation, so mc floats depend on chunk_size at the ulp level.  Each step
+evaluates the drift and the diffusion at full width once per distinct
+expression tree; the regimes that share a tree share its values.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the whole mark space; at each candidate the diffusion value is linearly
@@ -241,7 +243,7 @@ class _ChunkRun:
         self.sc = sc
         self.params = params
         self.route = route
-        self.coupled = coupled = route != "marginal"
+        self.coupled = route != "marginal"
         self.env = env
         self._jump = getattr(self, f"_{route}_jump")
 
@@ -265,11 +267,10 @@ class _ChunkRun:
 
         na = self.na
         self.X = np.tile(sc.x0, (na, 1)).astype(float)
-        self.lam = np.full(na, sc.i0 - 1, dtype=np.int64)
-        self.lam_s = self.lam.copy() if coupled else None
-        self.lam_b = self.lam.copy() if coupled else None
-        self.X_obs = self.X.copy()
-        self.lam_obs = self.lam.copy()
+        # chain states, rows in CHAIN_NAMES order; a marginal run moves row 1 only
+        self.S = np.full((3, na), sc.i0 - 1, dtype=np.int64)
+        self.drift_groups = _tree_groups([tuple(row) for row in sc.drift])
+        self.sigma_groups = _tree_groups([tuple(map(tuple, mat)) for mat in sc.diffusion])
 
         self.rec_index = {k: r for r, k in enumerate(params.record_steps())}
         n_rec = len(self.rec_index)
@@ -278,49 +279,44 @@ class _ChunkRun:
         self.sum_lag2 = np.zeros(n_rec)
         self.occ = np.zeros((3, M))
         # state population per chain, updated incrementally at jumps
-        self.rows = [0, 1, 2] if coupled else [1]  # the CHAIN_NAMES rows this run moves
-        self.pop = np.zeros((3, M))
-        self.pop[self.rows] = np.bincount(self.lam, minlength=M)
+        self.pop = np.zeros((3, M)) + np.bincount(self.S[1], minlength=M)
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
         self.violations = 0
+        self.n_bad = 0  # paths out of order now; only jumps change it
         self.tail_start = int(math.ceil(params.n_steps / 2))
-        self.tail_max = np.zeros(na)
+        self.tail_x2 = np.zeros(na)  # maximum of |X|^2 over the tail
         self.x0_norm = float(np.linalg.norm(sc.x0))
 
         if self.recording:
             n = params.n_steps
             self.rX = np.empty((n + 1, d))
-            self.rlam = np.empty(n + 1, dtype=np.int64)
-            self.rstar = np.empty(n + 1, dtype=np.int64) if coupled else None
-            self.rbar = np.empty(n + 1, dtype=np.int64) if coupled else None
+            self.rS = np.empty((n + 1, 3), dtype=np.int64)
             self.jump_rec = {name: [] for name in CHAIN_NAMES}
             self._record_grid(0)
 
-    # -- coefficient evaluation (full width per state, combined by regime)
+    # -- coefficient evaluation (full width, once per distinct tree)
+
+    def _by_regime(self, groups, states, value):
+        """Each path's row of ``value(i)``, evaluated for the first regime i of each group."""
+        out = value(groups[0][0])
+        for regimes in groups[1:]:
+            mask = states == regimes[0] if len(regimes) == 1 else np.isin(states, regimes)
+            out = np.where(mask[:, None], value(regimes[0]), out)
+        return out
 
     def _drift(self, X, states):
-        out = None
-        for i in range(self.M):
-            vals = np.stack([f(X) for f in self.sc.drift_fn[i]], axis=1)
-            out = vals if out is None else np.where((states == i)[:, None], vals, out)
-        return out
+        fns = self.sc.drift_fn
+        if self.d == 1:
+            return self._by_regime(self.drift_groups, states, lambda i: fns[i][0](X)[:, None])
+        return self._by_regime(self.drift_groups, states, lambda i: np.stack([f(X) for f in fns[i]], axis=1))
 
     def _noise_term(self, X, states, xi):
         if self.d == 1:
-            out = None
-            for i in range(self.M):
-                s = self.sc.sigma_fn[i][0][0](X)
-                v = s * xi[:, 0]
-                out = v if out is None else np.where(states == i, v, out)
-            return out[:, None]
-        out = np.zeros_like(X)
-        for i in range(self.M):
-            m = states == i
-            if m.any():
-                S = self.sc.sigma_at(X[m], i)
-                out[m] = np.einsum("nij,nj->ni", S, xi[m])
-        return out
+            fns = self.sc.sigma_fn
+            return self._by_regime(self.sigma_groups, states, lambda i: fns[i][0][0](X)[:, None] * xi)
+        sigma = self.sc.sigma_at
+        return self._by_regime(self.sigma_groups, states, lambda i: np.einsum("nij,nj->ni", sigma(X, i), xi))
 
     # -- bookkeeping
 
@@ -335,22 +331,22 @@ class _ChunkRun:
 
     def _record_grid(self, k):
         self.rX[k] = self.X[0]
-        self.rlam[k] = self.lam[0]
-        if self.coupled:
-            self.rstar[k] = self.lam_s[0]
-            self.rbar[k] = self.lam_b[0]
+        self.rS[k] = self.S[:, 0]
 
     def _snapshot_obs(self):
+        """Freeze the observation and its feedback term; count epoch transitions."""
         self.X_obs = self.X.copy()
-        self.lam_obs = self.lam.copy()
-        cur = np.stack([self.lam_s, self.lam, self.lam_b]) if self.coupled else self.lam_obs[None]
+        cur = self.S.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.fb = self.sc.gains[cur[1]][:, None] * self.X_obs
         if self.prev_obs_states is not None:
             M = self.M
-            for cc, prev, now in zip(self.rows, self.prev_obs_states, cur):
-                self.skel[cc] += np.bincount(prev * M + now, minlength=M * M).reshape(M, M)
+            flat = (np.arange(3)[:, None] * M + self.prev_obs_states) * M + cur
+            self.skel += np.bincount(flat.ravel(), minlength=3 * M * M).reshape(3, M, M)
         self.prev_obs_states = cur
 
-    def _apply_jump(self, chain_row, states, pj, new, rem, tc):
+    def _apply_jump(self, chain_row, pj, new, rem, tc):
+        states = self.S[chain_row]
         old = states[pj]
         moved = old != new
         if not moved.any():
@@ -367,10 +363,10 @@ class _ChunkRun:
                 tc[moved].tolist(), (old + 1).tolist(), (new + 1).tolist()
             )
 
-    def _order_violations(self, idx=slice(None)) -> int:
+    def _order_violations(self, p) -> int:
         if not self.coupled:
             return 0
-        ls, lm, lb = self.lam_s[idx], self.lam[idx], self.lam_b[idx]
+        ls, lm, lb = self.S[:, p]
         return int(((ls > lm) | (lm > lb)).sum())
 
     # -- jump dispatch
@@ -380,8 +376,11 @@ class _ChunkRun:
         X0 = self.X[p]
         Xc = X0 + (Xn[p] - X0) * frac[:, None]
         Roff = self.sc.rates.offdiag_batch(Xc)
+        before = self._order_violations(p)  # a round holds each path once
         self._jump(Roff, marks, aux, p, self.h - offs, t + offs, Xc)
-        self.violations += self._order_violations(p)
+        after = self._order_violations(p)
+        self.violations += after
+        self.n_bad += after - before
 
     def _check_rate_bound(self, q, p, tc, Xc):
         """Thinning is exact only while every exit rate ``q`` (n, M) at the
@@ -398,29 +397,28 @@ class _ChunkRun:
     # the step, candidate times, diffusion values at the candidates).
 
     def _marginal_jump(self, Roff, mark, aux, p, rem, tc, Xc):
-        hit, tgt, _, _, q = cpl.row_block_pick(Roff, self.lam[p], mark)
+        hit, tgt, _, _, q = cpl.row_block_pick(Roff, self.S[1, p], mark)
         self._check_rate_bound(q, p, tc, Xc)
         if hit.any():
-            self._apply_jump(1, self.lam, p[hit], tgt[hit], rem[hit], tc[hit])
+            self._apply_jump(1, p[hit], tgt[hit], rem[hit], tc[hit])
 
     def _two_state_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
         qbar, qstar = self.env.qbar, self.env.qstar
-        for row, states, a12, a21 in (
-            (1, self.lam, Roff[:, 0, 1], Roff[:, 1, 0]),
-            (2, self.lam_b, qbar[0, 1], qbar[1, 0]),
-            (0, self.lam_s, qstar[0, 1], qstar[1, 0]),
+        cur = self.S[:, p]
+        for row, a12, a21 in (
+            (1, Roff[:, 0, 1], Roff[:, 1, 0]),
+            (2, qbar[0, 1], qbar[1, 0]),
+            (0, qstar[0, 1], qstar[1, 0]),
         ):
-            self._apply_jump(row, states, p, _interval_move(states[p], mark, a12, a21), rem, tc)
+            self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), rem, tc)
 
     def _matrix_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         nc = len(p)
         M = self.M
-        lam_c = self.lam[p]
+        star_c, lam_c, bar_c = self.S[:, p]
         hitA, mv, width, u2, q = cpl.row_block_pick(Roff, lam_c, mark)
         self._check_rate_bound(q, p, tc, Xc)
-        bar_c = self.lam_b[p]
-        star_c = self.lam_s[p]
         # one fused batch: rows of (switching, upper) then (lower, switching)
         R1, R2 = np.empty((2, 2 * nc, M, M))
         R1[:nc], R1[nc:] = Roff, self.Rstar
@@ -446,28 +444,27 @@ class _ChunkRun:
             pj, mvs, w, rs, ts = p[sub], mv[sub], width[sub], rem[sub], tc[sub]
             okb, nb = _pick(row1[sub, mvs], u2[sub], w)
             oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
-            self._apply_jump(1, self.lam, pj, mvs, rs, ts)
-            self._apply_jump(2, self.lam_b, pj, np.where(okb, nb, bar_c[sub]), rs, ts)
-            self._apply_jump(0, self.lam_s, pj, np.where(oks, ns, star_c[sub]), rs, ts)
+            self._apply_jump(1, pj, mvs, rs, ts)
+            self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), rs, ts)
+            self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), rs, ts)
 
         # regions B and C: the upper chain moves alone on [L, L + Hbar), the
         # lower chain from L + Hbar; the lower table is read transposed
         L, Hbar = self.L, self.Hbar
-        for row, states, table, lo, hi, shift in (
-            (2, self.lam_b, row1, L, L + Hbar, 0.0),
-            (0, self.lam_s, row2.transpose(0, 2, 1), L + Hbar, np.inf, Hbar),
+        for row, table, lo, hi, shift in (
+            (2, row1, L, L + Hbar, 0.0),
+            (0, row2.transpose(0, 2, 1), L + Hbar, np.inf, Hbar),
         ):
             sub = np.flatnonzero((mark >= lo) & (mark < hi))
             if len(sub):
                 picked, new = _pick(table[sub, lam_c[sub]], (mark[sub] - L) - shift)
                 s = sub[picked]
-                self._apply_jump(row, states, p[s], new[picked], rem[s], tc[s])
+                self._apply_jump(row, p[s], new[picked], rem[s], tc[s])
 
     # -- main loop
 
     def run(self) -> _ChunkResult:
         params = self.params
-        sc = self.sc
         h = self.h
         n_steps = params.n_steps
         obs_every = params.obs_every
@@ -500,10 +497,11 @@ class _ChunkRun:
                     self._record_stats(r)
 
                 xi = xi_block[:, kk].reshape(-1, d)[off:off + na]
+                X, lam = self.X, self.S[1]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    a = self._drift(self.X, self.lam)
-                    fb = sc.gains[self.lam_obs][:, None] * self.X_obs
-                    Xn = self.X + (a - fb) * h + self._noise_term(self.X, self.lam, xi) * self.sqrt_h
+                    Xn = X + (self._drift(X, lam) - self.fb) * h + self._noise_term(X, lam, xi) * self.sqrt_h
+                    if k >= self.tail_start:  # sqrt once at the end: it is monotone
+                        np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
                 if not np.isfinite(Xn).all():
                     bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
                     raise EngineError(
@@ -517,26 +515,23 @@ class _ChunkRun:
                     self._process_candidates(t, Xn, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1])
 
                 self.X = Xn
-                if k >= self.tail_start:
-                    with np.errstate(over="ignore"):
-                        self.tail_max = np.maximum(self.tail_max, np.sqrt((Xn**2).sum(axis=1)))
-                self.violations += self._order_violations()
+                self.violations += self.n_bad
                 if self.recording:
                     self._record_grid(k + 1)
 
         if n_steps % obs_every == 0:
             self._snapshot_obs()
         self._record_stats(self.rec_index[n_steps])
-        self.tail_max = np.maximum(self.tail_max, np.sqrt((self.X**2).sum(axis=1)))
+        np.maximum(self.tail_x2, (self.X**2).sum(axis=1), out=self.tail_x2)
 
         path = None
         if self.recording:
             path = HybridPath(
                 times=np.arange(n_steps + 1) * h,
                 X=self.rX,
-                lam=self.rlam + 1,
-                lam_star=(self.rstar + 1) if self.coupled else None,
-                lam_bar=(self.rbar + 1) if self.coupled else None,
+                lam=self.rS[:, 1] + 1,
+                lam_star=(self.rS[:, 0] + 1) if self.coupled else None,
+                lam_bar=(self.rS[:, 2] + 1) if self.coupled else None,
                 jumps=self.jump_rec,
                 meta={
                     "path_index": self.start + self.lo,
@@ -545,7 +540,7 @@ class _ChunkRun:
                     "h": h,
                     "horizon": params.horizon,
                     "route": self.route,
-                    "initial_state": sc.i0,
+                    "initial_state": self.sc.i0,
                 },
             )
         return _ChunkResult(
@@ -555,7 +550,7 @@ class _ChunkRun:
             sum_lag2=self.sum_lag2,
             occupation=self.occ,
             skeleton_counts=self.skel,
-            tail_exceed=int((self.tail_max > self.x0_norm).sum()),
+            tail_exceed=int((np.sqrt(self.tail_x2) > self.x0_norm).sum()),
             violations=self.violations,
             path=path,
         )
@@ -600,6 +595,11 @@ def _candidate_schedule(counts, u, lo, na, h, R_cand):
         path[order], u[3 * cand] * h, u[3 * cand + 1] * R_cand, u[3 * cand + 2],
         bounds.tolist(), step_first.tolist(),
     )
+
+
+def _tree_groups(trees):
+    """The regimes grouped by equal coefficient trees, in order of first regime."""
+    return [[i for i, t in enumerate(trees) if t == key] for key in dict.fromkeys(trees)]
 
 
 def _interval_move(states, mark, a12, a21):

@@ -229,8 +229,97 @@ class TestCoupledRoutes:
         Roff = sc.rates.offdiag_batch(run.X)
         p = np.array([0])
         run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.array([run.h]), np.zeros(1), run.X)
-        assert (run.lam_s[0], run.lam[0], run.lam_b[0]) == (0, 1, 1)
+        assert run.S[:, 0].tolist() == [0, 1, 1]
         assert run.occ[0].tolist() == [run.h, -run.h]
+
+
+class _RecountRun(en._ChunkRun):
+    """The order count as it was kept before the running counter: over every
+    path after each step (and, as the engine does, over the round's paths
+    after each round)."""
+
+    n_bad = property(lambda self: self._order_violations(np.arange(self.na)), lambda self, v: None)
+
+
+def _with_crossings(run):
+    """Wrap the bound jump rule: after it, some candidate paths get lambda_bar
+    one below lambda, and others get it back on top of the state space."""
+    rule = run._jump
+
+    def jump(Roff, mark, aux, p, rem, tc, Xc):
+        rule(Roff, mark, aux, p, rem, tc, Xc)
+        down = p[(aux < 0.4) & (run.S[1, p] > 0)]
+        run.S[2, down] = run.S[1, down] - 1
+        run.S[2, p[aux > 0.8]] = run.M - 1
+
+    run._jump = jump
+    return run
+
+
+class TestOrderCount:
+    # the interval route: the coupling rows of the matrix route refuse pairs
+    # out of order
+    @pytest.mark.parametrize("record_local", [None, 5], ids=["mc", "simulate"])
+    @pytest.mark.parametrize("name", ["two_state_balanced", "linear_feedback"])
+    def test_running_count_matches_recount(self, name, record_local):
+        sc = sn.load_scenario(str(FIXTURES / f"{name}.json"))
+        route, env, _ = en.choose_route(sc)
+        assert route == "two_state"
+        p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
+        got, want = (
+            _with_crossings(cls(sc, p, 0, route, env, record_local=record_local)).run().violations
+            for cls in (en._ChunkRun, _RecountRun)
+        )
+        assert got == want > 0
+
+
+def _coefficients(d, shared):
+    """Three regimes whose drift rows and diffusion matrices are one tree for
+    all, for some (drift: regimes 2 and 3; diffusion: 1 and 3) or for none;
+    also the first regime of each group."""
+    a = ["-1*x1", "0.5*x1 - x2", "sin(x1)"] if d == 2 else ["-1*x1", "0.5*x1", "sin(x1)"]
+    s = ["0.3*x1", "0.5*x2 + 0.1", "cos(x1)"] if d == 2 else ["0.3*x1", "0.5*x1 + 0.1", "cos(x1)"]
+    pick_a, pick_s = {"all": ([0, 0, 0], [0, 0, 0]), "some": ([0, 1, 1], [0, 1, 0]),
+                      "none": ([0, 1, 2], [0, 1, 2])}[shared]
+    drift = [[a[i]] + ["-2*x2"] * (d - 1) for i in pick_a]
+    diffusion = [[[s[i], "0.1*x1"], ["0.2*x2", s[i]]] if d == 2 else [[s[i]]] for i in pick_s]
+    return drift, diffusion, [sorted({pick.index(j) for j in pick}) for pick in (pick_a, pick_s)]
+
+
+class TestCoefficientGroups:
+    @pytest.mark.parametrize("shared", ["all", "some", "none"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grouped_equals_per_path_choice(self, d, shared):
+        drift, diffusion, firsts = _coefficients(d, shared)
+        sc = load(make_scenario(
+            dimensions={"d": d, "M": 3}, drift=drift, diffusion=diffusion, gains=[0.0] * 3,
+            rates=[["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
+            coefficient_bounds={"C": [0.0] * 3, "c": [0.0] * 3, "Ma": 1.0},
+            initial={"x": [1.0] * d, "state": 1},
+        ))
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=50), 0, "marginal", None)
+        assert [g[0] for g in run.drift_groups] == firsts[0]
+        assert [g[0] for g in run.sigma_groups] == firsts[1]
+        rng = np.random.default_rng(d)
+        X, xi = rng.normal(size=(2, 50, d))
+        states = np.arange(50) % 3
+        rng.shuffle(states)
+        calls = []
+
+        def counted(f, key):
+            return lambda X: calls.append(key) or f(X)
+
+        sc.drift_fn = [[counted(f, ("a", i)) for f in row] for i, row in enumerate(sc.drift_fn)]
+        sc.sigma_fn = [[[counted(f, ("s", i)) for f in r] for r in m] for i, m in enumerate(sc.sigma_fn)]
+        got_a, got_noise = run._drift(X, states), run._noise_term(X, states, xi)
+        # one evaluation per distinct tree, of the group's first regime
+        assert calls == [("a", i) for i in firsts[0] for _ in range(d)] + [
+            ("s", i) for i in firsts[1] for _ in range(d * d)]
+        a = np.stack([sc.drift_at(X, i) for i in range(3)])[states, np.arange(50)]
+        S = np.stack([sc.sigma_at(X, i) for i in range(3)])[states, np.arange(50)]
+        noise = np.einsum("nij,nj->ni", S, xi) if d > 1 else S[:, :, 0] * xi
+        assert got_a.tobytes() == a.tobytes()
+        assert got_noise.tobytes() == noise.tobytes()
 
 
 def _schedule_rounds(counts, u, lo, na, h, R_cand):

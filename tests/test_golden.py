@@ -3,8 +3,9 @@
 The sha256 of ``mc`` JSON and ``simulate`` CSV, with and without
 ``--coupled``, on every shipped fixture and on a generated six-state scenario
 that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1,
-plus one coupled run over two chunks and runs that record the interior path
-37 of 100.  A refactor that should not change behaviour keeps these green; a
+plus one coupled run over two chunks, runs that record the interior path
+37 of 100, and generated scenarios whose drift or diffusion differs between
+regimes, in one and two dimensions.  A refactor that should not change behaviour keeps these green; a
 change to the random stream or the step update changes them on purpose and
 records the new hashes with the reason.  Every hash here was last
 re-recorded when the random streams were keyed by groups of 64 paths and se_x2
@@ -12,12 +13,13 @@ began to merge per-chunk squared deviations.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from switchsde import cli
 from switchsde import engine, scenario
-from tests.conftest import FIXTURES, write_scenario
+from tests.conftest import FIXTURES, make_scenario, write_scenario
 
 SIZE = ["--paths", "64", "--horizon", "1"]
 
@@ -113,6 +115,30 @@ INTERIOR_GOLDEN = {
 }
 
 
+# (mc, simulate) of the coefficient scenarios, for --coupled and for the
+# marginal route; taken before the engine grouped regimes by coefficient tree
+COEFFICIENT_GOLDEN = {
+    "drift_2d": (
+        ("b7034b0cc1c31606b6c0f917af1ce6683b73e8cdc4e952e5713fa1afac6c6306",
+         "2806cd3c859f3b9a46d523e1f6a7b7056791a03dea8a9c9bc5ec634363c306ce"),
+        ("3ff86fb5847b2e29c5402968c9e1929372b5ef7f906f0e924c017e50b9913950",
+         "0fdd2fc5b1ef21e2e889820bcd25bbb2006ad6fba028e8a245601e4cc1fc44aa"),
+    ),
+    "sigma_1d": (
+        ("71f0d8052d1117a03be5671d638ceaa8657c9e8d2ba61b9e2564a6d2c2f005d4",
+         "593e25ea6e847ed8485cf4a286dc8d1c0efd9a7d21f2d8ffbcaf0430ba15c57a"),
+        ("33d7557eec767b8f5d97675f473379e3229b4514cbc17bca7e8c9f6d4bd874a8",
+         "b246a98961a5adcdba3c78a9018aa37e0517e535a76d3e1e187aad1d51e859f4"),
+    ),
+    "sigma_2d": (
+        ("4216790073e7910d8bf5b9591063ea05c825d839c161ec817e61fc71abedb245",
+         "64525d005e4d744e71d3cd7a3959c84b162e038ed1d97fba830c0596ab4af68e"),
+        ("40b2972a70fdff4c2abdefdc5c1586a84cd1dd3277a8528d574eba3a6bb68e4c",
+         "69847221d8f38e40ac1aeb6eea6c50f66b509bf60f2bcfe9fb98aa651512df20"),
+    ),
+}
+
+
 def six_state_birth_death():
     """Birth-death chain on six states with up rates 1 + 0.5 sin(x1)^2 and
     down rates 1 + 0.5 cos(x1)^2; the envelopes take the extreme rates, which
@@ -147,6 +173,41 @@ def six_state_birth_death():
     }
 
 
+def coefficient_scenario(name):
+    """Scenarios whose coefficients differ between regimes, which no fixture
+    has: a two-dimensional regime-dependent drift under a shared diffusion, a
+    one-dimensional regime-dependent diffusion on three states (the drift
+    shared by states 1 and 2, the diffusion by states 1 and 3), and a
+    two-dimensional regime-dependent diffusion."""
+    two_dim = dict(
+        dimensions={"d": 2, "M": 2}, gains=[0.2, 0.5], rate_bound=1.5,
+        rates=[["0", "1 + 0.5*sin(x1)^2"], ["1 + 0.5*cos(x2)^2", "0"]],
+        initial={"x": [1.0, -0.5], "state": 1}, grid={"lo": -2.0, "hi": 2.0, "n": 441},
+        coefficient_bounds={"C": [0.0, 0.0], "c": [-4.0, -4.0], "Ma": 2.0},
+    )
+    if name == "drift_2d":
+        return make_scenario(
+            drift=[["-1*x1", "-2*x2"], ["-0.5*x1 + 0.2*x2", "-1*x2 + 0.1*sin(x1)"]],
+            diffusion=[[["0.2*x1", "0.1*x2"], ["0", "0.3*x2"]]] * 2, **two_dim,
+        )
+    if name == "sigma_2d":
+        return make_scenario(
+            drift=[["-1*x1", "-1*x2"]] * 2,
+            diffusion=[[["0.2*x1", "0.1*x2"], ["0", "0.3*x2"]],
+                       [["0.1*x1", "0"], ["0.2*x1", "0.2*x2*cos(x2)"]]],
+            **two_dim,
+        )
+    doc = six_state_birth_death() | {
+        "dimensions": {"d": 1, "M": 3},
+        "drift": [["-1*x1"], ["-1*x1"], ["-0.5*x1"]],
+        "diffusion": [[["0.3*x1"]], [["0.5*x1"]], [["0.3*x1"]]],
+        "gains": [0.1, 0.2, 0.3],
+        "coefficient_bounds": {"C": [-1.91, -1.75, -0.91], "c": [-1.91, -1.75, -0.91], "Ma": 1.0},
+    }
+    three = json.loads((FIXTURES / "three_state_rational.json").read_text())
+    return doc | {k: three[k] for k in ("rates", "rate_bound", "envelopes")}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -177,6 +238,14 @@ def test_golden_six_state_matrix_route(tmp_path, capsys):
     assert engine.choose_route(scenario.load_scenario(fx))[::2] == ("matrix", [])
     assert _artifact_hashes(fx, tmp_path, capsys, coupled=True) == SIX_STATE_GOLDEN
     assert _artifact_hashes(fx, tmp_path, capsys, coupled=False) == SIX_STATE_GOLDEN_MARGINAL
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "marginal"])
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_GOLDEN))
+def test_golden_regime_dependent_coefficients(name, coupled, tmp_path, capsys):
+    fx = write_scenario(tmp_path, coefficient_scenario(name))
+    got = _artifact_hashes(fx, tmp_path, capsys, coupled)
+    assert got == COEFFICIENT_GOLDEN[name][0 if coupled else 1]
 
 
 def test_golden_multi_chunk(tmp_path, capsys):
