@@ -161,11 +161,25 @@ class DominationReport:
         }
 
 
+def _partial_sums(R):
+    """Partial sums of a (n, M, M) rate stack, laid out (i, m, point):
+    up[i, m] = sum_{l>=m} R[:, i, l] and dn[i, m] = sum_{l<=m} R[:, i, l],
+    added term by term in np.cumsum's order, so equal to it bit for bit."""
+    M = R.shape[1]
+    up = R.transpose(1, 2, 0).copy()  # never a view: the sums run in place
+    dn = up.copy()
+    for m in range(1, M):
+        dn[:, m] += dn[:, m - 1]
+        up[:, M - 1 - m] += up[:, M - m]
+    return up, dn
+
+
 def check_domination(R1, R2, grid_points=None) -> DominationReport:
     """Check the partial-sum preorder between two rate stacks.
 
     ``R1``, ``R2``: either (M, M) constant off-diagonal arrays or (n, M, M)
-    stacks over a common grid; a constant side is broadcast.
+    stacks over a common grid.  Partial sums are laid out (i, m, point), so a
+    test reads two contiguous rows; a constant side keeps its one point.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
@@ -173,9 +187,6 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
         R1 = R1[None]
     if R2.ndim == 2:
         R2 = R2[None]
-    n = max(R1.shape[0], R2.shape[0])
-    R1 = np.broadcast_to(R1, (n,) + R1.shape[1:])
-    R2 = np.broadcast_to(R2, (n,) + R2.shape[1:])
     M = R1.shape[1]
     xs = None
     if grid_points is not None:
@@ -183,10 +194,8 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
         if xs.ndim == 1:
             xs = xs[:, None]
 
-    up1 = np.cumsum(R1[:, :, ::-1], axis=2)[:, :, ::-1]  # up1[:, i, m] = sum_{l>=m}
-    up2 = np.cumsum(R2[:, :, ::-1], axis=2)[:, :, ::-1]
-    dn1 = np.cumsum(R1, axis=2)  # dn1[:, i, m] = sum_{l<=m}
-    dn2 = np.cumsum(R2, axis=2)
+    up1, dn1 = _partial_sums(R1)
+    up2, dn2 = _partial_sums(R2)
 
     worst_margin = np.inf
     worst = None
@@ -202,8 +211,8 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
             "i2": i2 + 1,
             "m": m + 1,
             "x": xs[k].tolist() if xs is not None else None,
-            "lhs": float(lhs[k]),
-            "rhs": float(rhs[k]),
+            "lhs": float(lhs[k % len(lhs)]),  # a constant side has one point
+            "rhs": float(rhs[k % len(rhs)]),
             "margin": margin,
         }
         if margin < worst_margin:
@@ -216,10 +225,10 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
         for i1 in range(M):
             for i2 in range(i1, M):
                 if i2 < m:
-                    lhs, rhs = up1[:, i1, m], up2[:, i2, m]
+                    lhs, rhs = up1[i1, m], up2[i2, m]
                     record("up", i1, i2, m, rhs - lhs, lhs, rhs)
                 if m < i1:
-                    lhs, rhs = dn1[:, i1, m], dn2[:, i2, m]
+                    lhs, rhs = dn1[i1, m], dn2[i2, m]
                     record("down", i1, i2, m, lhs - rhs, lhs, rhs)
 
     return DominationReport(

@@ -20,12 +20,14 @@ consecutive-interval layout.  That layout exists once, as
 coupling.row_block_pick, which the marginal and matrix routes call.  The
 candidates of a step block are scheduled once, from the block's draws, in
 groups of (step, round): round r holds the r-th candidate in time of every
-live path, and each step walks its contiguous rounds.  Every candidate round
-checks the exit rates it reads against the declared bound H and raises
-EngineError beyond it.  Coupled runs either share one mark among all three
-chains (two-state interval route, when the interval-sum conditions hold) or
-drive the pair transitions from the order-preserving coupling rows with shared
-candidate times (matrix route).
+live path, and each step walks its contiguous rounds.  A step's candidate
+points and their rates are taken once per step, as no round changes the start
+state or the Euler update they depend on; every candidate round still checks
+the exit rates it reads against the declared bound H and raises EngineError
+beyond it.  Coupled runs either share one mark among all three chains
+(two-state interval route, when the interval-sum conditions hold) or drive the
+pair transitions from the order-preserving coupling rows with shared candidate
+times (matrix route).
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
@@ -35,7 +37,6 @@ from the next grid node (consistent with the first-order scheme).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,16 +372,21 @@ class _ChunkRun:
 
     # -- jump dispatch
 
-    def _process_candidates(self, t, Xn, p, offs, marks, aux):
-        frac = offs / self.h
-        X0 = self.X[p]
-        Xc = X0 + (Xn[p] - X0) * frac[:, None]
+    def _process_step(self, t, Xn, p, offs, marks, aux, bounds):
+        """The candidate rounds of one step, delimited by ``bounds`` in the
+        block's arrays; the candidate points and their rates are taken once."""
+        s0 = bounds[0]
+        c = slice(s0, bounds[-1])
+        X0 = self.X[p[c]]
+        Xc = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
         Roff = self.sc.rates.offdiag_batch(Xc)
-        before = self._order_violations(p)  # a round holds each path once
-        self._jump(Roff, marks, aux, p, self.h - offs, t + offs, Xc)
-        after = self._order_violations(p)
-        self.violations += after
-        self.n_bad += after - before
+        for b0, b1 in zip(bounds, bounds[1:]):
+            r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
+            before = self._order_violations(pr)  # a round holds each path once
+            self._jump(Roff[rc], marks[r], aux[r], pr, self.h - offs[r], t + offs[r], Xc[rc])
+            after = self._order_violations(pr)
+            self.violations += after
+            self.n_bad += after - before
 
     def _check_rate_bound(self, q, p, tc, Xc):
         """Thinning is exact only while every exit rate ``q`` (n, M) at the
@@ -510,9 +516,9 @@ class _ChunkRun:
 
                 self.occ += self.pop * h  # whole step to the start states; jumps correct below
 
-                for g in range(step_first[kk], step_first[kk + 1]):
-                    b0, b1 = bounds[g], bounds[g + 1]
-                    self._process_candidates(t, Xn, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1])
+                first, last = step_first[kk], step_first[kk + 1]
+                if first < last:
+                    self._process_step(t, Xn, p, offs, marks, aux, bounds[first:last + 1])
 
                 self.X = Xn
                 self.violations += self.n_bad
@@ -695,6 +701,7 @@ def monte_carlo(sc: Scenario, params: SimParams, coupled: bool = False) -> McSum
     route, env, warnings = _plan(sc, coupled)
     n_chunks = (params.n_paths + params.chunk_size - 1) // params.chunk_size
     if params.workers > 1 and n_chunks > 1:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
         with ProcessPoolExecutor(max_workers=params.workers) as pool:
             futs = [
                 pool.submit(_worker_chunk, sc.raw, params, ci, route, env)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchsde.coupling import offdiag
+from switchsde.coupling import CHECK_TOL, MAX_VIOLATIONS, DominationReport, offdiag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = [
@@ -208,6 +208,73 @@ def coupling_rows_reference(R1, R2, ii, jj) -> np.ndarray:
     out[ar, ii, jj] = 0.0
     out[ar, ii, jj] = -out.sum(axis=(1, 2))
     return out
+
+
+def check_domination_reference(R1, R2, grid_points=None) -> DominationReport:
+    """Partial-sum domination check with both sides broadcast to the grid and
+    summed by np.cumsum, the bitwise reference for coupling.check_domination
+    (see its docstring)."""
+    R1 = np.asarray(R1, dtype=float)
+    R2 = np.asarray(R2, dtype=float)
+    if R1.ndim == 2:
+        R1 = R1[None]
+    if R2.ndim == 2:
+        R2 = R2[None]
+    n = max(R1.shape[0], R2.shape[0])
+    R1 = np.broadcast_to(R1, (n,) + R1.shape[1:])
+    R2 = np.broadcast_to(R2, (n,) + R2.shape[1:])
+    M = R1.shape[1]
+    xs = None
+    if grid_points is not None:
+        xs = np.asarray(grid_points, dtype=float)
+        if xs.ndim == 1:
+            xs = xs[:, None]
+
+    up1 = np.cumsum(R1[:, :, ::-1], axis=2)[:, :, ::-1]  # up1[:, i, m] = sum_{l>=m}
+    up2 = np.cumsum(R2[:, :, ::-1], axis=2)[:, :, ::-1]
+    dn1 = np.cumsum(R1, axis=2)  # dn1[:, i, m] = sum_{l<=m}
+    dn2 = np.cumsum(R2, axis=2)
+
+    worst_margin = np.inf
+    worst = None
+    violations = []
+
+    def record(family, i1, i2, m, margins, lhs, rhs):
+        nonlocal worst_margin, worst
+        k = int(margins.argmin())
+        margin = float(margins[k])
+        entry = {
+            "family": family,
+            "i1": i1 + 1,
+            "i2": i2 + 1,
+            "m": m + 1,
+            "x": xs[k].tolist() if xs is not None else None,
+            "lhs": float(lhs[k]),
+            "rhs": float(rhs[k]),
+            "margin": margin,
+        }
+        if margin < worst_margin:
+            worst_margin = margin
+            worst = entry
+        if margin < -CHECK_TOL and len(violations) < MAX_VIOLATIONS:
+            violations.append(entry)
+
+    for m in range(M):
+        for i1 in range(M):
+            for i2 in range(i1, M):
+                if i2 < m:
+                    lhs, rhs = up1[:, i1, m], up2[:, i2, m]
+                    record("up", i1, i2, m, rhs - lhs, lhs, rhs)
+                if m < i1:
+                    lhs, rhs = dn1[:, i1, m], dn2[:, i2, m]
+                    record("down", i1, i2, m, lhs - rhs, lhs, rhs)
+
+    return DominationReport(
+        holds=not violations,
+        worst_margin=float(worst_margin),
+        worst=worst,
+        violations=violations,
+    )
 
 
 MARGINALITY_TOL = 1e-10

@@ -3,7 +3,12 @@ import pytest
 
 from switchsde import coupling as cp
 from switchsde import exprlang as ex
-from tests.conftest import coupling_rows_reference, random_dominated_pair, verify_coupling_matrix
+from tests.conftest import (
+    check_domination_reference,
+    coupling_rows_reference,
+    random_dominated_pair,
+    verify_coupling_matrix,
+)
 
 QBAR = np.array([[-2.0, 2.0], [1.0, -1.0]])
 QSTAR = np.array([[-1.0, 1.0], [2.0, -2.0]])
@@ -133,6 +138,80 @@ class TestDomination:
         rep = cp.check_domination(R, R)
         assert rep.holds
         assert abs(rep.worst_margin) < 1e-15
+
+
+def _scaled_stack(rng, R, n, up, down):
+    """``n`` copies of ``R`` with the entries above the diagonal scaled by
+    factors in ``up`` and those below it by factors in ``down``."""
+    M = len(R)
+    above = np.triu(np.ones((M, M), dtype=bool), 1)
+    f = np.where(above, rng.uniform(*up, (n, M, M)), rng.uniform(*down, (n, M, M)))
+    return R * f
+
+
+def _domination_cases(rng, M, n=50):
+    """(R1, R2) pairs on an n-point grid: a dominated pair with a grid stack
+    on either side, on both or on neither (given as (M, M) and as (1, M, M)),
+    both sides perturbed so that the up sums of R1 shrink and its down sums
+    grow (and the reverse for R2); then unrelated random stacks."""
+    R1, R2 = random_dominated_pair(rng, M)
+    G1 = _scaled_stack(rng, R1, n, (0.5, 1.0), (1.0, 1.5))
+    G2 = _scaled_stack(rng, R2, n, (1.0, 1.5), (0.5, 1.0))
+    A, B = (rng.uniform(0.0, 2.0, (n, M, M)) for _ in range(2))
+    for R in (A, B):
+        R[:, np.arange(M), np.arange(M)] = 0.0
+    return [(G1, G2), (G1, R2), (R1[None], G2), (R1, R2), (R1[None], R2[None]),
+            (A, B), (A, B[0]), (A[0][None], B), (A[0], B[0])]
+
+
+class TestDominationMatchesReference:
+    """check_domination sums in place on the (i, m, point) layout; its
+    reports equal the broadcast-and-cumsum reference exactly."""
+
+    @staticmethod
+    def assert_same(R1, R2, grid=None):
+        got = cp.check_domination(R1, R2, grid)
+        want = check_domination_reference(R1, R2, grid)
+        assert got.as_dict() == want.as_dict()
+        assert got.violations == want.violations
+        return got
+
+    @pytest.mark.parametrize("M", range(2, 8))
+    def test_random_stacks(self, M):
+        rng = np.random.default_rng(100 + M)
+        holds = []
+        for _ in range(10):
+            for R1, R2 in _domination_cases(rng, M):
+                grid = np.linspace(-1.0, 1.0, max(len(R1), len(R2)))
+                holds.append(self.assert_same(R1, R2, grid).holds)
+                self.assert_same(R1, R2)
+        assert any(holds) and not all(holds)
+
+    def test_violations_past_the_cap(self):
+        # R1 above R2 in every up sum and below it in every down sum: each of
+        # the 330 tests at M = 10 fails, and the report keeps the first 200
+        M, n = 10, 30
+        rng = np.random.default_rng(5)
+        above = np.triu(np.ones((M, M), dtype=bool), 1)
+        below = np.tril(np.ones((M, M), dtype=bool), -1)
+        R1 = rng.uniform(1.0, 2.0, (n, M, M)) * above
+        R2 = rng.uniform(1.0, 2.0, (n, M, M)) * below
+        for pair in ((R1, R2[0]), (R1[0], R2)):
+            rep = self.assert_same(*pair, np.linspace(0.0, 1.0, n))
+            assert len(rep.violations) == cp.MAX_VIOLATIONS
+
+    @pytest.mark.parametrize("shape", ["(M, M)", "(1, M, M)", "(n, M, M)"])
+    def test_inputs_untouched(self, shape):
+        M, n = 4, 20
+        rng = np.random.default_rng(3)
+        grid = rng.uniform(0.0, 2.0, (n, M, M))
+        const = {"(M, M)": grid[0], "(1, M, M)": grid[:1], "(n, M, M)": grid}[shape].copy()
+        before = const.copy(), grid.copy()
+        cp.check_domination(const, grid)
+        cp.check_domination(grid, const)
+        cp.check_domination(const, const)
+        assert const.tobytes() == before[0].tobytes()
+        assert grid.tobytes() == before[1].tobytes()
 
 
 class TestBasicCoupling:

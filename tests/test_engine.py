@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,6 +492,14 @@ class TestReproducibility:
         b = en.monte_carlo(ex_balanced, p2, coupled=True)
         assert a.to_dict() == b.to_dict()
 
+    def test_cli_import_leaves_the_pool_out(self):
+        # only a run with several workers imports the process pool; a fresh
+        # interpreter shows what importing the CLI loads
+        code = "import sys, switchsde.cli; print('concurrent.futures.process' in sys.modules)"
+        env = os.environ | {"PYTHONPATH": str(Path(en.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "False"
+
 
 WIDTHS = (1, 7, 64, 2048, 8192)
 # a coupled run on the matrix route and a marginal run with switching
@@ -623,6 +635,10 @@ class TestGuards:
         assert cli.main(["mc", write_scenario(tmp_path, doc), "--paths", "8"]) == 2
         assert "t=3 " in capsys.readouterr().err
 
+    # the candidate time named for path 0 of 1 and for path 5 of 8
+    BREACH_TIMES = {"marginal": ("0.0584327", "0.146729"), "matrix": ("0.627774", "0.0836361"),
+                    "two_state": ("0.0584327", "0.146729")}
+
     @pytest.mark.parametrize("route", ["marginal", "matrix", "two_state"])
     def test_rate_bound_breach_reported(self, route, tmp_path, capsys):
         # rates 1 + x1^2 reach 10 at x = 3, far off the grid [-1, 1] on which
@@ -642,12 +658,15 @@ class TestGuards:
         if coupled:
             assert en.choose_route(sc)[0] == route
         sim = en.simulate_coupled if coupled else en.simulate_hybrid
-        msg = r"exit rate 10 from state 1 exceeds declared bound H=2.0 at t=[0-9.e-]+, x=\[3.0\], path 0$"
-        with pytest.raises(en.EngineError, match=msg):
-            sim(sc, en.SimParams.from_scenario(sc, n_paths=1), 0)
-        # every path breaches; simulate advances and names the requested one
-        with pytest.raises(en.EngineError, match=msg.replace("path 0$", "path 5$")):
-            sim(sc, en.SimParams.from_scenario(sc, n_paths=8), 5)
+        # every path breaches; simulate advances and names the requested one,
+        # at its first candidate in time, pinned verbatim so that the order in
+        # which candidates and their rates are evaluated cannot change it
+        for (n_paths, path), t in zip(((1, 0), (8, 5)), self.BREACH_TIMES[route]):
+            with pytest.raises(en.EngineError) as err:
+                sim(sc, en.SimParams.from_scenario(sc, n_paths=n_paths), path)
+            assert str(err.value) == (
+                f"exit rate 10 from state 1 exceeds declared bound H=2.0 at t={t}, x=[3.0], path {path}"
+            )
         fx = write_scenario(tmp_path, doc)
         flag = ["--coupled"] if coupled else []
         assert cli.main(["simulate", fx, *flag, "--out", str(tmp_path / "p.csv")]) == 2

@@ -5,11 +5,13 @@ The sha256 of ``mc`` JSON and ``simulate`` CSV, with and without
 that takes the coupling-matrix route beyond M = 3, at 64 paths and horizon 1,
 plus one coupled run over two chunks, runs that record the interior path
 37 of 100, and generated scenarios whose drift or diffusion differs between
-regimes, in one and two dimensions.  A refactor that should not change behaviour keeps these green; a
-change to the random stream or the step update changes them on purpose and
-records the new hashes with the reason.  Every hash here was last
-re-recorded when the random streams were keyed by groups of 64 paths and se_x2
-began to merge per-chunk squared deviations.
+regimes, in one and two dimensions.  The sha256 of ``validate`` and
+``envelopes`` JSON of every fixture and of the six-state scenario pins the
+partial-sum domination reports.  A refactor that should not change behaviour
+keeps these green; a change to the random stream or the step update changes
+them on purpose and records the new hashes with the reason.  Every artifact
+hash here was last re-recorded when the random streams were keyed by groups
+of 64 paths and se_x2 began to merge per-chunk squared deviations.
 """
 
 import hashlib
@@ -135,6 +137,42 @@ COEFFICIENT_GOLDEN = {
          "64525d005e4d744e71d3cd7a3959c84b162e038ed1d97fba830c0596ab4af68e"),
         ("40b2972a70fdff4c2abdefdc5c1586a84cd1dd3277a8528d574eba3a6bb68e4c",
          "69847221d8f38e40ac1aeb6eea6c50f66b509bf60f2bcfe9fb98aa651512df20"),
+    ),
+}
+
+
+# (validate, envelopes) JSON of every fixture and of the six-state scenario:
+# they carry the partial-sum domination reports, and three_state_rational's
+# upper envelope has a deficit, so its reports list a violation; taken before
+# check_domination summed in place
+DOMINATION_GOLDEN = {
+    "lag_bound": (
+        "c6d61fa820b51154d3a88de5740fa3b531a6622b00bfb14b49439777c2d3c514",
+        "0aa1d54ba64be8a95f8667092bb29a43e07f4cff14c496193698dd3a3bc8d419",
+    ),
+    "linear_feedback": (
+        "8d9dc97adb82073564f4cd64b7470fba3313d9d8e3af3a426eaf21e4d68ae9f7",
+        "28fdf665703b2f3365392a739ae1cc80b27f12c2481f2f69e07128557d7268b1",
+    ),
+    "linear_unstable": (
+        "aad66383b39f8a3b53cd526a2548574f9de9acb284658cdf42f1ee68068f93d2",
+        "2af284754fd961b65c6982558524eed341b3f938913414bd8868358346ba3925",
+    ),
+    "three_state_rational": (
+        "3a6316cc4c39f759bac8807ec9c6f46cd2d9f2883f0d4cb2cfb1c7dcf435e0c7",
+        "8f028659d953924988ff000cabc161320ead561a92687a690f0d53f91db25c19",
+    ),
+    "two_state_balanced": (
+        "4976bc3c11719c66009f8fa6cc250c4b155b4ac08e183f7d3474f1769138de4c",
+        "ca2724475fb237944d1aa8ccfd4599e0290c7baa4d657fcdec35f5e5d2a528db",
+    ),
+    "two_state_trig": (
+        "4a8ac4670203b75aa8becb70554df372446fb0d065b3c1055cae01e302a1ce38",
+        "8327d83d740e8ce6cc2b2af9c46d232dd3d410768454245a521340da57f3be9c",
+    ),
+    "six_state": (
+        "39fb31a6e9b22221bc855ce764b1ce6000718c2279b9b5376be12ca7c356e19c",
+        "9b0f3a8a7be8a81432523b0df630df38760d7f7c9f05a9054d267c68b34ced6d",
     ),
 }
 
@@ -265,3 +303,21 @@ def test_golden_interior_column(name, coupled, tmp_path, capsys):
     size = ["--paths", "100", "--horizon", "1"]
     got = _artifact_hashes(fx, tmp_path, capsys, coupled, size=size, path_index=37)
     assert got == INTERIOR_GOLDEN[name][0 if coupled else 1]
+
+
+@pytest.mark.parametrize("name", sorted(DOMINATION_GOLDEN))
+def test_golden_domination_reports(name, tmp_path, capsys):
+    if name == "six_state":
+        fx = write_scenario(tmp_path, six_state_birth_death())
+    else:
+        fx = str(FIXTURES / f"{name}.json")
+    got = []
+    for cmd in ("validate", "envelopes"):
+        out = tmp_path / f"{cmd}.json"
+        assert cli.main([cmd, fx, "--out", str(out)]) == 0
+        got.append(_sha256(out))
+    capsys.readouterr()
+    declared = json.loads(out.read_text())["declared"]
+    if name == "three_state_rational":
+        assert declared["domination_upper"]["violations"]
+    assert tuple(got) == DOMINATION_GOLDEN[name]
