@@ -59,11 +59,19 @@ def _load(args):
 
 def _params(sc, args):
     kw = {}
-    if getattr(args, "record_stride", None):
-        kw["record_stride"] = args.record_stride
-    if getattr(args, "workers", None):
-        kw["workers"] = args.workers
+    for name in ("record_stride", "workers"):
+        v = getattr(args, name, None)
+        if v is not None:
+            kw[name] = v
     return engine.SimParams.from_scenario(sc, **kw)
+
+
+def _pair(text):
+    try:
+        i, j = (int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a product state i,j, got {text!r}") from None
+    return i, j
 
 
 def cmd_validate(args):
@@ -115,6 +123,8 @@ def cmd_couple(args):
     x = np.array([float(v) for v in args.x.split(",")], dtype=float)
     if x.shape != (sc.d,):
         raise ScenarioError(f"--x must have {sc.d} component(s)")
+    if args.pair and not all(1 <= v <= sc.M for v in args.pair):
+        raise ScenarioError(f"--from {args.pair[0]},{args.pair[1]}: states run from 1 to {sc.M}")
     Qx = sc.rates.at(x)
     Rx = cpl.offdiag(Qx)
     Rbar = cpl.offdiag(sc.envelopes.qbar)
@@ -292,7 +302,7 @@ def build_parser():
     p = sub.add_parser("couple", help="coupling rate tables at a point")
     common(p)
     p.add_argument("--x", required=True, help="comma-separated point")
-    p.add_argument("--from", dest="pair_raw", help="restrict to product state i,j")
+    p.add_argument("--from", dest="pair", type=_pair, help="restrict to product state i,j")
     p.set_defaults(fn=cmd_couple)
 
     p = sub.add_parser("spectral", help="skeletons, tilted roots, exponential functionals")
@@ -325,11 +335,6 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "pair_raw", None):
-        i, j = (int(v) for v in args.pair_raw.split(","))
-        args.pair = (i, j)
-    elif hasattr(args, "pair_raw"):
-        args.pair = None
     if args.command == "simulate" and not args.out:
         ap.error("simulate requires --out")
     try:

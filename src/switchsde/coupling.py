@@ -48,7 +48,6 @@ def with_diagonal(R) -> np.ndarray:
 class EnvelopePair:
     qbar: np.ndarray  # upper generator (with diagonal)
     qstar: np.ndarray  # lower generator (with diagonal)
-    source: str  # "grid-certified" | "user-asserted"
 
     @property
     def qbar_down_positive(self) -> bool:
@@ -78,7 +77,7 @@ def two_state_envelopes(rates_on_grid: np.ndarray) -> EnvelopePair:
     lo12, lo21 = float(q12.min()), float(q21.max())
     qbar = np.array([[-up12, up12], [up21, -up21]])
     qstar = np.array([[-lo12, lo12], [lo21, -lo21]])
-    return EnvelopePair(qbar, qstar, "grid-certified")
+    return EnvelopePair(qbar, qstar)
 
 
 @dataclass
@@ -144,12 +143,18 @@ class DominationReport:
     Up family:   sum_{l>=m} q1[i1, l] <= sum_{l>=m} q2[i2, l],  i1 <= i2 < m.
     Down family: sum_{l<=m} q1[i1, l] >= sum_{l<=m} q2[i2, l],  m < i1 <= i2.
     Margins are (rhs - lhs) resp. (lhs - rhs); negative margin = violation.
+    ``n_violations`` counts every failing test; ``violations`` keeps the first
+    MAX_VIOLATIONS of them.
     """
 
-    holds: bool
+    n_violations: int
     worst_margin: float
     worst: dict | None
     violations: list = field(default_factory=list)
+
+    @property
+    def holds(self) -> bool:
+        return self.n_violations == 0
 
     def as_dict(self):
         return {
@@ -157,7 +162,7 @@ class DominationReport:
             "worst_margin": self.worst_margin,
             "worst": self.worst,
             "violations": self.violations[:20],
-            "n_violations": len(self.violations),
+            "n_violations": self.n_violations,
         }
 
 
@@ -218,7 +223,7 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
         if margin < worst_margin:
             worst_margin = margin
             worst = entry
-        if margin < -CHECK_TOL and len(violations) < MAX_VIOLATIONS:
+        if margin < -CHECK_TOL:
             violations.append(entry)
 
     for m in range(M):
@@ -232,10 +237,10 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
                     record("down", i1, i2, m, lhs - rhs, lhs, rhs)
 
     return DominationReport(
-        holds=not violations,
+        n_violations=len(violations),
         worst_margin=float(worst_margin),
         worst=worst,
-        violations=violations,
+        violations=violations[:MAX_VIOLATIONS],
     )
 
 

@@ -77,6 +77,8 @@ class SimParams:
             raise EngineError("horizon must be a multiple of the step")
         if self.n_paths < 1 or self.chunk_size < 1:
             raise EngineError(f"need n_paths, chunk_size >= 1, got {self.n_paths}, {self.chunk_size}")
+        if self.record_stride is not None and self.record_stride < 1:
+            raise EngineError(f"need record_stride >= 1, got {self.record_stride}")
 
     @classmethod
     def from_scenario(cls, sc: Scenario, **overrides):
@@ -390,11 +392,13 @@ class _ChunkRun:
 
     def _check_rate_bound(self, q, p, tc, Xc):
         """Thinning is exact only while every exit rate ``q`` (n, M) at the
-        candidate points stays within H."""
-        if q.max() > self.H_max:
-            c, i = np.unravel_index(int(q.argmax()), q.shape)
+        candidate points stays within H; a NaN rate is not within it."""
+        q_max = q.max()
+        if not q_max <= self.H_max:
+            c, i = np.unravel_index(int(q.argmax()), q.shape)  # argmax picks a NaN first
             raise EngineError(
-                f"exit rate {q[c, i]:.6g} from state {i + 1} exceeds declared bound "
+                f"exit rate {q[c, i]:.6g} from state {i + 1} "
+                f"{'exceeds' if q_max > self.H_max else 'is not within'} declared bound "
                 f"H={self.sc.rates.H} at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}"
             )
 

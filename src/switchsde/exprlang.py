@@ -246,63 +246,63 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _fold(e: Expr, num, var, neg, call, binop):
+    """Fold a tree bottom-up: children first, left to right, then the rule for
+    the node: ``num(value)``, ``var(index)``, ``neg(a)``, ``call(name, args)``
+    or ``binop(op, a, b)`` over the children's results."""
+
+    def go(e):
+        if isinstance(e, Num):
+            return num(e.value)
+        if isinstance(e, Var):
+            return var(e.index)
+        if isinstance(e, Neg):
+            return neg(go(e.arg))
+        if isinstance(e, Call):
+            return call(e.name, [go(a) for a in e.args])
+        if isinstance(e, BinOp):
+            return binop(e.op, go(e.left), go(e.right))
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return go(e)
+
+
 def max_variable(e: Expr) -> int:
     """Largest variable index used (0 for constant expressions)."""
-    if isinstance(e, Var):
-        return e.index
-    if isinstance(e, Neg):
-        return max_variable(e.arg)
-    if isinstance(e, Call):
-        return max((max_variable(a) for a in e.args), default=0)
-    if isinstance(e, BinOp):
-        return max(max_variable(e.left), max_variable(e.right))
-    return 0
+    return _fold(e, lambda v: 0, lambda k: k, lambda a: a,
+                 lambda name, args: max(args, default=0), lambda op, a, b: max(a, b))
 
 
 def evaluate(e: Expr, x) -> float:
     """Evaluate at a point x (sequence of floats), with domain checks."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(x):
-            raise EvalError(f"variable x{e.index} out of range for dimension {len(x)}")
-        return float(x[e.index - 1])
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, x)
-    if isinstance(e, Call):
-        args = [evaluate(a, x) for a in e.args]
-        if e.name == "sqrt":
-            if args[0] < 0:
-                raise EvalError(f"sqrt of negative value {args[0]}")
-            return math.sqrt(args[0])
-        if e.name == "abs":
-            return abs(args[0])
-        if e.name == "sin":
-            return math.sin(args[0])
-        if e.name == "cos":
-            return math.cos(args[0])
-        if e.name == "min":
-            return min(args)
-        return max(args)
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, x)
-        b = evaluate(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            return a / b
-        try:
-            v = math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"pow domain error: {a} ^ {b}") from exc
-        return v
-    raise TypeError(f"not an expression node: {e!r}")
+
+    def var(k):
+        if k > len(x):
+            raise EvalError(f"variable x{k} out of range for dimension {len(x)}")
+        return float(x[k - 1])
+
+    return _fold(e, lambda v: v, var, operator.neg, _eval_call, _eval_binop)
+
+
+_SCALAR_CALLS = {"sin": math.sin, "cos": math.cos, "abs": abs, "sqrt": math.sqrt, "min": min, "max": max}
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _eval_call(name, args):
+    if name == "sqrt" and args[0] < 0:
+        raise EvalError(f"sqrt of negative value {args[0]}")
+    return _SCALAR_CALLS[name](*args)
+
+
+def _eval_binop(op, a, b):
+    if op == "/" and b == 0:
+        raise EvalError("division by zero")
+    if op != "^":
+        return _SCALAR_OPS[op](a, b)
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError) as exc:
+        raise EvalError(f"pow domain error: {a} ^ {b}") from exc
 
 
 def compile_vectorized(e: Expr):
@@ -333,47 +333,43 @@ def _compile(e: Expr):
     same bits as a constant array.  The exponent of ``^`` and the arguments of
     calls stay arrays: numpy's scalar fast paths for ``power`` (2, 0.5, -1)
     round differently."""
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, Var):
-        k = e.index - 1
-        return lambda X: X[:, k]
-    if isinstance(e, Neg):
-        f = _compile(e.arg)
-        if not callable(f):
-            return -f
-        return lambda X: -f(X)
-    if isinstance(e, Call):
-        fs = [_as_array(_compile(a)) for a in e.args]
-        ufunc = {
-            "sin": np.sin,
-            "cos": np.cos,
-            "abs": np.abs,
-            "sqrt": np.sqrt,
-            "min": np.minimum,
-            "max": np.maximum,
-        }[e.name]
-        if len(fs) == 1:
-            f0 = fs[0]
-            return lambda X: ufunc(f0(X))
-        f0, f1 = fs
-        return lambda X: ufunc(f0(X), f1(X))
-    if isinstance(e, BinOp):
-        fl = _compile(e.left)
-        fr = _compile(e.right)
-        if e.op == "^":
-            fl, fr = _as_array(fl), _as_array(fr)
-            return lambda X: _safe_pow(fl(X), fr(X))
-        op = _ARITH[e.op]
-        if callable(fl) and callable(fr):
-            return lambda X: op(fl(X), fr(X))
-        if callable(fl):
-            return lambda X: op(fl(X), fr)
-        if callable(fr):
-            return lambda X: op(fl, fr(X))
-        with np.errstate(all="ignore"):
-            return float(op(np.float64(fl), fr))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _fold(e, float, _compile_var, _compile_neg, _compile_call, _compile_binop)
+
+
+def _compile_var(index):
+    k = index - 1
+    return lambda X: X[:, k]
+
+
+def _compile_neg(f):
+    return (lambda X: -f(X)) if callable(f) else -f
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum}
+
+
+def _compile_call(name, fs):
+    ufunc, fs = _UFUNCS[name], [_as_array(f) for f in fs]
+    if len(fs) == 1:
+        f0 = fs[0]
+        return lambda X: ufunc(f0(X))
+    f0, f1 = fs
+    return lambda X: ufunc(f0(X), f1(X))
+
+
+def _compile_binop(op, fl, fr):
+    if op == "^":
+        fl, fr = _as_array(fl), _as_array(fr)
+        return lambda X: _safe_pow(fl(X), fr(X))
+    op = _ARITH[op]
+    if callable(fl) and callable(fr):
+        return lambda X: op(fl(X), fr(X))
+    if callable(fl):
+        return lambda X: op(fl(X), fr)
+    if callable(fr):
+        return lambda X: op(fl, fr(X))
+    with np.errstate(all="ignore"):
+        return float(op(np.float64(fl), fr))
 
 
 def _safe_div(a, b):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestEnvelopes:
 
 class TestTwoStateConditions:
     def test_trig_upper_fails_at_quarter_turn(self):
-        env = cp.EnvelopePair(QBAR, QSTAR, "user-asserted")
+        env = cp.EnvelopePair(QBAR, QSTAR)
         conds = cp.check_two_state_conditions(env, trig_rates_on(GRID), GRID)
         assert not conds.upper.holds
         # witness: rate sum dips to 2 where cos vanishes, below 2 + 1
@@ -107,7 +109,7 @@ class TestTwoStateConditions:
         R = np.zeros((len(xs), 2, 2))
         R[:, 0, 1] = 1.5 + 0.5 * np.sin(xs)
         R[:, 1, 0] = 1.5 - 0.5 * np.sin(xs)
-        env = cp.EnvelopePair(QBAR, QSTAR, "user-asserted")
+        env = cp.EnvelopePair(QBAR, QSTAR)
         conds = cp.check_two_state_conditions(env, R, xs)
         assert conds.upper.holds and conds.lower.holds
 
@@ -189,16 +191,20 @@ class TestDominationMatchesReference:
 
     def test_violations_past_the_cap(self):
         # R1 above R2 in every up sum and below it in every down sum: each of
-        # the 330 tests at M = 10 fails, and the report keeps the first 200
+        # the 330 tests at M = 10 fails; the report counts all of them and
+        # keeps the first 200
         M, n = 10, 30
         rng = np.random.default_rng(5)
         above = np.triu(np.ones((M, M), dtype=bool), 1)
         below = np.tril(np.ones((M, M), dtype=bool), -1)
         R1 = rng.uniform(1.0, 2.0, (n, M, M)) * above
         R2 = rng.uniform(1.0, 2.0, (n, M, M)) * below
+        n_tests = 2 * math.comb(M + 1, 3)  # i1 <= i2 < m, and m < i1 <= i2
+        assert n_tests == 330
         for pair in ((R1, R2[0]), (R1[0], R2)):
             rep = self.assert_same(*pair, np.linspace(0.0, 1.0, n))
             assert len(rep.violations) == cp.MAX_VIOLATIONS
+            assert rep.n_violations == rep.as_dict()["n_violations"] == n_tests
 
     @pytest.mark.parametrize("shape", ["(M, M)", "(1, M, M)", "(n, M, M)"])
     def test_inputs_untouched(self, shape):
@@ -295,7 +301,7 @@ class TestOrderPreservingCoupling:
             jj = np.full(200, j)
             a = cp._coupling_rows_two_state(R1, R2, ii, jj)
             b = coupling_rows_reference(R1, R2, ii, jj)
-            assert np.abs(a - b).max() < 1e-13
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("M", range(3, 11))
     def test_general_kernel_matches_reference_bitwise(self, M):

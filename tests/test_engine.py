@@ -608,6 +608,11 @@ class TestGuards:
         for n_paths, chunk_size in [(0, 2048), (-3, 2048), (8, 0), (8, -4)]:
             with pytest.raises(en.EngineError, match="need n_paths, chunk_size >= 1"):
                 en.SimParams.from_scenario(ex_balanced, n_paths=n_paths, chunk_size=chunk_size)
+        # a negative stride once died in record_steps with IndexError
+        for stride in (0, -1):
+            with pytest.raises(en.EngineError, match=f"need record_stride >= 1, got {stride}"):
+                en.SimParams.from_scenario(ex_balanced, record_stride=stride)
+        assert en.SimParams.from_scenario(ex_balanced, record_stride=1).record_steps()[:3] == [0, 1, 2]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_reported(self):

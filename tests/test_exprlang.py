@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import exprlang as ex
+from tests.conftest import (
+    compile_vectorized_reference,
+    constant_value_reference,
+    evaluate_reference,
+    max_variable_reference,
+)
 
 
 def test_parse_trig_rate():
@@ -125,23 +132,23 @@ def test_vectorized_constant_operands_match_arrays():
 _rng = np.random.default_rng(20240810)
 
 
-def _random_expr(depth):
-    kind = _rng.integers(0, 7 if depth > 0 else 2)
+def _random_expr(depth, rng=_rng):
+    kind = rng.integers(0, 7 if depth > 0 else 2)
     if kind == 0:
         # the parser renders negatives as Neg(Num(.)), so literals are nonnegative
-        return ex.Num(float(np.round(_rng.uniform(0, 5), 3)))
+        return ex.Num(float(np.round(rng.uniform(0, 5), 3)))
     if kind == 1:
-        return ex.Var(int(_rng.integers(1, 4)))
+        return ex.Var(int(rng.integers(1, 4)))
     if kind == 2:
-        return ex.Neg(_random_expr(depth - 1))
+        return ex.Neg(_random_expr(depth - 1, rng))
     if kind == 3:
-        name = ["sin", "cos", "abs"][int(_rng.integers(0, 3))]
-        return ex.Call(name, (_random_expr(depth - 1),))
+        name = ["sin", "cos", "abs"][int(rng.integers(0, 3))]
+        return ex.Call(name, (_random_expr(depth - 1, rng),))
     if kind == 4:
-        name = ["min", "max"][int(_rng.integers(0, 2))]
-        return ex.Call(name, (_random_expr(depth - 1), _random_expr(depth - 1)))
-    op = "+-*/^"[int(_rng.integers(0, 5))]
-    return ex.BinOp(op, _random_expr(depth - 1), _random_expr(depth - 1))
+        name = ["min", "max"][int(rng.integers(0, 2))]
+        return ex.Call(name, (_random_expr(depth - 1, rng), _random_expr(depth - 1, rng)))
+    op = "+-*/^"[int(rng.integers(0, 5))]
+    return ex.BinOp(op, _random_expr(depth - 1, rng), _random_expr(depth - 1, rng))
 
 
 def test_round_trip_1000_random_pairs():
@@ -185,3 +192,83 @@ def expr_trees(draw, depth=3):
 @settings(max_examples=200, deadline=None)
 def test_print_parse_identity(e):
     assert ex.parse(ex.to_source(e)) == e
+
+
+# evaluate, compile_vectorized, constant_value and max_variable are rule tables
+# over one fold; each equals the recursive walk it replaced (conftest.py) bit
+# for bit, error for error.
+
+
+def _oracle_expr(rng, depth):
+    """Trees with what _random_expr leaves out: negative literals, sqrt, and
+    ^ with the literal exponents numpy special-cases (2, 0.5, -1)."""
+    kind = int(rng.integers(0, 10 if depth > 0 else 3))
+    if kind == 0:
+        return ex.Num(-float(np.round(rng.uniform(0, 5), 3)))
+    if kind == 1:
+        return ex.Num(float(rng.choice([0.0, 0.5, 1.0, 2.0])))
+    if kind == 2:
+        return ex.Var(int(rng.integers(1, 4)))
+    sub = _oracle_expr(rng, depth - 1)
+    if kind == 3:
+        return ex.Neg(sub)
+    if kind == 4:
+        return ex.Call("sqrt", (sub,))
+    if kind == 5:
+        return ex.BinOp("^", sub, ex.Num(float(rng.choice([2.0, 0.5, -1.0]))))
+    if kind == 6:
+        return ex.Call(["sin", "cos", "abs"][int(rng.integers(0, 3))], (sub,))
+    if kind == 7:
+        name = ["min", "max"][int(rng.integers(0, 2))]
+        return ex.Call(name, (sub, _oracle_expr(rng, depth - 1)))
+    return ex.BinOp("+-*/^"[int(rng.integers(0, 5))], sub, _oracle_expr(rng, depth - 1))
+
+
+def _points(rng):
+    """Rows with zeros, negatives and mixed signs, plus random ones."""
+    fixed = [[0.0, 0.0, 0.0], [-1.0, -2.0, -0.5], [1.0, 0.0, -1.0], [-0.0, 2.0, 0.5]]
+    return np.vstack([fixed, rng.uniform(-3.0, 3.0, (6, 3))])
+
+
+def _outcome(fn, *args):
+    """The float as bits, or the exception's type and message."""
+    try:
+        v = fn(*args)
+    except (ArithmeticError, ValueError) as exc:  # EvalError, or math's own domain errors
+        return type(exc), str(exc)
+    return struct.pack("<d", v)
+
+
+def _assert_matches_references(e, X):
+    with np.errstate(all="ignore"):
+        got = ex.compile_vectorized(e)(X)
+        want = compile_vectorized_reference(e)(X)
+    assert got.tobytes() == want.tobytes(), ex.to_source(e)
+    c, c_ref = ex.constant_value(e), constant_value_reference(e)
+    assert (c is None) == (c_ref is None), ex.to_source(e)
+    if c is not None:
+        assert struct.pack("<d", c) == struct.pack("<d", c_ref), ex.to_source(e)
+    for x in [*X, X[1, :2]]:  # the last point is too short for x3
+        assert _outcome(ex.evaluate, e, x) == _outcome(evaluate_reference, e, x), ex.to_source(e)
+    assert ex.max_variable(e) == max_variable_reference(e)
+
+
+def test_walks_match_references_on_1000_random_trees():
+    rng = np.random.default_rng(20261018)
+    X = _points(rng)
+    for k in range(1000):
+        e = _random_expr(4, rng) if k % 2 else _oracle_expr(rng, 4)
+        _assert_matches_references(e, X)
+
+
+@given(expr_trees(depth=4))
+@settings(max_examples=200, deadline=None)
+def test_walks_match_references_on_hypothesis_trees(e):
+    _assert_matches_references(e, _points(np.random.default_rng(7)))
+
+
+def test_evaluate_reports_the_first_failing_child():
+    # children are evaluated left to right: the sqrt on the left fails before
+    # the division by zero on the right is reached
+    with pytest.raises(ex.EvalError, match="sqrt of negative value -1.0"):
+        ex.evaluate(ex.parse("sqrt(x1) + 1/(x1 + 1)"), [-1.0])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,34 @@ class TestValidation:
         assert rep.warnings
 
 
+    def test_two_state_envelopes_inside_the_grid_extrema(self, tmp_path):
+        # both declared envelopes have rates 1; the rates range over
+        # [0.5, 1.5], so qbar's up rate is too small and its down rate too
+        # large, and the reverse for qstar (the two-state domination tests)
+        doc = make_scenario(
+            rates=[["0", "1 + 0.5*sin(x1)"], ["1 + 0.5*cos(x1)", "0"]],
+            envelopes={"qbar": [[-1.0, 1.0], [1.0, -1.0]], "qstar": [[-1.0, 1.0], [1.0, -1.0]]},
+        )
+        rep = sn.validate_scenario(sn.load_scenario(doc))
+        assert rep.structural == [
+            "envelopes.qbar inconsistent with grid extrema of the rates",
+            "envelopes.qstar inconsistent with grid extrema of the rates",
+        ]
+        assert not rep.findings["domination_upper"]["holds"]
+        assert not rep.findings["domination_lower"]["holds"]
+        proc = run_cli("validate", write_scenario(tmp_path, doc))
+        assert proc.returncode == 1
+        # the report as printed before these messages came from the domination reports
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest()[:16] == "9d744a98cd2d811b"
+        # envelopes wide enough for the grid pass
+        doc["envelopes"] = {"qbar": [[-1.5, 1.5], [0.5, -0.5]], "qstar": [[-0.5, 0.5], [1.5, -1.5]]}
+        assert sn.validate_scenario(sn.load_scenario(doc)).ok
+
+    def test_load_from_path_object(self):
+        sc = sn.load_scenario(FIXTURES / "two_state_trig.json")
+        assert sc.raw == json.loads((FIXTURES / "two_state_trig.json").read_text())
+
+
 class TestCanonicalForm:
     def test_echo_round_trip(self):
         doc = make_scenario()
@@ -149,6 +178,58 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert "(1,1)" in doc["upper_pair"]["pairs"]
         assert "(1,2)" not in doc["upper_pair"]["pairs"]
+
+    def test_couple_pair_outside_the_states(self):
+        # once printed empty tables and exited 0
+        proc = run_cli(
+            "couple", str(FIXTURES / "two_state_trig.json"), "--x", "0.0", "--from", "3,1"
+        )
+        assert proc.returncode == 1
+        assert "--from 3,1: states run from 1 to 2" in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("pair", ["1", "a,b", "1,2,3"])
+    def test_couple_malformed_pair_is_a_usage_error(self, pair):
+        # once a ValueError traceback (exit 1)
+        proc = run_cli("couple", str(FIXTURES / "two_state_trig.json"), "--x", "0.0", "--from", pair)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+        assert f"expected a product state i,j, got {pair!r}" in proc.stderr
+
+    @pytest.mark.parametrize("stride", ["0", "-1"])
+    def test_mc_record_stride_below_one(self, stride):
+        # -1 once died with an IndexError traceback; 0 was replaced by the default
+        fx = str(FIXTURES / "two_state_balanced.json")
+        proc = run_cli("mc", fx, "--horizon", "0.5", "--paths", "4", "--record-stride", stride)
+        assert proc.returncode == 2
+        assert f"need record_stride >= 1, got {stride}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_mc_record_stride_is_passed(self, capsys):
+        fx = str(FIXTURES / "two_state_balanced.json")
+        assert cli.main(["mc", fx, "--horizon", "0.5", "--paths", "4", "--record-stride", "10"]) == 0
+        h = sn.load_scenario(fx).step
+        times = json.loads(capsys.readouterr().out)["times"]
+        assert times == pytest.approx([k * 10 * h for k in range(len(times))])
+        assert len(times) == round(0.5 / (10 * h)) + 1
+
+    def test_nan_exit_rate_is_an_error(self, tmp_path):
+        # sqrt(x1) is NaN at the start x1 = -1, off the grid [0, 1] on which
+        # the bound H = 2 is checked; the path stays there.  A NaN rate once
+        # passed the bound check, so simulate exited 0 with no jumps.
+        doc = make_scenario(
+            drift=[["0"], ["0"]], rates=[["0", "sqrt(x1)"], ["1", "0"]], rate_bound=2.0,
+            grid={"lo": 0.0, "hi": 1.0, "n": 11}, initial={"x": [-1.0], "state": 1},
+            horizon=2.0, coefficient_bounds={"C": [0.0, 0.0], "c": [0.0, 0.0], "Ma": 0.0},
+        )
+        path = write_scenario(tmp_path, doc)
+        assert run_cli("validate", path).returncode == 0
+        proc = run_cli("simulate", path, "--out", str(tmp_path / "p.csv"))
+        assert proc.returncode == 2
+        assert (
+            "runtime error: exit rate nan from state 1 is not within declared bound H=2.0 "
+            "at t=0.0521013, x=[-1.0], path 0"
+        ) in proc.stderr
 
     def test_spectral_report(self):
         proc = run_cli(
