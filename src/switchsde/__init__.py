@@ -7,8 +7,8 @@ from .coupling import (
     EnvelopePair,
     check_domination,
     check_two_state_conditions,
+    extremal_envelopes,
     full_coupling_generator,
-    two_state_envelopes,
 )
 from .engine import (
     HybridPath,
@@ -34,8 +34,8 @@ from .scenario import Scenario, load_scenario, scenario_hash, validate_scenario
 __all__ = [
     "StabilityCertificate", "certify", "feasible_tau_search", "k_tau",
     "max_tau_for_contraction", "EnvelopePair", "check_domination",
-    "check_two_state_conditions", "full_coupling_generator",
-    "two_state_envelopes", "HybridPath", "McSummary", "SimParams",
+    "check_two_state_conditions", "extremal_envelopes",
+    "full_coupling_generator", "HybridPath", "McSummary", "SimParams",
     "monte_carlo", "occupation_time_average", "simulate_coupled",
     "simulate_hybrid", "EvalError", "ParseError", "evaluate", "parse",
     "to_source", "exp_functional", "invariant_measure", "perron_root",

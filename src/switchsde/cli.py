@@ -40,30 +40,21 @@ def _f(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _apply_overrides(args):
-    overrides = {}
-    for name in ("tau", "step", "horizon", "seed", "paths"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    return overrides
+def _given(args, names):
+    """The options among ``names`` that the command line sets."""
+    return {k: v for k in names if (v := getattr(args, k, None)) is not None}
 
 
 def _load(args):
     with open(args.scenario, encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
-        doc.update(_apply_overrides(args))
+        doc.update(_given(args, ("tau", "step", "horizon", "seed", "paths")))
     return load_scenario(doc)
 
 
 def _params(sc, args):
-    kw = {}
-    for name in ("record_stride", "workers"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
-    return engine.SimParams.from_scenario(sc, **kw)
+    return engine.SimParams.from_scenario(sc, **_given(args, ("record_stride", "workers")))
 
 
 def _pair(text):
@@ -72,6 +63,16 @@ def _pair(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a product state i,j, got {text!r}") from None
     return i, j
+
+
+def _csv(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text):
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
 
 
 def cmd_validate(args):
@@ -89,16 +90,13 @@ def cmd_envelopes(args):
     sc = _load(args)
     pts = sc.grid_points()
     R = sc.rates.offdiag_batch(pts)
-    doc = {"scenario_hash": sc.hash}
+    env = cpl.extremal_envelopes(R)
+    grid = {"qbar": env.qbar.tolist(), "qstar": env.qstar.tolist()}
+    doc = {"scenario_hash": sc.hash, "grid_envelopes": grid}
     if sc.M == 2:
-        env = cpl.two_state_envelopes(R)
         conds = cpl.check_two_state_conditions(env, R, pts)
-        doc["grid_envelopes"] = {
-            "qbar": env.qbar.tolist(),
-            "qstar": env.qstar.tolist(),
-            "qbar_down_positive": env.qbar_down_positive,
-            "qstar_up_positive": env.qstar_up_positive,
-        }
+        grid["qbar_down_positive"] = env.qbar_down_positive
+        grid["qstar_up_positive"] = env.qstar_up_positive
         doc["two_state_conditions"] = {
             "upper": conds.upper.as_dict(),
             "lower": conds.lower.as_dict(),
@@ -120,7 +118,7 @@ def cmd_couple(args):
     sc = _load(args)
     if sc.envelopes is None:
         raise ScenarioError("scenario declares no envelopes to couple against")
-    x = np.array([float(v) for v in args.x.split(",")], dtype=float)
+    x = np.array(args.x, dtype=float)
     if x.shape != (sc.d,):
         raise ScenarioError(f"--x must have {sc.d} component(s)")
     if args.pair and not all(1 <= v <= sc.M for v in args.pair):
@@ -157,14 +155,10 @@ def cmd_spectral(args):
     if sc.envelopes is None:
         raise ScenarioError("spectral quantities need declared envelopes")
     tau = args.tau if args.tau is not None else sc.tau
-    theta = (
-        np.array([float(v) for v in args.theta.split(",")])
-        if args.theta
-        else -6.0 * tau * sc.gains
-    )
+    theta = np.array(args.theta) if args.theta else -6.0 * tau * sc.gains
     if theta.shape != (sc.M,):
         raise ScenarioError(f"--theta must have {sc.M} components")
-    ns = [int(v) for v in args.n.split(",")] if args.n else [60, 80]
+    ns = args.n or [60, 80]
     doc = {"scenario_hash": sc.hash, "tau": tau, "theta": theta.tolist()}
     for name, Q in (("qbar", sc.envelopes.qbar), ("qstar", sc.envelopes.qstar)):
         P = markov.skeleton_transition(np.asarray(Q, dtype=float), tau)
@@ -191,21 +185,18 @@ def cmd_spectral(args):
 
 def cmd_certify(args):
     sc = _load(args)
-    if sc.envelopes is None:
+    env = sc.envelopes
+    if env is None:
         raise ScenarioError("certification needs declared envelopes")
     tau = args.tau if args.tau is not None else sc.tau
     doc = {"scenario_hash": sc.hash}
     if args.tau_sweep:
-        certs, passing, best = feasible_tau_search(
-            sc.envelopes.qbar, sc.envelopes.qstar, sc.C, sc.c, sc.gains, sc.Ma
-        )
+        certs, passing, best = feasible_tau_search(env.qbar, env.qstar, sc.C, sc.c, sc.gains, sc.Ma)
         doc["sweep"] = [{"tau": t, **cert.to_dict()} for t, cert in certs]
         doc["passing_taus"] = [t for t, _ in passing]
         doc["best"] = {"tau": best[0], **best[1].to_dict()} if best else None
     else:
-        cert = run_certify(
-            sc.envelopes.qbar, sc.envelopes.qstar, sc.C, sc.c, sc.gains, sc.Ma, tau
-        )
+        cert = run_certify(env.qbar, env.qstar, sc.C, sc.c, sc.gains, sc.Ma, tau)
         doc.update(cert.to_dict())
     _print_json(doc, args.out)
     return 0
@@ -213,11 +204,7 @@ def cmd_certify(args):
 
 def _write_csv(path, out, scenario_hash):
     coupled = path.coupled
-    jumps_at = set()
-    for recs in path.jumps.values():
-        for t, _, _ in recs:
-            jumps_at.add(t)
-    jt = sorted(jumps_at)
+    jt = sorted({t for recs in path.jumps.values() for t, _, _ in recs})
     d = path.X.shape[1]
     header = ["t"] + [f"x{i + 1}" for i in range(d)] + ["lambda", "lambda_star", "lambda_bar", "jump_flag"]
     lines = [
@@ -301,15 +288,15 @@ def build_parser():
 
     p = sub.add_parser("couple", help="coupling rate tables at a point")
     common(p)
-    p.add_argument("--x", required=True, help="comma-separated point")
+    p.add_argument("--x", required=True, type=_csv(float), help="comma-separated point")
     p.add_argument("--from", dest="pair", type=_pair, help="restrict to product state i,j")
     p.set_defaults(fn=cmd_couple)
 
     p = sub.add_parser("spectral", help="skeletons, tilted roots, exponential functionals")
     common(p)
-    p.add_argument("--theta", help="comma-separated tilt vector")
+    p.add_argument("--theta", type=_csv(float), help="comma-separated tilt vector")
     p.add_argument("--p", type=float, default=3.0, help="diagonal perturbation strength")
-    p.add_argument("--n", help="comma-separated horizon list for the functional table")
+    p.add_argument("--n", type=_csv(int), help="comma-separated horizon list for the functional table")
     p.set_defaults(fn=cmd_spectral)
 
     p = sub.add_parser("certify", help="stability certificate at tau, or a tau sweep")

@@ -5,6 +5,8 @@ reproduce Q1 and Q2.  The order-preserving construction used here builds, for
 each product state (i, j) with i <= j, a triangular recursion over pairs
 (m, n) and emits only targets with m <= n, so the coupled chains never cross.
 For i > j the symmetric "independent excess" coupling is used instead.
+The envelopes must sit in the partial-sum order (Massey's comparison of
+generators); extremal_envelopes derives the tightest pair for any M.
 
 All rate matrices handled here are off-diagonal arrays: entry (i, j), i != j,
 is the jump rate, diagonal entries are zero (the generator diagonal is implied
@@ -58,26 +60,6 @@ class EnvelopePair:
     def qstar_up_positive(self) -> bool:
         """Two-state: the lower envelope's up-rate is positive."""
         return len(self.qstar) == 2 and bool(self.qstar[0, 1] > 0)
-
-
-def two_state_envelopes(rates_on_grid: np.ndarray) -> EnvelopePair:
-    """Extremal two-state envelopes from rates evaluated on a grid.
-
-    ``rates_on_grid``: stack (n, 2, 2) of off-diagonal rates q_ij(x) over the
-    grid.  Upper envelope takes sup of the up-rate and inf of the down-rate;
-    lower envelope swaps them.
-    """
-    R = np.asarray(rates_on_grid, dtype=float)
-    if R.ndim != 3 or R.shape[1:] != (2, 2):
-        raise CouplingError(f"expected a (n, 2, 2) rate stack, got {R.shape}")
-    if R.shape[0] == 0:
-        raise CouplingError("empty evaluation grid")
-    q12, q21 = R[:, 0, 1], R[:, 1, 0]
-    up12, up21 = float(q12.max()), float(q21.min())
-    lo12, lo21 = float(q12.min()), float(q21.max())
-    qbar = np.array([[-up12, up12], [up21, -up21]])
-    qstar = np.array([[-lo12, lo12], [lo21, -lo21]])
-    return EnvelopePair(qbar, qstar)
 
 
 @dataclass
@@ -177,6 +159,39 @@ def _partial_sums(R):
         dn[:, m] += dn[:, m - 1]
         up[:, M - 1 - m] += up[:, M - m]
     return up, dn
+
+
+def extremal_envelopes(rates_on_grid) -> EnvelopePair:
+    """Least upper and greatest lower envelopes of a (n, M, M) grid rate
+    stack in the partial-sum order that check_domination tests.
+
+    Upper row i: its tails sum_{l>=m} qbar[i, l], m > i, are the grid maxima
+    over the rows i1 <= i, made non-increasing in m by a running max from the
+    right; its heads sum_{l<=m} qbar[i, l], m < i, are the grid minima over
+    the rows m < i1 <= i, made non-decreasing in m by a running min from the
+    right.  Entries are consecutive differences of these sums, so they are
+    nonnegative.  The lower envelope is the mirror image: the upper envelope
+    of the state-reversed stack, reversed back.  At M = 2 both are the grid
+    extrema of the two rates."""
+    R = np.asarray(rates_on_grid, dtype=float)
+    if R.ndim != 3 or R.shape[1] != R.shape[2]:
+        raise CouplingError(f"expected a (n, M, M) rate stack, got {R.shape}")
+    if R.shape[0] == 0:
+        raise CouplingError("empty evaluation grid")
+    qstar = _least_upper(R[:, ::-1, ::-1])[::-1, ::-1]
+    return EnvelopePair(with_diagonal(_least_upper(R)), with_diagonal(qstar))
+
+
+def _least_upper(R):
+    """Off-diagonal rates of the least upper envelope of the stack R."""
+    up, dn = _partial_sums(R)
+    below = np.tri(R.shape[1], k=-1, dtype=bool)  # below[i, m]: m < i
+    # tails with m reversed, so the running max from the right runs forwards
+    tails = np.maximum.accumulate(np.maximum.accumulate(up.max(axis=2), axis=0)[:, ::-1], axis=1)
+    heads = np.minimum.accumulate(np.where(below, dn.min(axis=2), np.inf), axis=0)
+    heads = np.where(below, np.minimum.accumulate(heads[:, ::-1], axis=1)[:, ::-1], 0.0)
+    d_tails = np.diff(tails, axis=1, prepend=0.0)[:, ::-1]
+    return np.where(below.T, d_tails, np.where(below, np.diff(heads, axis=1, prepend=0.0), 0.0))
 
 
 def check_domination(R1, R2, grid_points=None) -> DominationReport:

@@ -27,7 +27,8 @@ the exit rates it reads against the declared bound H and raises EngineError
 beyond it.  Coupled runs either share one mark among all three chains
 (two-state interval route, when the interval-sum conditions hold) or drive the
 pair transitions from the order-preserving coupling rows with shared candidate
-times (matrix route).
+times (matrix route).  A scenario that declares no envelopes is coupled
+against coupling.extremal_envelopes of its validation grid, for any M.
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
@@ -195,9 +196,7 @@ def choose_route(sc: Scenario):
     env = sc.envelopes
     warnings = []
     if env is None:
-        if sc.M != 2:
-            raise EngineError("coupled simulation requires declared envelopes for M > 2")
-        env = cpl.two_state_envelopes(R)
+        env = cpl.extremal_envelopes(R)
         warnings.append("envelopes derived from the validation grid")
     if sc.M == 2:
         conds = cpl.check_two_state_conditions(env, R, pts)
@@ -442,7 +441,7 @@ class _ChunkRun:
             c, m, n = np.unravel_index(int(rows.argmin()), rows.shape)
             raise EngineError(
                 f"coupling produced negative rate {neg:.3e} to ({m + 1},{n + 1}) at "
-                f"x={Xc[c % nc].tolist()}; the declared envelopes are inconsistent"
+                f"x={Xc[c % nc].tolist()}; the envelopes do not dominate the rates there"
             )
         np.maximum(rows, 0.0, out=rows)
         row1, row2 = rows[:nc], rows[nc:]

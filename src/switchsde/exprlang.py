@@ -291,7 +291,10 @@ _SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 def _eval_call(name, args):
     if name == "sqrt" and args[0] < 0:
         raise EvalError(f"sqrt of negative value {args[0]}")
-    return _SCALAR_CALLS[name](*args)
+    try:
+        return _SCALAR_CALLS[name](*args)
+    except ValueError as exc:  # sin and cos of an infinite argument
+        raise EvalError(f"{name} domain error: {args[0]}") from exc
 
 
 def _eval_binop(op, a, b):

@@ -380,16 +380,12 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
     if np.any(sc.C < sc.c - 1e-12):
         rep.structural.append("bounds: C(i) < c(i) for some state")
 
-    # envelopes: declared ones are checked for consistency with the grid and
-    # for the partial-sum domination; two-state interval conditions reported
+    # envelopes, declared or else derived from the grid, are checked for the
+    # partial-sum domination; two-state interval conditions reported
     env = sc.envelopes
-    if env is None and sc.M == 2:
-        env = coupling.two_state_envelopes(R)
-        rep.warnings.append("envelopes derived from the grid (grid-certified, not asserted)")
     if env is None:
-        rep.findings["envelopes"] = None
-        rep.warnings.append("no envelopes declared; coupled simulation unavailable")
-        return rep
+        env = coupling.extremal_envelopes(R)
+        rep.warnings.append("envelopes derived from the grid (grid-certified, not asserted)")
 
     for name, Q in (("qbar", env.qbar), ("qstar", env.qstar)):
         gd = markov.validate_generator(Q)

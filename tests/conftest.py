@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchsde.coupling import CHECK_TOL, MAX_VIOLATIONS, DominationReport, offdiag
+from switchsde.coupling import (
+    CHECK_TOL,
+    MAX_VIOLATIONS,
+    CouplingError,
+    DominationReport,
+    EnvelopePair,
+    offdiag,
+)
 from switchsde.exprlang import BinOp, Call, EvalError, Expr, Neg, Num, Var
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -280,6 +287,28 @@ def check_domination_reference(R1, R2, grid_points=None) -> DominationReport:
     )
 
 
+def two_state_envelopes_reference(rates_on_grid: np.ndarray) -> EnvelopePair:
+    """Extremal two-state envelopes from rates evaluated on a grid, as the
+    library derived them before coupling.extremal_envelopes covered every M;
+    the bitwise reference for its M = 2 case.
+
+    ``rates_on_grid``: stack (n, 2, 2) of off-diagonal rates q_ij(x) over the
+    grid.  Upper envelope takes sup of the up-rate and inf of the down-rate;
+    lower envelope swaps them.
+    """
+    R = np.asarray(rates_on_grid, dtype=float)
+    if R.ndim != 3 or R.shape[1:] != (2, 2):
+        raise CouplingError(f"expected a (n, 2, 2) rate stack, got {R.shape}")
+    if R.shape[0] == 0:
+        raise CouplingError("empty evaluation grid")
+    q12, q21 = R[:, 0, 1], R[:, 1, 0]
+    up12, up21 = float(q12.max()), float(q21.min())
+    lo12, lo21 = float(q12.min()), float(q21.max())
+    qbar = np.array([[-up12, up12], [up21, -up21]])
+    qstar = np.array([[-lo12, lo12], [lo21, -lo21]])
+    return EnvelopePair(qbar, qstar)
+
+
 MARGINALITY_TOL = 1e-10
 RATE_TOL = 1e-12
 
@@ -392,7 +421,9 @@ def candidate_rounds_reference(counts_block, u_all, na, h, R_cand):
 
 # The three value walks of exprlang as they stood before they became rule
 # tables over one fold, kept verbatim (bar the names) as references for
-# max_variable, evaluate, compile_vectorized and constant_value.
+# max_variable, evaluate, compile_vectorized and constant_value; since then
+# evaluate raises EvalError for sin and cos of an infinite argument, and so
+# does its reference.
 
 
 def max_variable_reference(e: Expr) -> int:
@@ -426,6 +457,8 @@ def evaluate_reference(e: Expr, x) -> float:
             return math.sqrt(args[0])
         if e.name == "abs":
             return abs(args[0])
+        if e.name in ("sin", "cos") and math.isinf(args[0]):
+            raise EvalError(f"{e.name} domain error: {args[0]}")
         if e.name == "sin":
             return math.sin(args[0])
         if e.name == "cos":

@@ -6,9 +6,12 @@ import pytest
 from switchsde import coupling as cp
 from switchsde import exprlang as ex
 from tests.conftest import (
+    FIXTURE_NAMES,
     check_domination_reference,
     coupling_rows_reference,
+    load_fixture,
     random_dominated_pair,
+    two_state_envelopes_reference,
     verify_coupling_matrix,
 )
 
@@ -57,7 +60,7 @@ def pick(R, state, u):
 
 class TestEnvelopes:
     def test_trig_extrema(self):
-        env = cp.two_state_envelopes(trig_rates_on(GRID))
+        env = cp.extremal_envelopes(trig_rates_on(GRID))
         assert np.abs(env.qbar - QBAR).max() < 1e-4
         assert np.abs(env.qstar - QSTAR).max() < 1e-4
         assert env.qbar_down_positive and env.qstar_up_positive
@@ -66,21 +69,77 @@ class TestEnvelopes:
         R = np.zeros((5, 2, 2))
         R[:, 0, 1] = 0.7
         R[:, 1, 0] = 1.3
-        env = cp.two_state_envelopes(R)
+        env = cp.extremal_envelopes(R)
         assert np.array_equal(env.qbar, env.qstar)
         assert env.qbar[0, 1] == 0.7 and env.qbar[1, 0] == 1.3
 
     def test_grid_refinement_is_monotone(self):
         coarse = np.linspace(-10, 10, 501)
         fine = np.linspace(-10, 10, 2001)  # superset as a point set
-        e1 = cp.two_state_envelopes(trig_rates_on(coarse))
-        e2 = cp.two_state_envelopes(trig_rates_on(np.concatenate([coarse, fine])))
+        e1 = cp.extremal_envelopes(trig_rates_on(coarse))
+        e2 = cp.extremal_envelopes(trig_rates_on(np.concatenate([coarse, fine])))
         assert e2.qbar[0, 1] >= e1.qbar[0, 1]
         assert e2.qbar[1, 0] <= e1.qbar[1, 0]
 
     def test_empty_grid_raises(self):
         with pytest.raises(cp.CouplingError):
-            cp.two_state_envelopes(np.zeros((0, 2, 2)))
+            cp.extremal_envelopes(np.zeros((0, 2, 2)))
+
+    def test_two_states_match_the_reference_bitwise(self):
+        rng = np.random.default_rng(20261019)
+        stacks = [trig_rates_on(GRID)]
+        for n in (1, 2, 7, 300):
+            R = rng.uniform(0.0, 3.0, (n, 2, 2)) * (rng.uniform(size=(n, 2, 2)) < 0.8)
+            R[:, [0, 1], [0, 1]] = 0.0
+            stacks.append(R)
+        for R in stacks:
+            got, want = cp.extremal_envelopes(R), two_state_envelopes_reference(R)
+            assert got.qbar.tobytes() == want.qbar.tobytes()
+            assert got.qstar.tobytes() == want.qstar.tobytes()
+
+    def test_random_stacks_dominate(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(200):
+            M, n = int(rng.integers(3, 8)), int(rng.integers(1, 40))
+            R = rng.uniform(0.0, 3.0, (n, M, M)) * (rng.uniform(size=(n, M, M)) < 0.7)
+            R[:, np.arange(M), np.arange(M)] = 0.0
+            env = cp.extremal_envelopes(R)
+            for Q in (env.qbar, env.qstar):
+                assert cp.offdiag(Q).min() >= 0.0
+                assert np.abs(Q.sum(axis=1)).max() < 1e-12
+            assert check_domination_reference(R, cp.offdiag(env.qbar)).holds
+            assert check_domination_reference(cp.offdiag(env.qstar), R).holds
+
+    def test_extremal_among_dominating_envelopes(self):
+        # any envelope that dominates the rates dominates the least upper one,
+        # and is dominated by the greatest lower one
+        rng = np.random.default_rng(20261021)
+        for _ in range(100):
+            M = int(rng.integers(2, 7))
+            R1, R2 = random_dominated_pair(rng, M)
+            up = cp.extremal_envelopes(R1[None])
+            assert cp.check_domination(cp.offdiag(up.qbar), R2).holds
+            lo = cp.extremal_envelopes(R2[None])
+            assert cp.check_domination(R1, cp.offdiag(lo.qstar)).holds
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_grids(self, name):
+        sc = load_fixture(name)
+        pts = sc.grid_points()
+        R = sc.rates.offdiag_batch(pts)
+        env = cp.extremal_envelopes(R)
+        assert cp.check_domination(R, cp.offdiag(env.qbar), pts).holds
+        assert cp.check_domination(cp.offdiag(env.qstar), R, pts).holds
+        if sc.M == 2:
+            want = two_state_envelopes_reference(R)
+            assert env.qbar.tobytes() == want.qbar.tobytes()
+            assert env.qstar.tobytes() == want.qstar.tobytes()
+
+    def test_three_state_rational(self):
+        env = cp.extremal_envelopes(three_state_rates_on(GRID))
+        assert np.array_equal(env.qbar, [[-4, 2, 2], [1, -3, 2], [1, 2, -3]])
+        want = [[-2, 1, 1], [3, -4, 1], [3, 1.8871, -4.8871]]
+        assert np.abs(env.qstar - want).max() < 1e-4
 
 
 class TestTwoStateConditions:
@@ -100,7 +159,7 @@ class TestTwoStateConditions:
         R = np.zeros((3, 2, 2))
         R[:, 0, 1] = 2.0
         R[:, 1, 0] = 1.0
-        env = cp.two_state_envelopes(R)
+        env = cp.extremal_envelopes(R)
         conds = cp.check_two_state_conditions(env, R, np.zeros(3))
         assert conds.upper.holds and conds.lower.holds
 

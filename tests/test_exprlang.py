@@ -89,6 +89,11 @@ def test_eval_domain_errors():
         ex.evaluate(ex.parse("x3"), [1.0, 2.0])
     with pytest.raises(ex.EvalError, match="pow"):
         ex.evaluate(ex.parse("(-8)^0.5"), [])
+    # once math's bare ValueError("math domain error")
+    with pytest.raises(ex.EvalError, match="sin domain error: inf"):
+        ex.evaluate(ex.parse("sin(x1*1e308*10)"), [1.0])
+    with pytest.raises(ex.EvalError, match="cos domain error: -inf"):
+        ex.evaluate(ex.parse("cos(x1*1e308*10)"), [-1.0])
 
 
 def test_vectorized_matches_scalar():

@@ -170,6 +170,26 @@ class TestCli:
         assert abs(doc["grid_envelopes"]["qbar"][0][1] - 2.0) < 1e-4
         assert doc["two_state_conditions"]["upper"]["holds"] is False
 
+    def test_three_states_without_declared_envelopes(self, tmp_path, capsys):
+        # once an EngineError: coupled runs needed declared envelopes for M > 2
+        doc = json.loads((FIXTURES / "three_state_rational.json").read_text())
+        del doc["envelopes"]
+        fx = write_scenario(tmp_path, doc)
+        assert cli.main(["mc", fx, "--coupled", "--paths", "64", "--horizon", "1"]) == 0
+        summ = json.loads(capsys.readouterr().out)
+        assert summ["route"] == "matrix"
+        assert "envelopes derived from the validation grid" in summ["warnings"]
+        assert summ["ordering_violations"] == 0
+        assert cli.main(["validate", fx]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert "envelopes derived from the grid (grid-certified, not asserted)" in rep["warnings"]
+        assert rep["findings"]["domination_upper"]["holds"]
+        assert rep["findings"]["domination_lower"]["holds"]
+        assert rep["findings"]["qbar_irreducible"] and rep["findings"]["qstar_irreducible"]
+        assert cli.main(["envelopes", fx]) == 0
+        grid = json.loads(capsys.readouterr().out)["grid_envelopes"]
+        assert grid["qbar"] == [[-4.0, 2.0, 2.0], [1.0, -3.0, 2.0], [1.0, 2.0, -3.0]]
+
     def test_couple_table(self):
         proc = run_cli(
             "couple", str(FIXTURES / "two_state_trig.json"), "--x", "0.0", "--from", "1,1"
@@ -195,6 +215,24 @@ class TestCli:
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
         assert f"expected a product state i,j, got {pair!r}" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "cmd, option, text, kind",
+        [
+            ("couple", "--x", "0,abc", "float"),
+            ("spectral", "--theta", "a,b", "float"),
+            ("spectral", "--n", "60,x", "int"),
+        ],
+        ids=["x", "theta", "n"],
+    )
+    def test_malformed_list_is_a_usage_error(self, cmd, option, text, kind):
+        # once "runtime error: could not convert string to float" or
+        # "invalid literal for int()"
+        proc = run_cli(cmd, str(FIXTURES / "two_state_trig.json"), option, text)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+        assert f"argument {option}: expected comma-separated {kind} values, got {text!r}" in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize("stride", ["0", "-1"])
     def test_mc_record_stride_below_one(self, stride):
