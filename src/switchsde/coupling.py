@@ -389,14 +389,14 @@ def full_coupling_generator(Q1, Q2) -> np.ndarray:
 
 def row_block_pick(Roff, states, mark):
     """Locate jumps out of ``states`` (0-based, (n,)) for marks in the
-    consecutive-row layout of the off-diagonal rate stack ``Roff`` (n, M, M).
+    row-block layout of the off-diagonal rate stack ``Roff`` (n, M, M).
 
-    Rows are laid out consecutively over the mark space: row 0 starts at 0,
-    row i at the sum of the preceding rows' exit rates, and inside a row the
-    left-closed right-open target intervals follow in state order with
-    widths equal to the rates.  A row's block ends at the last of its
-    cumulative sums, so every mark inside the block lies below some target's
-    upper edge; a mark outside the source row's block is no jump.
+    Every row's block starts at 0, since a chain reads only the row of its
+    current state: inside it the left-closed right-open target intervals
+    follow in state order with widths equal to the rates.  A row's block
+    ends at the last of its cumulative sums, the exit rate q_i, so every mark
+    inside the block lies below some target's upper edge; a mark at or above
+    q_i is no jump.
 
     Returns (hit, target, width, u_in, q): whether the mark falls in the
     source row's block, the target state, that interval's width, the mark's
@@ -408,9 +408,8 @@ def row_block_pick(Roff, states, mark):
     q = cums[:, :, -1]
     qi = q[ar, states]
     rows = cums[ar, states]
-    u_in = mark - (np.cumsum(q, axis=1)[ar, states] - qi)
-    hit = (u_in >= 0) & (u_in < qi)
-    tgt = (u_in[:, None] < rows).argmax(axis=1)
+    hit = (mark >= 0) & (mark < qi)
+    tgt = (mark[:, None] < rows).argmax(axis=1)
     width = Roff[ar, states, tgt]
-    u_in = (u_in - (rows[ar, tgt] - width)) / np.maximum(width, 1e-300)
+    u_in = (mark - (rows[ar, tgt] - width)) / np.maximum(width, 1e-300)
     return hit, tgt, width, u_in, q

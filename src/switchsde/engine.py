@@ -14,9 +14,13 @@ evaluates the drift and the diffusion at full width once per distinct
 expression tree; the regimes that share a tree share its values.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
-the whole mark space; at each candidate the diffusion value is linearly
-interpolated inside the step and a uniform mark decides the jump through the
-consecutive-interval layout.  That layout exists once, as
+the mark space a chain can read: the exit-rate bound H on the marginal route,
+H plus the envelopes' largest exit rates on the matrix route, and 2H on the
+two-state interval route, whose shared mark lays both rows end to end.  At
+each candidate the diffusion value is linearly interpolated inside the step
+and a uniform mark decides the jump through the row-block layout, in which
+every row's block starts at 0, as a chain reads only the row of its current
+state (thinning; Lewis and Shedler 1979).  That layout exists once, as
 coupling.row_block_pick, which the marginal and matrix routes call.  The
 candidates of a step block are scheduled once, from the block's draws, in
 groups of (step, round): round r holds the r-th candidate in time of every
@@ -27,8 +31,10 @@ the exit rates it reads against the declared bound H and raises EngineError
 beyond it.  Coupled runs either share one mark among all three chains
 (two-state interval route, when the interval-sum conditions hold) or drive the
 pair transitions from the order-preserving coupling rows with shared candidate
-times (matrix route).  A scenario that declares no envelopes is coupled
-against coupling.extremal_envelopes of its validation grid, for any M.
+times (matrix route); the interval route counts crossings, while a
+matrix-route round that crosses raises EngineError.  A scenario that declares
+no envelopes is coupled against coupling.extremal_envelopes of its validation
+grid, for any M.
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
@@ -258,7 +264,9 @@ class _ChunkRun:
         self.recording = record_local is not None
         self.lo, self.na = (record_local, 1) if self.recording else (0, min(params.n_paths - start, W))
 
-        self.L = M * sc.rates.H
+        # every row's mark block starts at 0; the two-state rule lays both
+        # rows end to end under one mark, as it needs q12 + q21 of each chain
+        self.L = (M if route == "two_state" else 1) * sc.rates.H
         self.H_max = sc.rates.H + cpl.CHECK_TOL
         self.R_cand = self.L
         if route == "matrix":
@@ -365,11 +373,12 @@ class _ChunkRun:
                 tc[moved].tolist(), (old + 1).tolist(), (new + 1).tolist()
             )
 
-    def _order_violations(self, p) -> int:
-        if not self.coupled:
-            return 0
+    def _crossed(self, p):
         ls, lm, lb = self.S[:, p]
-        return int(((ls > lm) | (lm > lb)).sum())
+        return (ls > lm) | (lm > lb)
+
+    def _order_violations(self, p) -> int:
+        return int(self._crossed(p).sum()) if self.coupled else 0
 
     # -- jump dispatch
 
@@ -383,11 +392,28 @@ class _ChunkRun:
         Roff = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
             r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
-            before = self._order_violations(pr)  # a round holds each path once
+            # a round holds each path once; only the interval route counts
+            # crossings, the matrix route refuses them
+            before = self._order_violations(pr) if self.route == "two_state" else 0
             self._jump(Roff[rc], marks[r], aux[r], pr, self.h - offs[r], t + offs[r], Xc[rc])
             after = self._order_violations(pr)
+            if after and self.route == "matrix":
+                self._raise_crossing(pr, t + offs[r])
             self.violations += after
             self.n_bad += after - before
+
+    def _raise_crossing(self, p, tc):
+        """A matrix-route round left some path's chains out of order: the
+        coupling rows fall short where the envelopes do not dominate."""
+        c = int(np.flatnonzero(self._crossed(p))[0])
+        states = ", ".join(f"{name}={s + 1}" for name, s in zip(CHAIN_NAMES, self.S[:, p[c]].tolist()))
+        where = (
+            "; the envelopes were derived from the validation grid and are certified only on it"
+            if self.sc.envelopes is None else ""
+        )
+        raise EngineError(
+            f"coupled chains crossed at t={tc[c]:.6g}, path {self.start + self.lo + p[c]}: {states}{where}"
+        )
 
     def _check_rate_bound(self, q, p, tc, Xc):
         """Thinning is exact only while every exit rate ``q`` (n, M) at the

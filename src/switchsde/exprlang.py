@@ -348,7 +348,13 @@ def _compile_neg(f):
     return (lambda X: -f(X)) if callable(f) else -f
 
 
-_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sqrt": np.sqrt, "min": np.minimum, "max": np.maximum}
+def _safe_sqrt(a):
+    # a negative argument gives NaN, which the engine's guards report
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(a)
+
+
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sqrt": _safe_sqrt, "min": np.minimum, "max": np.maximum}
 
 
 def _compile_call(name, fs):

@@ -434,9 +434,10 @@ class TestVerifyOracle:
 
 
 class TestSkorokhodPartition:
-    """The consecutive-row mark layout of row_block_pick: left-closed
-    right-open target intervals of width equal to the rates, rows laid out
-    one after another in state order."""
+    """The row-block mark layout of row_block_pick: every row's block starts
+    at 0 and holds left-closed right-open target intervals of width equal to
+    the rates, in state order; a mark at or above the exit rate q_i is no
+    jump."""
 
     def test_single_interval(self):
         R = np.array([[0.0, 1.5], [1.0, 0.0]])
@@ -444,10 +445,11 @@ class TestSkorokhodPartition:
         assert pick(R, 0, 0.0) == (1, 1.5, 0.0)
         assert pick(R, 0, 0.75)[::2] == (1, 0.5)
         assert pick(R, 0, below)[0] == 1
-        assert pick(R, 0, 1.5)[0] is None  # row 1's block starts here
+        assert pick(R, 0, 1.5)[0] is None  # the block ends at q_1
         assert pick(R, 0, np.nextafter(0.0, -np.inf))[0] is None
-        assert pick(R, 1, 1.5)[:2] == (0, 1.0)
-        assert pick(R, 1, below)[0] is None
+        assert pick(R, 1, 0.0) == (0, 1.0, 0.0)
+        assert pick(R, 1, np.nextafter(1.0, -np.inf))[0] == 0
+        assert pick(R, 1, 1.0)[0] is None
         _, _, _, _, q = cp.row_block_pick(R[None], np.array([0]), np.array([0.0]))
         assert q.tolist() == [[1.5, 1.0]]
 
@@ -455,55 +457,51 @@ class TestSkorokhodPartition:
         R = np.array([[0.0, 0.0], [1.0, 0.0]])
         for u in (np.nextafter(0.0, -np.inf), 0.0, 0.5, 1.0):
             assert pick(R, 0, u)[0] is None
-        # the empty row takes no mark space: row 1 starts at 0
         assert pick(R, 1, 0.0)[:2] == (0, 1.0)
         assert pick(R, 1, 1.0)[0] is None
 
-    def test_rows_are_offset_consecutively(self):
+    def test_every_row_starts_at_zero(self):
         R = np.array([[0.0, 1.2, 0.3], [0.4, 0.0, 0.6], [0.2, 0.1, 0.0]])
-        # row 1 starts at row 0's total 1.5, row 2 at 1.5 + 1.0
-        assert pick(R, 1, 1.5 - 1e-9)[0] is None
-        assert pick(R, 1, 1.5 + 1e-9)[:2] == (0, 0.4)
-        assert pick(R, 1, 1.9 + 1e-9)[:2] == (2, 0.6)
-        assert pick(R, 1, 2.5 - 1e-9)[0] == 2
-        assert pick(R, 1, 2.5 + 1e-9)[0] is None
-        assert pick(R, 2, 2.5 - 1e-9)[0] is None
-        assert pick(R, 2, 2.5 + 1e-9)[:2] == (0, 0.2)
-        assert pick(R, 2, 2.7 + 1e-9)[:2] == (1, 0.1)
-        assert pick(R, 2, 2.8 + 1e-9)[0] is None
+        # each row's targets in state order from 0, the block ending at q_i
+        for i, blocks in enumerate([[(0.0, 1), (1.2, 2)], [(0.0, 0), (0.4, 2)], [(0.0, 0), (0.2, 1)]]):
+            for lo, j in blocks:
+                assert pick(R, i, lo)[:2] == (j, R[i, j])
+                assert pick(R, i, lo + R[i, j] / 2)[0] == j
+            q = R[i].sum()
+            assert pick(R, i, np.nextafter(q, -np.inf))[0] == blocks[-1][1]
+            assert pick(R, i, q)[0] is None
+            assert pick(R, i, np.nextafter(0.0, -np.inf))[0] is None
 
     def test_lengths_sum_to_exit_rate(self):
         rng = np.random.default_rng(15)
         R = rng.uniform(0, 0.9, (4, 4)) * (rng.random((4, 4)) < 0.8)
         np.fill_diagonal(R, 0.0)
-        lo = 0.0
         for i in range(4):
             widths = []
             for j in np.flatnonzero(R[i]):
-                mid = lo + R[i, :j].sum() + R[i, j] / 2
+                mid = R[i, :j].sum() + R[i, j] / 2
                 tgt, width, u_in = pick(R, i, mid)
                 assert tgt == j and width == R[i, j]
                 assert u_in == pytest.approx(0.5)
                 widths.append(width)
             assert sum(widths) == pytest.approx(R[i].sum())
-            lo += R[i].sum()
-        # row 0 starts at 0, so its edges are exact marks: an edge belongs to
-        # the interval above it, one ulp below to the interval before
-        edges = np.cumsum(R[0])
-        targets = np.flatnonzero(R[0])
-        for k, j in enumerate(targets):
-            e = edges[j - 1] if j else 0.0
-            assert pick(R, 0, e)[0] == j
-            assert pick(R, 0, np.nextafter(e, np.inf))[0] == j
-            assert pick(R, 0, np.nextafter(e, -np.inf))[0] == (targets[k - 1] if k else None)
-        assert pick(R, 0, np.nextafter(edges[-1], -np.inf))[0] == targets[-1]
-        assert pick(R, 0, edges[-1])[0] is None
+            # the edges are exact marks: an edge belongs to the interval above
+            # it, one ulp below to the interval before
+            edges = np.cumsum(R[i])
+            targets = np.flatnonzero(R[i])
+            for k, j in enumerate(targets):
+                e = edges[j - 1] if j else 0.0
+                assert pick(R, i, e)[0] == j
+                assert pick(R, i, np.nextafter(e, np.inf))[0] == j
+                assert pick(R, i, np.nextafter(e, -np.inf))[0] == (targets[k - 1] if k else None)
+            assert pick(R, i, np.nextafter(edges[-1], -np.inf))[0] == targets[-1]
+            assert pick(R, i, edges[-1])[0] is None
 
 
 @pytest.mark.parametrize("M", range(2, 11))
 def test_pick_hits_lie_in_their_target_interval(M):
     """A hit lies inside its target's interval of the cumulative row sums,
-    also for marks at and just below the end of the source row's block (a
+    also for marks at and just below the end q_i of the source row's block (a
     block that ended at the pairwise row sum left an ulp gap from 8 states
     on, where the pick answered state 1)."""
     rng = np.random.default_rng(M)
@@ -515,19 +513,16 @@ def test_pick_hits_lie_in_their_target_interval(M):
     cums = np.cumsum(R, axis=2)
     rows = cums[ar, states]
     q = cums[:, :, -1]
-    lo = np.cumsum(q, axis=1)[ar, states] - q[ar, states]
-    marks = [lo + q[ar, states]]
+    marks = [q[ar, states]]
     for _ in range(8):
         marks.append(np.nextafter(marks[-1], -np.inf))
-    marks.append(lo + rng.random(n) * q[ar, states])
+    marks.append(rng.random(n) * q[ar, states])
     for mark in marks:
         hit, tgt, *_ = cp.row_block_pick(R, states, mark)
-        u = (mark - lo)[hit]
         upper = rows[ar, tgt][hit]
         lower = np.where(tgt > 0, rows[ar, tgt - 1], 0.0)[hit]
-        assert np.all((lower <= u) & (u < upper))
-        u = mark - lo
-        assert np.array_equal(hit, (u >= 0) & (u < rows[:, -1]))
+        assert np.all((lower <= mark[hit]) & (mark[hit] < upper))
+        assert np.array_equal(hit, (mark >= 0) & (mark < rows[:, -1]))
 
 
 def test_rates_match_expression_language():

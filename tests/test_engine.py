@@ -13,6 +13,7 @@ from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
 from tests.conftest import FIXTURES, candidate_rounds_reference, make_scenario, write_scenario
+from tests.test_golden import six_state_birth_death
 
 
 def load(doc):
@@ -220,13 +221,15 @@ class TestCoupledRoutes:
     def test_region_c_subtracts_l_then_hbar(self):
         # the lower chain's mark space starts at L + Hbar, and region C places
         # a mark in it as (mark - L) - Hbar; at this mark on the edge of the
-        # lower table's interval, mark - (L + Hbar) rounds to the other side
+        # lower table's interval, mark - (L + Hbar) rounds to the other side.
+        # Off the two-state route L = H, taken here as 2.2
         sc = load(make_scenario(
-            rates=[["0", "0.3"], ["0.3", "0"]], rate_bound=1.1, initial={"x": [1.0], "state": 2},
+            rates=[["0", "0.3"], ["0.3", "0"]], rate_bound=2.2, initial={"x": [1.0], "state": 2},
             envelopes={"qbar": [[-0.3, 0.3], [0.3, -0.3]], "qstar": [[-0.2, 0.2], [0.8, -0.8]]},
         ))
         run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), 0, "matrix", sc.envelopes)
         L, Hbar = run.L, run.Hbar
+        assert L == sc.rates.H
         edge = 0.8 - min(0.8, 0.3)  # lower-chain excess down-rate from (2, 2)
         mark = (L + Hbar) + edge
         assert (mark - L) - Hbar < edge <= mark - (L + Hbar)
@@ -261,8 +264,7 @@ def _with_crossings(run):
 
 
 class TestOrderCount:
-    # the interval route: the coupling rows of the matrix route refuse pairs
-    # out of order
+    # the interval route: the matrix route refuses pairs out of order
     @pytest.mark.parametrize("record_local", [None, 5], ids=["mc", "simulate"])
     @pytest.mark.parametrize("name", ["two_state_balanced", "linear_feedback"])
     def test_running_count_matches_recount(self, name, record_local):
@@ -275,6 +277,34 @@ class TestOrderCount:
             for cls in (en._ChunkRun, _RecountRun)
         )
         assert got == want > 0
+
+    @pytest.mark.parametrize("record_local", [None, 5], ids=["mc", "simulate"])
+    def test_matrix_route_raises_at_the_crossing(self, ex_three_state, record_local):
+        # once a CouplingError of the next round of that path, naming neither
+        # the path nor the time
+        route, env, _ = en.choose_route(ex_three_state)
+        assert route == "matrix"
+        p = en.SimParams.from_scenario(ex_three_state, n_paths=64, horizon=3.0)
+        run = _with_crossings(en._ChunkRun(ex_three_state, p, 0, route, env, record_local=record_local))
+        rule, first = run._jump, []
+
+        def jump(Roff, mark, aux, p, rem, tc, Xc):  # the first crossing made
+            rule(Roff, mark, aux, p, rem, tc, Xc)
+            c = np.flatnonzero(run._crossed(p))
+            if len(c) and not first:
+                first.append((run.lo + p[c[0]], tc[c[0]], run.S[:, p[c[0]]] + 1))
+
+        run._jump = jump
+        with pytest.raises(en.EngineError) as err:
+            run.run()
+        path, t, (ls, lm, lb) = first[0]
+        if record_local is not None:
+            assert path == record_local
+        # the envelopes are declared, so the message does not blame the grid
+        assert str(err.value) == (
+            f"coupled chains crossed at t={t:.6g}, path {path}: "
+            f"lambda_star={ls}, lambda={lm}, lambda_bar={lb}"
+        )
 
 
 def _coefficients(d, shared):
@@ -408,6 +438,34 @@ class TestCandidateSchedule:
                 assert a.tobytes() == b.tobytes()
         if rate == 0.0:
             assert got == []
+
+    # (route, candidates, rounds) of one 2,048-path job, h = 0.01, T = 1,
+    # seed 3.  With every row's mark block at 0 the marginal route thins at H
+    # and the matrix route at H + Hbar + Hstar; when the rows lay end to end
+    # over [0, M*H) the counts were 49,599 and 322 (three_state_rational),
+    # 47,566 and 316 (six states) and 8,215 and 179 (linear_feedback,
+    # marginal).  The two-state route keeps its 2H mark space.
+    COUNTS = {"three_state_rational": ("matrix", 28867, 257), "six_state": ("matrix", 16637, 216),
+              "linear_feedback": ("marginal", 4106, 135), "two_state_balanced": ("two_state", 8215, 179)}
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_candidates_and_rounds_of_one_job(self, name, monkeypatch):
+        route, *want = self.COUNTS[name]
+        doc = six_state_birth_death() if name == "six_state" else str(FIXTURES / f"{name}.json")
+        sc = load(doc)
+        seen = [0, 0]
+
+        def schedule(*args):
+            out = schedule_block(*args)
+            seen[0] += len(out[0])
+            seen[1] += len(out[4]) - 1
+            return out
+
+        schedule_block = en._candidate_schedule
+        monkeypatch.setattr(en, "_candidate_schedule", schedule)
+        p = en.SimParams.from_scenario(sc, n_paths=2048, seed=3, h=0.01, horizon=1.0)
+        assert en.monte_carlo(sc, p, coupled=route != "marginal").route == route
+        assert seen == want
 
     def test_live_columns_only(self):
         counts = np.zeros((1, 3, 4), dtype=np.int64)
@@ -641,7 +699,7 @@ class TestGuards:
         assert "t=3 " in capsys.readouterr().err
 
     # the candidate time named for path 0 of 1 and for path 5 of 8
-    BREACH_TIMES = {"marginal": ("0.0584327", "0.146729"), "matrix": ("0.627774", "0.0836361"),
+    BREACH_TIMES = {"marginal": ("0.26709", "0.0633314"), "matrix": ("0.216425", "0.248542"),
                     "two_state": ("0.0584327", "0.146729")}
 
     @pytest.mark.parametrize("route", ["marginal", "matrix", "two_state"])

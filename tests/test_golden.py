@@ -10,8 +10,14 @@ regimes, in one and two dimensions.  The sha256 of ``validate`` and
 partial-sum domination reports.  A refactor that should not change behaviour
 keeps these green; a change to the random stream or the step update changes
 them on purpose and records the new hashes with the reason.  Every artifact
-hash here was last re-recorded when the random streams were keyed by groups
-of 64 paths and se_x2 began to merge per-chunk squared deviations.
+hash here was re-recorded when the random streams were keyed by groups of 64
+paths and se_x2 began to merge per-chunk squared deviations.  Those of the
+marginal and coupling-matrix routes were re-recorded once more when every
+row's mark block began at 0, so that these routes thin at H (plus Hbar + Hstar
+on the matrix route) instead of M*H; the coupled hashes of lag_bound,
+linear_feedback, linear_unstable and two_state_balanced, which take the
+two-state interval route and keep its 2H mark space, did not change.  A
+simulate hash of a path with no jump in either stream also stayed.
 """
 
 import hashlib
@@ -39,16 +45,16 @@ GOLDEN = {
         "be1cdc14bc0e26dbd18b24855e41427deada7c720475a29db93543bca8dee874",
     ),
     "three_state_rational": (
-        "f2fe4981b8f2e95f0b5c45407d1376fdadfd2e8ec1592eb61b48f669a76214a6",
-        "7cd9a4d28031a75ab014285463f8ae10d5305488440ebfd816e67279cecdeb95",
+        "7c2828ad3c6f3d67ad9560aaa012a063a6fb3359b267a86a1474ea6e919afa2b",
+        "423c4762afcc2a63b7a7b525ce73aa3b049aa23a71656a3c733a576e6c650e7c",
     ),
     "two_state_balanced": (
         "1048be347660550d7afc518d1c3a1b25ae4aedd7044b8f6653a92b74721bbe59",
         "26557a19b3515584282ad515981795bd4277203b35fd64f2a0c9a75188ce27b9",
     ),
     "two_state_trig": (
-        "97b83e7e6801a3c60a525b812d920bc6c4867e89cbb15f04f4a0adc4fbb3e8b6",
-        "ecdce1e87414a8a0e2b140db2096fb69f2a424098ab79018cc76412c0b030cd6",
+        "92849a016e3b226087adc2a30802ed5e0dc14d9631610217f805a29fa00c13ee",
+        "6dba509f2668a402781ba4d1a9fdab480356e495fe55fb95a7309eabf3198aa1",
     ),
 }
 
@@ -56,46 +62,46 @@ GOLDEN = {
 # the same runs without --coupled: the marginal route
 GOLDEN_MARGINAL = {
     "lag_bound": (
-        "f89bbd7a8fb2b360bbec08aa65f2b85ae449632d197f533d692edd1ce5e131b4",
-        "8b24ab8c74d47b8f7a26aa74f18272dc81c092bb0955b7c468a3ee4a27426419",
+        "a149246f28517dbfecb078bc9c487d8090e8fe28136d4183c701947af61405cb",
+        "2a8b281066767001b30bd68803fd5d1a2a1b889ac18a80329635d2211c965b6b",
     ),
     "linear_feedback": (
-        "a7af03421c7f9768342314450b353f5f49d579539764f28d137b8e07f586c877",
-        "fb75936cdc7bd06c96342f67c4b09fca8c787353611c3191907c6288c159de4e",
+        "f305a32d9b2b4ac4d3b25ab3e6d522ac9a31577eeaf3e78b67e4f5ed243c825b",
+        "4dde70309a708bc0608a792fa76f15ac93f663b8b8b5e8f302b2b3271c38d07d",
     ),
     "linear_unstable": (
-        "a5346fee52006784469e65e8e7c57c647843208a31cb15e94e8c80c7bb71afa6",
-        "db4f020b74ceeb336713c78fb867b2f3aa7d3f8a766208b902aa5025f595ab63",
+        "15a6d2b4bc4c37f09a30727496b6d0f839c43ab2fb7b3073b8ea10fee5f0e0d5",
+        "4d1604e06af8e34bc16678c21c49af075c5d0fbd5c8db909549f18db9f0bf816",
     ),
     "three_state_rational": (
-        "8e41dab1c735684db06061b8c69e447800f308d9cddef4a00ed0bff951b17032",
-        "5c40156d815e3021165ef8f1b10549160a72407e78f0f48da370c8097418a3ba",
+        "af7685198c4fb066dd20d375d59bd68a3de26ee39b31409639e90fabfa04bbcd",
+        "1c967d9a62fbb244a1d499cdbe491dbf360e2e3237f72bac41a184eb4dd3768e",
     ),
     "two_state_balanced": (
-        "ce9b8407d331b08dc7aae5ce4a59eefd6fda08435ece30bf3c27cc22d3df19e4",
-        "01cbd76926c6416dcd5c4fba12c93a9dee7800ff1d307c4e09b5fd367fdec19a",
+        "3e51552c6ce6f5840af7a337497c1ef2dc304492daa7794902d325ed600a9549",
+        "4219bcd3f6eb41af19020b8c1efdc0d2ea80642df2b84df74bf4b15d2e8a55d3",
     ),
     "two_state_trig": (
-        "f1061e3bb3b659255cbbeb785e72fd6c6713b17758a83a0adb44daad67f47803",
+        "04fb705caebd7010728088eee98074361d1a92a2816da407b57b5fc12aabcc86",
         "8ac5265e62ec5ccac3e1f7caea78a66042145b446ad480bb79efc20de2dd3d26",
     ),
 }
 
 
 SIX_STATE_GOLDEN = (
-    "4f5b4b8ab9c8801783b4c40562834fab443390b7ce41ec50fdeadf7f19a507a3",
+    "b3546bc7d07d30af2178ec0011b6e7e2c354b04f4b6784c41fe88777728557b5",
     "68c63e7e60be17492cd2f0d94d9a16a4319395542878118d12da88a16dceb550",
 )
 SIX_STATE_GOLDEN_MARGINAL = (
-    "7db58c9aea65ba36788af9631000061e74794d3a6bbc32d2fcd6a7ddf631bc47",
-    "50203bc8d988535aad12608e9fb022631fe4e58eea79b6d6ebde57b1b2942ceb",
+    "60f42e7469e5fbd88fd03eff6d4fbe61b08f9ab8aa2818815ed0c975c407d10e",
+    "21f33618f943b54062128b0e5c8026fd35f8554832e3b461541260618f151a16",
 )
 
 
 # mc --coupled over two chunks (2,048 paths and 52) and simulate of the last path
 MULTI_CHUNK_GOLDEN = (
-    "1df1491af3f232306007a79a53b8fec4295161547fce0f3a31320738f2b0a099",
-    "78899bcb384d13f8533e23c349f0dee365225d839c43aedd38dea9b8aa01d2c5",
+    "759e50ba821f6066ce6a443e5c18904a67a472269f253439f086572a17a376de",
+    "9456889e95b15bc53c43a525c6fa63c5cf24c2821b8039a64fc949beb3553725",
 )
 
 
@@ -103,16 +109,16 @@ MULTI_CHUNK_GOLDEN = (
 # marginal route
 INTERIOR_GOLDEN = {
     "three_state_rational": (
-        ("6652aa98b77a5410066a0ff5f19d490e7a48e6e26aac5d738a457e74f88e3fe1",
-         "fef1aac0202148d4001fbf6a5252cb1d13c02822fa8635eaff51fd4e3c93c9cd"),
-        ("a2c4800a7d763e9e8e3de63516b465d4c60ae3043f8d3854516ab33a64c0990f",
-         "8462dfabe4a53a7e9df1773e49aadd5ca78c1ee426ea9415e69d59718de11d85"),
+        ("a0ffea64bd4fb0b814770c52163b1a40fec5066262f9affed734e58067155307",
+         "b3da79bc4c65bca512a83be9f32dc6418dc1f5c42a91ab009928ad9953c06582"),
+        ("f50cef1ed89729b729f595d1c2a45f0cda0fea1918707b14658423628cc9c2da",
+         "5967389eb42abcc742efe76c8158166cd1f765402047fd5c300293956220950c"),
     ),
     "six_state": (
-        ("87a6fc15843dd47c04ab5571034d581f86ed656865959fb6c6b9c8595d341372",
-         "ac01c1ff9b0961cf1f4087aefb34d4e329ba871543ea151774c663be46c5b6a3"),
-        ("f0a704d26160811749adce124097a2108db6c771f54e54266a30b7595a8fc4c5",
-         "d83c21f9880b273b371168781122c7d919ca3a77f76bead277a0e43bc5b0df7a"),
+        ("f66ebd848fa4abc6f4a5274af7ce86985a4562b2d50d2b032d3cb1aebb25d470",
+         "e05ea546a16329490614db9a8533fe52c2eb1f533b27b2ec8fd0f21e7740c4c0"),
+        ("0f276468960a4c4dce05091e3faa8f6783f2fef3417c0ef9be589be1330642b0",
+         "af0b8ff8107388a8b1e5799be3fe9e502c2c21f43e4871377f5b1c29f6316f3c"),
     ),
 }
 
@@ -121,22 +127,22 @@ INTERIOR_GOLDEN = {
 # marginal route; taken before the engine grouped regimes by coefficient tree
 COEFFICIENT_GOLDEN = {
     "drift_2d": (
-        ("b7034b0cc1c31606b6c0f917af1ce6683b73e8cdc4e952e5713fa1afac6c6306",
+        ("172841eb892f2b9e1f9cdc0d55f3da8dcc7906d1c5d1f6c7324a3142fcb71561",
          "2806cd3c859f3b9a46d523e1f6a7b7056791a03dea8a9c9bc5ec634363c306ce"),
-        ("3ff86fb5847b2e29c5402968c9e1929372b5ef7f906f0e924c017e50b9913950",
-         "0fdd2fc5b1ef21e2e889820bcd25bbb2006ad6fba028e8a245601e4cc1fc44aa"),
+        ("ec8f0ac99f9d87303182a1b3f33c1b362446585384b6a2b436705b601a68a31c",
+         "d569350f9f2c77ce9cbd1ffc78ebdc19401059625b73dd48ebd8b833963fb7e3"),
     ),
     "sigma_1d": (
-        ("71f0d8052d1117a03be5671d638ceaa8657c9e8d2ba61b9e2564a6d2c2f005d4",
-         "593e25ea6e847ed8485cf4a286dc8d1c0efd9a7d21f2d8ffbcaf0430ba15c57a"),
-        ("33d7557eec767b8f5d97675f473379e3229b4514cbc17bca7e8c9f6d4bd874a8",
-         "b246a98961a5adcdba3c78a9018aa37e0517e535a76d3e1e187aad1d51e859f4"),
+        ("1cceb0a7e680b925b3077e013dac3fe18eb1bc27e697e41b8e41d9e631f984a4",
+         "07f5b7d0f77447078479153a5981ebd60c88681c277b7615885bf71b61ed4c04"),
+        ("39835a08c8177d7957e9b61c0c2429223998c5af07404381f5234a2fc3592149",
+         "453d6f2eb285fb3595636d0b5f91c7375433447b327964d792afbc2f645cf7dd"),
     ),
     "sigma_2d": (
-        ("4216790073e7910d8bf5b9591063ea05c825d839c161ec817e61fc71abedb245",
+        ("9d92096b10b054ba22c952e53ae65f355285325f76a1f1d7923955d9242b1093",
          "64525d005e4d744e71d3cd7a3959c84b162e038ed1d97fba830c0596ab4af68e"),
-        ("40b2972a70fdff4c2abdefdc5c1586a84cd1dd3277a8528d574eba3a6bb68e4c",
-         "69847221d8f38e40ac1aeb6eea6c50f66b509bf60f2bcfe9fb98aa651512df20"),
+        ("e850622519b20bf9937a716b34480e8132dc153d4b6d94b267a71ee309b9455d",
+         "3f826dfd203129893305eac96475b3b8b47f91b3a6629edd4ffd9abf026b4dac"),
     ),
 }
 

@@ -190,6 +190,24 @@ class TestCli:
         grid = json.loads(capsys.readouterr().out)["grid_envelopes"]
         assert grid["qbar"] == [[-4.0, 2.0, 2.0], [1.0, -3.0, 2.0], [1.0, 2.0, -3.0]]
 
+    def test_crossing_off_the_grid_names_path_and_time(self, tmp_path, capsys):
+        # envelopes derived on [1.5, 2.5] do not dominate where the paths go;
+        # once the next round of the crossed path raised "order-preserving
+        # rows require i <= j", naming neither the path nor the time
+        doc = json.loads((FIXTURES / "three_state_rational.json").read_text())
+        del doc["envelopes"]
+        doc["grid"] |= {"lo": 1.5, "hi": 2.5}
+        doc["initial"]["x"] = [2.0]
+        fx = write_scenario(tmp_path, doc)
+        assert cli.main(["validate", fx]) == 0
+        capsys.readouterr()
+        assert cli.main(["mc", fx, "--coupled", "--paths", "64", "--horizon", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "runtime error: coupled chains crossed at t=1.01314, path 7: "
+            "lambda_star=3, lambda=3, lambda_bar=1; "
+            "the envelopes were derived from the validation grid and are certified only on it\n"
+        )
+
     def test_couple_table(self):
         proc = run_cli(
             "couple", str(FIXTURES / "two_state_trig.json"), "--x", "0.0", "--from", "1,1"
@@ -266,8 +284,9 @@ class TestCli:
         assert proc.returncode == 2
         assert (
             "runtime error: exit rate nan from state 1 is not within declared bound H=2.0 "
-            "at t=0.0521013, x=[-1.0], path 0"
+            "at t=0.268938, x=[-1.0], path 0"
         ) in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr  # sqrt of a negative is NaN, silently
 
     def test_spectral_report(self):
         proc = run_cli(
