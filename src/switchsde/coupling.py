@@ -148,17 +148,14 @@ class DominationReport:
         }
 
 
-def _partial_sums(R):
-    """Partial sums of a (n, M, M) rate stack, laid out (i, m, point):
-    up[i, m] = sum_{l>=m} R[:, i, l] and dn[i, m] = sum_{l<=m} R[:, i, l],
-    added term by term in np.cumsum's order, so equal to it bit for bit."""
-    M = R.shape[1]
+def _tails(R):
+    """Tail sums of a (n, M, M) rate stack, laid out (i, m, point):
+    up[i, m] = sum_{l>=m} R[:, i, l], added term by term in np.cumsum's
+    order, so equal to it bit for bit."""
     up = R.transpose(1, 2, 0).copy()  # never a view: the sums run in place
-    dn = up.copy()
-    for m in range(1, M):
-        dn[:, m] += dn[:, m - 1]
-        up[:, M - 1 - m] += up[:, M - m]
-    return up, dn
+    for m in range(R.shape[1] - 2, -1, -1):
+        up[:, m] += up[:, m + 1]
+    return up
 
 
 def extremal_envelopes(rates_on_grid) -> EnvelopePair:
@@ -184,11 +181,12 @@ def extremal_envelopes(rates_on_grid) -> EnvelopePair:
 
 def _least_upper(R):
     """Off-diagonal rates of the least upper envelope of the stack R."""
-    up, dn = _partial_sums(R)
     below = np.tri(R.shape[1], k=-1, dtype=bool)  # below[i, m]: m < i
-    # tails with m reversed, so the running max from the right runs forwards
-    tails = np.maximum.accumulate(np.maximum.accumulate(up.max(axis=2), axis=0)[:, ::-1], axis=1)
-    heads = np.minimum.accumulate(np.where(below, dn.min(axis=2), np.inf), axis=0)
+    # tails with m reversed, so the running max from the right runs forwards;
+    # the heads are the tails of the reversed columns, bit for bit
+    tails = np.maximum.accumulate(np.maximum.accumulate(_tails(R).max(axis=2), axis=0)[:, ::-1], axis=1)
+    heads = np.where(below, _tails(R[:, :, ::-1]).min(axis=2)[:, ::-1], np.inf)
+    heads = np.minimum.accumulate(heads, axis=0)
     heads = np.where(below, np.minimum.accumulate(heads[:, ::-1], axis=1)[:, ::-1], 0.0)
     d_tails = np.diff(tails, axis=1, prepend=0.0)[:, ::-1]
     return np.where(below.T, d_tails, np.where(below, np.diff(heads, axis=1, prepend=0.0), 0.0))
@@ -198,8 +196,9 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
     """Check the partial-sum preorder between two rate stacks.
 
     ``R1``, ``R2``: either (M, M) constant off-diagonal arrays or (n, M, M)
-    stacks over a common grid.  Partial sums are laid out (i, m, point), so a
-    test reads two contiguous rows; a constant side keeps its one point.
+    stacks over a common grid.  Tail sums are laid out (i, m, point) and the
+    head sums run over m in one (i, point) array, so a test reads two
+    contiguous rows; a constant side keeps its one point.
     """
     R1 = np.asarray(R1, dtype=float)
     R2 = np.asarray(R2, dtype=float)
@@ -214,8 +213,8 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
         if xs.ndim == 1:
             xs = xs[:, None]
 
-    up1, dn1 = _partial_sums(R1)
-    up2, dn2 = _partial_sums(R2)
+    up1, up2 = _tails(R1), _tails(R2)
+    dn1, dn2 = R1[:, :, 0].T.copy(), R2[:, :, 0].T.copy()  # sum_{l<=m}, in place
 
     worst_margin = np.inf
     worst = None
@@ -242,13 +241,16 @@ def check_domination(R1, R2, grid_points=None) -> DominationReport:
             violations.append(entry)
 
     for m in range(M):
+        if m:
+            dn1 += R1[:, :, m].T
+            dn2 += R2[:, :, m].T
         for i1 in range(M):
             for i2 in range(i1, M):
                 if i2 < m:
                     lhs, rhs = up1[i1, m], up2[i2, m]
                     record("up", i1, i2, m, rhs - lhs, lhs, rhs)
                 if m < i1:
-                    lhs, rhs = dn1[i1, m], dn2[i2, m]
+                    lhs, rhs = dn1[i1], dn2[i2]
                     record("down", i1, i2, m, lhs - rhs, lhs, rhs)
 
     return DominationReport(

@@ -4,6 +4,9 @@ envelope chains sandwiching the switching process pathwise.
 
 Randomness is counter-based: Philox keyed by seed and by the group of 64
 paths, one noise and one jump stream per group, read step block by step block.
+For each block the jump stream draws one Poisson total of candidates over the
+block's (step, path) cells, a uniform cell for each, then three uniforms each
+(offset, mark, auxiliary), so its cost follows the candidates, not the cells.
 A path's variates therefore do not depend on chunk_size, on the worker count
 or on n_paths; a chunk draws the whole groups that overlap its columns, and
 simulate, which advances the requested path alone, draws only its group.
@@ -331,13 +334,10 @@ class _ChunkRun:
     # -- bookkeeping
 
     def _record_stats(self, r):
-        # squares of a diverging state overflow before the state does; a
-        # non-finite state raises in the step update
-        with np.errstate(over="ignore", invalid="ignore"):
-            x2 = (self.X**2).sum(axis=1)
-            self.sum_x2[r] = x2.sum()
-            self.m2_x2[r] = ((x2 - self.sum_x2[r] / self.na) ** 2).sum()
-            self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
+        x2 = (self.X**2).sum(axis=1)
+        self.sum_x2[r] = x2.sum()
+        self.m2_x2[r] = ((x2 - self.sum_x2[r] / self.na) ** 2).sum()
+        self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
 
     def _record_grid(self, k):
         self.rX[k] = self.X[0]
@@ -347,8 +347,7 @@ class _ChunkRun:
         """Freeze the observation and its feedback term; count epoch transitions."""
         self.X_obs = self.X.copy()
         cur = self.S.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.fb = self.sc.gains[cur[1]][:, None] * self.X_obs
+        self.fb = self.sc.gains[cur[1]][:, None] * self.X_obs
         if self.prev_obs_states is not None:
             M = self.M
             flat = (np.arange(3)[:, None] * M + self.prev_obs_states) * M + cur
@@ -498,6 +497,9 @@ class _ChunkRun:
 
     # -- main loop
 
+    # a diverging state overflows, and its square before it, until the step
+    # update raises for it; the error state is set once per run, not per step
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> _ChunkResult:
         params = self.params
         h = self.h
@@ -514,13 +516,11 @@ class _ChunkRun:
         for block_start in range(0, n_steps, _STEP_BLOCK):
             bsz = min(_STEP_BLOCK, n_steps - block_start)
             xi_block = np.empty((ng, bsz, _GROUP, d))
-            counts = np.empty((ng, bsz, _GROUP), dtype=np.int64)
+            draws = []
             for j, (ngen, jgen) in enumerate(gens):
                 ngen.standard_normal(out=xi_block[j])
-                counts[j] = jgen.poisson(self.R_cand * h, (bsz, _GROUP))
-            n_cand = counts.sum(axis=(1, 2)).tolist()
-            u = np.concatenate([jgen.random(3 * n) for (_, jgen), n in zip(gens, n_cand)])
-            p, offs, marks, aux, bounds, step_first = _candidate_schedule(counts, u, off, na, h, self.R_cand)
+                draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
+            *cand, bounds, step_first = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
 
             for kk in range(bsz):
                 k = block_start + kk
@@ -533,10 +533,9 @@ class _ChunkRun:
 
                 xi = xi_block[:, kk].reshape(-1, d)[off:off + na]
                 X, lam = self.X, self.S[1]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    Xn = X + (self._drift(X, lam) - self.fb) * h + self._noise_term(X, lam, xi) * self.sqrt_h
-                    if k >= self.tail_start:  # sqrt once at the end: it is monotone
-                        np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
+                Xn = X + (self._drift(X, lam) - self.fb) * h + self._noise_term(X, lam, xi) * self.sqrt_h
+                if k >= self.tail_start:  # sqrt once at the end: it is monotone
+                    np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
                 if not np.isfinite(Xn).all():
                     bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
                     raise EngineError(
@@ -547,7 +546,7 @@ class _ChunkRun:
 
                 first, last = step_first[kk], step_first[kk + 1]
                 if first < last:
-                    self._process_step(t, Xn, p, offs, marks, aux, bounds[first:last + 1])
+                    self._process_step(t, Xn, *cand, bounds[first:last + 1])
 
                 self.X = Xn
                 self.violations += self.n_bad
@@ -591,45 +590,43 @@ class _ChunkRun:
         )
 
 
-def _candidate_schedule(counts, u, lo, na, h, R_cand):
+def _draw_candidates(jgen, cells, mean):
+    """One group's candidates over a block's ``cells``, Poisson(mean) in each:
+    given its Poisson total, a Poisson random measure is iid uniform points."""
+    n = jgen.poisson(mean * cells)
+    return jgen.integers(0, cells, n), jgen.random(3 * n)
+
+
+def _candidate_schedule(draws, steps, G, lo, na, h, R_cand):
     """Thinning candidates of one step block in the order they are processed.
 
-    ``counts`` (groups, steps, G) holds the candidate count of every (step,
-    column) of each path group, and ``u`` three uniforms per candidate, drawn
-    group by group, row-major (step, column) inside a group.  Columns [lo,
-    lo + na) of the groups laid side by side are kept, as paths from lo, and
-    grouped by (step, round), round r holding the r-th candidate in time of
-    every path, with paths ascending inside a group.  Returns the per-candidate
-    (path, offset in the step, mark, auxiliary uniform), the group bounds, and
-    the first group of every step with one more entry closing the last step.
+    ``draws`` holds, group by group, the candidates' cell ids, row-major
+    (step, column) in a group of G columns, and their uniforms, three per
+    candidate, in draw order.  Columns [lo, lo + na) of the groups laid side
+    by side are kept, as paths from lo, and grouped by (step, round), round r
+    holding the r-th candidate in time of every path (ties in draw order),
+    with paths ascending inside a group.  Returns the per-candidate (path,
+    offset in the step, mark, auxiliary uniform), the group bounds, and the
+    first group of every step with one more entry closing the last step.
     """
-    ng, steps, G = counts.shape
-    W = ng * G
-    cells = np.flatnonzero(counts)
-    n = counts.ravel()[cells]
-    first = np.cumsum(n) - n  # draw index of each cell's first candidate
-    g, rest = np.divmod(cells, steps * G)
-    step, c = np.divmod(rest, G)
-    col = g * G + c
-    live = (col >= lo) & (col < lo + na)
-    cells = step[live] * W + col[live]  # row-major (step, column) cell ids
-    order = np.argsort(cells, kind="stable")  # the time ranking below needs row-major cells
-    cells, n, first = cells[order], n[live][order], first[live][order]
-    rnd = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
-    cand = np.repeat(first, n) + rnd
-    cell = np.repeat(cells, n)
-    cand = cand[np.lexsort((u[3 * cand] * h, cell))]  # rank in time inside each cell
-    step, path = np.divmod(cell - lo, W)
-    rounds = int(n.max(initial=0))
-    key = step * rounds + rnd
-    order = np.argsort(key, kind="stable")  # paths stay ascending in a group
-    cand, key = cand[order], key[order]
+    group = np.repeat(np.arange(len(draws)), [len(cells) for cells, _ in draws])
+    step, path = np.divmod(np.concatenate([cells for cells, _ in draws]), G)
+    path += group * G - lo
+    live = (path >= 0) & (path < na)
+    u = np.concatenate([v for _, v in draws]).reshape(-1, 3)[live]
+    step, path, offs = step[live], path[live], u[:, 0] * h
+    cell = step * na + path
+    order = np.lexsort((offs, cell))  # stable: a cell's ties keep draw order
+    cell = cell[order]
+    at = np.arange(len(cell))  # rnd below: the rank in time inside a cell
+    rnd = at - np.maximum.accumulate(np.where(np.diff(cell, prepend=-1) != 0, at, 0))
+    rounds = int(rnd.max(initial=-1)) + 1
+    key = step[order] * rounds + rnd
+    by_round = np.argsort(key, kind="stable")  # paths stay ascending in a group
+    order, key = order[by_round], key[by_round]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
     step_first = np.searchsorted(key[bounds[:-1]], rounds * np.arange(steps + 1))
-    return (
-        path[order], u[3 * cand] * h, u[3 * cand + 1] * R_cand, u[3 * cand + 2],
-        bounds.tolist(), step_first.tolist(),
-    )
+    return path[order], offs[order], u[order, 1] * R_cand, u[order, 2], bounds.tolist(), step_first.tolist()
 
 
 def _tree_groups(trees):

@@ -384,6 +384,24 @@ def verify_coupling_matrix(Qt, Q1, Q2, tol: float = MARGINALITY_TOL) -> Coupling
     return diag
 
 
+def cell_lists(counts, u, rng=None):
+    """Dense group-major candidate counts (groups, steps, G) and their
+    uniforms, three per candidate, drawn group by group in row-major (step,
+    column) order, as the per-group (cell ids, uniforms) draws that
+    engine._candidate_schedule reads.  ``rng`` shuffles each group's draw
+    order, as the engine's uniform cell ids come unsorted."""
+    draws, start = [], 0
+    for block in counts:
+        cells = np.repeat(np.arange(block.size), block.ravel())
+        v = u[3 * start:3 * (start + len(cells))].reshape(-1, 3)
+        start += len(cells)
+        if rng is not None:
+            perm = rng.permutation(len(cells))
+            cells, v = cells[perm], v[perm]
+        draws.append((cells, v.ravel()))
+    return draws
+
+
 def candidate_rounds_reference(counts_block, u_all, na, h, R_cand):
     """The engine's per-step round loop before candidates were scheduled per
     step block, kept verbatim as the reference for

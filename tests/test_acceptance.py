@@ -90,9 +90,7 @@ def test_criterion_05_occupation_sandwich():
         ("three_state_rational.json", (38 / 25 - 0.05, 53 / 25 + 0.05)),
     ):
         sc = _fixture(name)
-        p = en.SimParams.from_scenario(
-            sc, n_paths=1, horizon=10_000.0, h=0.1, chunk_size=8
-        )
+        p = en.SimParams.from_scenario(sc, n_paths=1, horizon=10_000.0, h=0.1)
         path = en.simulate_hybrid(sc, p, 0)
         avg = en.occupation_time_average(path, np.arange(1, sc.M + 1, dtype=float))
         results.append((name, avg, window))

@@ -12,7 +12,7 @@ from switchsde import cli
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
-from tests.conftest import FIXTURES, candidate_rounds_reference, make_scenario, write_scenario
+from tests.conftest import FIXTURES, candidate_rounds_reference, cell_lists, make_scenario, write_scenario
 from tests.test_golden import six_state_birth_death
 
 
@@ -356,9 +356,9 @@ class TestCoefficientGroups:
         assert got_noise.tobytes() == noise.tobytes()
 
 
-def _schedule_rounds(counts, u, lo, na, h, R_cand):
-    p, offs, marks, aux, bounds, step_first = en._candidate_schedule(counts, u, lo, na, h, R_cand)
-    for kk in range(counts.shape[1]):
+def _schedule_rounds(draws, steps, G, lo, na, h, R_cand):
+    p, offs, marks, aux, bounds, step_first = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
+    for kk in range(steps):
         for g in range(step_first[kk], step_first[kk + 1]):
             b0, b1 = bounds[g], bounds[g + 1]
             yield kk, p[b0:b1], offs[b0:b1], marks[b0:b1], aux[b0:b1]
@@ -373,15 +373,15 @@ def _window_rounds_reference(counts, u, lo, na, h, R_cand):
             yield kk, idx[keep] - lo, *(v[keep] for v in vals)
 
 
-def _row_major(counts, u):
-    """Group-major counts (groups, steps, G) and their uniforms in draw order,
-    rearranged as (steps, groups * G) counts with uniforms in row-major draw
-    order, the layout of a single stream over every column."""
-    ng, steps, G = counts.shape
-    rm = counts.transpose(1, 0, 2).reshape(steps, ng * G)
-    g, step, c = np.indices(counts.shape)
-    cell = np.repeat((step * ng * G + g * G + c).ravel(), counts.ravel())
-    return rm, u.reshape(-1, 3)[np.argsort(cell, kind="stable")].ravel()
+def _row_major(draws, steps, G):
+    """Per-group draws as the (steps, groups * G) counts and uniforms of a
+    single stream over every column: row-major cells, draw order in a cell."""
+    ng = len(draws)
+    group = np.repeat(np.arange(ng), [len(cells) for cells, _ in draws])
+    step, c = np.divmod(np.concatenate([cells for cells, _ in draws]), G)
+    cell = step * ng * G + group * G + c
+    u = np.concatenate([v for _, v in draws]).reshape(-1, 3)[np.argsort(cell, kind="stable")]
+    return np.bincount(cell, minlength=steps * ng * G).reshape(steps, ng * G), u.ravel()
 
 
 # (groups, G, lo, na): Monte Carlo's live columns [0, na), one-path and
@@ -423,13 +423,14 @@ class TestCandidateSchedule:
             counts[11, W // 2] = 6
             if ng > 1:
                 counts[13, G + 1] = 6
-        counts = counts.reshape(steps, ng, G).transpose(1, 0, 2).copy()  # group-major
+        counts = counts.reshape(steps, ng, G).transpose(1, 0, 2)  # group-major
         n = int(counts.sum())
         # coarse uniforms give equal offsets inside a path, ranked by draw order
         u = rng.integers(0, 4, 3 * n) / 4 if ties else rng.random(3 * n)
+        draws = cell_lists(counts, u, rng)  # cells in random draw order, as the engine draws them
         h, R_cand = 0.01, 7.5
-        got = list(_schedule_rounds(counts, u, lo, na, h, R_cand))
-        want = list(_window_rounds_reference(*_row_major(counts, u), lo, na, h, R_cand))
+        got = list(_schedule_rounds(draws, steps, G, lo, na, h, R_cand))
+        want = list(_window_rounds_reference(*_row_major(draws, steps, G), lo, na, h, R_cand))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g[0] == w[0]
@@ -444,9 +445,11 @@ class TestCandidateSchedule:
     # and the matrix route at H + Hbar + Hstar; when the rows lay end to end
     # over [0, M*H) the counts were 49,599 and 322 (three_state_rational),
     # 47,566 and 316 (six states) and 8,215 and 179 (linear_feedback,
-    # marginal).  The two-state route keeps its 2H mark space.
-    COUNTS = {"three_state_rational": ("matrix", 28867, 257), "six_state": ("matrix", 16637, 216),
-              "linear_feedback": ("marginal", 4106, 135), "two_state_balanced": ("two_state", 8215, 179)}
+    # marginal).  The two-state route keeps its 2H mark space.  Drawn as one
+    # Poisson count per (step, path) cell, the stream gave 28,867 and 257,
+    # 16,637 and 216, 4,106 and 135, and 8,215 and 179.
+    COUNTS = {"three_state_rational": ("matrix", 28738, 267), "six_state": ("matrix", 16435, 219),
+              "linear_feedback": ("marginal", 4128, 130), "two_state_balanced": ("two_state", 8224, 179)}
 
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_candidates_and_rounds_of_one_job(self, name, monkeypatch):
@@ -467,15 +470,39 @@ class TestCandidateSchedule:
         assert en.monte_carlo(sc, p, coupled=route != "marginal").route == route
         assert seen == want
 
+    def test_candidate_law(self):
+        # blocks of one group drawn as the engine draws them: the candidate
+        # count of every (path, step) cell is Poisson(R_cand h), by a
+        # chi-square test at level 0.001 on the counts 0..5 and >= 6; every
+        # cell is reached, and every offset lies in [0, h)
+        steps, G, blocks = en._STEP_BLOCK, en._GROUP, 40
+        h, R_cand = 0.01, 70.0  # 0.7 candidates per cell
+        jgen = en._philox(11, en._JUMPS, 0)
+        hist = np.zeros(7, dtype=np.int64)
+        reached = np.zeros(steps * G, dtype=bool)
+        for _ in range(blocks):
+            cells, u = draw = en._draw_candidates(jgen, steps * G, R_cand * h)
+            per_cell = np.bincount(cells, minlength=steps * G)
+            assert len(per_cell) == steps * G and 3 * per_cell.sum() == len(u)
+            hist += np.bincount(np.minimum(per_cell, 6), minlength=7)
+            reached |= per_cell > 0
+            p, offs, *_ = en._candidate_schedule([draw], steps, G, 0, G, h, R_cand)
+            assert len(p) == per_cell.sum()
+            assert offs.min() >= 0.0 and offs.max() < h
+        pmf = stats.poisson.pmf(np.arange(6), R_cand * h)
+        expected = blocks * steps * G * np.append(pmf, 1.0 - pmf.sum())
+        assert stats.chisquare(hist, expected).pvalue > 1e-3
+        assert reached.all()
+
     def test_live_columns_only(self):
         counts = np.zeros((1, 3, 4), dtype=np.int64)
         counts[0, 1] = [0, 2, 0, 3]
         u = np.random.default_rng(0).random(3 * 7)
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 0, 2, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 4, 0, 2, 1.0, 1.0)
         assert p.tolist() == [1, 1] and bounds == [0, 1, 2] and step_first == [0, 0, 2, 2]
         assert offs[0] <= offs[1]
         # the window [3, 4): column 3's three candidates, as path 0
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 3, 1, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 4, 3, 1, 1.0, 1.0)
         assert p.tolist() == [0, 0, 0] and bounds == [0, 1, 2, 3] and step_first == [0, 0, 3, 3]
         assert offs.tolist() == sorted(offs.tolist())
         # two groups of two columns: group 0 draws candidates 0 to 2 (column 1
@@ -483,12 +510,12 @@ class TestCandidateSchedule:
         # (column 2 at step 0) and 4 to 6 (column 3 at step 1)
         counts = np.zeros((2, 3, 2), dtype=np.int64)
         counts[0, 1, 1], counts[0, 2, 0], counts[1, 0, 0], counts[1, 1, 1] = 2, 1, 1, 3
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 3, 1, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 2, 3, 1, 1.0, 1.0)
         assert p.tolist() == [0, 0, 0] and step_first == [0, 0, 3, 3]
         assert offs.tolist() == sorted(u[[12, 15, 18]].tolist())
         # the window [1, 3) in step order: column 2 at step 0 as path 1, then
         # column 1's two candidates at step 1 as path 0
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(counts, u, 1, 2, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 2, 1, 2, 1.0, 1.0)
         assert p.tolist() == [1, 0, 0] and step_first == [0, 1, 3, 3]
         assert offs[0] == u[9] and sorted(offs[1:].tolist()) == sorted(u[[0, 3]].tolist())
 
@@ -699,8 +726,8 @@ class TestGuards:
         assert "t=3 " in capsys.readouterr().err
 
     # the candidate time named for path 0 of 1 and for path 5 of 8
-    BREACH_TIMES = {"marginal": ("0.26709", "0.0633314"), "matrix": ("0.216425", "0.248542"),
-                    "two_state": ("0.0584327", "0.146729")}
+    BREACH_TIMES = {"marginal": ("0.0988676", "0.0505211"), "matrix": ("0.0274328", "0.0476781"),
+                    "two_state": ("0.028397", "0.0546809")}
 
     @pytest.mark.parametrize("route", ["marginal", "matrix", "two_state"])
     def test_rate_bound_breach_reported(self, route, tmp_path, capsys):

@@ -17,7 +17,11 @@ row's mark block began at 0, so that these routes thin at H (plus Hbar + Hstar
 on the matrix route) instead of M*H; the coupled hashes of lag_bound,
 linear_feedback, linear_unstable and two_state_balanced, which take the
 two-state interval route and keep its 2H mark space, did not change.  A
-simulate hash of a path with no jump in either stream also stayed.
+simulate hash of a path with no jump in either stream also stayed.  Every
+artifact hash of every route was re-recorded once more when the jump stream
+began to draw a step block's candidates as one Poisson total per path group
+with uniform cells, instead of one Poisson count per (step, path) cell; the
+three simulate hashes of paths with no jump in either stream stayed.
 """
 
 import hashlib
@@ -33,28 +37,28 @@ SIZE = ["--paths", "64", "--horizon", "1"]
 
 GOLDEN = {
     "lag_bound": (
-        "333da5fdcd6438d64b5051618c0166a9e6b20aa63d48724ee0ba4adeec71dc11",
-        "2c2f2ee0e5326c1b30a206e42028f25b4126edbe252f52dbafb80c4681b61a37",
+        "81fc4aa7450bcf3156fced3abc8079d2ab53c4bfc7af03933cf478ad9024693e",
+        "471a7802af10dd84fce8fd3fdea601544e9b68e5f8e343faa62c15caa37e32e3",
     ),
     "linear_feedback": (
-        "f27c9327b9334cd71fa3ae3b6716751070d9d5040bec65d6e97da13cef75302f",
-        "ac9ab1a29337d518d6f27139040f02ced4472e412e77f3b1871423696e1af034",
+        "6d3c3d0c1d0af9eb84d98429796ee04c6489e6201effff7626f8a82f23ad5129",
+        "f6d0f6792bdfe4a59abcb06dd60723e29fb02632823a8ee346ec5d1b9d7355a6",
     ),
     "linear_unstable": (
-        "3c93db6d2da6f802854e5ca01b6e6f8c3791858e44817c44f4c0bc6301b7b8cf",
-        "be1cdc14bc0e26dbd18b24855e41427deada7c720475a29db93543bca8dee874",
+        "79db44dd82c6c74aff9b7f19df3464f877df6e64656eee3c07b52ad918387c49",
+        "1138eadb8205e3e7124804d9125762d1b4b8a712a7e1360993265dfc7bc735ec",
     ),
     "three_state_rational": (
-        "7c2828ad3c6f3d67ad9560aaa012a063a6fb3359b267a86a1474ea6e919afa2b",
-        "423c4762afcc2a63b7a7b525ce73aa3b049aa23a71656a3c733a576e6c650e7c",
+        "2d3455185b1bba9cc066daa1efe0dc979ad389b9e40b7c103e64579e6647cd8d",
+        "1d97725d9ca16c15792a6c1bee399eefa93398a15ec1b7d796ea12a366f69332",
     ),
     "two_state_balanced": (
-        "1048be347660550d7afc518d1c3a1b25ae4aedd7044b8f6653a92b74721bbe59",
-        "26557a19b3515584282ad515981795bd4277203b35fd64f2a0c9a75188ce27b9",
+        "29bf376523fa085bd41e4e39fd6ec20706ddcbf83e8a62f5dbeed640b9a21346",
+        "b2cca036a84649a3ded92fabac2e3d60622177323895702b8d6ef38109118270",
     ),
     "two_state_trig": (
-        "92849a016e3b226087adc2a30802ed5e0dc14d9631610217f805a29fa00c13ee",
-        "6dba509f2668a402781ba4d1a9fdab480356e495fe55fb95a7309eabf3198aa1",
+        "55b247b4dc359d6714ea8941b3e65a947d13353d58a2f2a9741a3d8f0b43b8a9",
+        "ac6a8ef311b98ecbadc42c9cb01f7fdb1be4589635e36f01e2bd9ed85fd37423",
     ),
 }
 
@@ -62,46 +66,46 @@ GOLDEN = {
 # the same runs without --coupled: the marginal route
 GOLDEN_MARGINAL = {
     "lag_bound": (
-        "a149246f28517dbfecb078bc9c487d8090e8fe28136d4183c701947af61405cb",
-        "2a8b281066767001b30bd68803fd5d1a2a1b889ac18a80329635d2211c965b6b",
+        "e3d00ece4c137a1db27f9cc99f0401607e32f0e3651815d0447466249252d327",
+        "3864cf058d3f901f842b8a2d23f373219df6cf5fdbb50fad8a38e15c8b19e7f4",
     ),
     "linear_feedback": (
-        "f305a32d9b2b4ac4d3b25ab3e6d522ac9a31577eeaf3e78b67e4f5ed243c825b",
-        "4dde70309a708bc0608a792fa76f15ac93f663b8b8b5e8f302b2b3271c38d07d",
+        "9552aa7dc2a73d90662f2467a74dd17794906de5a453e1d013fc72af3166a8f6",
+        "e797187d344912a77e57052ea3f0cc586821b0e3255bee441987d1175c4d11d7",
     ),
     "linear_unstable": (
-        "15a6d2b4bc4c37f09a30727496b6d0f839c43ab2fb7b3073b8ea10fee5f0e0d5",
-        "4d1604e06af8e34bc16678c21c49af075c5d0fbd5c8db909549f18db9f0bf816",
+        "ff8cfa20d2560a8a0260131158a51ebf52c808033e792a93eb84628fe683d351",
+        "5889fc8268b730fad5803bf90a4a369c45cdb232a8d86d0b4f81591b444d7483",
     ),
     "three_state_rational": (
-        "af7685198c4fb066dd20d375d59bd68a3de26ee39b31409639e90fabfa04bbcd",
-        "1c967d9a62fbb244a1d499cdbe491dbf360e2e3237f72bac41a184eb4dd3768e",
+        "2a58c4c00cbbc5fa185c3b70a649628a8152af1255428831a18c7574ab8d23e5",
+        "5c76bcaac056708cd39a8bbc92b4814f91afcfaaae3101c92ec73dab9c8fa3d3",
     ),
     "two_state_balanced": (
-        "3e51552c6ce6f5840af7a337497c1ef2dc304492daa7794902d325ed600a9549",
-        "4219bcd3f6eb41af19020b8c1efdc0d2ea80642df2b84df74bf4b15d2e8a55d3",
+        "56d6bb8580e105b49a28a8bdf1c8a54d10bd68b170f1b77b1615fce8cb0a906a",
+        "9b6347228425c6ee58861d58e7a75a58f0b844260e402d316d7ac377111e30c3",
     ),
     "two_state_trig": (
-        "04fb705caebd7010728088eee98074361d1a92a2816da407b57b5fc12aabcc86",
-        "8ac5265e62ec5ccac3e1f7caea78a66042145b446ad480bb79efc20de2dd3d26",
+        "f53ae567211a3067f94783f2aa6ac3480a4e7078623dec72d667c0a9d04cc8cd",
+        "fdd3357de32231330275518ec3479927e6d6e4a77c08a5a64d1f1bfd32d7bfa8",
     ),
 }
 
 
 SIX_STATE_GOLDEN = (
-    "b3546bc7d07d30af2178ec0011b6e7e2c354b04f4b6784c41fe88777728557b5",
+    "f2a5594d5fa2faa05179a5064e53a8cb9f0d9d60e3950d01b09315cf9340658e",
     "68c63e7e60be17492cd2f0d94d9a16a4319395542878118d12da88a16dceb550",
 )
 SIX_STATE_GOLDEN_MARGINAL = (
-    "60f42e7469e5fbd88fd03eff6d4fbe61b08f9ab8aa2818815ed0c975c407d10e",
-    "21f33618f943b54062128b0e5c8026fd35f8554832e3b461541260618f151a16",
+    "a7e5841ff1e081ba03c1e0f4cc1ec5f063f0b201b273090b80a18c20514c42ee",
+    "d5e7032cead0339018672a2b2cf7c20041b3469290de2e4f2edc70cd2085be38",
 )
 
 
 # mc --coupled over two chunks (2,048 paths and 52) and simulate of the last path
 MULTI_CHUNK_GOLDEN = (
-    "759e50ba821f6066ce6a443e5c18904a67a472269f253439f086572a17a376de",
-    "9456889e95b15bc53c43a525c6fa63c5cf24c2821b8039a64fc949beb3553725",
+    "2a28eb7f818c3f24b478a545854d8da857479a2be5ab9927a0ffd8246b1769ad",
+    "aaebe9b5c2f83607d8faeceda1686d1e38a60be3775a588e7c92833f4e5c7bce",
 )
 
 
@@ -109,16 +113,16 @@ MULTI_CHUNK_GOLDEN = (
 # marginal route
 INTERIOR_GOLDEN = {
     "three_state_rational": (
-        ("a0ffea64bd4fb0b814770c52163b1a40fec5066262f9affed734e58067155307",
-         "b3da79bc4c65bca512a83be9f32dc6418dc1f5c42a91ab009928ad9953c06582"),
-        ("f50cef1ed89729b729f595d1c2a45f0cda0fea1918707b14658423628cc9c2da",
-         "5967389eb42abcc742efe76c8158166cd1f765402047fd5c300293956220950c"),
+        ("34cf443965c95ecf1e2d01d35d86fc7578eeef5283aa7f9c21c7b4b6c79aac12",
+         "1726e21b73cfb66222fb78f9fff9211691d852ce2086fde7900ddf7ba34745ce"),
+        ("ee2766ab8be6960cf23e0748a03107ad0d82af91aa739bd2062427ae5c199bc6",
+         "eec3f2ec03f7976bb571a75e892faadd257040c3ac83732ec23a2a90422d8ca2"),
     ),
     "six_state": (
-        ("f66ebd848fa4abc6f4a5274af7ce86985a4562b2d50d2b032d3cb1aebb25d470",
-         "e05ea546a16329490614db9a8533fe52c2eb1f533b27b2ec8fd0f21e7740c4c0"),
-        ("0f276468960a4c4dce05091e3faa8f6783f2fef3417c0ef9be589be1330642b0",
-         "af0b8ff8107388a8b1e5799be3fe9e502c2c21f43e4871377f5b1c29f6316f3c"),
+        ("06654ca5826837b7a314fc40d35637551af7f8dee9efba46460acd572b698f6c",
+         "19827374898a454a4942fe739d171abcff7ead275e1345a5b6911946e4945bde"),
+        ("3da2e625e5c7725a8caef1a3e7d8ebb7797cbb4b91a245c8d7267774d9b7413b",
+         "8bb817248c2e4a62904ab089a2035212edd391af8cdd0696f8da8daa889af22b"),
     ),
 }
 
@@ -127,22 +131,22 @@ INTERIOR_GOLDEN = {
 # marginal route; taken before the engine grouped regimes by coefficient tree
 COEFFICIENT_GOLDEN = {
     "drift_2d": (
-        ("172841eb892f2b9e1f9cdc0d55f3da8dcc7906d1c5d1f6c7324a3142fcb71561",
+        ("6b00c246cbec9538ffdeafa89377a6555205306f61a5f871f16acccd1910a302",
          "2806cd3c859f3b9a46d523e1f6a7b7056791a03dea8a9c9bc5ec634363c306ce"),
-        ("ec8f0ac99f9d87303182a1b3f33c1b362446585384b6a2b436705b601a68a31c",
-         "d569350f9f2c77ce9cbd1ffc78ebdc19401059625b73dd48ebd8b833963fb7e3"),
+        ("1e88ff9dab577fe08829127365843639b6277341f32d2ebb8d057586b9e671cf",
+         "4311a7db34cce2ef74e6fe8aba1d25b5bfe3f0c2fe6aa63258c9743ccf6f6e8b"),
     ),
     "sigma_1d": (
-        ("1cceb0a7e680b925b3077e013dac3fe18eb1bc27e697e41b8e41d9e631f984a4",
-         "07f5b7d0f77447078479153a5981ebd60c88681c277b7615885bf71b61ed4c04"),
-        ("39835a08c8177d7957e9b61c0c2429223998c5af07404381f5234a2fc3592149",
-         "453d6f2eb285fb3595636d0b5f91c7375433447b327964d792afbc2f645cf7dd"),
+        ("c0b34323b3fa6b87c5fffedd8ac05ad7f64cbf1c19c2a476de1f483d82ec3373",
+         "5b5bee63f6595c767d9da73d0ea4870908391f1025fe164ed099ccb73c345286"),
+        ("3fa02470257177adc9d08457056b6e58e96b5f1dc31142b2ea09bcce63d02e8c",
+         "95a68a2dcb6c6eea862ba6cebddd7be4e14e8e79ee406542f98970e7a2746e36"),
     ),
     "sigma_2d": (
-        ("9d92096b10b054ba22c952e53ae65f355285325f76a1f1d7923955d9242b1093",
+        ("9d3cd116be664fa105e5af837bb4d112b9727bcd59f0cefa1ec1b3b803b40b3e",
          "64525d005e4d744e71d3cd7a3959c84b162e038ed1d97fba830c0596ab4af68e"),
-        ("e850622519b20bf9937a716b34480e8132dc153d4b6d94b267a71ee309b9455d",
-         "3f826dfd203129893305eac96475b3b8b47f91b3a6629edd4ffd9abf026b4dac"),
+        ("9ab3ca2924eeafa0f4c5ad41cf8cccfc9fb519cf39257adb017c95815893c398",
+         "584cd01633839cc423eea3cc47fda469b20f7dff4cebfecaab6cd3763a7bf85d"),
     ),
 }
 

@@ -203,7 +203,7 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["mc", fx, "--coupled", "--paths", "64", "--horizon", "3"]) == 2
         assert capsys.readouterr().err == (
-            "runtime error: coupled chains crossed at t=1.01314, path 7: "
+            "runtime error: coupled chains crossed at t=1.38645, path 61: "
             "lambda_star=3, lambda=3, lambda_bar=1; "
             "the envelopes were derived from the validation grid and are certified only on it\n"
         )
@@ -284,7 +284,7 @@ class TestCli:
         assert proc.returncode == 2
         assert (
             "runtime error: exit rate nan from state 1 is not within declared bound H=2.0 "
-            "at t=0.268938, x=[-1.0], path 0"
+            "at t=1.00863, x=[-1.0], path 0"
         ) in proc.stderr
         assert "RuntimeWarning" not in proc.stderr  # sqrt of a negative is NaN, silently
 
