@@ -246,6 +246,7 @@ def cmd_simulate(args):
         "coupled": args.coupled,
         "route": path.meta["route"],
         "n_jumps": {k: len(v) for k, v in path.jumps.items()},
+        "warnings": path.meta["warnings"],
         "out": args.out,
     }
     _print_json(meta)

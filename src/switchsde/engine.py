@@ -34,10 +34,10 @@ the exit rates it reads against the declared bound H and raises EngineError
 beyond it.  Coupled runs either share one mark among all three chains
 (two-state interval route, when the interval-sum conditions hold) or drive the
 pair transitions from the order-preserving coupling rows with shared candidate
-times (matrix route); the interval route counts crossings, while a
-matrix-route round that crosses raises EngineError.  A scenario that declares
-no envelopes is coupled against coupling.extremal_envelopes of its validation
-grid, for any M.
+times (matrix route); on either route a candidate round that leaves some path
+out of the order lambda_star <= lambda <= lambda_bar raises EngineError.  A
+scenario that declares no envelopes is coupled against
+coupling.extremal_envelopes of its validation grid, for any M.
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
@@ -207,15 +207,17 @@ def choose_route(sc: Scenario):
     if env is None:
         env = cpl.extremal_envelopes(R)
         warnings.append("envelopes derived from the validation grid")
+    up = cpl.check_domination(R, cpl.offdiag(env.qbar), pts)
+    lo = cpl.check_domination(cpl.offdiag(env.qstar), R, pts)
+    route = "matrix"
     if sc.M == 2:
         conds = cpl.check_two_state_conditions(env, R, pts)
         if conds.both_hold and env.qbar_down_positive and env.qstar_up_positive:
-            return "two_state", env, warnings
-        warnings.append(
-            "two-state interval conditions fail; falling back to the coupling-matrix route"
-        )
-    up = cpl.check_domination(R, cpl.offdiag(env.qbar), pts)
-    lo = cpl.check_domination(cpl.offdiag(env.qstar), R, pts)
+            route = "two_state"
+        else:
+            warnings.append(
+                "two-state interval conditions fail; falling back to the coupling-matrix route"
+            )
     if not up.holds:
         warnings.append(
             f"upper envelope does not dominate the rates (worst: {up.worst}); "
@@ -223,7 +225,7 @@ def choose_route(sc: Scenario):
         )
     if not lo.holds:
         warnings.append(f"lower envelope not dominated by the rates (worst: {lo.worst})")
-    return "matrix", env, warnings
+    return route, env, warnings
 
 
 def _philox(seed: int, kind: int, group: int) -> np.random.Generator:
@@ -241,7 +243,6 @@ class _ChunkResult:
     occupation: np.ndarray  # (3, M) time sums; rows follow CHAIN_NAMES
     skeleton_counts: np.ndarray  # (3, M, M)
     tail_exceed: int
-    violations: int
     path: HybridPath | None = None
 
 
@@ -295,8 +296,6 @@ class _ChunkRun:
         self.pop = np.zeros((3, M)) + np.bincount(self.S[1], minlength=M)
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
-        self.violations = 0
-        self.n_bad = 0  # paths out of order now; only jumps change it
         self.tail_start = int(math.ceil(params.n_steps / 2))
         self.tail_x2 = np.zeros(na)  # maximum of |X|^2 over the tail
         self.x0_norm = float(np.linalg.norm(sc.x0))
@@ -319,10 +318,10 @@ class _ChunkRun:
         return out
 
     def _drift(self, X, states):
-        fns = self.sc.drift_fn
         if self.d == 1:
+            fns = self.sc.drift_fn
             return self._by_regime(self.drift_groups, states, lambda i: fns[i][0](X)[:, None])
-        return self._by_regime(self.drift_groups, states, lambda i: np.stack([f(X) for f in fns[i]], axis=1))
+        return self._by_regime(self.drift_groups, states, lambda i: self.sc.drift_at(X, i))
 
     def _noise_term(self, X, states, xi):
         if self.d == 1:
@@ -376,9 +375,6 @@ class _ChunkRun:
         ls, lm, lb = self.S[:, p]
         return (ls > lm) | (lm > lb)
 
-    def _order_violations(self, p) -> int:
-        return int(self._crossed(p).sum()) if self.coupled else 0
-
     # -- jump dispatch
 
     def _process_step(self, t, Xn, p, offs, marks, aux, bounds):
@@ -391,19 +387,14 @@ class _ChunkRun:
         Roff = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
             r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
-            # a round holds each path once; only the interval route counts
-            # crossings, the matrix route refuses them
-            before = self._order_violations(pr) if self.route == "two_state" else 0
             self._jump(Roff[rc], marks[r], aux[r], pr, self.h - offs[r], t + offs[r], Xc[rc])
-            after = self._order_violations(pr)
-            if after and self.route == "matrix":
+            if self.coupled and self._crossed(pr).any():
                 self._raise_crossing(pr, t + offs[r])
-            self.violations += after
-            self.n_bad += after - before
 
     def _raise_crossing(self, p, tc):
-        """A matrix-route round left some path's chains out of order: the
-        coupling rows fall short where the envelopes do not dominate."""
+        """A coupled round left some path's chains out of order, which the
+        envelopes allow where they do not dominate the rates; every coupled
+        route refuses it at that round, naming the first such path."""
         c = int(np.flatnonzero(self._crossed(p))[0])
         states = ", ".join(f"{name}={s + 1}" for name, s in zip(CHAIN_NAMES, self.S[:, p[c]].tolist()))
         where = (
@@ -549,7 +540,6 @@ class _ChunkRun:
                     self._process_step(t, Xn, *cand, bounds[first:last + 1])
 
                 self.X = Xn
-                self.violations += self.n_bad
                 if self.recording:
                     self._record_grid(k + 1)
 
@@ -585,7 +575,6 @@ class _ChunkRun:
             occupation=self.occ,
             skeleton_counts=self.skel,
             tail_exceed=int((np.sqrt(self.tail_x2) > self.x0_norm).sum()),
-            violations=self.violations,
             path=path,
         )
 
@@ -665,7 +654,6 @@ def _merge(results, sc, params, route, warnings) -> McSummary:
     occ = np.zeros_like(results[0].occupation)
     skel = np.zeros_like(results[0].skeleton_counts)
     tail = 0
-    viol = 0
     n = 0
     for res in results:  # ascending chunk order: deterministic float reduction
         if n:
@@ -677,7 +665,6 @@ def _merge(results, sc, params, route, warnings) -> McSummary:
         occ += res.occupation
         skel += res.skeleton_counts
         tail += res.tail_exceed
-        viol += res.violations
         n += res.n_active
     times = np.array(params.record_steps()) * params.h
     mean_x2 = sum_x2 / n
@@ -699,7 +686,7 @@ def _merge(results, sc, params, route, warnings) -> McSummary:
         occupation=occupation,
         skeleton_counts=skeleton,
         tail_exceed_fraction=tail / n,
-        ordering_violations=viol,
+        ordering_violations=0,  # a crossing raises
         n_paths=n,
         seed=params.seed,
         tau=params.tau,
@@ -758,5 +745,4 @@ def _simulate_one(sc, params, path_index, coupled):
     chunk, local = divmod(path_index, params.chunk_size)
     res = _ChunkRun(sc, params, chunk, route, env, record_local=local).run()
     res.path.meta["warnings"] = warnings
-    res.path.meta["ordering_violations"] = res.violations
     return res.path

@@ -187,11 +187,10 @@ class TestCoupledRoutes:
         summ = en.monte_carlo(ex_two_state, p, coupled=True)
         assert summ.ordering_violations == 0
 
-    def test_path_reports_its_own_violations(self, ex_two_state):
+    def test_recorded_path_keeps_the_order(self, ex_two_state):
         p = en.SimParams.from_scenario(ex_two_state, n_paths=300, horizon=10.0)
         path = en.simulate_coupled(ex_two_state, p, 257)
         assert path.meta["route"] == "matrix"
-        assert path.meta["ordering_violations"] == 0
         assert (path.lam_star <= path.lam).all() and (path.lam <= path.lam_bar).all()
 
     def test_three_state_sandwich(self, ex_three_state):
@@ -240,14 +239,6 @@ class TestCoupledRoutes:
         assert run.occ[0].tolist() == [run.h, -run.h]
 
 
-class _RecountRun(en._ChunkRun):
-    """The order count as it was kept before the running counter: over every
-    path after each step (and, as the engine does, over the round's paths
-    after each round)."""
-
-    n_bad = property(lambda self: self._order_violations(np.arange(self.na)), lambda self, v: None)
-
-
 def _with_crossings(run):
     """Wrap the bound jump rule: after it, some candidate paths get lambda_bar
     one below lambda, and others get it back on top of the state space."""
@@ -263,48 +254,47 @@ def _with_crossings(run):
     return run
 
 
+def _raises_at_the_first_crossing(sc, record_local):
+    """Run ``sc`` coupled with crossings made after its jump rule and check
+    that the run stops at the first one, naming it; returns the route."""
+    route, env, _ = en.choose_route(sc)
+    p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
+    run = _with_crossings(en._ChunkRun(sc, p, 0, route, env, record_local=record_local))
+    rule, first = run._jump, []
+
+    def jump(Roff, mark, aux, p, rem, tc, Xc):  # the first crossing made
+        rule(Roff, mark, aux, p, rem, tc, Xc)
+        c = np.flatnonzero(run._crossed(p))
+        if len(c) and not first:
+            first.append((run.lo + p[c[0]], tc[c[0]], run.S[:, p[c[0]]] + 1))
+
+    run._jump = jump
+    with pytest.raises(en.EngineError) as err:
+        run.run()
+    path, t, (ls, lm, lb) = first[0]
+    if record_local is not None:
+        assert path == record_local
+    # the envelopes are declared, so the message does not blame the grid
+    assert str(err.value) == (
+        f"coupled chains crossed at t={t:.6g}, path {path}: "
+        f"lambda_star={ls}, lambda={lm}, lambda_bar={lb}"
+    )
+    return route
+
+
 class TestOrderCount:
-    # the interval route: the matrix route refuses pairs out of order
     @pytest.mark.parametrize("record_local", [None, 5], ids=["mc", "simulate"])
     @pytest.mark.parametrize("name", ["two_state_balanced", "linear_feedback"])
-    def test_running_count_matches_recount(self, name, record_local):
+    def test_interval_route_raises_at_the_crossing(self, name, record_local):
+        # once counted in ordering_violations while the run went on out of order
         sc = sn.load_scenario(str(FIXTURES / f"{name}.json"))
-        route, env, _ = en.choose_route(sc)
-        assert route == "two_state"
-        p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
-        got, want = (
-            _with_crossings(cls(sc, p, 0, route, env, record_local=record_local)).run().violations
-            for cls in (en._ChunkRun, _RecountRun)
-        )
-        assert got == want > 0
+        assert _raises_at_the_first_crossing(sc, record_local) == "two_state"
 
     @pytest.mark.parametrize("record_local", [None, 5], ids=["mc", "simulate"])
     def test_matrix_route_raises_at_the_crossing(self, ex_three_state, record_local):
         # once a CouplingError of the next round of that path, naming neither
         # the path nor the time
-        route, env, _ = en.choose_route(ex_three_state)
-        assert route == "matrix"
-        p = en.SimParams.from_scenario(ex_three_state, n_paths=64, horizon=3.0)
-        run = _with_crossings(en._ChunkRun(ex_three_state, p, 0, route, env, record_local=record_local))
-        rule, first = run._jump, []
-
-        def jump(Roff, mark, aux, p, rem, tc, Xc):  # the first crossing made
-            rule(Roff, mark, aux, p, rem, tc, Xc)
-            c = np.flatnonzero(run._crossed(p))
-            if len(c) and not first:
-                first.append((run.lo + p[c[0]], tc[c[0]], run.S[:, p[c[0]]] + 1))
-
-        run._jump = jump
-        with pytest.raises(en.EngineError) as err:
-            run.run()
-        path, t, (ls, lm, lb) = first[0]
-        if record_local is not None:
-            assert path == record_local
-        # the envelopes are declared, so the message does not blame the grid
-        assert str(err.value) == (
-            f"coupled chains crossed at t={t:.6g}, path {path}: "
-            f"lambda_star={ls}, lambda={lm}, lambda_bar={lb}"
-        )
+        assert _raises_at_the_first_crossing(ex_three_state, record_local) == "matrix"
 
 
 def _coefficients(d, shared):
@@ -654,7 +644,7 @@ class TestMerge:
             results.append(en._ChunkResult(
                 n_active=2, sum_x2=np.full(2, x2.sum()), m2_x2=np.full(2, ((x2 - x2.mean()) ** 2).sum()),
                 sum_lag2=np.zeros(2), occupation=np.zeros((3, 2)),
-                skeleton_counts=np.zeros((3, 2, 2), dtype=np.int64), tail_exceed=0, violations=0,
+                skeleton_counts=np.zeros((3, 2, 2), dtype=np.int64), tail_exceed=0,
             ))
         summ = en._merge(results, ex_balanced, params, "marginal", [])
         assert summ.mean_x2.tolist() == [1e8, 1e8]

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from switchsde import cli
+from switchsde import cli, engine
 from switchsde import scenario as sn
 from tests.conftest import FIXTURE_NAMES, FIXTURES, make_scenario, write_scenario
 
@@ -207,6 +207,52 @@ class TestCli:
             "lambda_star=3, lambda=3, lambda_bar=1; "
             "the envelopes were derived from the validation grid and are certified only on it\n"
         )
+
+    def test_interval_route_refuses_a_crossing(self, tmp_path, capsys):
+        # the interval-sum conditions hold but the upper envelope does not
+        # dominate (q12 = 1.25 at x = 0.5 against qbar12 = 1); once mc exited
+        # 0 with ordering_violations 5291 and simulate wrote a CSV whose rows
+        # broke the order
+        doc = make_scenario(
+            drift=[["0"], ["0"]], rates=[["0", "1 + x1^2"], ["1 + x1^2", "0"]],
+            rate_bound=2.0, grid={"lo": -1.0, "hi": 1.0, "n": 41},
+            initial={"x": [0.5], "state": 1}, horizon=3.0, step=0.01, paths=64,
+            coefficient_bounds={"C": [0.0, 0.0], "c": [0.0, 0.0], "Ma": 0.0},
+            envelopes={"qbar": [[-1, 1], [1, -1]], "qstar": [[-2, 2], [2, -2]]},
+        )
+        fx = write_scenario(tmp_path, doc)
+        route, _, warnings = engine.choose_route(sn.load_scenario(fx))
+        assert route == "two_state"
+        assert [w.split(" (")[0] for w in warnings] == [
+            "upper envelope does not dominate the rates", "lower envelope not dominated by the rates",
+        ]
+        assert cli.main(["validate", fx]) == 1
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        assert cli.main(["mc", fx, "--coupled"]) == 2
+        assert cli.main(["simulate", fx, "--coupled", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 2 * (
+            "runtime error: coupled chains crossed at t=0.028397, path 0: "
+            "lambda_star=2, lambda=1, lambda_bar=1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, warning", [
+        ("two_state_trig", "two-state interval conditions fail; falling back to the coupling-matrix route"),
+        ("three_state_rational", "envelopes derived from the validation grid"),
+    ], ids=["fallback", "derived"])
+    def test_simulate_prints_the_route_warnings(self, name, warning, tmp_path, capsys):
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        if name == "three_state_rational":
+            del doc["envelopes"]
+        fx = write_scenario(tmp_path, doc)
+        out = tmp_path / "p.csv"
+        assert cli.main(["simulate", fx, "--coupled", "--horizon", "1", "--out", str(out)]) == 0
+        meta = json.loads(capsys.readouterr().out)
+        assert meta["warnings"] == engine.choose_route(sn.load_scenario(fx))[2]
+        assert warning in meta["warnings"]
 
     def test_couple_table(self):
         proc = run_cli(
