@@ -26,16 +26,25 @@ every row's block starts at 0, as a chain reads only the row of its current
 state (thinning; Lewis and Shedler 1979).  That layout exists once, as
 coupling.row_block_pick, which the marginal and matrix routes call.  The
 candidates of a step block are scheduled once, from the block's draws, in
-groups of (step, round): round r holds the r-th candidate in time of every
-live path, and each step walks its contiguous rounds.  A step's candidate
-points and their rates are taken once per step, as no round changes the start
-state or the Euler update they depend on; every candidate round still checks
-the exit rates it reads against the declared bound H and raises EngineError
-beyond it.  Coupled runs either share one mark among all three chains
+rounds: round r holds the r-th candidate in time of every live path in its
+cell.  When some off-diagonal rate reads x the cell is the (step, path) pair,
+and each step walks its contiguous rounds; a step's candidate points and their
+rates are taken once per step, as no round changes the start state or the
+Euler update they depend on, and every candidate round checks the exit rates
+it reads against the declared bound H and raises EngineError beyond it.  When
+no rate reads x the chains never read the diffusion, so the cell is the path
+over the whole block: one pass runs the block's jumps ahead of its Euler steps
+under the constant rate stack, whose exit rates are checked against H once,
+before the first step.  The pass logs its moves and restores the states; each
+step then writes its own moves where the per-step rounds would run, and the
+occupation is booked once per block in the per-step order, so both schedules
+give the same bytes.  Coupled runs either share one mark among all three chains
 (two-state interval route, when the interval-sum conditions hold) or drive the
 pair transitions from the order-preserving coupling rows with shared candidate
 times (matrix route); on either route a candidate round that leaves some path
-out of the order lambda_star <= lambda <= lambda_bar raises EngineError.  A
+out of the order lambda_star <= lambda <= lambda_bar raises EngineError (the
+block pass drops a crossed path from its later rounds and raises the earliest
+crossing by step, round and path, as the per-step rounds would).  A
 scenario that declares no envelopes is coupled against
 coupling.extremal_envelopes of its validation grid, for any M.
 Each route is one jump rule with a common signature, bound once per chunk.
@@ -219,10 +228,12 @@ def choose_route(sc: Scenario):
                 "two-state interval conditions fail; falling back to the coupling-matrix route"
             )
     if not up.holds:
-        warnings.append(
-            f"upper envelope does not dominate the rates (worst: {up.worst}); "
-            "pathwise order is still enforced but the upper chain is sub-marginal"
-        )
+        # the interval route moves the upper chain at qbar's own rates, so it
+        # may fall below the switching chain; the matrix route clamps the
+        # coupling rows instead
+        consequence = ("the coupled chains may cross, which ends the run" if route == "two_state"
+                       else "pathwise order is still enforced but the upper chain is sub-marginal")
+        warnings.append(f"upper envelope does not dominate the rates (worst: {up.worst}); {consequence}")
     if not lo.holds:
         warnings.append(f"lower envelope not dominated by the rates (worst: {lo.worst})")
     return route, env, warnings
@@ -272,6 +283,11 @@ class _ChunkRun:
         # rows end to end under one mark, as it needs q12 + q21 of each chain
         self.L = (M if route == "two_state" else 1) * sc.rates.H
         self.H_max = sc.rates.H + cpl.CHECK_TOL
+        self.state_free = sc.rates.state_free
+        if self.state_free:  # the one rate stack, checked once
+            self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
+            self._check_rate_bound(self.R0.sum(axis=1)[None], None, None, None)
+        self._log = None  # the block pass's moves while it runs
         self.R_cand = self.L
         if route == "matrix":
             self.Rbar = cpl.offdiag(env.qbar)
@@ -353,7 +369,12 @@ class _ChunkRun:
             self.skel += np.bincount(flat.ravel(), minlength=3 * M * M).reshape(3, M, M)
         self.prev_obs_states = cur
 
-    def _apply_jump(self, chain_row, pj, new, rem, tc):
+    def _apply_jump(self, chain_row, pj, new, rem, tc, call):
+        """Move chain ``chain_row`` of paths ``pj`` to ``new`` and book the
+        moves; ``call`` numbers the rule's calls in their order in a round.
+        The block pass logs the moves instead (``_log_jump``)."""
+        if self._log is not None:
+            return self._log_jump(chain_row, pj, new, call)
         states = self.S[chain_row]
         old = states[pj]
         moved = old != new
@@ -370,6 +391,17 @@ class _ChunkRun:
             self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
                 tc[moved].tolist(), (old + 1).tolist(), (new + 1).tolist()
             )
+
+    def _log_jump(self, chain_row, pj, new, call):
+        """``_apply_jump`` in the block pass: move the states and log the
+        moves with their candidates and the call's number in its round."""
+        states = self.S[chain_row]
+        old = states[pj]
+        moved = old != new
+        if moved.any():
+            pj, new = pj[moved], new[moved]
+            self._log.append((chain_row, call, self._cand[pj], old[moved], new))
+            states[pj] = new
 
     def _crossed(self, p):
         ls, lm, lb = self.S[:, p]
@@ -389,20 +421,95 @@ class _ChunkRun:
             r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
             self._jump(Roff[rc], marks[r], aux[r], pr, self.h - offs[r], t + offs[r], Xc[rc])
             if self.coupled and self._crossed(pr).any():
-                self._raise_crossing(pr, t + offs[r])
+                c = int(np.flatnonzero(self._crossed(pr))[0])
+                raise self._crossing_error(pr[c], t + offs[b0 + c])
 
-    def _raise_crossing(self, p, tc):
-        """A coupled round left some path's chains out of order, which the
+    def _block_pass(self, k0, steps, p, offs, marks, aux, step, rnd, bounds):
+        """Run a step block's jumps at state-free rates ahead of its steps,
+        round r holding each path's r-th candidate in the block, then restore
+        the states and book the moves (``_book_block``).  Once a path crosses,
+        the later rounds keep only the candidates before the earliest
+        crossing in the per-step order, (step, round, path), which drops the
+        crossed paths.  Returns the states the steps write and that crossing
+        as (step, error), or None."""
+        h = self.h
+        S0 = self.S.copy()
+        tc = (k0 + step) * h + offs
+        when = step * (int(rnd.max(initial=0)) + 1) + rnd  # the per-step round order
+        Roff = np.broadcast_to(self.R0, (len(p), self.M, self.M))
+        self._log, self._cand = [], np.empty(self.na, dtype=np.int64)
+        crossing = None  # (when, path, step, error)
+        for b0, b1 in zip(bounds, bounds[1:]):
+            c = np.arange(b0, b1)
+            if crossing is not None:
+                c = c[when[c] <= crossing[0]]
+                if not len(c):
+                    continue
+            pc = p[c]
+            self._cand[pc] = c
+            self._jump(Roff[:len(c)], marks[c], aux[c], pc, h - offs[c], tc[c], None)
+            if self.coupled:
+                bad = np.flatnonzero(self._crossed(pc))
+                if len(bad):
+                    i = bad[np.lexsort((pc[bad], when[c[bad]]))[0]]
+                    if crossing is None or (when[c[i]], pc[i]) < crossing[:2]:
+                        crossing = (when[c[i]], pc[i], step[c[i]], self._crossing_error(pc[i], tc[c[i]]))
+        log, self._log = self._log, None
+        self.S[:] = S0
+        sizes = [len(e[2]) for e in log]
+        row, call = (np.repeat(np.array([e[k] for e in log], dtype=np.int64), sizes) for k in (0, 1))
+        cand, old, new = (np.concatenate([e[k] for e in log] or [np.zeros(0, np.int64)]) for k in (2, 3, 4))
+        replay = self._book_block(steps, row, call, old, new, p[cand], step[cand], rnd[cand],
+                                  h - offs[cand], tc[cand])
+        return replay, crossing[2:] if crossing else None
+
+    def _book_block(self, steps, row, call, old, new, path, step, rnd, rem, tc):
+        """Book a block pass's moves (chain row, call number in its round, old
+        and new state, path, step, round in the step, time left in the step
+        and time) as the per-step rounds would: the occupation, the recorded
+        path's jumps.  Returns, for the steps to write, the first move of
+        every step and each move's chain row, path and state."""
+        h, M = self.h, self.M
+        cells = 3 * M
+        # populations at every step's start, from integer counts: the values
+        # the per-step increments reach
+        delta = (np.bincount(step * cells + row * M + new, minlength=steps * cells)
+                 - np.bincount(step * cells + row * M + old, minlength=steps * cells)).reshape(steps, cells)
+        pop0 = np.bincount((np.arange(3)[:, None] * M + self.S).ravel(), minlength=cells)
+        pop = pop0 + np.cumsum(delta, axis=0) - delta
+        # one ordered update: each step's pop * h, then round by round and
+        # call by call the subtractions, then the additions, paths ascending;
+        # ufunc.at applies them one by one, and a - v == a + (-v)
+        zero = np.zeros(steps * cells, dtype=np.int64)
+        moves = np.stack([step, rnd, call, np.zeros_like(step), path])
+        keys = np.concatenate([np.stack([np.repeat(np.arange(steps), cells), zero - 1, zero, zero, zero]),
+                               moves, moves + [[0], [0], [0], [1], [0]]], axis=1)
+        at = np.concatenate([np.tile(np.arange(cells), steps), row * M + old, row * M + new])
+        val = np.concatenate([(pop * h).ravel(), -rem, rem])
+        order = np.lexsort(keys[::-1])
+        np.add.at(self.occ.reshape(-1), at[order], val[order])
+
+        if self.recording:  # the window is the recorded path alone
+            o = np.lexsort((call, rnd, step))
+            for r, *rec in zip(row[o].tolist(), tc[o].tolist(), (old[o] + 1).tolist(), (new[o] + 1).tolist()):
+                self.jump_rec[CHAIN_NAMES[r]].append(tuple(rec))
+
+        # a step writes each chain's last state of every path it moved
+        o = np.lexsort((call, rnd, path, row, step))
+        o = o[np.diff(np.stack([step[o], row[o], path[o]]), axis=1, append=-1).any(axis=0)]
+        return np.searchsorted(step[o], np.arange(steps + 1)).tolist(), row[o], path[o], new[o]
+
+    def _crossing_error(self, path, t):
+        """A coupled round left ``path``'s chains out of order, which the
         envelopes allow where they do not dominate the rates; every coupled
-        route refuses it at that round, naming the first such path."""
-        c = int(np.flatnonzero(self._crossed(p))[0])
-        states = ", ".join(f"{name}={s + 1}" for name, s in zip(CHAIN_NAMES, self.S[:, p[c]].tolist()))
+        route refuses it at that round, naming the path."""
+        states = ", ".join(f"{name}={s + 1}" for name, s in zip(CHAIN_NAMES, self.S[:, path].tolist()))
         where = (
             "; the envelopes were derived from the validation grid and are certified only on it"
             if self.sc.envelopes is None else ""
         )
-        raise EngineError(
-            f"coupled chains crossed at t={tc[c]:.6g}, path {self.start + self.lo + p[c]}: {states}{where}"
+        return EngineError(
+            f"coupled chains crossed at t={t:.6g}, path {self.start + self.lo + path}: {states}{where}"
         )
 
     def _check_rate_bound(self, q, p, tc, Xc):
@@ -411,32 +518,38 @@ class _ChunkRun:
         q_max = q.max()
         if not q_max <= self.H_max:
             c, i = np.unravel_index(int(q.argmax()), q.shape)  # argmax picks a NaN first
+            where = (" at every x" if Xc is None  # state-free rates, checked before the first step
+                     else f" at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}")
             raise EngineError(
                 f"exit rate {q[c, i]:.6g} from state {i + 1} "
                 f"{'exceeds' if q_max > self.H_max else 'is not within'} declared bound "
-                f"H={self.sc.rates.H} at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}"
+                f"H={self.sc.rates.H}{where}"
             )
 
     # The three jump rules share one signature: (off-diagonal rates at the
     # candidates, marks, auxiliary uniforms, local path indices, time left in
-    # the step, candidate times, diffusion values at the candidates).
+    # the step, candidate times, diffusion values at the candidates, None in
+    # the block pass).  Each numbers its _apply_jump calls in their order in
+    # a round, the same number at every round, and the block bookkeeping
+    # orders a round's moves on one chain by that number, as the per-step
+    # rounds book them.
 
     def _marginal_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         hit, tgt, _, _, q = cpl.row_block_pick(Roff, self.S[1, p], mark)
         self._check_rate_bound(q, p, tc, Xc)
         if hit.any():
-            self._apply_jump(1, p[hit], tgt[hit], rem[hit], tc[hit])
+            self._apply_jump(1, p[hit], tgt[hit], rem[hit], tc[hit], 0)
 
     def _two_state_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
         qbar, qstar = self.env.qbar, self.env.qstar
         cur = self.S[:, p]
-        for row, a12, a21 in (
+        for call, (row, a12, a21) in enumerate((
             (1, Roff[:, 0, 1], Roff[:, 1, 0]),
             (2, qbar[0, 1], qbar[1, 0]),
             (0, qstar[0, 1], qstar[1, 0]),
-        ):
-            self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), rem, tc)
+        )):
+            self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), rem, tc, call)
 
     def _matrix_jump(self, Roff, mark, aux, p, rem, tc, Xc):
         nc = len(p)
@@ -455,10 +568,9 @@ class _ChunkRun:
         neg = rows.min()
         if neg < -1e-9:
             c, m, n = np.unravel_index(int(rows.argmin()), rows.shape)
-            raise EngineError(
-                f"coupling produced negative rate {neg:.3e} to ({m + 1},{n + 1}) at "
-                f"x={Xc[c % nc].tolist()}; the envelopes do not dominate the rates there"
-            )
+            where = ("; the envelopes do not dominate the rates" if Xc is None
+                     else f" at x={Xc[c % nc].tolist()}; the envelopes do not dominate the rates there")
+            raise EngineError(f"coupling produced negative rate {neg:.3e} to ({m + 1},{n + 1}){where}")
         np.maximum(rows, 0.0, out=rows)
         row1, row2 = rows[:nc], rows[nc:]
 
@@ -469,22 +581,22 @@ class _ChunkRun:
             pj, mvs, w, rs, ts = p[sub], mv[sub], width[sub], rem[sub], tc[sub]
             okb, nb = _pick(row1[sub, mvs], u2[sub], w)
             oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
-            self._apply_jump(1, pj, mvs, rs, ts)
-            self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), rs, ts)
-            self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), rs, ts)
+            self._apply_jump(1, pj, mvs, rs, ts, 0)
+            self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), rs, ts, 1)
+            self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), rs, ts, 2)
 
         # regions B and C: the upper chain moves alone on [L, L + Hbar), the
         # lower chain from L + Hbar; the lower table is read transposed
         L, Hbar = self.L, self.Hbar
-        for row, table, lo, hi, shift in (
-            (2, row1, L, L + Hbar, 0.0),
-            (0, row2.transpose(0, 2, 1), L + Hbar, np.inf, Hbar),
+        for call, row, table, lo, hi, shift in (
+            (3, 2, row1, L, L + Hbar, 0.0),
+            (4, 0, row2.transpose(0, 2, 1), L + Hbar, np.inf, Hbar),
         ):
             sub = np.flatnonzero((mark >= lo) & (mark < hi))
             if len(sub):
                 picked, new = _pick(table[sub, lam_c[sub]], (mark[sub] - L) - shift)
                 s = sub[picked]
-                self._apply_jump(row, p[s], new[picked], rem[s], tc[s])
+                self._apply_jump(row, p[s], new[picked], rem[s], tc[s], call)
 
     # -- main loop
 
@@ -511,7 +623,13 @@ class _ChunkRun:
             for j, (ngen, jgen) in enumerate(gens):
                 ngen.standard_normal(out=xi_block[j])
                 draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
-            *cand, bounds, step_first = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
+            *cand, step, rnd, bounds = _candidate_schedule(
+                draws, bsz, _GROUP, off, na, h, self.R_cand, self.state_free)
+            if self.state_free:
+                (first, rows, paths, states), crossing = self._block_pass(
+                    block_start, bsz, *cand, step, rnd, bounds)
+            else:
+                step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
 
             for kk in range(bsz):
                 k = block_start + kk
@@ -533,11 +651,17 @@ class _ChunkRun:
                         f"non-finite state at t={t + h:.6g}, path {self.start + lo + bad} (overflow)"
                     )
 
-                self.occ += self.pop * h  # whole step to the start states; jumps correct below
-
-                first, last = step_first[kk], step_first[kk + 1]
-                if first < last:
-                    self._process_step(t, Xn, *cand, bounds[first:last + 1])
+                if self.state_free:  # the block pass booked the occupation
+                    a, b = first[kk], first[kk + 1]
+                    if a < b:
+                        self.S[rows[a:b], paths[a:b]] = states[a:b]
+                    if crossing and crossing[0] == kk:
+                        raise crossing[1]
+                else:
+                    self.occ += self.pop * h  # whole step to the start states; jumps correct below
+                    b0, b1 = step_first[kk], step_first[kk + 1]
+                    if b0 < b1:
+                        self._process_step(t, Xn, *cand, bounds[b0:b1 + 1])
 
                 self.X = Xn
                 if self.recording:
@@ -586,17 +710,19 @@ def _draw_candidates(jgen, cells, mean):
     return jgen.integers(0, cells, n), jgen.random(3 * n)
 
 
-def _candidate_schedule(draws, steps, G, lo, na, h, R_cand):
+def _candidate_schedule(draws, steps, G, lo, na, h, R_cand, per_block=False):
     """Thinning candidates of one step block in the order they are processed.
 
     ``draws`` holds, group by group, the candidates' cell ids, row-major
     (step, column) in a group of G columns, and their uniforms, three per
     candidate, in draw order.  Columns [lo, lo + na) of the groups laid side
-    by side are kept, as paths from lo, and grouped by (step, round), round r
-    holding the r-th candidate in time of every path (ties in draw order),
-    with paths ascending inside a group.  Returns the per-candidate (path,
-    offset in the step, mark, auxiliary uniform), the group bounds, and the
-    first group of every step with one more entry closing the last step.
+    by side are kept, as paths from lo.  Round r holds the r-th candidate in
+    time (ties in draw order) of every path in its cell, paths ascending: the
+    cell is the (step, path) pair and the rounds follow in (step, round)
+    order, or with ``per_block`` the cell is the path over the whole block.
+    Returns the per-candidate (path, offset in the step, mark, auxiliary
+    uniform, step, round in its (step, path) cell) in round order and the
+    round bounds.
     """
     group = np.repeat(np.arange(len(draws)), [len(cells) for cells, _ in draws])
     step, path = np.divmod(np.concatenate([cells for cells, _ in draws]), G)
@@ -604,18 +730,22 @@ def _candidate_schedule(draws, steps, G, lo, na, h, R_cand):
     live = (path >= 0) & (path < na)
     u = np.concatenate([v for _, v in draws]).reshape(-1, 3)[live]
     step, path, offs = step[live], path[live], u[:, 0] * h
-    cell = step * na + path
-    order = np.lexsort((offs, cell))  # stable: a cell's ties keep draw order
-    cell = cell[order]
-    at = np.arange(len(cell))  # rnd below: the rank in time inside a cell
-    rnd = at - np.maximum.accumulate(np.where(np.diff(cell, prepend=-1) != 0, at, 0))
-    rounds = int(rnd.max(initial=-1)) + 1
-    key = step[order] * rounds + rnd
-    by_round = np.argsort(key, kind="stable")  # paths stay ascending in a group
+    order = np.lexsort((offs, path * steps + step))  # stable: a cell's ties keep draw order
+    step, path = step[order], path[order]
+    new_path = np.diff(path, prepend=-1) != 0
+    rnd = _rank(new_path | (np.diff(step, prepend=-1) != 0))
+    key = _rank(new_path) if per_block else step * (int(rnd.max(initial=-1)) + 1) + rnd
+    by_round = np.argsort(key, kind="stable")  # paths stay ascending in a round
     order, key = order[by_round], key[by_round]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
-    step_first = np.searchsorted(key[bounds[:-1]], rounds * np.arange(steps + 1))
-    return path[order], offs[order], u[order, 1] * R_cand, u[order, 2], bounds.tolist(), step_first.tolist()
+    return (path[by_round], offs[order], u[order, 1] * R_cand, u[order, 2], step[by_round], rnd[by_round],
+            bounds.tolist())
+
+
+def _rank(first):
+    """Each entry's rank in its run, the runs starting where ``first`` holds."""
+    at = np.arange(len(first))
+    return at - np.maximum.accumulate(np.where(first, at, 0))
 
 
 def _tree_groups(trees):

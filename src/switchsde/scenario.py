@@ -77,6 +77,11 @@ class StateRates:
             idx = (rows[0], cols[0]) if len(entries) == 1 else (list(rows), list(cols))
             self._fills.append((idx, exprlang.compile_vectorized(e) if v is None else v))
 
+    @property
+    def state_free(self) -> bool:
+        """Whether no off-diagonal rate reads x: every fill is a constant."""
+        return not any(callable(fill) for _, fill in self._fills)
+
     def offdiag_batch(self, X: np.ndarray) -> np.ndarray:
         """Off-diagonal rates at a batch of points, shape (n, M, M)."""
         R = np.zeros((X.shape[0], self.M, self.M))

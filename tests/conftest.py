@@ -91,6 +91,21 @@ def make_scenario(**overrides):
     return doc
 
 
+def state_dependent_twin(doc):
+    """The scenario document with every constant off-diagonal rate c written
+    as ``c + 0*x1``: the same rate at every finite x, bit for bit, but one
+    that reads x, so the engine schedules its candidates step by step.  The
+    reference for the block pass of state-free rates."""
+    from switchsde import exprlang
+
+    twin = json.loads(json.dumps(doc))
+    for i, row in enumerate(twin["rates"]):
+        for j, src in enumerate(row):
+            if i != j and exprlang.constant_value(exprlang.parse(src)) is not None:
+                row[j] = f"{src} + 0*x1"
+    return twin
+
+
 def skeleton_2state_closed_form(a, b, tau):
     """Analytic transition matrix of [[-a, a], [b, -b]] at time tau."""
     s = a + b

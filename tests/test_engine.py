@@ -12,7 +12,14 @@ from switchsde import cli
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
-from tests.conftest import FIXTURES, candidate_rounds_reference, cell_lists, make_scenario, write_scenario
+from tests.conftest import (
+    FIXTURES,
+    candidate_rounds_reference,
+    cell_lists,
+    make_scenario,
+    state_dependent_twin,
+    write_scenario,
+)
 from tests.test_golden import six_state_birth_death
 
 
@@ -241,22 +248,25 @@ class TestCoupledRoutes:
 
 def _with_crossings(run):
     """Wrap the bound jump rule: after it, some candidate paths get lambda_bar
-    one below lambda, and others get it back on top of the state space."""
+    one below lambda, and others get it back on top of the state space.  The
+    moves go through _apply_jump, as the block pass of state-free rates logs
+    and replays only what passes there."""
     rule = run._jump
 
     def jump(Roff, mark, aux, p, rem, tc, Xc):
         rule(Roff, mark, aux, p, rem, tc, Xc)
-        down = p[(aux < 0.4) & (run.S[1, p] > 0)]
-        run.S[2, down] = run.S[1, down] - 1
-        run.S[2, p[aux > 0.8]] = run.M - 1
+        down = (aux < 0.4) & (run.S[1, p] > 0)
+        run._apply_jump(2, p[down], run.S[1, p[down]] - 1, rem[down], tc[down], 5)  # after the rule's calls
+        top = aux > 0.8
+        run._apply_jump(2, p[top], np.full(top.sum(), run.M - 1), rem[top], tc[top], 6)
 
     run._jump = jump
     return run
 
 
-def _raises_at_the_first_crossing(sc, record_local):
-    """Run ``sc`` coupled with crossings made after its jump rule and check
-    that the run stops at the first one, naming it; returns the route."""
+def _crossing_error(sc, record_local):
+    """Run ``sc`` coupled with crossings made after its jump rule; returns
+    the route, the error and the first crossing made, in call order."""
     route, env, _ = en.choose_route(sc)
     p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
     run = _with_crossings(en._ChunkRun(sc, p, 0, route, env, record_local=record_local))
@@ -271,11 +281,23 @@ def _raises_at_the_first_crossing(sc, record_local):
     run._jump = jump
     with pytest.raises(en.EngineError) as err:
         run.run()
-    path, t, (ls, lm, lb) = first[0]
+    return route, str(err.value), first[0]
+
+
+def _raises_at_the_first_crossing(sc, record_local):
+    """Check that a run with crossings made stops at the first one, naming
+    it; returns the route.  Rounds run in time only step by step, so rates
+    that do not read x are checked against their state-dependent twin."""
+    if sc.rates.state_free:
+        twin = sn.load_scenario(state_dependent_twin(sc.raw))
+        assert not twin.rates.state_free
+        assert _crossing_error(sc, record_local)[:2] == _crossing_error(twin, record_local)[:2]
+        sc = twin
+    route, err, (path, t, (ls, lm, lb)) = _crossing_error(sc, record_local)
     if record_local is not None:
         assert path == record_local
     # the envelopes are declared, so the message does not blame the grid
-    assert str(err.value) == (
+    assert err == (
         f"coupled chains crossed at t={t:.6g}, path {path}: "
         f"lambda_star={ls}, lambda={lm}, lambda_bar={lb}"
     )
@@ -295,6 +317,196 @@ class TestOrderCount:
         # once a CouplingError of the next round of that path, naming neither
         # the path nor the time
         assert _raises_at_the_first_crossing(ex_three_state, record_local) == "matrix"
+
+
+def three_state_constant(dominate=True):
+    """Three states with constant rates on the coupling-matrix route; the
+    envelopes push up (qbar) and down (qstar) harder than the rates, and
+    swapped they fail the partial-sum domination."""
+    def generator(up, down):
+        Q = [[0.0, up, 0.3], [down, 0.0, up], [0.3, down, 0.0]]
+        for i in range(3):
+            Q[i][i] = -sum(Q[i])
+        return Q
+
+    qbar, qstar = generator(1.5, 1.0), generator(1.0, 1.5)
+    return make_scenario(
+        dimensions={"d": 1, "M": 3}, tau=0.5, step=0.01,
+        drift=[["-1*x1"], ["-0.5*x1"], ["-0.2*x1"]], diffusion=[[["0.3*x1"]], [["0.4*x1"]], [["0.5*x1"]]],
+        gains=[0.1, 0.2, 0.3], rates=[["0", "1.2", "0.3"], ["1.2", "0", "1.2"], ["0.3", "1.2", "0"]],
+        rate_bound=3.0, coefficient_bounds={"C": [-1.91, -0.84, 0.0], "c": [-1.91, -0.84, -0.15], "Ma": 1.0},
+        initial={"x": [1.0], "state": 2},
+        envelopes={"qbar": qbar, "qstar": qstar} if dominate else {"qbar": qstar, "qstar": qbar},
+    )
+
+
+def interval_constant():
+    """The interval-route crossing reproducer of TestCli in
+    test_scenario_cli.py with the rate it has at its fixed x = 0.5,
+    1 + 0.5^2, written as a constant."""
+    return make_scenario(
+        drift=[["0"], ["0"]], rates=[["0", "1.25"], ["1.25", "0"]],
+        rate_bound=2.0, grid={"lo": -1.0, "hi": 1.0, "n": 41},
+        initial={"x": [0.5], "state": 1}, horizon=3.0, step=0.001, paths=64,
+        coefficient_bounds={"C": [0.0, 0.0], "c": [0.0, 0.0], "Ma": 0.0},
+        envelopes={"qbar": [[-1, 1], [1, -1]], "qstar": [[-2, 2], [2, -2]]},
+    )
+
+
+# (document, coupled, horizon) of a run on each route at state-free rates,
+# over several step blocks
+TWIN_CASES = {
+    "marginal": lambda: (json.loads((FIXTURES / "linear_feedback.json").read_text()), False, 1.0),
+    "two_state": lambda: (json.loads((FIXTURES / "linear_feedback.json").read_text()), True, 1.0),
+    "matrix": lambda: (three_state_constant(), True, 3.0),
+}
+
+
+class TestStateFreeRates:
+    """Rates that do not read x run each step block's jumps in one pass; the
+    same scenario with its rates written to read x runs them step by step
+    and is the reference."""
+
+    @pytest.mark.parametrize("route", sorted(TWIN_CASES))
+    def test_matches_the_per_step_twin(self, route):
+        doc, coupled, horizon = TWIN_CASES[route]()
+        sc, twin = load(doc), load(state_dependent_twin(doc))
+        assert sc.rates.state_free and not twin.rates.state_free
+        # several step blocks, three chunks, an interior recorded path
+        p = en.SimParams.from_scenario(sc, n_paths=150, chunk_size=64, horizon=horizon, record_stride=7)
+        assert p.n_steps > 256
+        mc = []
+        for s in (sc, twin):
+            out = en.monte_carlo(s, p, coupled=coupled).to_dict()
+            assert out.pop("scenario_hash") == s.hash
+            mc.append(sn.canonical_json(out))
+        assert json.loads(mc[0])["route"] == route
+        assert mc[0] == mc[1]
+        sim = en.simulate_coupled if coupled else en.simulate_hybrid
+        a, b = (sim(s, p, 101) for s in (sc, twin))
+        for name in ("times", "X", "lam", "lam_star", "lam_bar"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None) and (x is None or x.tobytes() == y.tobytes())
+        assert a.jumps == b.jumps and a.meta == b.meta
+        assert all(a.jumps[chain] for chain in (en.CHAIN_NAMES if coupled else ["lambda"]))
+
+    @pytest.mark.parametrize("route", ["marginal", "matrix", "two_state"])
+    def test_rate_bound_raised_before_the_first_step(self, route, tmp_path, capsys):
+        if route == "matrix":
+            doc = three_state_constant() | {"rate_bound": 2.0}
+            want = "exit rate 2.4 from state 2 exceeds declared bound H=2.0 at every x"
+        else:
+            doc = make_scenario(rates=[["0", "3"], ["1", "0"]], rate_bound=2.0)
+            want = "exit rate 3 from state 1 exceeds declared bound H=2.0 at every x"
+        sc = load(doc)
+        coupled = route != "marginal"
+        route_, env, _ = en.choose_route(sc) if coupled else ("marginal", None, None)
+        assert route_ == route
+        p = en.SimParams.from_scenario(sc)
+        with pytest.raises(en.EngineError) as err:  # the chunk is not even built
+            en._ChunkRun(sc, p, 0, route, env)
+        assert str(err.value) == want
+        fx = write_scenario(tmp_path, doc)
+        flag = ["--coupled"] if coupled else []
+        assert cli.main(["mc", fx, *flag]) == 2
+        assert cli.main(["simulate", fx, *flag, "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == 2 * f"runtime error: {want}\n"
+        # the per-step twin names the first candidate that reads the rate
+        sim = en.simulate_coupled if coupled else en.simulate_hybrid
+        with pytest.raises(en.EngineError, match=r" at t=\S+, x=\[\S+\], path 0$"):
+            sim(load(state_dependent_twin(doc)), p, 0)
+
+    @pytest.mark.parametrize("route, rows", [("marginal", (1,)), ("two_state", (1, 2, 0)),
+                                             ("matrix", (1, 2, 0, 2, 0))])
+    def test_calls_are_numbered_in_their_order(self, route, rows, monkeypatch):
+        # the block bookkeeping orders a round's moves on one chain by the
+        # number of their _apply_jump call: at every round a rule's calls
+        # come in increasing numbers, and a number always names one chain
+        calls, apply, rule = [], en._ChunkRun._apply_jump, getattr(en._ChunkRun, f"_{route}_jump")
+
+        def numbered(self, chain_row, pj, new, rem, tc, call):
+            calls[-1].append((call, chain_row))
+            return apply(self, chain_row, pj, new, rem, tc, call)
+
+        def one_round(self, *args):
+            calls.append([])
+            return rule(self, *args)
+
+        monkeypatch.setattr(en._ChunkRun, "_apply_jump", numbered)
+        monkeypatch.setattr(en._ChunkRun, f"_{route}_jump", one_round)
+        doc, coupled, horizon = TWIN_CASES[route]()
+        sc = load(doc)
+        en.monte_carlo(sc, en.SimParams.from_scenario(sc, n_paths=64, horizon=horizon), coupled=coupled)
+        assert len(calls) > 5
+        for made in calls:
+            assert [c for c, _ in made] == sorted({c for c, _ in made})
+            assert all(rows[c] == row for c, row in made)
+        assert {c for made in calls for c, _ in made} == set(range(len(rows)))
+
+    def test_block_booking_matches_the_per_step_booking(self):
+        # random moves on a few paths, whose occupation stays within a few
+        # steps' worth of the times left in the step, so that the order of
+        # the float updates shows; the per-step reference books them with
+        # _apply_jump round by round and call by call, the block bookkeeping
+        # from a log in any order
+        sc = load(three_state_constant())
+        route, env, _ = en.choose_route(sc)
+        params = en.SimParams.from_scenario(sc, n_paths=8)
+        ref, block = (en._ChunkRun(sc, params, 0, route, env) for _ in range(2))
+        rng = np.random.default_rng(7)
+        start = rng.integers(0, 3, (3, 8))
+        ref.S[:], block.S[:] = start, start
+        ref.pop = np.stack([np.bincount(row, minlength=3) for row in start]).astype(float)
+        steps, h, log, states = 40, ref.h, [], []
+        for k in range(steps):
+            ref.occ += ref.pop * h
+            for rnd in range(rng.integers(0, 4)):
+                free = {row: list(rng.permutation(8)) for row in range(3)}  # one move per chain and path
+                for call, row in enumerate((1, 2, 0, 2, 0)):  # the matrix rule's calls
+                    pj = np.sort([free[row].pop() for _ in range(min(rng.integers(0, 7), len(free[row])))])
+                    pj = pj.astype(np.int64)
+                    new, rem = rng.integers(0, 3, len(pj)), h * rng.random(len(pj))
+                    moved = ref.S[row, pj] != new
+                    log += zip([row] * len(pj), [call] * len(pj), ref.S[row, pj], new, pj, [k] * len(pj),
+                               [rnd] * len(pj), rem, moved)
+                    ref._apply_jump(row, pj, new, rem, np.zeros(len(pj)), call)
+            states.append(ref.S.copy())
+        log = [e[:8] for e in log if e[8]]  # the block pass logs the moves alone
+        rng.shuffle(log)
+        row, call, old, new, path, step, rnd = (np.array([e[i] for e in log], dtype=np.int64) for i in range(7))
+        rem = np.array([e[7] for e in log])
+        first, rows, paths, written = block._book_block(steps, row, call, old, new, path, step, rnd, rem,
+                                                        np.zeros(len(log)))
+        assert block.occ.tobytes() == ref.occ.tobytes()
+        for k in range(steps):
+            w = slice(first[k], first[k + 1])
+            block.S[rows[w], paths[w]] = written[w]
+            assert np.array_equal(block.S, states[k])
+
+    # seeds at which some path crosses in a later block round, but earlier
+    # in time, than another path's first crossing found
+    CROSSING_SEEDS = {"two_state": 16, "matrix": 6}
+
+    @pytest.mark.parametrize("route", sorted(CROSSING_SEEDS))
+    def test_crossing_matches_the_per_step_twin(self, route):
+        # the block pass meets the crossings path by path, not in time; it
+        # raises the earliest by step, round and path, as the per-step run,
+        # for mc and for a path that crosses in a later step block
+        doc = interval_constant() if route == "two_state" else three_state_constant(dominate=False)
+        doc["seed"] = self.CROSSING_SEEDS[route]
+        sc, twin = load(doc), load(state_dependent_twin(doc))
+        assert en.choose_route(sc)[0] == route
+        p = en.SimParams.from_scenario(sc, n_paths=16, horizon=3.0, h=0.001)
+        errors = []
+        for run in (lambda s: en.monte_carlo(s, p, coupled=True), lambda s: en.simulate_coupled(s, p, 10)):
+            for s in (sc, twin):
+                with pytest.raises(en.EngineError) as err:
+                    run(s)
+                errors.append(str(err.value))
+        assert errors[0] == errors[1] and errors[2] == errors[3]
+        assert errors[0].startswith("coupled chains crossed at t=")
+        assert errors[2].startswith("coupled chains crossed at t=") and ", path 10: " in errors[2]
+        assert float(errors[2].split("t=")[1].split(",")[0]) > 256 * p.h
 
 
 def _coefficients(d, shared):
@@ -346,8 +558,15 @@ class TestCoefficientGroups:
         assert got_noise.tobytes() == noise.tobytes()
 
 
+def _per_step_schedule(draws, steps, G, lo, na, h, R_cand):
+    """The per-step schedule's (path, offs, marks, aux, round bounds, first
+    round of every step with one more entry closing the last step)."""
+    p, offs, marks, aux, step, _, bounds = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
+    return p, offs, marks, aux, bounds, np.searchsorted(step[bounds[:-1]], np.arange(steps + 1)).tolist()
+
+
 def _schedule_rounds(draws, steps, G, lo, na, h, R_cand):
-    p, offs, marks, aux, bounds, step_first = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
+    p, offs, marks, aux, bounds, step_first = _per_step_schedule(draws, steps, G, lo, na, h, R_cand)
     for kk in range(steps):
         for g in range(step_first[kk], step_first[kk + 1]):
             b0, b1 = bounds[g], bounds[g + 1]
@@ -437,9 +656,12 @@ class TestCandidateSchedule:
     # 47,566 and 316 (six states) and 8,215 and 179 (linear_feedback,
     # marginal).  The two-state route keeps its 2H mark space.  Drawn as one
     # Poisson count per (step, path) cell, the stream gave 28,867 and 257,
-    # 16,637 and 216, 4,106 and 135, and 8,215 and 179.
+    # 16,637 and 216, 4,106 and 135, and 8,215 and 179.  linear_feedback's
+    # rates do not read x, so its rounds hold each path's r-th candidate in
+    # the step block, not in the step: 7 rounds, where the per-step rounds
+    # were 130.
     COUNTS = {"three_state_rational": ("matrix", 28738, 267), "six_state": ("matrix", 16435, 219),
-              "linear_feedback": ("marginal", 4128, 130), "two_state_balanced": ("two_state", 8224, 179)}
+              "linear_feedback": ("marginal", 4128, 7), "two_state_balanced": ("two_state", 8224, 179)}
 
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_candidates_and_rounds_of_one_job(self, name, monkeypatch):
@@ -451,7 +673,7 @@ class TestCandidateSchedule:
         def schedule(*args):
             out = schedule_block(*args)
             seen[0] += len(out[0])
-            seen[1] += len(out[4]) - 1
+            seen[1] += len(out[-1]) - 1
             return out
 
         schedule_block = en._candidate_schedule
@@ -484,15 +706,46 @@ class TestCandidateSchedule:
         assert stats.chisquare(hist, expected).pvalue > 1e-3
         assert reached.all()
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.5])
+    @pytest.mark.parametrize("ng, G, lo, na", [(1, 16, 0, 16), (1, 37, 17, 3), (3, 12, 5, 26)])
+    def test_block_rounds_follow_each_path_in_time(self, rate, ng, G, lo, na):
+        # the per-block schedule holds the per-step schedule's candidates,
+        # with their steps and rounds in the step; round r holds each path's
+        # r-th candidate in the block, paths ascending
+        rng = np.random.default_rng(int(rate * 10) + ng)
+        steps, h, R_cand = 40, 0.01, 7.5
+        counts = rng.poisson(rate, (ng, steps, G))
+        u = rng.integers(0, 4, 3 * int(counts.sum())) / 4  # ties inside a step
+        draws = cell_lists(counts, u, rng)
+        per_step = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
+        block = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand, per_block=True)
+
+        def candidates(out):
+            p, offs, marks, aux, step, rnd, _ = out
+            return sorted(zip(p.tolist(), step.tolist(), rnd.tolist(), offs.tolist(), marks.tolist(), aux.tolist()))
+
+        assert candidates(block) == candidates(per_step)
+        p, _, _, _, step, rnd, bounds = block
+        if rate == 0.0:
+            assert bounds == []
+            return
+        rounds = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        for path in np.unique(p):
+            mine = np.flatnonzero(p == path)
+            assert rounds[mine].tolist() == list(range(len(mine)))
+            times = list(zip(step[mine].tolist(), rnd[mine].tolist()))
+            assert times == sorted(times)
+        assert all((np.diff(p[b0:b1]) > 0).all() for b0, b1 in zip(bounds, bounds[1:]))
+
     def test_live_columns_only(self):
         counts = np.zeros((1, 3, 4), dtype=np.int64)
         counts[0, 1] = [0, 2, 0, 3]
         u = np.random.default_rng(0).random(3 * 7)
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 4, 0, 2, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = _per_step_schedule(cell_lists(counts, u), 3, 4, 0, 2, 1.0, 1.0)
         assert p.tolist() == [1, 1] and bounds == [0, 1, 2] and step_first == [0, 0, 2, 2]
         assert offs[0] <= offs[1]
         # the window [3, 4): column 3's three candidates, as path 0
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 4, 3, 1, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = _per_step_schedule(cell_lists(counts, u), 3, 4, 3, 1, 1.0, 1.0)
         assert p.tolist() == [0, 0, 0] and bounds == [0, 1, 2, 3] and step_first == [0, 0, 3, 3]
         assert offs.tolist() == sorted(offs.tolist())
         # two groups of two columns: group 0 draws candidates 0 to 2 (column 1
@@ -500,12 +753,12 @@ class TestCandidateSchedule:
         # (column 2 at step 0) and 4 to 6 (column 3 at step 1)
         counts = np.zeros((2, 3, 2), dtype=np.int64)
         counts[0, 1, 1], counts[0, 2, 0], counts[1, 0, 0], counts[1, 1, 1] = 2, 1, 1, 3
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 2, 3, 1, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = _per_step_schedule(cell_lists(counts, u), 3, 2, 3, 1, 1.0, 1.0)
         assert p.tolist() == [0, 0, 0] and step_first == [0, 0, 3, 3]
         assert offs.tolist() == sorted(u[[12, 15, 18]].tolist())
         # the window [1, 3) in step order: column 2 at step 0 as path 1, then
         # column 1's two candidates at step 1 as path 0
-        p, offs, _, _, bounds, step_first = en._candidate_schedule(cell_lists(counts, u), 3, 2, 1, 2, 1.0, 1.0)
+        p, offs, _, _, bounds, step_first = _per_step_schedule(cell_lists(counts, u), 3, 2, 1, 2, 1.0, 1.0)
         assert p.tolist() == [1, 0, 0] and step_first == [0, 1, 3, 3]
         assert offs[0] == u[9] and sorted(offs[1:].tolist()) == sorted(u[[0, 3]].tolist())
 

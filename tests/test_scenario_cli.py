@@ -226,6 +226,9 @@ class TestCli:
         assert [w.split(" (")[0] for w in warnings] == [
             "upper envelope does not dominate the rates", "lower envelope not dominated by the rates",
         ]
+        # the upper chain moves at qbar's own rates here, so the warning names
+        # the crossing, not the matrix route's sub-marginal upper chain
+        assert warnings[0].endswith("); the coupled chains may cross, which ends the run")
         assert cli.main(["validate", fx]) == 1
         capsys.readouterr()
         out = tmp_path / "p.csv"
