@@ -6,6 +6,9 @@ diagonally-perturbed generator.
 All matrices are dense numpy arrays; states are 1..M externally and 0-based
 internally.  M is small, so dominant eigenvalues are read off the full
 spectrum from ``np.linalg.eigvals``: nothing here iterates to a tolerance.
+At small M a numpy call costs more than its arithmetic, so skeletons (for a
+1-D array of taus), tilts (an (n, M) tilt) and Perron roots also take
+(n, M, M) stacks, each entry bitwise equal to the single-matrix call.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ class GeneratorDiagnostics:
         }
 
 
-def _as_matrix(Q) -> np.ndarray:
+def _as_matrix(Q, stack=False) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] < 1:
+    if Q.ndim not in ((2, 3) if stack else (2,)) or Q.shape[-1] != Q.shape[-2] or Q.shape[-1] < 1:
         raise MarkovError(f"expected a square matrix, got shape {Q.shape}")
     return Q
 
@@ -107,7 +110,7 @@ def invariant_measure(Q) -> np.ndarray:
     return mu
 
 
-def skeleton_transition(Q, tau: float) -> np.ndarray:
+def skeleton_transition(Q, tau) -> np.ndarray:
     """P = exp(tau Q) by uniformization on tau / 2^s, then s squarings.
 
     With lam the largest exit rate, A = I + Q / lam is stochastic and
@@ -115,52 +118,69 @@ def skeleton_transition(Q, tau: float) -> np.ndarray:
     Choosing r <= 1/2 makes a fixed number of terms exact to double precision;
     every term and product is nonnegative, so nothing cancels or underflows
     however large lam tau is.  Rows are renormalized to sum exactly to 1.
+
+    A 1-D array of taus gives their (n, M, M) stack in one pass: each tau
+    keeps its own s, r and e^{-r}, and squarings touch only the entries short
+    of their s, so each entry equals the scalar result bit for bit.
     """
     Q = _as_matrix(Q)
-    if tau <= 0:
-        raise MarkovError(f"skeleton step must be positive, got {tau}")
+    stacked = np.ndim(tau) > 0
+    taus = np.atleast_1d(np.asarray(tau, dtype=float)).tolist()
+    for i, t in enumerate(taus):
+        if t <= 0:
+            where = f" (stack entry {i})" if stacked else ""
+            raise MarkovError(f"skeleton step must be positive, got {t}{where}")
     M = Q.shape[0]
     lam = float(np.max(-np.diag(Q)))
     if lam <= 0:
-        return np.eye(M)
-    s = max(0, math.ceil(math.log2(2.0 * lam * tau)))
-    r = lam * tau / 2.0**s
+        P = np.broadcast_to(np.eye(M), (len(taus), M, M)).copy()
+        return P if stacked else P[0]
+    depth = [max(0, math.ceil(math.log2(2.0 * lam * t))) for t in taus]
+    r = [lam * t / 2.0**s for t, s in zip(taus, depth)]
+    rs = np.array(r)[:, None, None]
     A = np.eye(M) + Q / lam
-    term = np.eye(M)
+    term = np.broadcast_to(np.eye(M), (len(taus), M, M))
     P = term.copy()
     for k in range(1, UNIFORMIZATION_TERMS):
-        term = term @ A * (r / k)
+        term = term @ A * (rs / k)
         P += term
-    P *= math.exp(-r)
-    for _ in range(s):
-        P = P @ P
+    P *= np.array([math.exp(-x) for x in r])[:, None, None]
+    depth = np.array(depth)
+    for i in range(depth.max()):
+        m = depth > i
+        P[m] = P[m] @ P[m]
     P = np.maximum(P, 0.0)
-    P /= P.sum(axis=1, keepdims=True)
-    return P
+    P /= P.sum(axis=-1, keepdims=True)
+    return P if stacked else P[0]
 
 
 def tilt(P, theta) -> np.ndarray:
-    """Row tilting: entry (i, j) becomes e^{theta(i)} P_ij."""
-    P = _as_matrix(P)
+    """Row tilting: entry (i, j) becomes e^{theta(i)} P_ij.  An (n, M, M)
+    stack takes an (n, M) tilt, one row per matrix."""
+    P = _as_matrix(P, stack=True)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (P.shape[0],):
-        raise MarkovError(f"tilt vector length {theta.shape} != {P.shape[0]}")
-    return np.exp(theta)[:, None] * P
+    if theta.shape != P.shape[:-1]:
+        raise MarkovError(f"tilt shape {theta.shape} != {P.shape[:-1]}")
+    return np.exp(theta)[..., None] * P
 
 
-def perron_root(P) -> float:
-    """Dominant eigenvalue of a nonnegative matrix.
+def perron_root(P):
+    """Dominant eigenvalue of a nonnegative matrix; the n roots, as an array,
+    of an (n, M, M) stack.
 
     By Perron-Frobenius the spectral radius of a nonnegative matrix is itself
     an eigenvalue, so it is the eigenvalue of largest real part.  Raises on
-    the zero matrix and on negative entries.
+    the zero matrix and on negative entries, naming the stack entry.
     """
-    P = _as_matrix(P)
-    if P.min() < 0:
-        raise MarkovError("perron_root requires a nonnegative matrix")
-    if P.max() == 0:
-        raise MarkovError("perron_root of the zero matrix is undefined")
-    return float(np.linalg.eigvals(P).real.max())
+    P = _as_matrix(P, stack=True)
+    lo, hi = P.min(axis=(-2, -1)), P.max(axis=(-2, -1))
+    for bad, what in ((lo < 0, "requires a nonnegative matrix"),
+                      (hi == 0, "of the zero matrix is undefined")):
+        if bad.any():
+            where = f" (stack entry {np.argmax(bad)})" if P.ndim == 3 else ""
+            raise MarkovError(f"perron_root {what}{where}")
+    roots = np.linalg.eigvals(P).real.max(axis=-1)
+    return roots if P.ndim == 3 else float(roots)
 
 
 def exp_functional(mu, P, theta, n: int) -> float:

@@ -22,7 +22,14 @@ against 1 carry a 1e-9 boundary tolerance so the zero-gain/zero-lag cases,
 whose factors equal one exactly, certify on the drift term alone.  The lag
 factor K(tau) can be negative when the coefficient bounds are strongly
 stable; it then bounds a nonnegative ratio vacuously, so the lag tilt is
-clamped at zero.
+clamped at zero.  The lower tilt's per-step root is at least
+exp(-6 tau bbar), a normal double only below tau_u = -log(tiny) / (6 bbar);
+``certify`` refuses tau >= tau_u as it refuses K(tau) >= 1.
+
+A sweep visits SWEEP_POINTS log-spaced taus up to min(0.999 tau*,
+0.999 tau_u, TAU_CAP) in one stacked pass (two skeleton and two Perron-root
+calls); per-tau scalars stay Python floats, and ``certify`` runs the same
+pass on a stack of one, so each sweep point equals it bit for bit.
 """
 
 from __future__ import annotations
@@ -103,11 +110,11 @@ class StabilityCertificate:
 def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate:
     """Evaluate the certificate at observation period tau.
 
-    Requires irreducible envelope generators, non-decreasing b/C/c, and
-    K(tau) < 1 (otherwise the lag bound, hence the certificate, is undefined
-    at this tau).
+    Requires irreducible envelope generators, non-decreasing b/C/c, K(tau) < 1
+    (otherwise the lag bound, hence the certificate, is undefined at this
+    tau), and tau below the underflow bound of the lower tilt.
     """
-    return _certify_at(*_checked(qbar, qstar, C, c, b), Ma, tau)
+    return _certificates(*_checked(qbar, qstar, C, c, b), Ma, [tau])[0]
 
 
 def _checked(qbar, qstar, C, c, b):
@@ -127,49 +134,60 @@ def _checked(qbar, qstar, C, c, b):
     return qbar, qstar, C, b
 
 
-def _certify_at(qbar, qstar, C, b, Ma, tau, eta=None):
-    """The certificate at tau for checked inputs; ``eta`` (eta_3C, which does
-    not depend on tau) is computed when not given."""
+def max_tau_for_tilt(bbar: float) -> float:
+    """tau_u = -log(tiny) / (6 bbar), +inf for bbar <= 0: from tau_u on, the
+    lower tilt's root bound exp(-6 tau bbar) is no longer a normal double."""
+    return -math.log(np.finfo(float).tiny) / (6.0 * bbar) if bbar > 0 else math.inf
+
+
+def _certificates(qbar, qstar, C, b, Ma, taus):
+    """The certificates at every tau of ``taus`` (Python floats) for checked
+    inputs.  The skeletons and Perron roots of all taus are one stack each;
+    per-tau scalars stay Python floats, so every certificate is the one a
+    single tau gives, bit for bit."""
     Cbar = float(C.max())
     bbar = float(b.max())
-    K = k_tau(tau, Cbar, Ma, bbar)
-    if K >= 1.0:
-        raise CertifyError(
-            f"K(tau) = {K:.6g} >= 1: certificate undefined at tau = {tau}; "
-            f"reduce tau below {max_tau_for_contraction(Cbar, Ma, bbar):.6g}"
-        )
-    Keff = max(K, 0.0)
-    lag_coef = 6.0 * math.sqrt(Keff / (1.0 - Keff))
+    tau_u = max_tau_for_tilt(bbar)
+    Ks, lag_coefs = [], []
+    for tau in taus:
+        K = k_tau(tau, Cbar, Ma, bbar)
+        if K >= 1.0:
+            raise CertifyError(
+                f"K(tau) = {K:.6g} >= 1: certificate undefined at tau = {tau}; "
+                f"reduce tau below {max_tau_for_contraction(Cbar, Ma, bbar):.6g}"
+            )
+        if tau >= tau_u:
+            raise CertifyError(
+                f"exp(-6 tau bbar) underflows at 6 tau bbar = {6.0 * tau * bbar:.6g}: "
+                f"certificate undefined at tau = {tau}; reduce tau below {tau_u:.6g}"
+            )
+        Keff = max(K, 0.0)
+        Ks.append(K)
+        lag_coefs.append(6.0 * math.sqrt(Keff / (1.0 - Keff)))
 
-    if eta is None:
-        eta = markov.spectral_abscissa(qbar, C, 3.0)
-    Pbar = markov.skeleton_transition(qbar, tau)
-    Pstar = markov.skeleton_transition(qstar, tau)
-    lam_star_step = markov.perron_root(markov.tilt(Pstar, -6.0 * tau * b))
-    lam_bar_step = markov.perron_root(markov.tilt(Pbar, lag_coef * tau * b))
-    lam_star = lam_star_step ** (1.0 / tau)
-    lam_bar = lam_bar_step ** (1.0 / tau)
+    eta = markov.spectral_abscissa(qbar, C, 3.0)
+    t = np.array(taus, dtype=float)
+    Pbar = markov.skeleton_transition(qbar, t)
+    Pstar = markov.skeleton_transition(qstar, t)
+    star_steps = markov.perron_root(markov.tilt(Pstar, -6.0 * t[:, None] * b)).tolist()
+    bar_steps = markov.perron_root(markov.tilt(Pbar, (np.array(lag_coefs) * t)[:, None] * b)).tolist()
 
-    conditions = {
-        "eta_positive": eta > 0.0,
-        "lam_star_le_1": lam_star <= 1.0 + PASS_TOL,
-        "lam_bar_le_1": lam_bar <= 1.0 + PASS_TOL,
-    }
-    passed = all(conditions.values())
-    rho = (-eta + math.log(lam_star) + math.log(lam_bar)) / 3.0
-    return StabilityCertificate(
-        tau=tau,
-        k_tau=K,
-        eta_3C=eta,
-        lam_star=lam_star,
-        lam_bar=lam_bar,
-        lam_star_step=lam_star_step,
-        lam_bar_step=lam_bar_step,
-        lag_tilt_coefficient=lag_coef,
-        passed=passed,
-        rho=rho,
-        conditions=conditions,
-    )
+    certificates = []
+    for tau, K, lag_coef, lam_star_step, lam_bar_step in zip(taus, Ks, lag_coefs, star_steps, bar_steps):
+        lam_star = lam_star_step ** (1.0 / tau)
+        lam_bar = lam_bar_step ** (1.0 / tau)
+        conditions = {
+            "eta_positive": eta > 0.0,
+            "lam_star_le_1": lam_star <= 1.0 + PASS_TOL,
+            "lam_bar_le_1": lam_bar <= 1.0 + PASS_TOL,
+        }
+        certificates.append(StabilityCertificate(
+            tau=tau, k_tau=K, eta_3C=eta, lam_star=lam_star, lam_bar=lam_bar,
+            lam_star_step=lam_star_step, lam_bar_step=lam_bar_step, lag_tilt_coefficient=lag_coef,
+            passed=all(conditions.values()), conditions=conditions,
+            rho=(-eta + math.log(lam_star) + math.log(lam_bar)) / 3.0,
+        ))
+    return certificates
 
 
 def feasible_tau_search(qbar, qstar, C, c, b, Ma: float):
@@ -180,11 +198,10 @@ def feasible_tau_search(qbar, qstar, C, c, b, Ma: float):
     ``best`` minimizes the decay-rate bound rho (None when nothing passes).
     """
     qbar, qstar, C, b = _checked(qbar, qstar, C, c, b)
-    eta = markov.spectral_abscissa(qbar, C, 3.0)
     tau_star = max_tau_for_contraction(float(C.max()), Ma, float(b.max()))
-    hi = min(tau_star * 0.999, TAU_CAP) if math.isfinite(tau_star) else TAU_CAP
-    taus = np.geomspace(hi * 1e-4, hi, SWEEP_POINTS)
-    certificates = [(float(t), _certify_at(qbar, qstar, C, b, Ma, float(t), eta)) for t in taus]
+    hi = min(tau_star * 0.999, max_tau_for_tilt(float(b.max())) * 0.999, TAU_CAP)
+    taus = np.geomspace(hi * 1e-4, hi, SWEEP_POINTS).tolist()
+    certificates = list(zip(taus, _certificates(qbar, qstar, C, b, Ma, taus)))
     passing = [(t, cert) for t, cert in certificates if cert.passed]
     best = min(passing, key=lambda tc: tc[1].rho) if passing else None
     return certificates, passing, best

@@ -16,6 +16,7 @@ from switchsde.coupling import (
     offdiag,
 )
 from switchsde.exprlang import BinOp, Call, EvalError, Expr, Neg, Num, Var
+from switchsde.markov import UNIFORMIZATION_TERMS, MarkovError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = [
@@ -122,6 +123,55 @@ def dominant_eig_2x2(A):
     disc = tr * tr - 4.0 * det
     assert disc >= -1e-12
     return (tr + np.sqrt(max(disc, 0.0))) / 2.0
+
+
+# The per-tau skeleton, tilt and Perron root of markov as they stood before
+# they took stacks, kept verbatim (bar the names) as the bitwise references
+# for the stacked calls.
+
+
+def skeleton_transition_reference(Q, tau: float) -> np.ndarray:
+    """P = exp(tau Q) by uniformization on tau / 2^s, then s squarings."""
+    Q = np.asarray(Q, dtype=float)
+    if tau <= 0:
+        raise MarkovError(f"skeleton step must be positive, got {tau}")
+    M = Q.shape[0]
+    lam = float(np.max(-np.diag(Q)))
+    if lam <= 0:
+        return np.eye(M)
+    s = max(0, math.ceil(math.log2(2.0 * lam * tau)))
+    r = lam * tau / 2.0**s
+    A = np.eye(M) + Q / lam
+    term = np.eye(M)
+    P = term.copy()
+    for k in range(1, UNIFORMIZATION_TERMS):
+        term = term @ A * (r / k)
+        P += term
+    P *= math.exp(-r)
+    for _ in range(s):
+        P = P @ P
+    P = np.maximum(P, 0.0)
+    P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+def tilt_reference(P, theta) -> np.ndarray:
+    """Row tilting: entry (i, j) becomes e^{theta(i)} P_ij."""
+    P = np.asarray(P, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (P.shape[0],):
+        raise MarkovError(f"tilt vector length {theta.shape} != {P.shape[0]}")
+    return np.exp(theta)[:, None] * P
+
+
+def perron_root_reference(P) -> float:
+    """Dominant eigenvalue of a nonnegative matrix."""
+    P = np.asarray(P, dtype=float)
+    if P.min() < 0:
+        raise MarkovError("perron_root requires a nonnegative matrix")
+    if P.max() == 0:
+        raise MarkovError("perron_root of the zero matrix is undefined")
+    return float(np.linalg.eigvals(P).real.max())
 
 
 def random_generator(rng, M, lo=0.8, hi=3.0):

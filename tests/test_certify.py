@@ -1,15 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from switchsde import cli
+from switchsde import markov as mk
 from switchsde import stability as ce
 from tests.conftest import (
     FIXTURE_NAMES,
     dominant_eig_2x2,
     load_fixture,
+    make_scenario,
     skeleton_2state_closed_form,
+    write_scenario,
 )
 
 QBAR = np.array([[-2.0, 2.0], [1.0, -1.0]])
@@ -209,3 +214,75 @@ def test_small_tau_certifies(ex_linear, tau):
     assert cert.passed
     # the per-step root is exact to a few ulps; ^(1/tau) scales that by 1/tau
     assert max(_rel_errors(ex_linear, cert, tau).values()) <= 1e-15 / tau
+
+
+# qbar = qstar, drift -10*x1, no diffusion, gains [13, 13], C = c = [-20, -20],
+# Ma = 10: K(tau) < 0 at every tau, so tau* is infinite, while the lower tilt
+# exp(-6 tau 13) leaves the normal doubles at tau_u = -log(tiny) / 78 = 9.08.
+SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
+UNDERFLOW = dict(
+    drift=[["-10*x1"], ["-10*x1"]],
+    diffusion=[[["0*x1"]], [["0*x1"]]],
+    gains=[13.0, 13.0],
+    rates=[["0", "1"], ["1", "0"]],
+    rate_bound=1.0,
+    envelopes={"qbar": SYM.tolist(), "qstar": SYM.tolist()},
+    coefficient_bounds={"C": [-20.0, -20.0], "c": [-20.0, -20.0], "Ma": 10.0},
+)
+
+
+class TestTiltUnderflow:
+    @pytest.mark.parametrize("gain", [13.0, 12.4])
+    def test_sweep_ends_below_the_underflow_bound(self, gain):
+        b = np.array([gain, gain])
+        C = np.array([-20.0, -20.0])
+        tau_u = ce.max_tau_for_tilt(gain)
+        assert tau_u == pytest.approx(-math.log(np.finfo(float).tiny) / (6 * gain), rel=1e-15)
+        assert tau_u < ce.TAU_CAP
+        certs, passing, best = ce.feasible_tau_search(SYM, SYM, C, C, b, 10.0)
+        assert len(certs) == ce.SWEEP_POINTS and len(passing) == ce.SWEEP_POINTS
+        assert certs[-1][0] == pytest.approx(0.999 * tau_u, rel=1e-12)
+        for _, cert in certs:
+            assert cert.lam_star == pytest.approx(math.exp(-6 * gain), rel=1e-10)
+        with pytest.raises(ce.CertifyError, match=f"reduce tau below {tau_u:.6g}"):
+            ce.certify(SYM, SYM, C, C, b, 10.0, 10.0)
+        with pytest.raises(ce.CertifyError, match="underflows"):
+            ce.certify(SYM, SYM, C, C, b, 10.0, tau_u)
+
+    def test_fixture_grids_stay_below_the_bound(self):
+        for name in FIXTURE_NAMES:
+            sc = load_fixture(name)
+            assert ce.max_tau_for_tilt(float(sc.gains.max())) > ce.TAU_CAP
+        assert ce.max_tau_for_tilt(0.0) == math.inf
+
+    def test_cli(self, tmp_path, capsys):
+        fx = write_scenario(tmp_path, make_scenario(**UNDERFLOW))
+        out = tmp_path / "sweep.json"
+        assert cli.main(["validate", fx, "--out", str(tmp_path / "v.json")]) == 0
+        assert cli.main(["certify", fx, "--tau", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rho"] == pytest.approx(-46.0, rel=1e-12)
+        assert cli.main(["certify", fx, "--tau-sweep", "--out", str(out)]) == 0
+        sweep = json.loads(out.read_text())["sweep"]
+        assert len(sweep) == ce.SWEEP_POINTS
+        assert all(abs(p["lam_star"] / math.exp(-78.0) - 1.0) <= 1e-10 for p in sweep)
+        capsys.readouterr()
+        assert cli.main(["certify", fx, "--tau", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "exp(-6 tau bbar) underflows" in err and "reduce tau below 9.08201" in err
+
+
+def test_sweep_is_one_stacked_pass(ex_three_state, monkeypatch):
+    """Two skeleton and two Perron calls per sweep, each on all 40 taus."""
+    calls = []
+    for name in ("skeleton_transition", "perron_root"):
+        fn = getattr(mk, name)
+
+        def counted(first, *args, _fn=fn, _name=name):
+            calls.append((_name, np.shape(args[0] if args else first)))
+            return _fn(first, *args)
+
+        monkeypatch.setattr(mk, name, counted)
+    env = ex_three_state.envelopes
+    sc = ex_three_state
+    ce.feasible_tau_search(env.qbar, env.qstar, sc.C, sc.c, sc.gains, sc.Ma)
+    assert calls == [("skeleton_transition", (40,))] * 2 + [("perron_root", (40, 3, 3))] * 2

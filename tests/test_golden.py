@@ -21,7 +21,9 @@ simulate hash of a path with no jump in either stream also stayed.  Every
 artifact hash of every route was re-recorded once more when the jump stream
 began to draw a step block's candidates as one Poisson total per path group
 with uniform cells, instead of one Poisson count per (step, path) cell; the
-three simulate hashes of paths with no jump in either stream stayed.
+three simulate hashes of paths with no jump in either stream stayed.  The
+sha256 of ``certify`` JSON, swept over tau and at each fixture's own tau, and
+of one ``spectral`` run pin the certificate's bytes.
 """
 
 import hashlib
@@ -189,6 +191,39 @@ DOMINATION_GOLDEN = {
 }
 
 
+# (certify --tau-sweep, certify at the fixture's own tau) JSON of every
+# fixture, and one spectral run with an explicit tilt; taken before the sweep
+# computed its skeletons and Perron roots as one stack over all its taus
+CERTIFY_GOLDEN = {
+    "lag_bound": (
+        "151f451f19fa90fa6345247a055412ccc0f4f83fa80524db5d84133e0e84a9a7",
+        "0c219d5b73999fbcafa6880e1371fe35438deb00b6fcae0a8289d37035948068",
+    ),
+    "linear_feedback": (
+        "0917d3e11e03733fdfe2f183d4077c971c730f64e87d9181493882653a272c61",
+        "e3b7041a8867f7a17c86893648a943578dadcc661594e238769a3cf693e776f3",
+    ),
+    "linear_unstable": (
+        "7366b511ac3837db65fa7076cd32a80ed72393aa509c14f5929fa8243bd78401",
+        "016ebde8b372e806b87c4c4d23ba5dad2efca51d247fa2d119dae0cd990b727a",
+    ),
+    "three_state_rational": (
+        "6aaeeae40d7ac844757384d6c8d9311c4b016219b3f7934ccc3ce745e0bd0f33",
+        "e2263ede20bf5e081f55c6d93761eb33867544eedca432a406b4a05604e5c3eb",
+    ),
+    "two_state_balanced": (
+        "951818049f56de20e3dbc02c2e048796a160a8188b1f474cc11bed5bdbd71a2a",
+        "1e48c048411bc964c869f7a8d07907523e05a7022d32b69892b2a88f86cfab29",
+    ),
+    "two_state_trig": (
+        "e02004a2c2c946c3882071f7254cba49991fb4e38e709017d063ecf51c8dd129",
+        "3c512cdfae4d106836701dd63d115bc80a2c7f3dd0d8165b1ed0cdd72efc2980",
+    ),
+}
+SPECTRAL_ARGS = ["--theta", "0.3,-0.2,0.1", "--tau", "0.25"]
+SPECTRAL_GOLDEN = "ac6d0c9248ade7ce7b02758ed4a4d1e2411efae1d1da6d7e8dba3a1c007b8ef7"
+
+
 def six_state_birth_death():
     """Birth-death chain on six states with up rates 1 + 0.5 sin(x1)^2 and
     down rates 1 + 0.5 cos(x1)^2; the envelopes take the extreme rates, which
@@ -333,3 +368,23 @@ def test_golden_domination_reports(name, tmp_path, capsys):
     if name == "three_state_rational":
         assert declared["domination_upper"]["violations"]
     assert tuple(got) == DOMINATION_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_GOLDEN))
+def test_golden_certificates(name, tmp_path, capsys):
+    fx = str(FIXTURES / f"{name}.json")
+    got = []
+    for extra in (["--tau-sweep"], []):
+        out = tmp_path / "certify.json"
+        assert cli.main(["certify", fx, *extra, "--out", str(out)]) == 0
+        got.append(_sha256(out))
+    capsys.readouterr()
+    assert tuple(got) == CERTIFY_GOLDEN[name]
+
+
+def test_golden_spectral(tmp_path, capsys):
+    out = tmp_path / "spectral.json"
+    fx = str(FIXTURES / "three_state_rational.json")
+    assert cli.main(["spectral", fx, *SPECTRAL_ARGS, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == SPECTRAL_GOLDEN

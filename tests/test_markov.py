@@ -7,8 +7,11 @@ from switchsde import markov as mk
 from tests.conftest import (
     bfs_irreducible,
     dominant_eig_2x2,
+    perron_root_reference,
     random_generator,
     skeleton_2state_closed_form,
+    skeleton_transition_reference,
+    tilt_reference,
 )
 
 Q21 = np.array([[-2.0, 2.0], [1.0, -1.0]])
@@ -257,3 +260,78 @@ def test_skeleton_property(M, tau, seed):
     P = mk.skeleton_transition(Q, tau)
     assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
     assert P.min() > 0
+
+
+class TestStacks:
+    """The stacked calls against the per-tau references in conftest, bit for
+    bit, and their errors naming the stack entry at fault."""
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).tobytes()
+
+    def test_stacked_calls_match_the_per_tau_reference(self):
+        rng = np.random.default_rng(17)
+        for M in range(2, 8):
+            for _ in range(12):
+                Q = random_generator(rng, M) * 10.0 ** rng.uniform(-2, 3)
+                taus = 10.0 ** rng.uniform(-6, 1, int(rng.integers(1, 30)))
+                P = mk.skeleton_transition(Q, taus)
+                assert P.shape == (len(taus), M, M)
+                theta = rng.uniform(-3, 3, (len(taus), M)) * taus[:, None]
+                Pt = mk.tilt(P, theta)
+                roots = mk.perron_root(Pt)
+                for k, tau in enumerate(taus.tolist()):
+                    ref = skeleton_transition_reference(Q, tau)
+                    assert self._bits(P[k]) == self._bits(ref), (M, tau)
+                    ref_t = tilt_reference(ref, theta[k])
+                    assert self._bits(Pt[k]) == self._bits(ref_t)
+                    assert self._bits(roots[k]) == self._bits(perron_root_reference(ref_t))
+
+    def test_scalar_calls_are_unchanged(self):
+        rng = np.random.default_rng(18)
+        for M in (2, 3, 7):
+            Q = random_generator(rng, M, lo=0.01, hi=50.0)
+            for tau in (1e-7, 0.3, 12.5):
+                P = mk.skeleton_transition(Q, tau)
+                assert P.shape == (M, M)
+                assert self._bits(P) == self._bits(skeleton_transition_reference(Q, tau))
+                theta = rng.uniform(-1, 1, M)
+                root = mk.perron_root(mk.tilt(P, theta))
+                assert type(root) is float
+                assert root == perron_root_reference(tilt_reference(P, theta))
+        zero = np.zeros((3, 3))
+        assert np.array_equal(mk.skeleton_transition(zero, 0.5), np.eye(3))
+        assert np.array_equal(mk.skeleton_transition(zero, [0.5, 2.0]), np.stack([np.eye(3)] * 2))
+
+    def test_nonpositive_tau_names_its_entry(self):
+        for bad in (0.0, -1e-3):
+            with pytest.raises(mk.MarkovError) as exc:
+                mk.skeleton_transition(Q21, [0.1, 0.2, bad, 0.4])
+            assert str(exc.value) == f"skeleton step must be positive, got {bad} (stack entry 2)"
+            with pytest.raises(mk.MarkovError) as exc:
+                mk.skeleton_transition(Q21, bad)
+            assert str(exc.value) == f"skeleton step must be positive, got {bad}"
+
+    def test_bad_matrix_names_its_entry(self):
+        stack = mk.skeleton_transition(Q22, [0.1, 0.5, 1.0, 2.0])
+        negative = stack.copy()
+        negative[3, 1, 2] = -1e-3
+        with pytest.raises(mk.MarkovError) as exc:
+            mk.perron_root(negative)
+        assert str(exc.value) == "perron_root requires a nonnegative matrix (stack entry 3)"
+        zero = stack.copy()
+        zero[1] = 0.0
+        with pytest.raises(mk.MarkovError) as exc:
+            mk.perron_root(zero)
+        assert str(exc.value) == "perron_root of the zero matrix is undefined (stack entry 1)"
+        with pytest.raises(mk.MarkovError) as exc:
+            mk.perron_root(np.zeros((2, 2)))
+        assert str(exc.value) == "perron_root of the zero matrix is undefined"
+
+    def test_tilt_shape_must_match_the_stack(self):
+        stack = mk.skeleton_transition(Q21, [0.1, 0.5])
+        with pytest.raises(mk.MarkovError, match="tilt shape"):
+            mk.tilt(stack, np.zeros(2))
+        with pytest.raises(mk.MarkovError, match="tilt shape"):
+            mk.tilt(stack, np.zeros((3, 2)))
