@@ -35,17 +35,18 @@ it reads against the declared bound H and raises EngineError beyond it.  When
 no rate reads x the chains never read the diffusion, so the cell is the path
 over the whole block: one pass runs the block's jumps ahead of its Euler steps
 under the constant rate stack, whose exit rates are checked against H once,
-before the first step.  The pass logs its moves and restores the states; each
-step then writes its own moves where the per-step rounds would run, and the
-occupation is booked once per block in the per-step order, so both schedules
-give the same bytes.  Coupled runs either share one mark among all three chains
-(two-state interval route, when the interval-sum conditions hold) or drive the
-pair transitions from the order-preserving coupling rows with shared candidate
-times (matrix route); on either route a candidate round that leaves some path
-out of the order lambda_star <= lambda <= lambda_bar raises EngineError (the
-block pass drops a crossed path from its later rounds and raises the earliest
-crossing by step, round and path, as the per-step rounds would).  A
-scenario that declares no envelopes is coupled against
+before the first step.  Both schedules log every move, and one function
+books the occupation and the recorded jumps from the log once per block, in
+the per-step order, so both give the same bytes.  Only the block pass restores
+the states after its rounds; each step then writes its own moves where the
+per-step rounds would run.  Coupled runs either share one mark among all three
+chains (two-state interval route, when the interval-sum conditions hold) or
+drive the pair transitions from the order-preserving coupling rows with shared
+candidate times (matrix route); on either route a candidate round that leaves
+some path out of the order lambda_star <= lambda <= lambda_bar raises
+EngineError (the block pass drops a crossed path from its later rounds and
+raises the earliest crossing by step, round and path, as the per-step rounds
+would).  A scenario that declares no envelopes is coupled against
 coupling.extremal_envelopes of its validation grid, for any M.
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
@@ -96,6 +97,8 @@ class SimParams:
             raise EngineError("horizon must be a multiple of the step")
         if self.n_paths < 1 or self.chunk_size < 1:
             raise EngineError(f"need n_paths, chunk_size >= 1, got {self.n_paths}, {self.chunk_size}")
+        if self.workers < 1:
+            raise EngineError(f"need workers >= 1, got {self.workers}")
         if self.record_stride is not None and self.record_stride < 1:
             raise EngineError(f"need record_stride >= 1, got {self.record_stride}")
 
@@ -287,7 +290,6 @@ class _ChunkRun:
         if self.state_free:  # the one rate stack, checked once
             self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
             self._check_rate_bound(self.R0.sum(axis=1)[None], None, None, None)
-        self._log = None  # the block pass's moves while it runs
         self.R_cand = self.L
         if route == "matrix":
             self.Rbar = cpl.offdiag(env.qbar)
@@ -308,8 +310,9 @@ class _ChunkRun:
         self.m2_x2 = np.zeros(n_rec)
         self.sum_lag2 = np.zeros(n_rec)
         self.occ = np.zeros((3, M))
-        # state population per chain, updated incrementally at jumps
-        self.pop = np.zeros((3, M)) + np.bincount(self.S[1], minlength=M)
+        # the moves since the step block began, and each path's candidate in
+        # the round that runs
+        self._log, self._cand = [], np.empty(na, dtype=np.int64)
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
         self.tail_start = int(math.ceil(params.n_steps / 2))
@@ -369,32 +372,10 @@ class _ChunkRun:
             self.skel += np.bincount(flat.ravel(), minlength=3 * M * M).reshape(3, M, M)
         self.prev_obs_states = cur
 
-    def _apply_jump(self, chain_row, pj, new, rem, tc, call):
-        """Move chain ``chain_row`` of paths ``pj`` to ``new`` and book the
-        moves; ``call`` numbers the rule's calls in their order in a round.
-        The block pass logs the moves instead (``_log_jump``)."""
-        if self._log is not None:
-            return self._log_jump(chain_row, pj, new, call)
-        states = self.S[chain_row]
-        old = states[pj]
-        moved = old != new
-        if not moved.any():
-            return
-        pj, old, new, rem = pj[moved], old[moved], new[moved], rem[moved]
-        states[pj] = new
-        occ_row = self.occ[chain_row]
-        np.subtract.at(occ_row, old, rem)
-        np.add.at(occ_row, new, rem)
-        # exact integer counts: the same bytes as per-index updates
-        self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
-        if self.recording:  # the window is the recorded path alone
-            self.jump_rec[CHAIN_NAMES[chain_row]] += zip(
-                tc[moved].tolist(), (old + 1).tolist(), (new + 1).tolist()
-            )
-
-    def _log_jump(self, chain_row, pj, new, call):
-        """``_apply_jump`` in the block pass: move the states and log the
-        moves with their candidates and the call's number in its round."""
+    def _apply_jump(self, chain_row, pj, new, call):
+        """Move chain ``chain_row`` of paths ``pj`` to ``new`` and log the
+        moves with their candidates; ``call`` numbers the rule's calls in
+        their order in a round.  ``_book_block`` books the log."""
         states = self.S[chain_row]
         old = states[pj]
         moved = old != new
@@ -419,25 +400,24 @@ class _ChunkRun:
         Roff = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
             r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
-            self._jump(Roff[rc], marks[r], aux[r], pr, self.h - offs[r], t + offs[r], Xc[rc])
+            self._cand[pr] = np.arange(b0, b1)
+            self._jump(Roff[rc], marks[r], aux[r], pr, t + offs[r], Xc[rc])
             if self.coupled and self._crossed(pr).any():
                 c = int(np.flatnonzero(self._crossed(pr))[0])
                 raise self._crossing_error(pr[c], t + offs[b0 + c])
 
-    def _block_pass(self, k0, steps, p, offs, marks, aux, step, rnd, bounds):
+    def _block_pass(self, S0, k0, steps, p, offs, marks, aux, step, rnd, bounds):
         """Run a step block's jumps at state-free rates ahead of its steps,
         round r holding each path's r-th candidate in the block, then restore
-        the states and book the moves (``_book_block``).  Once a path crosses,
-        the later rounds keep only the candidates before the earliest
-        crossing in the per-step order, (step, round, path), which drops the
-        crossed paths.  Returns the states the steps write and that crossing
-        as (step, error), or None."""
+        the start states ``S0`` and book the moves (``_book_block``).  Once a
+        path crosses, the later rounds keep only the candidates before the
+        earliest crossing in the per-step order, (step, round, path), which
+        drops the crossed paths.  Returns the states the steps write
+        (``_last_moves``) and that crossing as (step, error), or None."""
         h = self.h
-        S0 = self.S.copy()
         tc = (k0 + step) * h + offs
         when = step * (int(rnd.max(initial=0)) + 1) + rnd  # the per-step round order
         Roff = np.broadcast_to(self.R0, (len(p), self.M, self.M))
-        self._log, self._cand = [], np.empty(self.na, dtype=np.int64)
         crossing = None  # (when, path, step, error)
         for b0, b1 in zip(bounds, bounds[1:]):
             c = np.arange(b0, b1)
@@ -447,57 +427,56 @@ class _ChunkRun:
                     continue
             pc = p[c]
             self._cand[pc] = c
-            self._jump(Roff[:len(c)], marks[c], aux[c], pc, h - offs[c], tc[c], None)
+            self._jump(Roff[:len(c)], marks[c], aux[c], pc, tc[c], None)
             if self.coupled:
                 bad = np.flatnonzero(self._crossed(pc))
                 if len(bad):
                     i = bad[np.lexsort((pc[bad], when[c[bad]]))[0]]
                     if crossing is None or (when[c[i]], pc[i]) < crossing[:2]:
                         crossing = (when[c[i]], pc[i], step[c[i]], self._crossing_error(pc[i], tc[c[i]]))
-        log, self._log = self._log, None
         self.S[:] = S0
+        moves = self._book_block(S0, k0, steps, p, offs, step, rnd)
+        return _last_moves(steps, *moves), crossing[2:] if crossing else None
+
+    def _book_block(self, S0, k0, steps, p, offs, step, rnd):
+        """Book the moves logged in the step block from ``k0``, which began in
+        the states ``S0``, as the per-step rounds would: the occupation, the
+        recorded path's jumps.  The block's candidates give each move's path,
+        offset in its step, step and round in the step.  Returns each move's
+        chain row, call number in its round, path, step, round and new state."""
+        h, M, na = self.h, self.M, self.na
+        log, self._log = self._log, []
         sizes = [len(e[2]) for e in log]
         row, call = (np.repeat(np.array([e[k] for e in log], dtype=np.int64), sizes) for k in (0, 1))
         cand, old, new = (np.concatenate([e[k] for e in log] or [np.zeros(0, np.int64)]) for k in (2, 3, 4))
-        replay = self._book_block(steps, row, call, old, new, p[cand], step[cand], rnd[cand],
-                                  h - offs[cand], tc[cand])
-        return replay, crossing[2:] if crossing else None
-
-    def _book_block(self, steps, row, call, old, new, path, step, rnd, rem, tc):
-        """Book a block pass's moves (chain row, call number in its round, old
-        and new state, path, step, round in the step, time left in the step
-        and time) as the per-step rounds would: the occupation, the recorded
-        path's jumps.  Returns, for the steps to write, the first move of
-        every step and each move's chain row, path and state."""
-        h, M = self.h, self.M
+        path, step, rnd, offs = p[cand], step[cand], rnd[cand], offs[cand]
         cells = 3 * M
         # populations at every step's start, from integer counts: the values
         # the per-step increments reach
         delta = (np.bincount(step * cells + row * M + new, minlength=steps * cells)
                  - np.bincount(step * cells + row * M + old, minlength=steps * cells)).reshape(steps, cells)
-        pop0 = np.bincount((np.arange(3)[:, None] * M + self.S).ravel(), minlength=cells)
+        pop0 = np.bincount((np.arange(3)[:, None] * M + S0).ravel(), minlength=cells)
         pop = pop0 + np.cumsum(delta, axis=0) - delta
         # one ordered update: each step's pop * h, then round by round and
-        # call by call the subtractions, then the additions, paths ascending;
-        # ufunc.at applies them one by one, and a - v == a + (-v)
-        zero = np.zeros(steps * cells, dtype=np.int64)
-        moves = np.stack([step, rnd, call, np.zeros_like(step), path])
-        keys = np.concatenate([np.stack([np.repeat(np.arange(steps), cells), zero - 1, zero, zero, zero]),
-                               moves, moves + [[0], [0], [0], [1], [0]]], axis=1)
+        # call by call the subtractions, then the additions, paths ascending,
+        # sorted by one key (step, round, call, sign, path); ufunc.at applies
+        # them one by one, and a - v == a + (-v)
+        n_rnd, n_call = int(rnd.max(initial=0)) + 2, int(call.max(initial=0)) + 1
+        sub = ((step * n_rnd + rnd + 1) * n_call + call) * 2 * na + path
+        keys = np.concatenate([np.repeat(np.arange(steps) * (n_rnd * n_call * 2 * na), cells), sub, sub + na])
         at = np.concatenate([np.tile(np.arange(cells), steps), row * M + old, row * M + new])
+        rem = h - offs
         val = np.concatenate([(pop * h).ravel(), -rem, rem])
-        order = np.lexsort(keys[::-1])
+        order = np.argsort(keys, kind="stable")
         np.add.at(self.occ.reshape(-1), at[order], val[order])
 
-        if self.recording:  # the window is the recorded path alone
-            o = np.lexsort((call, rnd, step))
-            for r, *rec in zip(row[o].tolist(), tc[o].tolist(), (old[o] + 1).tolist(), (new[o] + 1).tolist()):
+        if self.recording:  # the window is the recorded path alone: its moves by (step, round, call)
+            o = order - steps * cells
+            o = o[(o >= 0) & (o < len(row))]
+            tc = (k0 + step[o]) * h + offs[o]
+            for r, *rec in zip(row[o].tolist(), tc.tolist(), (old[o] + 1).tolist(), (new[o] + 1).tolist()):
                 self.jump_rec[CHAIN_NAMES[r]].append(tuple(rec))
-
-        # a step writes each chain's last state of every path it moved
-        o = np.lexsort((call, rnd, path, row, step))
-        o = o[np.diff(np.stack([step[o], row[o], path[o]]), axis=1, append=-1).any(axis=0)]
-        return np.searchsorted(step[o], np.arange(steps + 1)).tolist(), row[o], path[o], new[o]
+        return row, call, path, step, rnd, new
 
     def _crossing_error(self, path, t):
         """A coupled round left ``path``'s chains out of order, which the
@@ -527,20 +506,19 @@ class _ChunkRun:
             )
 
     # The three jump rules share one signature: (off-diagonal rates at the
-    # candidates, marks, auxiliary uniforms, local path indices, time left in
-    # the step, candidate times, diffusion values at the candidates, None in
-    # the block pass).  Each numbers its _apply_jump calls in their order in
-    # a round, the same number at every round, and the block bookkeeping
-    # orders a round's moves on one chain by that number, as the per-step
-    # rounds book them.
+    # candidates, marks, auxiliary uniforms, local path indices, candidate
+    # times, diffusion values at the candidates, None in the block pass).
+    # Each numbers its _apply_jump calls in their order in a round, the same
+    # number at every round, and the block bookkeeping orders a round's moves
+    # on one chain by that number, as the rounds ran.
 
-    def _marginal_jump(self, Roff, mark, aux, p, rem, tc, Xc):
+    def _marginal_jump(self, Roff, mark, aux, p, tc, Xc):
         hit, tgt, _, _, q = cpl.row_block_pick(Roff, self.S[1, p], mark)
         self._check_rate_bound(q, p, tc, Xc)
         if hit.any():
-            self._apply_jump(1, p[hit], tgt[hit], rem[hit], tc[hit], 0)
+            self._apply_jump(1, p[hit], tgt[hit], 0)
 
-    def _two_state_jump(self, Roff, mark, aux, p, rem, tc, Xc):
+    def _two_state_jump(self, Roff, mark, aux, p, tc, Xc):
         self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
         qbar, qstar = self.env.qbar, self.env.qstar
         cur = self.S[:, p]
@@ -549,9 +527,9 @@ class _ChunkRun:
             (2, qbar[0, 1], qbar[1, 0]),
             (0, qstar[0, 1], qstar[1, 0]),
         )):
-            self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), rem, tc, call)
+            self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), call)
 
-    def _matrix_jump(self, Roff, mark, aux, p, rem, tc, Xc):
+    def _matrix_jump(self, Roff, mark, aux, p, tc, Xc):
         nc = len(p)
         M = self.M
         star_c, lam_c, bar_c = self.S[:, p]
@@ -578,12 +556,12 @@ class _ChunkRun:
         hitA &= mark < self.L
         if hitA.any():
             sub = np.flatnonzero(hitA)
-            pj, mvs, w, rs, ts = p[sub], mv[sub], width[sub], rem[sub], tc[sub]
+            pj, mvs, w = p[sub], mv[sub], width[sub]
             okb, nb = _pick(row1[sub, mvs], u2[sub], w)
             oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
-            self._apply_jump(1, pj, mvs, rs, ts, 0)
-            self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), rs, ts, 1)
-            self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), rs, ts, 2)
+            self._apply_jump(1, pj, mvs, 0)
+            self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), 1)
+            self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), 2)
 
         # regions B and C: the upper chain moves alone on [L, L + Hbar), the
         # lower chain from L + Hbar; the lower table is read transposed
@@ -596,7 +574,7 @@ class _ChunkRun:
             if len(sub):
                 picked, new = _pick(table[sub, lam_c[sub]], (mark[sub] - L) - shift)
                 s = sub[picked]
-                self._apply_jump(row, p[s], new[picked], rem[s], tc[s], call)
+                self._apply_jump(row, p[s], new[picked], call)
 
     # -- main loop
 
@@ -625,9 +603,10 @@ class _ChunkRun:
                 draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
             *cand, step, rnd, bounds = _candidate_schedule(
                 draws, bsz, _GROUP, off, na, h, self.R_cand, self.state_free)
+            S0 = self.S.copy()  # the block's start states, which its booking reads
             if self.state_free:
                 (first, rows, paths, states), crossing = self._block_pass(
-                    block_start, bsz, *cand, step, rnd, bounds)
+                    S0, block_start, bsz, *cand, step, rnd, bounds)
             else:
                 step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
 
@@ -651,14 +630,13 @@ class _ChunkRun:
                         f"non-finite state at t={t + h:.6g}, path {self.start + lo + bad} (overflow)"
                     )
 
-                if self.state_free:  # the block pass booked the occupation
+                if self.state_free:  # the block pass booked the block
                     a, b = first[kk], first[kk + 1]
                     if a < b:
                         self.S[rows[a:b], paths[a:b]] = states[a:b]
                     if crossing and crossing[0] == kk:
                         raise crossing[1]
                 else:
-                    self.occ += self.pop * h  # whole step to the start states; jumps correct below
                     b0, b1 = step_first[kk], step_first[kk + 1]
                     if b0 < b1:
                         self._process_step(t, Xn, *cand, bounds[b0:b1 + 1])
@@ -666,6 +644,8 @@ class _ChunkRun:
                 self.X = Xn
                 if self.recording:
                     self._record_grid(k + 1)
+            if not self.state_free:
+                self._book_block(S0, block_start, bsz, *cand[:2], step, rnd)
 
         if n_steps % obs_every == 0:
             self._snapshot_obs()
@@ -740,6 +720,15 @@ def _candidate_schedule(draws, steps, G, lo, na, h, R_cand, per_block=False):
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
     return (path[by_round], offs[order], u[order, 1] * R_cand, u[order, 2], step[by_round], rnd[by_round],
             bounds.tolist())
+
+
+def _last_moves(steps, row, call, path, step, rnd, new):
+    """The states a block's steps write, each chain's last state of every
+    path a step moved: the first of them for every step, with one more entry
+    closing the last step, and their chain rows, paths and states."""
+    o = np.lexsort((call, rnd, path, row, step))
+    o = o[np.diff(np.stack([step[o], row[o], path[o]]), axis=1, append=-1).any(axis=0)]
+    return np.searchsorted(step[o], np.arange(steps + 1)).tolist(), row[o], path[o], new[o]
 
 
 def _rank(first):

@@ -502,6 +502,39 @@ def candidate_rounds_reference(counts_block, u_all, na, h, R_cand):
                     yield kk, idx[sel], offs[sel], marks[sel], aux[sel]
 
 
+class PerCallBooking:
+    """The occupation booking of the step-by-step rounds before every move
+    was logged and booked once per step block, kept as the reference for
+    engine._ChunkRun._book_block: each step first books h to the states its
+    chains start in (``step``), and each call of a jump rule books its moves
+    as it makes them (``apply``), the time left in the step taken from the
+    old state and given to the new one, paths ascending.  ``S`` holds the
+    chain states, rows in engine.CHAIN_NAMES order."""
+
+    def __init__(self, S, M, h):
+        self.S, self.M, self.h = S.copy(), M, h
+        self.occ = np.zeros((3, M))
+        # state population per chain, updated incrementally at jumps
+        self.pop = np.stack([np.bincount(row, minlength=M) for row in S]).astype(float)
+
+    def step(self):
+        self.occ += self.pop * self.h  # whole step to the start states; jumps correct below
+
+    def apply(self, chain_row, pj, new, rem):
+        states = self.S[chain_row]
+        old = states[pj]
+        moved = old != new
+        if not moved.any():
+            return
+        pj, old, new, rem = pj[moved], old[moved], new[moved], rem[moved]
+        states[pj] = new
+        occ_row = self.occ[chain_row]
+        np.subtract.at(occ_row, old, rem)
+        np.add.at(occ_row, new, rem)
+        # exact integer counts: the same bytes as per-index updates
+        self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
+
+
 # The three value walks of exprlang as they stood before they became rule
 # tables over one fold, kept verbatim (bar the names) as references for
 # max_variable, evaluate, compile_vectorized and constant_value; since then

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from switchsde import markov as mk
 from switchsde import scenario as sn
 from tests.conftest import (
     FIXTURES,
+    PerCallBooking,
     candidate_rounds_reference,
     cell_lists,
     make_scenario,
@@ -240,25 +242,29 @@ class TestCoupledRoutes:
         mark = (L + Hbar) + edge
         assert (mark - L) - Hbar < edge <= mark - (L + Hbar)
         Roff = sc.rates.offdiag_batch(run.X)
-        p = np.array([0])
-        run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.array([run.h]), np.zeros(1), run.X)
+        p, S0 = np.array([0]), run.S.copy()
+        run._cand[p] = 0  # candidate 0: path 0 at the start of step 0, round 0
+        run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.zeros(1), run.X)
         assert run.S[:, 0].tolist() == [0, 1, 1]
-        assert run.occ[0].tolist() == [run.h, -run.h]
+        zero = np.zeros(1, dtype=np.int64)
+        run._book_block(S0, 0, 1, p, np.zeros(1), zero, zero)
+        # the step books h to every chain's start state, the move h from state 2 to state 1
+        assert (run.occ - run.h * np.eye(2)[S0[:, 0]])[0].tolist() == [run.h, -run.h]
 
 
 def _with_crossings(run):
     """Wrap the bound jump rule: after it, some candidate paths get lambda_bar
     one below lambda, and others get it back on top of the state space.  The
-    moves go through _apply_jump, as the block pass of state-free rates logs
-    and replays only what passes there."""
+    moves go through _apply_jump, as both schedules book only the moves it
+    logs, and the block pass of state-free rates replays only those."""
     rule = run._jump
 
-    def jump(Roff, mark, aux, p, rem, tc, Xc):
-        rule(Roff, mark, aux, p, rem, tc, Xc)
+    def jump(Roff, mark, aux, p, tc, Xc):
+        rule(Roff, mark, aux, p, tc, Xc)
         down = (aux < 0.4) & (run.S[1, p] > 0)
-        run._apply_jump(2, p[down], run.S[1, p[down]] - 1, rem[down], tc[down], 5)  # after the rule's calls
+        run._apply_jump(2, p[down], run.S[1, p[down]] - 1, 5)  # after the rule's calls
         top = aux > 0.8
-        run._apply_jump(2, p[top], np.full(top.sum(), run.M - 1), rem[top], tc[top], 6)
+        run._apply_jump(2, p[top], np.full(top.sum(), run.M - 1), 6)
 
     run._jump = jump
     return run
@@ -272,8 +278,8 @@ def _crossing_error(sc, record_local):
     run = _with_crossings(en._ChunkRun(sc, p, 0, route, env, record_local=record_local))
     rule, first = run._jump, []
 
-    def jump(Roff, mark, aux, p, rem, tc, Xc):  # the first crossing made
-        rule(Roff, mark, aux, p, rem, tc, Xc)
+    def jump(Roff, mark, aux, p, tc, Xc):  # the first crossing made
+        rule(Roff, mark, aux, p, tc, Xc)
         c = np.flatnonzero(run._crossed(p))
         if len(c) and not first:
             first.append((run.lo + p[c[0]], tc[c[0]], run.S[:, p[c[0]]] + 1))
@@ -365,7 +371,8 @@ TWIN_CASES = {
 class TestStateFreeRates:
     """Rates that do not read x run each step block's jumps in one pass; the
     same scenario with its rates written to read x runs them step by step
-    and is the reference."""
+    and is the reference.  Both log their moves and book them once per step
+    block; the per-call booking of conftest is the booking's reference."""
 
     @pytest.mark.parametrize("route", sorted(TWIN_CASES))
     def test_matches_the_per_step_twin(self, route):
@@ -419,14 +426,15 @@ class TestStateFreeRates:
     @pytest.mark.parametrize("route, rows", [("marginal", (1,)), ("two_state", (1, 2, 0)),
                                              ("matrix", (1, 2, 0, 2, 0))])
     def test_calls_are_numbered_in_their_order(self, route, rows, monkeypatch):
-        # the block bookkeeping orders a round's moves on one chain by the
-        # number of their _apply_jump call: at every round a rule's calls
-        # come in increasing numbers, and a number always names one chain
+        # the block booking of either schedule orders a round's moves on one
+        # chain by the number of their _apply_jump call: at every round a
+        # rule's calls come in increasing numbers, and a number always names
+        # one chain
         calls, apply, rule = [], en._ChunkRun._apply_jump, getattr(en._ChunkRun, f"_{route}_jump")
 
-        def numbered(self, chain_row, pj, new, rem, tc, call):
+        def numbered(self, chain_row, pj, new, call):
             calls[-1].append((call, chain_row))
-            return apply(self, chain_row, pj, new, rem, tc, call)
+            return apply(self, chain_row, pj, new, call)
 
         def one_round(self, *args):
             calls.append([])
@@ -446,42 +454,47 @@ class TestStateFreeRates:
     def test_block_booking_matches_the_per_step_booking(self):
         # random moves on a few paths, whose occupation stays within a few
         # steps' worth of the times left in the step, so that the order of
-        # the float updates shows; the per-step reference books them with
-        # _apply_jump round by round and call by call, the block bookkeeping
-        # from a log in any order
+        # the float updates shows; the per-call reference books them round
+        # by round and call by call, the block booking from the log in the
+        # per-step order, as the per-step rounds make it, or in any order, as
+        # the block pass makes it; with the matrix rule's calls, and with
+        # the calls 5 and 6 that _with_crossings adds on the upper chain
         sc = load(three_state_constant())
         route, env, _ = en.choose_route(sc)
         params = en.SimParams.from_scenario(sc, n_paths=8)
-        ref, block = (en._ChunkRun(sc, params, 0, route, env) for _ in range(2))
-        rng = np.random.default_rng(7)
-        start = rng.integers(0, 3, (3, 8))
-        ref.S[:], block.S[:] = start, start
-        ref.pop = np.stack([np.bincount(row, minlength=3) for row in start]).astype(float)
-        steps, h, log, states = 40, ref.h, [], []
-        for k in range(steps):
-            ref.occ += ref.pop * h
-            for rnd in range(rng.integers(0, 4)):
-                free = {row: list(rng.permutation(8)) for row in range(3)}  # one move per chain and path
-                for call, row in enumerate((1, 2, 0, 2, 0)):  # the matrix rule's calls
-                    pj = np.sort([free[row].pop() for _ in range(min(rng.integers(0, 7), len(free[row])))])
-                    pj = pj.astype(np.int64)
-                    new, rem = rng.integers(0, 3, len(pj)), h * rng.random(len(pj))
-                    moved = ref.S[row, pj] != new
-                    log += zip([row] * len(pj), [call] * len(pj), ref.S[row, pj], new, pj, [k] * len(pj),
-                               [rnd] * len(pj), rem, moved)
-                    ref._apply_jump(row, pj, new, rem, np.zeros(len(pj)), call)
-            states.append(ref.S.copy())
-        log = [e[:8] for e in log if e[8]]  # the block pass logs the moves alone
-        rng.shuffle(log)
-        row, call, old, new, path, step, rnd = (np.array([e[i] for e in log], dtype=np.int64) for i in range(7))
-        rem = np.array([e[7] for e in log])
-        first, rows, paths, written = block._book_block(steps, row, call, old, new, path, step, rnd, rem,
-                                                        np.zeros(len(log)))
-        assert block.occ.tobytes() == ref.occ.tobytes()
-        for k in range(steps):
-            w = slice(first[k], first[k + 1])
-            block.S[rows[w], paths[w]] = written[w]
-            assert np.array_equal(block.S, states[k])
+        steps, h = 40, params.h
+        for shuffled, rows in product((False, True), ((1, 2, 0, 2, 0), (1, 2, 0, 2, 0, 2, 2))):
+            block = en._ChunkRun(sc, params, 0, route, env)
+            rng = np.random.default_rng(7)
+            start = rng.integers(0, 3, (3, 8))
+            ref = PerCallBooking(start, 3, h)
+            cand, log, states = [], [], []  # cand: (path, offset, step, round)
+            for k in range(steps):
+                ref.step()
+                for rnd in range(rng.integers(0, 4)):
+                    base, offs = len(cand), h * rng.random(8)  # a candidate of every path
+                    cand += zip(range(8), offs, [k] * 8, [rnd] * 8)
+                    for call, row in enumerate(rows):
+                        pj = np.sort(rng.choice(8, rng.integers(0, 7), replace=False)).astype(np.int64)
+                        new = rng.integers(0, 3, len(pj))
+                        moved = ref.S[row, pj] != new
+                        if moved.any():  # the moves alone are logged
+                            log.append((row, call, base + pj[moved], ref.S[row, pj[moved]], new[moved]))
+                        ref.apply(row, pj, new, h - offs[pj])
+                states.append(ref.S.copy())
+            if shuffled:
+                log = [(row, call, *(a[i:i + 1] for a in e)) for row, call, *e in log for i in range(len(e[0]))]
+                rng.shuffle(log)
+            p, step, rnd = (np.array([c[i] for c in cand], dtype=np.int64) for i in (0, 2, 3))
+            block._log = log
+            moves = block._book_block(start, 0, steps, p, np.array([c[1] for c in cand]), step, rnd)
+            assert block.occ.tobytes() == ref.occ.tobytes()
+            first, rows_w, paths, written = en._last_moves(steps, *moves)
+            S = start.copy()
+            for k in range(steps):
+                w = slice(first[k], first[k + 1])
+                S[rows_w[w], paths[w]] = written[w]
+                assert np.array_equal(S, states[k])
 
     # seeds at which some path crosses in a later block round, but earlier
     # in time, than another path's first crossing found

@@ -23,7 +23,8 @@ began to draw a step block's candidates as one Poisson total per path group
 with uniform cells, instead of one Poisson count per (step, path) cell; the
 three simulate hashes of paths with no jump in either stream stayed.  The
 sha256 of ``certify`` JSON, swept over tau and at each fixture's own tau, and
-of one ``spectral`` run pin the certificate's bytes.
+of one ``spectral`` run pin the certificate's bytes.  Runs of 600 steps on the
+fixtures whose rates read x cross two step-block boundaries on every route.
 """
 
 import hashlib
@@ -125,6 +126,32 @@ INTERIOR_GOLDEN = {
          "19827374898a454a4942fe739d171abcff7ead275e1345a5b6911946e4945bde"),
         ("3da2e625e5c7725a8caef1a3e7d8ebb7797cbb4b91a245c8d7267774d9b7413b",
          "8bb817248c2e4a62904ab089a2035212edd391af8cdd0696f8da8daa889af22b"),
+    ),
+}
+
+
+# (mc, simulate) of 100 paths over 600 steps (three step blocks) recording
+# path 37, for --coupled and for the marginal route, on fixtures whose rates
+# read x; taken before the per-step rounds booked the occupation once per
+# step block
+MULTI_BLOCK_GOLDEN = {
+    "three_state_rational": (
+        ("c37715c24e9572f537cf0f2883f04d457170b5a40814c13bad7d509d0ec5030b",
+         "e847d7640c6f14c60ac990cfe54e2146a9fa32bfefc9eea0b23afa5a63fd27b5"),
+        ("9e7f8a2b50052ece066175ed18eb732bf5dfaa74c68d08f006f941acab011c9a",
+         "70302b50649831beed2d1acb972d53c6f41a41261a32bea4260c9a50ee162bf2"),
+    ),
+    "two_state_balanced": (
+        ("234ae955de1bb3c8cd1c613fdc80e2e84f7020609ed7a5562a1c15f14f80c078",
+         "0b4e9233fd7d489d4d70593341b57cec29fcbbb20de2927e407ad7248e99bd7f"),
+        ("db11456372712021fe7f37cf5d2582dbeead3e89735077cf194d0e9f960ce4e5",
+         "7a6dd31367b19e74fa9de4229a52ed2ce5dc2e0cbad61c79c5b1a3510307d991"),
+    ),
+    "two_state_trig": (
+        ("231e64da21e89caf537839390306ebf3ece05233d86398da9e3a468b60cedfef",
+         "af3cdbcc18bd598e4027e2d2fb7c54f42527e3d1321f1efc1d76d23d813d3984"),
+        ("21e479331b39ef6fbb5d4028e18ca655eb49924c33a2c4e8afaa63cf6c634448",
+         "b7e44549f318803a2ef7a623bb0b258ac0bac3e6ddbffc06230129f71c381dc3"),
     ),
 }
 
@@ -350,6 +377,17 @@ def test_golden_interior_column(name, coupled, tmp_path, capsys):
     size = ["--paths", "100", "--horizon", "1"]
     got = _artifact_hashes(fx, tmp_path, capsys, coupled, size=size, path_index=37)
     assert got == INTERIOR_GOLDEN[name][0 if coupled else 1]
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "marginal"])
+@pytest.mark.parametrize("name", sorted(MULTI_BLOCK_GOLDEN))
+def test_golden_multi_block(name, coupled, tmp_path, capsys):
+    fx = str(FIXTURES / f"{name}.json")
+    sc = scenario.load_scenario(fx)
+    assert not sc.rates.state_free and round(6 / sc.step) > 2 * engine._STEP_BLOCK
+    size = ["--paths", "100", "--horizon", "6"]
+    got = _artifact_hashes(fx, tmp_path, capsys, coupled, size=size, path_index=37)
+    assert got == MULTI_BLOCK_GOLDEN[name][0 if coupled else 1]
 
 
 @pytest.mark.parametrize("name", sorted(DOMINATION_GOLDEN))

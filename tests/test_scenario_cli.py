@@ -310,6 +310,15 @@ class TestCli:
         assert f"need record_stride >= 1, got {stride}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_mc_workers_below_one(self, workers):
+        # once ran serially and exited 0
+        fx = str(FIXTURES / "linear_feedback.json")
+        proc = run_cli("mc", fx, "--horizon", "0.5", "--paths", "4", "--workers", workers)
+        assert proc.returncode == 2
+        assert f"need workers >= 1, got {workers}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_mc_record_stride_is_passed(self, capsys):
         fx = str(FIXTURES / "two_state_balanced.json")
         assert cli.main(["mc", fx, "--horizon", "0.5", "--paths", "4", "--record-stride", "10"]) == 0
