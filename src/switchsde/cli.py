@@ -36,10 +36,6 @@ def _print_json(doc, out=None):
         print(text)
 
 
-def _f(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _given(args, names):
     """The options among ``names`` that the command line sets."""
     return {k: v for k in names if (v := getattr(args, k, None)) is not None}
@@ -203,32 +199,24 @@ def cmd_certify(args):
 
 
 def _write_csv(path, out, scenario_hash):
-    coupled = path.coupled
-    jt = sorted({t for recs in path.jumps.values() for t, _, _ in recs})
-    d = path.X.shape[1]
-    header = ["t"] + [f"x{i + 1}" for i in range(d)] + ["lambda", "lambda_star", "lambda_bar", "jump_flag"]
+    """One row per grid time, each column read once through ``tolist`` and
+    its cells formatted as the rows are joined.  A row's jump flag is set
+    when a jump time lies in (t_prev, t + 1e-15] and was not counted by the
+    row before, whose window closed at t_prev + 1e-15."""
+    jt = np.array(sorted({t for recs in path.jumps.values() for t, _, _ in recs}), dtype=float)
+    upto = np.searchsorted(jt, path.times + 1e-15, side="right")  # jump times counted by each row
+    after = np.maximum(np.searchsorted(jt, path.times[:-1], side="right"), np.append(0, upto[1:-1]))
+    flag = np.append(0, upto[1:] > after)
+    cols = [(f"{v:.17g}" for v in x) for x in [path.times.tolist(), *path.X.T.tolist()]]
+    cols += [[""] * len(flag) if c is None else map(str, c.tolist())
+             for c in (path.lam, path.lam_star, path.lam_bar, flag)]
+    header = ["t", *(f"x{i + 1}" for i in range(path.X.shape[1])), "lambda", "lambda_star", "lambda_bar", "jump_flag"]
     lines = [
         f"# scenario_hash={scenario_hash} seed={path.meta['seed']} "
         f"path_index={path.meta['path_index']} route={path.meta['route']}",
         ",".join(header),
+        *map(",".join, zip(*cols)),
     ]
-    ji = 0
-    prev_t = None
-    for k, t in enumerate(path.times):
-        flag = 0
-        if prev_t is not None:
-            while ji < len(jt) and jt[ji] <= t + 1e-15:
-                if jt[ji] > prev_t:
-                    flag = 1
-                ji += 1
-        row = [_f(float(t))]
-        row += [_f(float(v)) for v in path.X[k]]
-        row.append(str(int(path.lam[k])))
-        row.append(str(int(path.lam_star[k])) if coupled else "")
-        row.append(str(int(path.lam_bar[k])) if coupled else "")
-        row.append(str(flag))
-        lines.append(",".join(row))
-        prev_t = t
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

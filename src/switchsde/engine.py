@@ -24,30 +24,26 @@ each candidate the diffusion value is linearly interpolated inside the step
 and a uniform mark decides the jump through the row-block layout, in which
 every row's block starts at 0, as a chain reads only the row of its current
 state (thinning; Lewis and Shedler 1979).  That layout exists once, as
-coupling.row_block_pick, which the marginal and matrix routes call.  The
-candidates of a step block are scheduled once, from the block's draws, in
-rounds: round r holds the r-th candidate in time of every live path in its
-cell.  When some off-diagonal rate reads x the cell is the (step, path) pair,
-and each step walks its contiguous rounds; a step's candidate points and their
-rates are taken once per step, as no round changes the start state or the
-Euler update they depend on, and every candidate round checks the exit rates
-it reads against the declared bound H and raises EngineError beyond it.  When
-no rate reads x the chains never read the diffusion, so the cell is the path
-over the whole block: one pass runs the block's jumps ahead of its Euler steps
-under the constant rate stack, whose exit rates are checked against H once,
-before the first step.  Both schedules log every move, and one function
-books the occupation and the recorded jumps from the log once per block, in
-the per-step order, so both give the same bytes.  Only the block pass restores
-the states after its rounds; each step then writes its own moves where the
-per-step rounds would run.  Coupled runs either share one mark among all three
-chains (two-state interval route, when the interval-sum conditions hold) or
-drive the pair transitions from the order-preserving coupling rows with shared
-candidate times (matrix route); on either route a candidate round that leaves
-some path out of the order lambda_star <= lambda <= lambda_bar raises
-EngineError (the block pass drops a crossed path from its later rounds and
-raises the earliest crossing by step, round and path, as the per-step rounds
-would).  A scenario that declares no envelopes is coupled against
-coupling.extremal_envelopes of its validation grid, for any M.
+coupling.row_block_pick, which the marginal and matrix routes call.  A step
+block's candidates are scheduled once, in rounds: round r holds the r-th
+candidate in time of every live path in its (step, path) cell.  Only the
+switching chain lambda feeds back into the diffusion, so only its rule runs
+step by step, when some off-diagonal rate reads x: a step takes its candidate
+points and their rates once, and its rounds check the exit rates against the
+declared bound H, raising EngineError beyond it.  A coupled run then runs the
+route's whole rule once per step block, after the steps at the rates they
+kept, or, when no rate reads x, ahead of them at the one rate stack, checked
+against H once; its rounds hold each path's r-th candidate in the block.
+Every move is logged and booked once per block in the per-step order, so the
+schedules give the same bytes.  Coupled runs either share one mark among all
+three chains (two-state interval route, when the interval-sum conditions
+hold) or drive the pair transitions from the order-preserving coupling rows
+with shared candidate times (matrix route).  A crossing of the order
+lambda_star <= lambda <= lambda_bar, a negative coupling rate, a non-finite
+state and an exit rate beyond H raise EngineError at the earliest (step,
+round, path), as the per-step rounds would.  A scenario that declares no
+envelopes is coupled against coupling.extremal_envelopes of its validation
+grid, for any M.
 Each route is one jump rule with a common signature, bound once per chunk.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
@@ -87,6 +83,8 @@ class SimParams:
     workers: int = 1
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.h, self.tau, self.horizon))):
+            raise EngineError(f"need finite h, tau and horizon, got h={self.h}, tau={self.tau}, T={self.horizon}")
         if not 0 < self.h <= self.tau <= self.horizon + 1e-12:
             raise EngineError(
                 f"need 0 < h <= tau <= horizon, got h={self.h}, tau={self.tau}, T={self.horizon}"
@@ -95,6 +93,8 @@ class SimParams:
             raise EngineError(f"tau/h must be an integer, got {self.tau / self.h}")
         if abs(self.horizon / self.h - round(self.horizon / self.h)) > 1e-6:
             raise EngineError("horizon must be a multiple of the step")
+        if self.horizon / self.h >= 2**63:
+            raise EngineError(f"horizon/h = {self.horizon / self.h:.6g} steps do not fit in int64")
         if self.n_paths < 1 or self.chunk_size < 1:
             raise EngineError(f"need n_paths, chunk_size >= 1, got {self.n_paths}, {self.chunk_size}")
         if self.workers < 1:
@@ -272,6 +272,7 @@ class _ChunkRun:
         self.coupled = route != "marginal"
         self.env = env
         self._jump = getattr(self, f"_{route}_jump")
+        self._step = self._jump if route == "marginal" else self._lambda_step  # the per-step rounds' rule
 
         M, d = sc.M, sc.d
         self.M, self.d = M, d
@@ -361,13 +362,18 @@ class _ChunkRun:
         self.rX[k] = self.X[0]
         self.rS[k] = self.S[:, 0]
 
-    def _snapshot_obs(self):
-        """Freeze the observation and its feedback term; count epoch transitions."""
+    def _snapshot_obs(self, count):
+        """Freeze the observation and its feedback term; with ``count``,
+        count the chains' transitions, which needs every row known."""
         self.X_obs = self.X.copy()
-        cur = self.S.copy()
-        self.fb = self.sc.gains[cur[1]][:, None] * self.X_obs
+        self.fb = self.sc.gains[self.S[1]][:, None] * self.X_obs
+        if count:
+            self._count_epoch(self.S.copy())
+
+    def _count_epoch(self, cur):
+        """Count the chains' transitions from the last observation epoch."""
+        M = self.M
         if self.prev_obs_states is not None:
-            M = self.M
             flat = (np.arange(3)[:, None] * M + self.prev_obs_states) * M + cur
             self.skel += np.bincount(flat.ravel(), minlength=3 * M * M).reshape(3, M, M)
         self.prev_obs_states = cur
@@ -390,53 +396,77 @@ class _ChunkRun:
 
     # -- jump dispatch
 
-    def _process_step(self, t, Xn, p, offs, marks, aux, bounds):
-        """The candidate rounds of one step, delimited by ``bounds`` in the
-        block's arrays; the candidate points and their rates are taken once."""
-        s0 = bounds[0]
-        c = slice(s0, bounds[-1])
+    def _process_step(self, Xn, cand, tc, rates, bounds):
+        """The rounds of one step, delimited by ``bounds``, at the candidate
+        points and rates taken once into ``rates``; returns (round start,
+        error) at an exit rate beyond H, or None."""
+        p, offs, marks, aux = cand[:4]
+        Roff, Xc = rates
+        c = slice(bounds[0], bounds[-1])
         X0 = self.X[p[c]]
-        Xc = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
-        Roff = self.sc.rates.offdiag_batch(Xc)
+        Xc[c] = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
+        Roff[c] = self.sc.rates.offdiag_batch(Xc[c])
         for b0, b1 in zip(bounds, bounds[1:]):
-            r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
-            self._cand[pr] = np.arange(b0, b1)
-            self._jump(Roff[rc], marks[r], aux[r], pr, t + offs[r], Xc[rc])
-            if self.coupled and self._crossed(pr).any():
-                c = int(np.flatnonzero(self._crossed(pr))[0])
-                raise self._crossing_error(pr[c], t + offs[b0 + c])
+            r = slice(b0, b1)
+            self._cand[p[r]] = np.arange(b0, b1)
+            try:
+                self._step(Roff[r], marks[r], aux[r], p[r], tc[r], Xc[r])
+            except EngineError as err:
+                return b0, err
 
-    def _block_pass(self, S0, k0, steps, p, offs, marks, aux, step, rnd, bounds):
-        """Run a step block's jumps at state-free rates ahead of its steps,
-        round r holding each path's r-th candidate in the block, then restore
-        the start states ``S0`` and book the moves (``_book_block``).  Once a
-        path crosses, the later rounds keep only the candidates before the
-        earliest crossing in the per-step order, (step, round, path), which
-        drops the crossed paths.  Returns the states the steps write
-        (``_last_moves``) and that crossing as (step, error), or None."""
-        h = self.h
-        tc = (k0 + step) * h + offs
-        when = step * (int(rnd.max(initial=0)) + 1) + rnd  # the per-step round order
-        Roff = np.broadcast_to(self.R0, (len(p), self.M, self.M))
-        crossing = None  # (when, path, step, error)
+    def _block_pass(self, S0, k0, steps, cand, tc, Roff, Xc, stop):
+        """Run the route's rule from ``S0`` over a step block's candidates
+        before ``stop`` in the per-step order, in ``_block_rounds``, and book
+        the moves.  After an error (a crossing, or a negative coupling rate,
+        which comes first in its (step, round)) the rounds keep only the
+        candidates up to the end of its (step, round).  Returns the states the
+        steps write (``_last_moves``) and the earliest error as (step, error)."""
+        p, offs, marks, aux, step, rnd = cand
+        when = step * (int(rnd.max(initial=0)) + 1) + rnd  # the (step, round), ascending
+        self.S[:] = S0
+        first = None  # (order key, candidate, error)
+        order, bounds = _block_rounds(p)
         for b0, b1 in zip(bounds, bounds[1:]):
-            c = np.arange(b0, b1)
-            if crossing is not None:
-                c = c[when[c] <= crossing[0]]
-                if not len(c):
-                    continue
+            c = order[b0:b1]
+            c = c[c < stop]
+            if not len(c):
+                continue
             pc = p[c]
             self._cand[pc] = c
-            self._jump(Roff[:len(c)], marks[c], aux[c], pc, tc[c], None)
-            if self.coupled:
-                bad = np.flatnonzero(self._crossed(pc))
-                if len(bad):
-                    i = bad[np.lexsort((pc[bad], when[c[bad]]))[0]]
-                    if crossing is None or (when[c[i]], pc[i]) < crossing[:2]:
-                        crossing = (when[c[i]], pc[i], step[c[i]], self._crossing_error(pc[i], tc[c[i]]))
-        self.S[:] = S0
+            found = [((int(when[c[i]]), -1, rate, half, int(pc[i]), mn), c[i], err) for rate, half, i, mn, err in
+                     self._jump(Roff[c], marks[c], aux[c], pc, tc[c], None if Xc is None else Xc[c]) or ()]
+            bad = np.flatnonzero(self._crossed(pc)) if self.coupled else ()
+            if len(bad):  # a candidate's index orders it by (step, round, path)
+                i = bad[np.argmin(c[bad])]
+                found.append(((int(when[c[i]]), int(pc[i])), c[i], self._crossing_error(pc[i], tc[c[i]])))
+            for f in found:
+                if first is None or f[0] < first[0]:
+                    first, stop = f, np.searchsorted(when, f[0][0], "right")
         moves = self._book_block(S0, k0, steps, p, offs, step, rnd)
-        return _last_moves(steps, *moves), crossing[2:] if crossing else None
+        return _last_moves(steps, *moves), (int(step[first[1]]), first[2]) if first else None
+
+    def _finish_block(self, S0, k0, steps, cand, tc, rates, stop):
+        """Close a step block of rates that read x, whose steps failed at
+        ``stop`` (candidate, error), if at all: a marginal run books the
+        steps' moves; a coupled run's block pass runs the candidates before
+        the failure, the earliest error raises, and its moves give the
+        envelope chains' states at the epochs and on the recorded path."""
+        if not self.coupled:
+            if stop:
+                raise stop[1]
+            self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
+            return
+        lam = self.S[1].copy()
+        writes, err = self._block_pass(S0, k0, steps, cand, tc, *rates, stop[0] if stop else len(tc))
+        if err or stop:
+            raise (err or stop)[1]
+        if not np.array_equal(self.S[1], lam):
+            raise EngineError(f"the block pass from step {k0} left lambda where its steps did not")
+        states_before = _states_before(S0, *writes)
+        for kk in range(-k0 % self.params.obs_every, steps, self.params.obs_every):
+            self._count_epoch(states_before([kk])[0])
+        if self.recording:
+            self.rS[k0 + 1:k0 + steps + 1] = states_before(np.arange(1, steps + 1))[:, :, 0]
 
     def _book_block(self, S0, k0, steps, p, offs, step, rnd):
         """Book the moves logged in the step block from ``k0``, which began in
@@ -507,26 +537,33 @@ class _ChunkRun:
 
     # The three jump rules share one signature: (off-diagonal rates at the
     # candidates, marks, auxiliary uniforms, local path indices, candidate
-    # times, diffusion values at the candidates, None in the block pass).
-    # Each numbers its _apply_jump calls in their order in a round, the same
-    # number at every round, and the block bookkeeping orders a round's moves
-    # on one chain by that number, as the rounds ran.
+    # times, diffusion values at the candidates, None at rates that do not
+    # read x).  Each numbers its _apply_jump calls in their order in a round,
+    # the same number at every round, and the block bookkeeping orders a
+    # round's moves on one chain by that number, as the rounds ran.
+
+    def _lambda_new(self, Roff, mark, p, tc, Xc):
+        """The switching chain's new states under the route's rule, after the
+        exit rate check; a row-block mark from L on is none of its jumps."""
+        lam = self.S[1, p]
+        if self.route == "two_state":
+            self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
+            return _interval_move(lam, mark, Roff[:, 0, 1], Roff[:, 1, 0])
+        hit, tgt, _, _, q = cpl.row_block_pick(Roff, lam, mark)
+        self._check_rate_bound(q, p, tc, Xc)
+        return np.where(hit & (mark < self.L), tgt, lam)
+
+    def _lambda_step(self, Roff, mark, aux, p, tc, Xc):
+        self.S[1, p] = self._lambda_new(Roff, mark, p, tc, Xc)  # unlogged
 
     def _marginal_jump(self, Roff, mark, aux, p, tc, Xc):
-        hit, tgt, _, _, q = cpl.row_block_pick(Roff, self.S[1, p], mark)
-        self._check_rate_bound(q, p, tc, Xc)
-        if hit.any():
-            self._apply_jump(1, p[hit], tgt[hit], 0)
+        self._apply_jump(1, p, self._lambda_new(Roff, mark, p, tc, Xc), 0)
 
     def _two_state_jump(self, Roff, mark, aux, p, tc, Xc):
-        self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
-        qbar, qstar = self.env.qbar, self.env.qstar
         cur = self.S[:, p]
-        for call, (row, a12, a21) in enumerate((
-            (1, Roff[:, 0, 1], Roff[:, 1, 0]),
-            (2, qbar[0, 1], qbar[1, 0]),
-            (0, qstar[0, 1], qstar[1, 0]),
-        )):
+        self._apply_jump(1, p, self._lambda_new(Roff, mark, p, tc, Xc), 0)
+        qbar, qstar = self.env.qbar, self.env.qstar
+        for call, (row, a12, a21) in enumerate(((2, qbar[0, 1], qbar[1, 0]), (0, qstar[0, 1], qstar[1, 0])), 1):
             self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), call)
 
     def _matrix_jump(self, Roff, mark, aux, p, tc, Xc):
@@ -543,12 +580,14 @@ class _ChunkRun:
         jj = np.concatenate([bar_c, lam_c])
         rows = cpl.coupling_rows_batch(R1, R2, ii, jj)
         rows[np.arange(2 * nc), ii, jj] = 0.0
-        neg = rows.min()
-        if neg < -1e-9:
-            c, m, n = np.unravel_index(int(rows.argmin()), rows.shape)
+        negative = []  # (rate, half, candidate, target, error), in the order of ``rows``
+        flat = rows.reshape(2 * nc, M * M)
+        for r in np.flatnonzero(flat.min(axis=1) < -1e-9).tolist():
+            c, mn = r % nc, int(flat[r].argmin())
             where = ("; the envelopes do not dominate the rates" if Xc is None
-                     else f" at x={Xc[c % nc].tolist()}; the envelopes do not dominate the rates there")
-            raise EngineError(f"coupling produced negative rate {neg:.3e} to ({m + 1},{n + 1}){where}")
+                     else f" at x={Xc[c].tolist()}; the envelopes do not dominate the rates there")
+            negative.append((flat[r, mn], r // nc, c, mn, EngineError(
+                f"coupling produced negative rate {flat[r, mn]:.3e} to ({mn // M + 1},{mn % M + 1}){where}")))
         np.maximum(rows, 0.0, out=rows)
         row1, row2 = rows[:nc], rows[nc:]
 
@@ -575,6 +614,7 @@ class _ChunkRun:
                 picked, new = _pick(table[sub, lam_c[sub]], (mark[sub] - L) - shift)
                 s = sub[picked]
                 self._apply_jump(row, p[s], new[picked], call)
+        return negative
 
     # -- main loop
 
@@ -586,7 +626,7 @@ class _ChunkRun:
         h = self.h
         n_steps = params.n_steps
         obs_every = params.obs_every
-        lo, na, d = self.lo, self.na, self.d
+        lo, na, d, M = self.lo, self.na, self.d, self.M
         # the path groups g0, ..., g0 + ng - 1 hold global columns [start + lo,
         # start + lo + na), each drawn whole; laid side by side, column lo is off
         g0, off = divmod(self.start + lo, _GROUP)
@@ -601,20 +641,24 @@ class _ChunkRun:
             for j, (ngen, jgen) in enumerate(gens):
                 ngen.standard_normal(out=xi_block[j])
                 draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
-            *cand, step, rnd, bounds = _candidate_schedule(
-                draws, bsz, _GROUP, off, na, h, self.R_cand, self.state_free)
+            *cand, bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
+            n, step = len(cand[0]), cand[4]
+            tc = (block_start + step) * h + cand[1]
             S0 = self.S.copy()  # the block's start states, which its booking reads
-            if self.state_free:
-                (first, rows, paths, states), crossing = self._block_pass(
-                    S0, block_start, bsz, *cand, step, rnd, bounds)
+            if self.state_free:  # the block's jumps ahead of its steps, at the one rate stack
+                (first, rows, paths, states), err = self._block_pass(
+                    S0, block_start, bsz, cand, tc, np.broadcast_to(self.R0, (n, M, M)), None, n)
+                self.S[:] = S0
             else:
                 step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
+                rates = np.empty((n, M, M)), np.empty((n, d))  # at the candidates, as the steps take them
+            stop = None  # (candidate, error) where the steps fail
 
             for kk in range(bsz):
                 k = block_start + kk
                 t = k * h
-                if k % obs_every == 0:
-                    self._snapshot_obs()
+                if k % obs_every == 0:  # a coupled block pass after the steps moves the envelope rows
+                    self._snapshot_obs(count=self.state_free or not self.coupled)
                 r = self.rec_index.get(k)
                 if r is not None:
                     self._record_stats(r)
@@ -626,29 +670,32 @@ class _ChunkRun:
                     np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
                 if not np.isfinite(Xn).all():
                     bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
-                    raise EngineError(
+                    stop = int(np.searchsorted(step, kk)), EngineError(
                         f"non-finite state at t={t + h:.6g}, path {self.start + lo + bad} (overflow)"
                     )
+                    break
 
                 if self.state_free:  # the block pass booked the block
                     a, b = first[kk], first[kk + 1]
                     if a < b:
                         self.S[rows[a:b], paths[a:b]] = states[a:b]
-                    if crossing and crossing[0] == kk:
-                        raise crossing[1]
+                    if err and err[0] == kk:
+                        raise err[1]
                 else:
-                    b0, b1 = step_first[kk], step_first[kk + 1]
-                    if b0 < b1:
-                        self._process_step(t, Xn, *cand, bounds[b0:b1 + 1])
+                    g0, g1 = step_first[kk], step_first[kk + 1]
+                    if g0 < g1 and (stop := self._process_step(Xn, cand, tc, rates, bounds[g0:g1 + 1])):
+                        break
 
                 self.X = Xn
                 if self.recording:
                     self._record_grid(k + 1)
             if not self.state_free:
-                self._book_block(S0, block_start, bsz, *cand[:2], step, rnd)
+                self._finish_block(S0, block_start, bsz, cand, tc, rates, stop)
+            elif stop:
+                raise stop[1]
 
         if n_steps % obs_every == 0:
-            self._snapshot_obs()
+            self._snapshot_obs(count=True)
         self._record_stats(self.rec_index[n_steps])
         np.maximum(self.tail_x2, (self.X**2).sum(axis=1), out=self.tail_x2)
 
@@ -690,19 +737,17 @@ def _draw_candidates(jgen, cells, mean):
     return jgen.integers(0, cells, n), jgen.random(3 * n)
 
 
-def _candidate_schedule(draws, steps, G, lo, na, h, R_cand, per_block=False):
+def _candidate_schedule(draws, steps, G, lo, na, h, R_cand):
     """Thinning candidates of one step block in the order they are processed.
 
     ``draws`` holds, group by group, the candidates' cell ids, row-major
     (step, column) in a group of G columns, and their uniforms, three per
     candidate, in draw order.  Columns [lo, lo + na) of the groups laid side
     by side are kept, as paths from lo.  Round r holds the r-th candidate in
-    time (ties in draw order) of every path in its cell, paths ascending: the
-    cell is the (step, path) pair and the rounds follow in (step, round)
-    order, or with ``per_block`` the cell is the path over the whole block.
-    Returns the per-candidate (path, offset in the step, mark, auxiliary
-    uniform, step, round in its (step, path) cell) in round order and the
-    round bounds.
+    time (ties in draw order) of every path in its (step, path) cell, paths
+    ascending, and the rounds follow in (step, round) order.  Returns the
+    per-candidate (path, offset in the step, mark, auxiliary uniform, step,
+    round in its step) in round order and the round bounds.
     """
     group = np.repeat(np.arange(len(draws)), [len(cells) for cells, _ in draws])
     step, path = np.divmod(np.concatenate([cells for cells, _ in draws]), G)
@@ -714,12 +759,22 @@ def _candidate_schedule(draws, steps, G, lo, na, h, R_cand, per_block=False):
     step, path = step[order], path[order]
     new_path = np.diff(path, prepend=-1) != 0
     rnd = _rank(new_path | (np.diff(step, prepend=-1) != 0))
-    key = _rank(new_path) if per_block else step * (int(rnd.max(initial=-1)) + 1) + rnd
+    key = step * (int(rnd.max(initial=-1)) + 1) + rnd
     by_round = np.argsort(key, kind="stable")  # paths stay ascending in a round
     order, key = order[by_round], key[by_round]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
     return (path[by_round], offs[order], u[order, 1] * R_cand, u[order, 2], step[by_round], rnd[by_round],
             bounds.tolist())
+
+
+def _block_rounds(p):
+    """The block pass's rounds over the per-step schedule's paths ``p``:
+    round r holds every path's r-th candidate in the block, paths ascending.
+    Returns the candidates in round order and the round bounds."""
+    by_path = np.argsort(p, kind="stable")
+    rank = _rank(np.diff(p[by_path], prepend=-1) != 0)
+    o = np.argsort(rank, kind="stable")
+    return by_path[o], np.flatnonzero(np.diff(rank[o], prepend=-1, append=-1)).tolist()
 
 
 def _last_moves(steps, row, call, path, step, rnd, new):
@@ -729,6 +784,22 @@ def _last_moves(steps, row, call, path, step, rnd, new):
     o = np.lexsort((call, rnd, path, row, step))
     o = o[np.diff(np.stack([step[o], row[o], path[o]]), axis=1, append=-1).any(axis=0)]
     return np.searchsorted(step[o], np.arange(steps + 1)).tolist(), row[o], path[o], new[o]
+
+
+def _states_before(S0, first, rows, paths, states):
+    """A function of a step block's steps ``ks`` that gives the chain states
+    at their start, (len(ks), 3, paths), from the block's start states and
+    the states its steps write (``_last_moves``)."""
+    span = len(first)  # beyond every step of the block
+    at = (rows * S0.shape[1] + paths) * span + np.repeat(np.arange(span - 1), np.diff(first))  # (cell, step)
+    o = np.argsort(at)
+    at, new, cells = np.append(-1, at[o]), np.append(0, states[o]), np.arange(S0.size)
+
+    def at_steps(ks):
+        last = np.searchsorted(at, cells * span + np.asarray(ks)[:, None]) - 1  # each cell's last write before
+        return np.where(at[last] // span == cells, new[last], S0.ravel()).reshape(-1, *S0.shape)
+
+    return at_steps
 
 
 def _rank(first):

@@ -52,8 +52,8 @@ class CertifyError(ValueError):
 
 def k_tau(tau: float, Cbar: float, Ma: float, bbar: float) -> float:
     """Contraction factor 2 tau (2 Cbar + Ma + bbar) e^{(2 Cbar + 3 Ma + bbar) tau}."""
-    if tau <= 0:
-        raise CertifyError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:  # NaN fails too
+        raise CertifyError(f"tau must be positive and finite, got {tau}")
     return 2.0 * tau * (2.0 * Cbar + Ma + bbar) * math.exp((2.0 * Cbar + 3.0 * Ma + bbar) * tau)
 
 

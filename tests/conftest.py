@@ -1,12 +1,14 @@
 import json
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from switchsde import engine
 from switchsde.coupling import (
     CHECK_TOL,
     MAX_VIOLATIONS,
@@ -95,8 +97,9 @@ def make_scenario(**overrides):
 def state_dependent_twin(doc):
     """The scenario document with every constant off-diagonal rate c written
     as ``c + 0*x1``: the same rate at every finite x, bit for bit, but one
-    that reads x, so the engine schedules its candidates step by step.  The
-    reference for the block pass of state-free rates."""
+    that reads x, so the engine runs its block pass after the block's steps,
+    not ahead of them.  The reference for the block pass of state-free
+    rates."""
     from switchsde import exprlang
 
     twin = json.loads(json.dumps(doc))
@@ -533,6 +536,84 @@ class PerCallBooking:
         np.add.at(occ_row, new, rem)
         # exact integer counts: the same bytes as per-index updates
         self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
+
+
+class PerStepRounds(engine._ChunkRun):
+    """The coupled schedule on rates that read x before the envelope chains
+    moved once per step block, kept as the reference for the block pass that
+    follows a block's steps: each step runs the route's whole rule round by
+    round, raises a negative coupling rate (the round's least) or a crossing
+    at the round that makes it, and the block books the logged moves.  Run it
+    in place of engine._ChunkRun with ``per_step_rounds``."""
+
+    def _process_step(self, Xn, cand, tc, rates, bounds):
+        p, offs, marks, aux = cand[:4]
+        s0 = bounds[0]
+        c = slice(s0, bounds[-1])
+        X0 = self.X[p[c]]
+        Xc = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
+        Roff = self.sc.rates.offdiag_batch(Xc)
+        for b0, b1 in zip(bounds, bounds[1:]):
+            r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
+            self._cand[pr] = np.arange(b0, b1)
+            negative = self._jump(Roff[rc], marks[r], aux[r], pr, tc[r], Xc[rc])
+            if negative:
+                raise min(negative, key=lambda e: e[0])[-1]  # the first least, as argmin finds it
+            if self.coupled and self._crossed(pr).any():
+                c = int(np.flatnonzero(self._crossed(pr))[0])
+                raise self._crossing_error(pr[c], tc[b0 + c])
+
+    def _finish_block(self, S0, k0, steps, cand, tc, rates, stop):
+        if stop:
+            raise stop[1]
+        self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
+
+    def _snapshot_obs(self, count):
+        super()._snapshot_obs(True)  # every chain is where the steps left it
+
+
+@contextmanager
+def per_step_rounds():
+    """Run monte_carlo and the simulate functions on PerStepRounds."""
+    chunk_run, engine._ChunkRun = engine._ChunkRun, PerStepRounds
+    try:
+        yield
+    finally:
+        engine._ChunkRun = chunk_run
+
+
+def write_csv_reference(path, out, scenario_hash):
+    """cli._write_csv before it wrote column by column, kept verbatim (bar
+    its float formatter, written out) as its bitwise reference: row by row,
+    the jump flag by a walk over the jump times."""
+    coupled = path.coupled
+    jt = sorted({t for recs in path.jumps.values() for t, _, _ in recs})
+    d = path.X.shape[1]
+    header = ["t"] + [f"x{i + 1}" for i in range(d)] + ["lambda", "lambda_star", "lambda_bar", "jump_flag"]
+    lines = [
+        f"# scenario_hash={scenario_hash} seed={path.meta['seed']} "
+        f"path_index={path.meta['path_index']} route={path.meta['route']}",
+        ",".join(header),
+    ]
+    ji = 0
+    prev_t = None
+    for k, t in enumerate(path.times):
+        flag = 0
+        if prev_t is not None:
+            while ji < len(jt) and jt[ji] <= t + 1e-15:
+                if jt[ji] > prev_t:
+                    flag = 1
+                ji += 1
+        row = [f"{float(t):.17g}"]
+        row += [f"{float(v):.17g}" for v in path.X[k]]
+        row.append(str(int(path.lam[k])))
+        row.append(str(int(path.lam_star[k])) if coupled else "")
+        row.append(str(int(path.lam_bar[k])) if coupled else "")
+        row.append(str(flag))
+        lines.append(",".join(row))
+        prev_t = t
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # The three value walks of exprlang as they stood before they became rule

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from scipy import stats
 
 from switchsde import cli
+from switchsde import coupling as cpl
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
@@ -19,6 +21,7 @@ from tests.conftest import (
     candidate_rounds_reference,
     cell_lists,
     make_scenario,
+    per_step_rounds,
     state_dependent_twin,
     write_scenario,
 )
@@ -272,7 +275,8 @@ def _with_crossings(run):
 
 def _crossing_error(sc, record_local):
     """Run ``sc`` coupled with crossings made after its jump rule; returns
-    the route, the error and the first crossing made, in call order."""
+    the route, the error and the first crossing made, in call order.  The
+    calls run in time only in the per-step rounds of conftest."""
     route, env, _ = en.choose_route(sc)
     p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
     run = _with_crossings(en._ChunkRun(sc, p, 0, route, env, record_local=record_local))
@@ -292,14 +296,17 @@ def _crossing_error(sc, record_local):
 
 def _raises_at_the_first_crossing(sc, record_local):
     """Check that a run with crossings made stops at the first one, naming
-    it; returns the route.  Rounds run in time only step by step, so rates
-    that do not read x are checked against their state-dependent twin."""
+    it; returns the route.  Rounds run in time only in the per-step rounds of
+    conftest, on rates that read x, so rates that do not are checked against
+    their state-dependent twin, and the twin against those rounds."""
     if sc.rates.state_free:
         twin = sn.load_scenario(state_dependent_twin(sc.raw))
         assert not twin.rates.state_free
         assert _crossing_error(sc, record_local)[:2] == _crossing_error(twin, record_local)[:2]
         sc = twin
-    route, err, (path, t, (ls, lm, lb)) = _crossing_error(sc, record_local)
+    with per_step_rounds():
+        route, err, (path, t, (ls, lm, lb)) = _crossing_error(sc, record_local)
+    assert _crossing_error(sc, record_local)[:2] == (route, err)
     if record_local is not None:
         assert path == record_local
     # the envelopes are declared, so the message does not blame the grid
@@ -522,6 +529,150 @@ class TestStateFreeRates:
         assert float(errors[2].split("t=")[1].split(",")[0]) > 256 * p.h
 
 
+# (two-state route, matrix route) rates of the error order cases, and the
+# regime-free drift and initial x they start from: x(t) is the same on every
+# path and in a marginal run, as the diffusion is zero
+ORDER_CASES = {
+    # the envelopes do not dominate, so chains cross early; the rates pass H
+    # from x = 2 (two-state) and x = 2.74 (matrix), in the first step block
+    "crossing_then_breach": ((["1 + 0.25*x1^2"] * 2, "1", 0.5), ("1.2 + 0.2*x1^2", "2", 0.0)),
+    # every candidate breaches H at x = 3, the first in round 0 of its step;
+    # x falls back, and the chains cross only in later steps
+    "breach_then_crossing": ((["1", "1 + x1^2"], "-1*x1", 3.0), ("1.2 + x1^2", "-1*x1", 3.0)),
+    # bounded rates, and a state that overflows at t = 1.53
+    "crossing_then_overflow": ((["1.25 + 0.25*sin(x1)^2"] * 2, "10000*x1", 0.5),
+                               ("1.2 + 0.1*sin(x1)^2", "10000*x1", 1.0)),
+}
+
+
+def _order_case(route, case):
+    """The scenario of an error order case on a coupled route, h = 0.01."""
+    two_state, matrix = ORDER_CASES[case]
+    if route == "two_state":
+        (up, down), drift, x0 = two_state
+        doc = interval_constant() | {"rates": [["0", up], [down, "0"]], "step": 0.01}
+        if case == "breach_then_crossing":  # keep the interval-sum conditions
+            doc["envelopes"] = doc["envelopes"] | {"qstar": [[-0.5, 0.5], [2.5, -2.5]]}
+        doc["drift"] = [[drift]] * 2
+    else:
+        up, drift, x0 = matrix
+        doc = three_state_constant(dominate=False) | {"diffusion": [[["0"]]] * 3, "horizon": 3.0, "paths": 64}
+        doc["rates"] = [["0", up, "0.3"], ["1.2", "0", "1.2"], ["0.3", "1.2", "0"]]
+        doc["drift"] = [[drift]] * 3
+    doc["initial"] = doc["initial"] | {"x": [x0]}
+    sc = load(doc)
+    assert not sc.rates.state_free and en.choose_route(sc)[0] == route
+    return sc
+
+
+def _run_error(run, sc, p, reference=False):
+    with per_step_rounds() if reference else nullcontext():
+        with pytest.raises(en.EngineError) as err:
+            run(sc, p)
+    return str(err.value)
+
+
+def _time(message):
+    return float(message.split(" at t=")[1].split(",")[0])
+
+
+class TestBlockPassAfterSteps:
+    """On rates that read x the switching chain alone runs the per-step
+    rounds, and the route's coupled rule runs once per step block after the
+    block's steps.  The per-step coupled rounds of conftest are the
+    reference: the same bytes and the same first error."""
+
+    @pytest.mark.parametrize("chunk_size", [64, 2048])
+    @pytest.mark.parametrize("name", ["two_state_balanced", "two_state_trig", "three_state_rational"])
+    def test_matches_the_per_step_rounds(self, name, chunk_size):
+        sc = load(str(FIXTURES / f"{name}.json"))
+        assert not sc.rates.state_free
+        # several step blocks, an interior recorded path, recording off the epochs
+        p = en.SimParams.from_scenario(sc, n_paths=150, chunk_size=chunk_size, horizon=10.0, h=0.01, record_stride=7)
+        assert p.n_steps > 3 * en._STEP_BLOCK
+        runs = []
+        for reference in (False, True):
+            with per_step_rounds() if reference else nullcontext():
+                runs.append((sn.canonical_json(en.monte_carlo(sc, p, coupled=True).to_dict()),
+                             en.simulate_coupled(sc, p, 101)))
+        (mc, a), (mc_ref, b) = runs
+        assert json.loads(mc)["route"] == ("two_state" if name == "two_state_balanced" else "matrix")
+        assert mc == mc_ref
+        for field in ("X", "lam", "lam_star", "lam_bar"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert a.jumps == b.jumps
+        assert all(a.jumps[chain] for chain in en.CHAIN_NAMES)
+        blocks = {int(t / (en._STEP_BLOCK * p.h)) for chain in en.CHAIN_NAMES for t, _, _ in a.jumps[chain]}
+        assert len(blocks) >= 3
+
+    @pytest.mark.parametrize("case", sorted(ORDER_CASES))
+    @pytest.mark.parametrize("route", ["two_state", "matrix"])
+    def test_first_error_matches_the_per_step_rounds(self, route, case, monkeypatch):
+        # the steps of a block run ahead of its coupled rule: an error the
+        # steps meet is raised only once the block pass has found none
+        # earlier, and the first error of either kind is the reference's
+        sc = _order_case(route, case)
+        p = en.SimParams.from_scenario(sc)
+        block_end = en._STEP_BLOCK * p.h
+        mc = lambda s, q: en.monte_carlo(s, q, coupled=True)  # noqa: E731
+        err = _run_error(mc, sc, p)
+        assert err == _run_error(mc, sc, p, reference=True)
+        if case == "breach_then_crossing":
+            assert err.startswith("exit rate ") and "exceeds declared bound" in err
+            with monkeypatch.context() as m:
+                m.setattr(en._ChunkRun, "_check_rate_bound", lambda *args: None)
+                crossing = later = _run_error(mc, sc, p)
+            assert crossing.startswith("coupled chains crossed at t=")
+            assert int(_time(err) / p.h) < int(_time(later) / p.h) and _time(later) < block_end
+        else:
+            assert err.startswith("coupled chains crossed at t=")
+            crossing = err
+            # the marginal run of the same x(t) meets the later error
+            later = _run_error(en.simulate_hybrid, sc, p)
+            assert later.startswith("exit rate " if case == "crossing_then_breach" else "non-finite state")
+            assert _time(err) < _time(later) < block_end
+        # the crossing path alone, as simulate runs it, meets the same errors
+        path = int(crossing.split(", path ")[1].split(":")[0])
+        sim = lambda s, q: en.simulate_coupled(s, q, path)  # noqa: E731
+        err = _run_error(sim, sc, p)
+        assert err == _run_error(sim, sc, p, reference=True)
+        if case == "breach_then_crossing":
+            assert err.startswith("exit rate ") and err.endswith(f", path {path}")
+        else:
+            assert err == crossing
+
+    @pytest.mark.parametrize("beyond, first", [(-0.5, "negative"), (1.0, "crossing")])
+    def test_negative_coupling_rate_in_the_per_step_order(self, beyond, first, monkeypatch):
+        # the coupling rows never went negative under these envelopes, so a
+        # patch pushes them below 0 wherever the switching chain's first rate
+        # reads x beyond x0 + ``beyond``, by that rate: the least is at the
+        # largest x of its (step, round), whose paths diffuse apart.  A
+        # negative rate is raised before the moves of its (step, round), here
+        # against the first crossing
+        sc = _order_case("matrix", "crossing_then_breach")
+        sc = load(sc.raw | {"diffusion": [[["0.5"]]] * 3, "initial": {"x": [1.0], "state": 2}})
+        p = en.SimParams.from_scenario(sc, n_paths=512)
+        mc = lambda s, q: en.monte_carlo(s, q, coupled=True)  # noqa: E731
+        crossing = _run_error(mc, sc, p)
+        path = int(crossing.split(", path ")[1].split(":")[0])
+        rows_batch = cpl.coupling_rows_batch
+
+        def negative_beyond(R1, R2, ii, jj):
+            rows = rows_batch(R1, R2, ii, jj)
+            past = R1[:, 0, 1] > 1.2 + 0.2 * (1.0 + beyond) ** 2
+            rows[past] -= R1[past, 0, 1][:, None, None]
+            return rows
+
+        monkeypatch.setattr(cpl, "coupling_rows_batch", negative_beyond)
+        for run in (mc, lambda s, q: en.simulate_coupled(s, q, path)):
+            err = _run_error(run, sc, p)
+            assert err == _run_error(run, sc, p, reference=True)
+            if first == "crossing":
+                assert err == crossing
+            else:
+                assert err.startswith("coupling produced negative rate ") and " at x=[" in err
+
+
 def _coefficients(d, shared):
     """Three regimes whose drift rows and diffusion matrices are one tree for
     all, for some (drift: regimes 2 and 3; diffusion: 1 and 3) or for none;
@@ -669,19 +820,23 @@ class TestCandidateSchedule:
     # 47,566 and 316 (six states) and 8,215 and 179 (linear_feedback,
     # marginal).  The two-state route keeps its 2H mark space.  Drawn as one
     # Poisson count per (step, path) cell, the stream gave 28,867 and 257,
-    # 16,637 and 216, 4,106 and 135, and 8,215 and 179.  linear_feedback's
-    # rates do not read x, so its rounds hold each path's r-th candidate in
-    # the step block, not in the step: 7 rounds, where the per-step rounds
-    # were 130.
-    COUNTS = {"three_state_rational": ("matrix", 28738, 267), "six_state": ("matrix", 16435, 219),
-              "linear_feedback": ("marginal", 4128, 7), "two_state_balanced": ("two_state", 8224, 179)}
+    # 16,637 and 216, 4,106 and 135, and 8,215 and 179.  Rounds are counted
+    # twice: per step, as the schedule lays them out, and per step block, as
+    # the block pass runs the route's rule over them, round r holding each
+    # path's r-th candidate in the block.  linear_feedback's rates do not read
+    # x, so its steps run no rounds: its block pass runs 7, where the
+    # per-step rounds were 130.  On the coupled runs, whose rates read x, the
+    # switching chain alone runs the per-step rounds, and the envelope chains
+    # move with it in the 30, 18 and 12 rounds of the block pass.
+    COUNTS = {"three_state_rational": ("matrix", 28738, 267, 30), "six_state": ("matrix", 16435, 219, 18),
+              "linear_feedback": ("marginal", 4128, 130, 7), "two_state_balanced": ("two_state", 8224, 179, 12)}
 
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_candidates_and_rounds_of_one_job(self, name, monkeypatch):
         route, *want = self.COUNTS[name]
         doc = six_state_birth_death() if name == "six_state" else str(FIXTURES / f"{name}.json")
         sc = load(doc)
-        seen = [0, 0]
+        seen = [0, 0, 0]
 
         def schedule(*args):
             out = schedule_block(*args)
@@ -689,8 +844,14 @@ class TestCandidateSchedule:
             seen[1] += len(out[-1]) - 1
             return out
 
-        schedule_block = en._candidate_schedule
+        def block(p):
+            out = block_rounds(p)
+            seen[2] += len(out[1]) - 1
+            return out
+
+        schedule_block, block_rounds = en._candidate_schedule, en._block_rounds
         monkeypatch.setattr(en, "_candidate_schedule", schedule)
+        monkeypatch.setattr(en, "_block_rounds", block)
         p = en.SimParams.from_scenario(sc, n_paths=2048, seed=3, h=0.01, horizon=1.0)
         assert en.monte_carlo(sc, p, coupled=route != "marginal").route == route
         assert seen == want
@@ -722,23 +883,25 @@ class TestCandidateSchedule:
     @pytest.mark.parametrize("rate", [0.0, 0.3, 1.5])
     @pytest.mark.parametrize("ng, G, lo, na", [(1, 16, 0, 16), (1, 37, 17, 3), (3, 12, 5, 26)])
     def test_block_rounds_follow_each_path_in_time(self, rate, ng, G, lo, na):
-        # the per-block schedule holds the per-step schedule's candidates,
-        # with their steps and rounds in the step; round r holds each path's
-        # r-th candidate in the block, paths ascending
+        # the block rounds take every candidate of the per-step schedule
+        # once, with its step and round in the step; round r holds each
+        # path's r-th candidate in the block, paths ascending
         rng = np.random.default_rng(int(rate * 10) + ng)
         steps, h, R_cand = 40, 0.01, 7.5
         counts = rng.poisson(rate, (ng, steps, G))
         u = rng.integers(0, 4, 3 * int(counts.sum())) / 4  # ties inside a step
         draws = cell_lists(counts, u, rng)
         per_step = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
-        block = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand, per_block=True)
+        order, bounds = en._block_rounds(per_step[0])
+        block = [a[order] for a in per_step[:-1]]
 
         def candidates(out):
-            p, offs, marks, aux, step, rnd, _ = out
+            p, offs, marks, aux, step, rnd = out[:6]
             return sorted(zip(p.tolist(), step.tolist(), rnd.tolist(), offs.tolist(), marks.tolist(), aux.tolist()))
 
+        assert sorted(order.tolist()) == list(range(len(per_step[0])))
         assert candidates(block) == candidates(per_step)
-        p, _, _, _, step, rnd, bounds = block
+        p, _, _, _, step, rnd = block
         if rate == 0.0:
             assert bounds == []
             return

@@ -8,7 +8,7 @@ import pytest
 
 from switchsde import cli, engine
 from switchsde import scenario as sn
-from tests.conftest import FIXTURE_NAMES, FIXTURES, make_scenario, write_scenario
+from tests.conftest import FIXTURE_NAMES, FIXTURES, make_scenario, write_csv_reference, write_scenario
 
 
 class TestSchema:
@@ -319,6 +319,25 @@ class TestCli:
         assert f"need workers >= 1, got {workers}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mc", "--horizon", "inf"], "need finite h, tau and horizon, got h=0.005, tau=0.05, T=inf"),
+        (["simulate", "--horizon", "inf"], "need finite h, tau and horizon, got h=0.005, tau=0.05, T=inf"),
+        (["mc", "--step", "nan"], "need finite h, tau and horizon, got h=nan, tau=0.05, T=10.0"),
+        (["mc", "--horizon", "1e300"], "horizon/h = 2e+302 steps do not fit in int64"),
+        (["simulate", "--horizon", "1e300"], "horizon/h = 2e+302 steps do not fit in int64"),
+        (["certify", "--tau", "nan"], "tau must be positive and finite, got nan"),
+        (["certify", "--tau", "inf"], "tau must be positive and finite, got inf"),
+    ], ids=["mc-horizon-inf", "simulate-horizon-inf", "mc-step-nan", "mc-horizon-1e300", "simulate-horizon-1e300",
+            "certify-tau-nan", "certify-tau-inf"])
+    def test_non_finite_or_oversized_times(self, argv, message, tmp_path, capsys):
+        # --horizon inf once died in SimParams with an OverflowError traceback
+        # (exit 1), 1e300 overflowed range in record_steps, and certify --tau
+        # nan failed in the skeleton with "cannot convert float NaN to integer"
+        cmd, *options = argv
+        out = ["--out", str(tmp_path / "p.csv")] if cmd == "simulate" else []
+        assert cli.main([cmd, str(FIXTURES / "lag_bound.json"), *options, *out]) == 2
+        assert capsys.readouterr() == ("", f"runtime error: {message}\n")
+
     def test_mc_record_stride_is_passed(self, capsys):
         fx = str(FIXTURES / "two_state_balanced.json")
         assert cli.main(["mc", fx, "--horizon", "0.5", "--paths", "4", "--record-stride", "10"]) == 0
@@ -427,3 +446,57 @@ class TestCli:
         assert doc["scenario_hash"] == sn.scenario_hash(
             sn.load_scenario(fx).raw | {"horizon": 0.5, "paths": 8, "seed": 3}
         )
+
+
+def _hand_path(d, coupled, jumps, h=0.1, n=8):
+    """A path on n grid times of step h with random states and the given
+    jump records, as cli._write_csv reads it."""
+    rng = np.random.default_rng(d + n)
+    lam = rng.integers(1, 4, n)
+    return engine.HybridPath(
+        times=np.arange(n) * h, X=rng.normal(size=(n, d)) * 10.0 ** rng.integers(-20, 20, (n, d)), lam=lam,
+        lam_star=np.maximum(lam - 1, 1) if coupled else None, lam_bar=np.minimum(lam + 1, 3) if coupled else None,
+        jumps={name: jumps.get(name, []) for name in (engine.CHAIN_NAMES if coupled else ["lambda"])},
+        meta={"seed": 4, "path_index": 9, "route": "matrix" if coupled else "marginal"},
+    )
+
+
+class TestCsvWriter:
+    """cli._write_csv formats column by column; the row-by-row writer of
+    conftest is its bitwise reference."""
+
+    def _same_bytes(self, path, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        cli._write_csv(path, got, "h")
+        write_csv_reference(path, want, "h")
+        assert got.read_bytes() == want.read_bytes()
+        return [row.split(",")[-1] for row in got.read_text().splitlines()[2:]]
+
+    def test_jumps_at_grid_times(self, tmp_path):
+        # a jump at t = 0 is flagged nowhere; a jump at a grid time, or within
+        # 1e-15 after it, flags that row, not the next; at t = 24 the window
+        # t + 1e-15 rounds to t itself
+        t = np.arange(8) * 0.1
+        jumps = {"lambda": [(0.0, 1, 2), (t[2], 2, 1), (float(np.nextafter(t[4], 1.0)), 1, 2), (t[6] + 2e-15, 2, 1)]}
+        assert self._same_bytes(_hand_path(1, False, jumps), tmp_path) == list("00101001")
+        t = np.arange(8) * 8.0
+        jumps = {"lambda": [(t[3], 1, 2), (float(np.nextafter(t[3], 99.0)), 2, 1)]}
+        assert self._same_bytes(_hand_path(1, False, jumps, h=8.0), tmp_path) == list("00011000")
+
+    def test_several_chains_jump_in_one_step(self, tmp_path):
+        jumps = {"lambda": [(0.31, 1, 2)], "lambda_bar": [(0.33, 2, 3), (0.34, 3, 2)], "lambda_star": [(0.35, 1, 2)]}
+        jumps["lambda"].append((0.62, 2, 1))
+        assert self._same_bytes(_hand_path(2, True, jumps), tmp_path) == list("00001001")
+
+    def test_marginal_path_leaves_the_coupled_columns_empty(self, tmp_path):
+        path = _hand_path(3, False, {"lambda": [(0.05, 1, 2), (0.15, 2, 1)]})
+        assert self._same_bytes(path, tmp_path) == list("01100000")
+        row = (tmp_path / "got.csv").read_text().splitlines()[2].split(",")
+        assert row[-3:-1] == ["", ""]
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_engine_paths(self, coupled, tmp_path):
+        sc = sn.load_scenario(str(FIXTURES / "two_state_trig.json"))
+        p = engine.SimParams.from_scenario(sc, horizon=50.0)
+        path = (engine.simulate_coupled if coupled else engine.simulate_hybrid)(sc, p, 0)
+        assert "1" in self._same_bytes(path, tmp_path)
