@@ -280,8 +280,8 @@ def coupling_rows_batch(R1, R2, ii, jj) -> np.ndarray:
     The triangular recursion seeds the pair rates on the diagonal (m = n) from
     the two marginal rows and propagates excesses backwards; two correction
     rows restore the marginals exactly whenever the partial-sum domination
-    holds.  Without domination the corrections may leave one marginal short
-    (or produce negative entries); the engine raises on a negative rate.
+    holds.  Without domination the corrections may leave one marginal short,
+    but nonnegative rates give rows that are nonnegative up to rounding.
 
     For M > 2 the recursion is swept by diagonals: entry (m, n) reads only
     (m, n-1) and (m+1, n), both on diagonal n - m - 1, so each diagonal is

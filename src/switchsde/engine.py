@@ -27,24 +27,23 @@ state (thinning; Lewis and Shedler 1979).  That layout exists once, as
 coupling.row_block_pick, which the marginal and matrix routes call.  A step
 block's candidates are scheduled once, in rounds: round r holds the r-th
 candidate in time of every live path in its (step, path) cell.  Only the
-switching chain lambda feeds back into the diffusion, so only its rule runs
-step by step, when some off-diagonal rate reads x: a step takes its candidate
-points and their rates once, and its rounds check the exit rates against the
-declared bound H, raising EngineError beyond it.  A coupled run then runs the
-route's whole rule once per step block, after the steps at the rates they
-kept, or, when no rate reads x, ahead of them at the one rate stack, checked
-against H once; its rounds hold each path's r-th candidate in the block.
-Every move is logged and booked once per block in the per-step order, so the
-schedules give the same bytes.  Coupled runs either share one mark among all
-three chains (two-state interval route, when the interval-sum conditions
-hold) or drive the pair transitions from the order-preserving coupling rows
-with shared candidate times (matrix route).  A crossing of the order
-lambda_star <= lambda <= lambda_bar, a negative coupling rate, a non-finite
-state and an exit rate beyond H raise EngineError at the earliest (step,
-round, path), as the per-step rounds would.  A scenario that declares no
-envelopes is coupled against coupling.extremal_envelopes of its validation
-grid, for any M.
-Each route is one jump rule with a common signature, bound once per chunk.
+switching chain lambda feeds back into the diffusion.  Its rule runs once per
+candidate: step by step when some off-diagonal rate reads x, each step taking
+its candidate points and their rates once, or else in one pass ahead of the
+block's steps at the one rate stack.  It refuses a negative rate and an exit
+rate beyond the declared bound H with EngineError, and keeps each candidate's
+new state and pick.  A coupled run then moves the envelope chains, which never
+touch the path, once per step block after its steps, from those kept values;
+that pass's rounds hold each path's r-th candidate in the block.  Every move
+is logged and booked once per block in the per-step order, so the schedules
+give the same bytes.  Coupled runs either share one mark among all three
+chains (two-state interval route, when the interval-sum conditions hold) or
+drive the pair transitions from the order-preserving coupling rows with
+shared candidate times (matrix route).  A crossing of the order lambda_star
+<= lambda <= lambda_bar, a non-finite state and a refused rate raise
+EngineError at the earliest (step, round, path), as per-step rounds of every
+chain would.  A scenario that declares no envelopes is coupled against
+coupling.extremal_envelopes of its validation grid, for any M.
 Jump times are exact; the diffusion increment of a step uses the regime held
 at the step's start, so a mid-step switch takes effect for the coefficients
 from the next grid node (consistent with the first-order scheme).
@@ -64,6 +63,7 @@ _NOISE = 1
 _JUMPS = 2
 _STEP_BLOCK = 256
 _GROUP = 64  # paths per random-stream key
+_NEG_TOL = 1e-12  # the slack validate allows a rate below 0
 CHAIN_NAMES = ("lambda_star", "lambda", "lambda_bar")
 
 
@@ -219,6 +219,12 @@ def choose_route(sc: Scenario):
     if env is None:
         env = cpl.extremal_envelopes(R)
         warnings.append("envelopes derived from the validation grid")
+    for name in ("qbar", "qstar"):  # derived ones go below 0 only where the rates do on the grid
+        off = cpl.offdiag(getattr(env, name))
+        if off.min() < -_NEG_TOL:
+            i, j = np.unravel_index(int(off.argmin()), off.shape)
+            raise EngineError(f"envelopes.{name}: negative rate {name}[{i + 1}][{j + 1}] = {off[i, j]:.6g}"
+                              + ("" if sc.envelopes is not None else " (derived from the validation grid)"))
     up = cpl.check_domination(R, cpl.offdiag(env.qbar), pts)
     lo = cpl.check_domination(cpl.offdiag(env.qstar), R, pts)
     route = "matrix"
@@ -271,8 +277,7 @@ class _ChunkRun:
         self.route = route
         self.coupled = route != "marginal"
         self.env = env
-        self._jump = getattr(self, f"_{route}_jump")
-        self._step = self._jump if route == "marginal" else self._lambda_step  # the per-step rounds' rule
+        self._jump = getattr(self, f"_{route}_jump", None)  # the envelope chains' rule
 
         M, d = sc.M, sc.d
         self.M, self.d = M, d
@@ -290,7 +295,7 @@ class _ChunkRun:
         self.state_free = sc.rates.state_free
         if self.state_free:  # the one rate stack, checked once
             self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
-            self._check_rate_bound(self.R0.sum(axis=1)[None], None, None, None)
+            self._check_rate_bound(self.R0[None], self.R0.sum(axis=1)[None], None, None, None)
         self.R_cand = self.L
         if route == "matrix":
             self.Rbar = cpl.offdiag(env.qbar)
@@ -323,7 +328,7 @@ class _ChunkRun:
         if self.recording:
             n = params.n_steps
             self.rX = np.empty((n + 1, d))
-            self.rS = np.empty((n + 1, 3), dtype=np.int64)
+            self.rS = np.full((n + 1, 3), sc.i0 - 1, dtype=np.int64)
             self.jump_rec = {name: [] for name in CHAIN_NAMES}
             self._record_grid(0)
 
@@ -360,7 +365,7 @@ class _ChunkRun:
 
     def _record_grid(self, k):
         self.rX[k] = self.X[0]
-        self.rS[k] = self.S[:, 0]
+        self.rS[k, 1] = self.S[1, 0]  # _finish_block writes the envelope chains'
 
     def _snapshot_obs(self, count):
         """Freeze the observation and its feedback term; with ``count``,
@@ -396,35 +401,35 @@ class _ChunkRun:
 
     # -- jump dispatch
 
-    def _process_step(self, Xn, cand, tc, rates, bounds):
-        """The rounds of one step, delimited by ``bounds``, at the candidate
-        points and rates taken once into ``rates``; returns (round start,
-        error) at an exit rate beyond H, or None."""
-        p, offs, marks, aux = cand[:4]
-        Roff, Xc = rates
-        c = slice(bounds[0], bounds[-1])
+    def _process_step(self, Xn, cand, tc, Roff, bounds):
+        """The switching chain's rounds of one step, delimited by ``bounds``,
+        at the candidate points and rates taken once into ``Roff``; returns
+        (round start, error) at a rate the check refuses, or None."""
+        p, offs, marks = cand[:3]
+        s0 = bounds[0]
+        c = slice(s0, bounds[-1])
         X0 = self.X[p[c]]
-        Xc[c] = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
-        Roff[c] = self.sc.rates.offdiag_batch(Xc[c])
+        Xc = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
+        Roff[c] = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
             r = slice(b0, b1)
             self._cand[p[r]] = np.arange(b0, b1)
             try:
-                self._step(Roff[r], marks[r], aux[r], p[r], tc[r], Xc[r])
+                self._lambda_jump(Roff[r], marks[r], p[r], tc[r], Xc[b0 - s0:b1 - s0])
             except EngineError as err:
                 return b0, err
 
-    def _block_pass(self, S0, k0, steps, cand, tc, Roff, Xc, stop):
-        """Run the route's rule from ``S0`` over a step block's candidates
-        before ``stop`` in the per-step order, in ``_block_rounds``, and book
-        the moves.  After an error (a crossing, or a negative coupling rate,
-        which comes first in its (step, round)) the rounds keep only the
-        candidates up to the end of its (step, round).  Returns the states the
-        steps write (``_last_moves``) and the earliest error as (step, error)."""
+    def _block_pass(self, S0, cand, tc, Roff, stop):
+        """Move the envelope chains from ``S0`` over a step block's candidates
+        before ``stop``, in ``_block_rounds``: each round sets lambda's row to
+        the states its rule kept and runs the route's envelope rule from
+        lambda's states before.  After a crossing the rounds keep only the
+        candidates up to the end of its (step, round).  Returns the earliest
+        crossing as (candidate, error), or None."""
         p, offs, marks, aux, step, rnd = cand
         when = step * (int(rnd.max(initial=0)) + 1) + rnd  # the (step, round), ascending
         self.S[:] = S0
-        first = None  # (order key, candidate, error)
+        first = None
         order, bounds = _block_rounds(p)
         for b0, b1 in zip(bounds, bounds[1:]):
             c = order[b0:b1]
@@ -433,40 +438,35 @@ class _ChunkRun:
                 continue
             pc = p[c]
             self._cand[pc] = c
-            found = [((int(when[c[i]]), -1, rate, half, int(pc[i]), mn), c[i], err) for rate, half, i, mn, err in
-                     self._jump(Roff[c], marks[c], aux[c], pc, tc[c], None if Xc is None else Xc[c]) or ()]
-            bad = np.flatnonzero(self._crossed(pc)) if self.coupled else ()
+            lam = self.S[1, pc]
+            self.S[1, pc] = self._lam_new[c]
+            self._jump(Roff[c], marks[c], aux[c], pc, tc[c], lam)
+            bad = np.flatnonzero(self._crossed(pc))
             if len(bad):  # a candidate's index orders it by (step, round, path)
                 i = bad[np.argmin(c[bad])]
-                found.append(((int(when[c[i]]), int(pc[i])), c[i], self._crossing_error(pc[i], tc[c[i]])))
-            for f in found:
-                if first is None or f[0] < first[0]:
-                    first, stop = f, np.searchsorted(when, f[0][0], "right")
-        moves = self._book_block(S0, k0, steps, p, offs, step, rnd)
-        return _last_moves(steps, *moves), (int(step[first[1]]), first[2]) if first else None
+                if first is None or c[i] < first[0]:
+                    first = c[i], self._crossing_error(pc[i], tc[c[i]])
+                    stop = np.searchsorted(when, when[c[i]], "right")
+        return first
 
-    def _finish_block(self, S0, k0, steps, cand, tc, rates, stop):
-        """Close a step block of rates that read x, whose steps failed at
-        ``stop`` (candidate, error), if at all: a marginal run books the
-        steps' moves; a coupled run's block pass runs the candidates before
-        the failure, the earliest error raises, and its moves give the
-        envelope chains' states at the epochs and on the recorded path."""
-        if not self.coupled:
-            if stop:
-                raise stop[1]
-            self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
-            return
-        lam = self.S[1].copy()
-        writes, err = self._block_pass(S0, k0, steps, cand, tc, *rates, stop[0] if stop else len(tc))
-        if err or stop:
-            raise (err or stop)[1]
-        if not np.array_equal(self.S[1], lam):
-            raise EngineError(f"the block pass from step {k0} left lambda where its steps did not")
-        states_before = _states_before(S0, *writes)
-        for kk in range(-k0 % self.params.obs_every, steps, self.params.obs_every):
-            self._count_epoch(states_before([kk])[0])
-        if self.recording:
-            self.rS[k0 + 1:k0 + steps + 1] = states_before(np.arange(1, steps + 1))[:, :, 0]
+    def _finish_block(self, S0, k0, steps, cand, tc, Roff, stop):
+        """Close the step block from ``k0``, which began in the states ``S0``
+        and whose steps failed at ``stop`` (candidate, error), if at all: a
+        coupled run moves the envelope chains over the candidates before it
+        and the earliest error raises; then the block's moves are booked, and
+        a coupled run's give the envelope chains' states at the epochs and on
+        the recorded path."""
+        if self.coupled:
+            stop = self._block_pass(S0, cand, tc, Roff, stop[0] if stop else len(tc)) or stop
+        if stop:
+            raise stop[1]
+        moves = self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
+        if self.coupled:
+            states_before = _states_before(S0, *_last_moves(steps, *moves))
+            for kk in range(-k0 % self.params.obs_every, steps, self.params.obs_every):
+                self._count_epoch(states_before([kk])[0])
+            if self.recording:
+                self.rS[k0 + 1:k0 + steps + 1, ::2] = states_before(np.arange(1, steps + 1))[:, ::2, 0]
 
     def _book_block(self, S0, k0, steps, p, offs, step, rnd):
         """Book the moves logged in the step block from ``k0``, which began in
@@ -521,84 +521,76 @@ class _ChunkRun:
             f"coupled chains crossed at t={t:.6g}, path {self.start + self.lo + path}: {states}{where}"
         )
 
-    def _check_rate_bound(self, q, p, tc, Xc):
-        """Thinning is exact only while every exit rate ``q`` (n, M) at the
-        candidate points stays within H; a NaN rate is not within it."""
+    def _check_rate_bound(self, Roff, q, p, tc, Xc):
+        """Thinning is exact only while every off-diagonal rate ``Roff`` (n,
+        M, M) at the candidate points is nonnegative and every exit rate
+        ``q`` (n, M) stays within H; a NaN rate is not within it."""
         q_max = q.max()
-        if not q_max <= self.H_max:
+        if q_max <= self.H_max and Roff.min() >= -_NEG_TOL:
+            return
+        if q_max <= self.H_max:
+            c, i, j = np.unravel_index(int(Roff.argmin()), Roff.shape)
+            what = f"rate {Roff[c, i, j]:.6g} from state {i + 1} to state {j + 1} is negative"
+        else:
             c, i = np.unravel_index(int(q.argmax()), q.shape)  # argmax picks a NaN first
-            where = (" at every x" if Xc is None  # state-free rates, checked before the first step
-                     else f" at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}")
-            raise EngineError(
-                f"exit rate {q[c, i]:.6g} from state {i + 1} "
-                f"{'exceeds' if q_max > self.H_max else 'is not within'} declared bound "
-                f"H={self.sc.rates.H}{where}"
-            )
+            what = (f"exit rate {q[c, i]:.6g} from state {i + 1} "
+                    f"{'exceeds' if q_max > self.H_max else 'is not within'} declared bound H={self.sc.rates.H}")
+        where = (" at every x" if Xc is None  # state-free rates, checked before the first step
+                 else f" at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}")
+        raise EngineError(what + where)
 
-    # The three jump rules share one signature: (off-diagonal rates at the
-    # candidates, marks, auxiliary uniforms, local path indices, candidate
-    # times, diffusion values at the candidates, None at rates that do not
-    # read x).  Each numbers its _apply_jump calls in their order in a round,
-    # the same number at every round, and the block bookkeeping orders a
-    # round's moves on one chain by that number, as the rounds ran.
-
-    def _lambda_new(self, Roff, mark, p, tc, Xc):
-        """The switching chain's new states under the route's rule, after the
-        exit rate check; a row-block mark from L on is none of its jumps."""
-        lam = self.S[1, p]
+    def _lambda_jump(self, Roff, mark, p, tc, Xc):
+        """The switching chain's rule at its candidates, with its rates at the
+        candidate points, diffusion values there (None at rates that do not
+        read x) and candidate times: the rate check, then the move under the
+        route's layout, logged as call 0; a row-block mark from L on is none
+        of its jumps.  It keeps each candidate's new state and, in the
+        row-block layout, the pick's width and the mark's position in it."""
+        lam, c = self.S[1, p], self._cand[p]
         if self.route == "two_state":
-            self._check_rate_bound(Roff.sum(axis=2), p, tc, Xc)
-            return _interval_move(lam, mark, Roff[:, 0, 1], Roff[:, 1, 0])
-        hit, tgt, _, _, q = cpl.row_block_pick(Roff, lam, mark)
-        self._check_rate_bound(q, p, tc, Xc)
-        return np.where(hit & (mark < self.L), tgt, lam)
+            self._check_rate_bound(Roff, Roff.sum(axis=2), p, tc, Xc)
+            new = _interval_move(lam, mark, Roff[:, 0, 1], Roff[:, 1, 0])
+        else:
+            hit, tgt, width, u_in, q = cpl.row_block_pick(Roff, lam, mark)
+            self._check_rate_bound(Roff, q, p, tc, Xc)
+            new = np.where(hit & (mark < self.L), tgt, lam)
+            self._lam_pick[:, c] = width, u_in
+        self._lam_new[c] = new
+        self._apply_jump(1, p, new, 0)
 
-    def _lambda_step(self, Roff, mark, aux, p, tc, Xc):
-        self.S[1, p] = self._lambda_new(Roff, mark, p, tc, Xc)  # unlogged
+    # The envelope rules share one signature: (off-diagonal rates at the
+    # candidates, marks, auxiliary uniforms, local path indices, candidate
+    # times, lambda's states before the candidates, its row holding those
+    # after).  Each numbers its _apply_jump calls in their order in a round
+    # from 1, the same number at every round, and the block bookkeeping
+    # orders a round's moves on one chain by that number, as the rounds ran.
 
-    def _marginal_jump(self, Roff, mark, aux, p, tc, Xc):
-        self._apply_jump(1, p, self._lambda_new(Roff, mark, p, tc, Xc), 0)
-
-    def _two_state_jump(self, Roff, mark, aux, p, tc, Xc):
-        cur = self.S[:, p]
-        self._apply_jump(1, p, self._lambda_new(Roff, mark, p, tc, Xc), 0)
+    def _two_state_jump(self, Roff, mark, aux, p, tc, lam):
         qbar, qstar = self.env.qbar, self.env.qstar
         for call, (row, a12, a21) in enumerate(((2, qbar[0, 1], qbar[1, 0]), (0, qstar[0, 1], qstar[1, 0])), 1):
-            self._apply_jump(row, p, _interval_move(cur[row], mark, a12, a21), call)
+            self._apply_jump(row, p, _interval_move(self.S[row, p], mark, a12, a21), call)
 
-    def _matrix_jump(self, Roff, mark, aux, p, tc, Xc):
+    def _matrix_jump(self, Roff, mark, aux, p, tc, lam):
         nc = len(p)
         M = self.M
-        star_c, lam_c, bar_c = self.S[:, p]
-        hitA, mv, width, u2, q = cpl.row_block_pick(Roff, lam_c, mark)
-        self._check_rate_bound(q, p, tc, Xc)
+        star_c, new_c, bar_c = self.S[:, p]
         # one fused batch: rows of (switching, upper) then (lower, switching)
         R1, R2 = np.empty((2, 2 * nc, M, M))
         R1[:nc], R1[nc:] = Roff, self.Rstar
         R2[:nc], R2[nc:] = self.Rbar, Roff
-        ii = np.concatenate([lam_c, star_c])
-        jj = np.concatenate([bar_c, lam_c])
+        ii = np.concatenate([lam, star_c])
+        jj = np.concatenate([bar_c, lam])
         rows = cpl.coupling_rows_batch(R1, R2, ii, jj)
         rows[np.arange(2 * nc), ii, jj] = 0.0
-        negative = []  # (rate, half, candidate, target, error), in the order of ``rows``
-        flat = rows.reshape(2 * nc, M * M)
-        for r in np.flatnonzero(flat.min(axis=1) < -1e-9).tolist():
-            c, mn = r % nc, int(flat[r].argmin())
-            where = ("; the envelopes do not dominate the rates" if Xc is None
-                     else f" at x={Xc[c].tolist()}; the envelopes do not dominate the rates there")
-            negative.append((flat[r, mn], r // nc, c, mn, EngineError(
-                f"coupling produced negative rate {flat[r, mn]:.3e} to ({mn // M + 1},{mn % M + 1}){where}")))
-        np.maximum(rows, 0.0, out=rows)
+        np.maximum(rows, 0.0, out=rows)  # nonnegative rates give rows >= 0 up to rounding
         row1, row2 = rows[:nc], rows[nc:]
 
-        # region A: the switching chain's own mark space [0, L)
-        hitA &= mark < self.L
-        if hitA.any():
-            sub = np.flatnonzero(hitA)
-            pj, mvs, w = p[sub], mv[sub], width[sub]
-            okb, nb = _pick(row1[sub, mvs], u2[sub], w)
+        # region A: the switching chain's own mark space [0, L), where it moved
+        sub = np.flatnonzero(new_c != lam)
+        if len(sub):
+            pj, mvs, (w, u2) = p[sub], new_c[sub], self._lam_pick[:, self._cand[p[sub]]]
+            okb, nb = _pick(row1[sub, mvs], u2, w)
             oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
-            self._apply_jump(1, pj, mvs, 0)
             self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), 1)
             self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), 2)
 
@@ -611,10 +603,9 @@ class _ChunkRun:
         ):
             sub = np.flatnonzero((mark >= lo) & (mark < hi))
             if len(sub):
-                picked, new = _pick(table[sub, lam_c[sub]], (mark[sub] - L) - shift)
+                picked, new = _pick(table[sub, lam[sub]], (mark[sub] - L) - shift)
                 s = sub[picked]
                 self._apply_jump(row, p[s], new[picked], call)
-        return negative
 
     # -- main loop
 
@@ -642,23 +633,30 @@ class _ChunkRun:
                 ngen.standard_normal(out=xi_block[j])
                 draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
             *cand, bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
-            n, step = len(cand[0]), cand[4]
+            p, n, step = cand[0], len(cand[0]), cand[4]
             tc = (block_start + step) * h + cand[1]
             S0 = self.S.copy()  # the block's start states, which its booking reads
-            if self.state_free:  # the block's jumps ahead of its steps, at the one rate stack
-                (first, rows, paths, states), err = self._block_pass(
-                    S0, block_start, bsz, cand, tc, np.broadcast_to(self.R0, (n, M, M)), None, n)
-                self.S[:] = S0
+            # lambda's state after each candidate and its pick, which the envelope rules read
+            self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
+            if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack
+                Roff = np.broadcast_to(self.R0, (n, M, M))
+                order, rb = _block_rounds(p)
+                for c in (order[b0:b1] for b0, b1 in zip(rb, rb[1:])):
+                    self._cand[p[c]] = c
+                    self._lambda_jump(Roff[c], cand[2][c], p[c], tc[c], None)
+                first, _, paths, states = _last_moves(
+                    bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, cand[5], self._lam_new)
+                self.S[1] = S0[1]
             else:
                 step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
-                rates = np.empty((n, M, M)), np.empty((n, d))  # at the candidates, as the steps take them
+                Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
             stop = None  # (candidate, error) where the steps fail
 
             for kk in range(bsz):
                 k = block_start + kk
                 t = k * h
-                if k % obs_every == 0:  # a coupled block pass after the steps moves the envelope rows
-                    self._snapshot_obs(count=self.state_free or not self.coupled)
+                if k % obs_every == 0:  # a coupled run counts once its envelope chains moved
+                    self._snapshot_obs(count=not self.coupled)
                 r = self.rec_index.get(k)
                 if r is not None:
                     self._record_stats(r)
@@ -675,24 +673,19 @@ class _ChunkRun:
                     )
                     break
 
-                if self.state_free:  # the block pass booked the block
+                if self.state_free:  # lambda's states after the step, from the pass ahead
                     a, b = first[kk], first[kk + 1]
                     if a < b:
-                        self.S[rows[a:b], paths[a:b]] = states[a:b]
-                    if err and err[0] == kk:
-                        raise err[1]
+                        self.S[1, paths[a:b]] = states[a:b]
                 else:
                     g0, g1 = step_first[kk], step_first[kk + 1]
-                    if g0 < g1 and (stop := self._process_step(Xn, cand, tc, rates, bounds[g0:g1 + 1])):
+                    if g0 < g1 and (stop := self._process_step(Xn, cand, tc, Roff, bounds[g0:g1 + 1])):
                         break
 
                 self.X = Xn
                 if self.recording:
                     self._record_grid(k + 1)
-            if not self.state_free:
-                self._finish_block(S0, block_start, bsz, cand, tc, rates, stop)
-            elif stop:
-                raise stop[1]
+            self._finish_block(S0, block_start, bsz, cand, tc, Roff, stop)
 
         if n_steps % obs_every == 0:
             self._snapshot_obs(count=True)

@@ -97,9 +97,9 @@ def make_scenario(**overrides):
 def state_dependent_twin(doc):
     """The scenario document with every constant off-diagonal rate c written
     as ``c + 0*x1``: the same rate at every finite x, bit for bit, but one
-    that reads x, so the engine runs its block pass after the block's steps,
-    not ahead of them.  The reference for the block pass of state-free
-    rates."""
+    that reads x, so the engine runs the switching chain's rule in the
+    block's steps, not in one pass ahead of them.  The reference for that
+    pass of state-free rates."""
     from switchsde import exprlang
 
     twin = json.loads(json.dumps(doc))
@@ -539,14 +539,15 @@ class PerCallBooking:
 
 
 class PerStepRounds(engine._ChunkRun):
-    """The coupled schedule on rates that read x before the envelope chains
-    moved once per step block, kept as the reference for the block pass that
-    follows a block's steps: each step runs the route's whole rule round by
-    round, raises a negative coupling rate (the round's least) or a crossing
-    at the round that makes it, and the block books the logged moves.  Run it
-    in place of engine._ChunkRun with ``per_step_rounds``."""
+    """The coupled schedule on rates that read x with every chain moved round
+    by round in each step, kept as the reference for the envelope pass that
+    follows a block's steps: each round runs the switching chain's rule, then
+    the route's envelope rule, and raises a crossing at the round that makes
+    it; the block books the logged moves, and the recorded path takes every
+    chain's state at each step.  Run it in place of engine._ChunkRun with
+    ``per_step_rounds``."""
 
-    def _process_step(self, Xn, cand, tc, rates, bounds):
+    def _process_step(self, Xn, cand, tc, Roff, bounds):
         p, offs, marks, aux = cand[:4]
         s0 = bounds[0]
         c = slice(s0, bounds[-1])
@@ -556,20 +557,26 @@ class PerStepRounds(engine._ChunkRun):
         for b0, b1 in zip(bounds, bounds[1:]):
             r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
             self._cand[pr] = np.arange(b0, b1)
-            negative = self._jump(Roff[rc], marks[r], aux[r], pr, tc[r], Xc[rc])
-            if negative:
-                raise min(negative, key=lambda e: e[0])[-1]  # the first least, as argmin finds it
-            if self.coupled and self._crossed(pr).any():
+            lam = self.S[1, pr]
+            self._lambda_jump(Roff[rc], marks[r], pr, tc[r], Xc[rc])
+            if not self.coupled:
+                continue
+            self._jump(Roff[rc], marks[r], aux[r], pr, tc[r], lam)
+            if self._crossed(pr).any():
                 c = int(np.flatnonzero(self._crossed(pr))[0])
                 raise self._crossing_error(pr[c], tc[b0 + c])
 
-    def _finish_block(self, S0, k0, steps, cand, tc, rates, stop):
+    def _finish_block(self, S0, k0, steps, cand, tc, Roff, stop):
         if stop:
             raise stop[1]
         self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
 
     def _snapshot_obs(self, count):
         super()._snapshot_obs(True)  # every chain is where the steps left it
+
+    def _record_grid(self, k):
+        self.rX[k] = self.X[0]
+        self.rS[k] = self.S[:, 0]
 
 
 @contextmanager

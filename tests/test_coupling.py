@@ -379,6 +379,22 @@ class TestOrderPreservingCoupling:
             got = cp.coupling_rows_batch(R1, R2, ii, jj)
             assert got.tobytes() == coupling_rows_reference(R1, R2, ii, jj).tobytes()
 
+    @pytest.mark.parametrize("M", range(2, 7))
+    def test_rows_stay_nonnegative_without_domination(self, M):
+        # without domination a marginal may fall short, but nonnegative rates
+        # give rows that are nonnegative up to rounding, at any scale
+        rng = np.random.default_rng(40 + M)
+        n = 20000
+        R1, R2 = (rng.exponential(1.0, (n, M, M)) * 10.0 ** rng.uniform(-3, 9, (n, 1, 1)) for _ in range(2))
+        for R in (R1, R2):
+            R[rng.random(R.shape) < 0.3] = 0.0
+            R[:, np.arange(M), np.arange(M)] = 0.0
+        ii, jj = np.sort(rng.integers(0, M, (2, n)), axis=0)
+        T = cp.coupling_rows_batch(R1, R2, ii, jj)
+        T[np.arange(n), ii, jj] = np.inf  # the diagonal, the one negative entry
+        largest = np.maximum(R1.max(axis=(1, 2)), R2.max(axis=(1, 2)))
+        assert (T.min(axis=(1, 2)) >= -4 * M * np.finfo(float).eps * largest).all()
+
     def test_requires_ordered_pair(self):
         with pytest.raises(cp.CouplingError):
             cp.coupling_rows_batch(cp.offdiag(QBAR)[None], cp.offdiag(QBAR)[None], [1], [0])

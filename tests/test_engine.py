@@ -11,7 +11,6 @@ import pytest
 from scipy import stats
 
 from switchsde import cli
-from switchsde import coupling as cpl
 from switchsde import engine as en
 from switchsde import markov as mk
 from switchsde import scenario as sn
@@ -247,7 +246,9 @@ class TestCoupledRoutes:
         Roff = sc.rates.offdiag_batch(run.X)
         p, S0 = np.array([0]), run.S.copy()
         run._cand[p] = 0  # candidate 0: path 0 at the start of step 0, round 0
-        run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.zeros(1), run.X)
+        run._lam_new, run._lam_pick = np.empty(1, dtype=np.int64), np.empty((2, 1))
+        run._lambda_jump(Roff, np.array([mark]), p, np.zeros(1), run.X)  # no jump: the mark is beyond L
+        run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.zeros(1), S0[1, p])
         assert run.S[:, 0].tolist() == [0, 1, 1]
         zero = np.zeros(1, dtype=np.int64)
         run._book_block(S0, 0, 1, p, np.zeros(1), zero, zero)
@@ -256,14 +257,14 @@ class TestCoupledRoutes:
 
 
 def _with_crossings(run):
-    """Wrap the bound jump rule: after it, some candidate paths get lambda_bar
-    one below lambda, and others get it back on top of the state space.  The
-    moves go through _apply_jump, as both schedules book only the moves it
-    logs, and the block pass of state-free rates replays only those."""
+    """Wrap the bound envelope rule: after it, some candidate paths get
+    lambda_bar one below lambda, and others get it back on top of the state
+    space.  The moves go through _apply_jump, as both schedules book only the
+    moves it logs."""
     rule = run._jump
 
-    def jump(Roff, mark, aux, p, tc, Xc):
-        rule(Roff, mark, aux, p, tc, Xc)
+    def jump(Roff, mark, aux, p, tc, lam):
+        rule(Roff, mark, aux, p, tc, lam)
         down = (aux < 0.4) & (run.S[1, p] > 0)
         run._apply_jump(2, p[down], run.S[1, p[down]] - 1, 5)  # after the rule's calls
         top = aux > 0.8
@@ -274,16 +275,16 @@ def _with_crossings(run):
 
 
 def _crossing_error(sc, record_local):
-    """Run ``sc`` coupled with crossings made after its jump rule; returns
-    the route, the error and the first crossing made, in call order.  The
-    calls run in time only in the per-step rounds of conftest."""
+    """Run ``sc`` coupled with crossings made after its envelope rule;
+    returns the route, the error and the first crossing made, in call order.
+    The calls run in time only in the per-step rounds of conftest."""
     route, env, _ = en.choose_route(sc)
     p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
     run = _with_crossings(en._ChunkRun(sc, p, 0, route, env, record_local=record_local))
     rule, first = run._jump, []
 
-    def jump(Roff, mark, aux, p, tc, Xc):  # the first crossing made
-        rule(Roff, mark, aux, p, tc, Xc)
+    def jump(Roff, mark, aux, p, tc, lam):  # the first crossing made
+        rule(Roff, mark, aux, p, tc, lam)
         c = np.flatnonzero(run._crossed(p))
         if len(c) and not first:
             first.append((run.lo + p[c[0]], tc[c[0]], run.S[:, p[c[0]]] + 1))
@@ -376,9 +377,9 @@ TWIN_CASES = {
 
 
 class TestStateFreeRates:
-    """Rates that do not read x run each step block's jumps in one pass; the
-    same scenario with its rates written to read x runs them step by step
-    and is the reference.  Both log their moves and book them once per step
+    """Rates that do not read x run the switching chain's rule over each step
+    block in one pass ahead of its steps; the same scenario with its rates
+    written to read x runs it step by step and is the reference.  Both log their moves and book them once per step
     block; the per-call booking of conftest is the booking's reference."""
 
     @pytest.mark.parametrize("route", sorted(TWIN_CASES))
@@ -436,19 +437,23 @@ class TestStateFreeRates:
         # the block booking of either schedule orders a round's moves on one
         # chain by the number of their _apply_jump call: at every round a
         # rule's calls come in increasing numbers, and a number always names
-        # one chain
-        calls, apply, rule = [], en._ChunkRun._apply_jump, getattr(en._ChunkRun, f"_{route}_jump")
+        # one chain; the switching chain's rule and, on a coupled route, the
+        # envelope rule after it are counted apart
+        calls, apply = [], en._ChunkRun._apply_jump
 
         def numbered(self, chain_row, pj, new, call):
             calls[-1].append((call, chain_row))
             return apply(self, chain_row, pj, new, call)
 
-        def one_round(self, *args):
-            calls.append([])
-            return rule(self, *args)
+        def one_round(rule):
+            def counted(self, *args):
+                calls.append([])
+                return rule(self, *args)
+            return counted
 
         monkeypatch.setattr(en._ChunkRun, "_apply_jump", numbered)
-        monkeypatch.setattr(en._ChunkRun, f"_{route}_jump", one_round)
+        for name in ("_lambda_jump", f"_{route}_jump") if route != "marginal" else ("_lambda_jump",):
+            monkeypatch.setattr(en._ChunkRun, name, one_round(getattr(en._ChunkRun, name)))
         doc, coupled, horizon = TWIN_CASES[route]()
         sc = load(doc)
         en.monte_carlo(sc, en.SimParams.from_scenario(sc, n_paths=64, horizon=horizon), coupled=coupled)
@@ -529,6 +534,125 @@ class TestStateFreeRates:
         assert float(errors[2].split("t=")[1].split(",")[0]) > 256 * p.h
 
 
+# envelopes that put a two-state scenario on each route when its rates sum to
+# between 1.5 and 2 on the grid
+NEGATIVE_ENVELOPES = {
+    "marginal": None,
+    "two_state": {"qbar": [[-0.5, 0.5], [1, -1]], "qstar": [[-1, 1], [1, -1]]},
+    "matrix": {"qbar": [[-1, 1], [0, 0]], "qstar": [[0, 0], [1, -1]]},
+}
+
+
+def negative_rate_scenario(route, state_free):
+    """Rates that go below 0 off the grid [-1, 1]: ``1 - x1^2/4`` both ways
+    from x0 = 3, or, at rates that do not read x, a constant -0.5 up; valid
+    on the grid only in the first case."""
+    rates = [["0", "-0.5"], ["2", "0"]] if state_free else [["0", "1 - x1^2/4"], ["1 - x1^2/4", "0"]]
+    doc = make_scenario(
+        rates=rates, rate_bound=2.0 if state_free else 1.0, grid={"lo": -1.0, "hi": 1.0, "n": 201},
+        initial={"x": [3.0], "state": 1}, drift=[["-0.1*x1"]] * 2, diffusion=[[["0.05*x1"]]] * 2,
+        step=0.01, horizon=2.0, paths=256,
+    )
+    if NEGATIVE_ENVELOPES[route]:
+        doc["envelopes"] = NEGATIVE_ENVELOPES[route]
+    return doc
+
+
+class TestNegativeRates:
+    """A switching rate below 0 once ran silently: the thinning read it as no
+    jump, and a coupled run blamed the envelopes.  The rate check refuses it
+    at the candidate that reads it, or, at rates that do not read x, before
+    the first step, on every route and schedule."""
+
+    # (mc, simulate of path 5) per route: rates that read x, the constant
+    # rate, and the constant rate written to read x
+    WANT = {
+        "marginal": (
+            "rate -1.25762 from state 1 to state 2 is negative at t=0.00288159, x=[3.005077096917084], path 188",
+            "rate -1.03726 from state 1 to state 2 is negative at t=1.3108, x=[2.8546518760466975], path 5",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.00860579, x=[2.97469041947156], path 46",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.0318741, x=[2.9934153961490026], path 5",
+        ),
+        "two_state": (
+            "rate -1.26381 from state 1 to state 2 is negative at t=0.00369689, x=[3.009191169183149], path 176",
+            "rate -1.24013 from state 1 to state 2 is negative at t=0.0318741, x=[2.9934153961490026], path 5",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.00592559, x=[2.9825728702158725], path 46",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.0342827, x=[2.992988847638999], path 5",
+        ),
+        "matrix": (
+            "rate -1.27356 from state 1 to state 2 is negative at t=0.0088912, x=[3.0156654975599704], path 188",
+            "rate -1.23957 from state 1 to state 2 is negative at t=0.0340115, x=[2.993036870834208], path 5",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.00592559, x=[2.9825728702158725], path 46",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.0342827, x=[2.992988847638999], path 5",
+        ),
+    }
+
+    @staticmethod
+    def _errors(doc, route):
+        sc = load(doc)
+        coupled = route != "marginal"
+        assert (en.choose_route(sc)[0] if coupled else "marginal") == route
+        sim = en.simulate_coupled if coupled else en.simulate_hybrid
+        p = en.SimParams.from_scenario(sc)
+        errors = []
+        for run in (lambda: en.monte_carlo(sc, p, coupled=coupled), lambda: sim(sc, p, 5)):
+            with pytest.raises(en.EngineError) as err:
+                run()
+            errors.append(str(err.value))
+        return errors
+
+    @pytest.mark.parametrize("route", sorted(NEGATIVE_ENVELOPES))
+    def test_rates_that_read_x(self, route, tmp_path, capsys):
+        doc = negative_rate_scenario(route, state_free=False)
+        structural = sn.validate_scenario(load(doc)).structural
+        assert not [s for s in structural if s.startswith("rates:")]  # nonnegative on the grid
+        assert self._errors(doc, route) == list(self.WANT[route][:2])
+        fx = write_scenario(tmp_path, doc)
+        flag = [] if route == "marginal" else ["--coupled"]
+        assert cli.main(["mc", fx, *flag]) == 2
+        assert capsys.readouterr().err == f"runtime error: {self.WANT[route][0]}\n"
+
+    @pytest.mark.parametrize("route", sorted(NEGATIVE_ENVELOPES))
+    def test_rates_that_do_not_read_x(self, route, tmp_path, capsys):
+        doc = negative_rate_scenario(route, state_free=True)
+        structural = sn.validate_scenario(load(doc)).structural
+        assert [s for s in structural if s.startswith("rates: negative rate q[1][2] = -0.5")]
+        fx = write_scenario(tmp_path, doc)
+        want = "rate -0.5 from state 1 to state 2 is negative at every x"
+        assert self._errors(doc, route) == [want, want]
+        flag = [] if route == "marginal" else ["--coupled"]
+        assert cli.main(["mc", fx, *flag]) == 2
+        assert cli.main(["simulate", fx, *flag, "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == 2 * f"runtime error: {want}\n"
+        # the twin whose rates read x names the first candidate that reads the rate
+        assert self._errors(state_dependent_twin(doc), route) == list(self.WANT[route][2:])
+
+    @pytest.mark.parametrize("name, qbar0, want", [
+        ("three_state_rational", [-1, -1, 2], "envelopes.qbar: negative rate qbar[1][2] = -1"),
+        ("two_state_balanced", [0.5, -0.5], "envelopes.qbar: negative rate qbar[1][2] = -0.5"),
+    ], ids=["three_state_rational", "two_state_balanced"])
+    def test_declared_envelope_with_a_negative_rate(self, name, qbar0, want, tmp_path, capsys):
+        # once a "coupling produced negative rate" that blamed the domination,
+        # or, on the interval route, a crossing
+        doc = json.loads((FIXTURES / f"{name}.json").read_text())
+        doc["envelopes"]["qbar"][0] = qbar0
+        with pytest.raises(en.EngineError) as err:
+            en.choose_route(load(doc))
+        assert str(err.value) == want
+        assert cli.main(["mc", write_scenario(tmp_path, doc), "--coupled"]) == 2
+        assert capsys.readouterr().err == f"runtime error: {want}\n"
+
+    def test_derived_envelope_with_a_negative_rate(self):
+        # rates below 0 on the grid, where the paths never go: once a
+        # "coupling produced negative rate" at the first candidate
+        doc = make_scenario(rates=[["0", "1 + x1"], ["1 + x1", "0"]], rate_bound=3.0,
+                            grid={"lo": -2.0, "hi": 1.0, "n": 31}, initial={"x": [0.5], "state": 1},
+                            drift=[["0"]] * 2, diffusion=[[["0.01"]]] * 2, horizon=2.0, paths=64)
+        with pytest.raises(en.EngineError) as err:
+            en.choose_route(load(doc))
+        assert str(err.value) == "envelopes.qbar: negative rate qbar[2][1] = -1 (derived from the validation grid)"
+
+
 # (two-state route, matrix route) rates of the error order cases, and the
 # regime-free drift and initial x they start from: x(t) is the same on every
 # path and in a marginal run, as the diffusion is zero
@@ -578,8 +702,8 @@ def _time(message):
 
 class TestBlockPassAfterSteps:
     """On rates that read x the switching chain alone runs the per-step
-    rounds, and the route's coupled rule runs once per step block after the
-    block's steps.  The per-step coupled rounds of conftest are the
+    rounds, and the route's envelope rule runs once per step block after the
+    block's steps.  The per-step rounds of every chain in conftest are the
     reference: the same bytes and the same first error."""
 
     @pytest.mark.parametrize("chunk_size", [64, 2048])
@@ -608,8 +732,8 @@ class TestBlockPassAfterSteps:
     @pytest.mark.parametrize("case", sorted(ORDER_CASES))
     @pytest.mark.parametrize("route", ["two_state", "matrix"])
     def test_first_error_matches_the_per_step_rounds(self, route, case, monkeypatch):
-        # the steps of a block run ahead of its coupled rule: an error the
-        # steps meet is raised only once the block pass has found none
+        # the steps of a block run ahead of its envelope rule: an error the
+        # steps meet is raised only once the envelope pass has found none
         # earlier, and the first error of either kind is the reference's
         sc = _order_case(route, case)
         p = en.SimParams.from_scenario(sc)
@@ -640,37 +764,6 @@ class TestBlockPassAfterSteps:
             assert err.startswith("exit rate ") and err.endswith(f", path {path}")
         else:
             assert err == crossing
-
-    @pytest.mark.parametrize("beyond, first", [(-0.5, "negative"), (1.0, "crossing")])
-    def test_negative_coupling_rate_in_the_per_step_order(self, beyond, first, monkeypatch):
-        # the coupling rows never went negative under these envelopes, so a
-        # patch pushes them below 0 wherever the switching chain's first rate
-        # reads x beyond x0 + ``beyond``, by that rate: the least is at the
-        # largest x of its (step, round), whose paths diffuse apart.  A
-        # negative rate is raised before the moves of its (step, round), here
-        # against the first crossing
-        sc = _order_case("matrix", "crossing_then_breach")
-        sc = load(sc.raw | {"diffusion": [[["0.5"]]] * 3, "initial": {"x": [1.0], "state": 2}})
-        p = en.SimParams.from_scenario(sc, n_paths=512)
-        mc = lambda s, q: en.monte_carlo(s, q, coupled=True)  # noqa: E731
-        crossing = _run_error(mc, sc, p)
-        path = int(crossing.split(", path ")[1].split(":")[0])
-        rows_batch = cpl.coupling_rows_batch
-
-        def negative_beyond(R1, R2, ii, jj):
-            rows = rows_batch(R1, R2, ii, jj)
-            past = R1[:, 0, 1] > 1.2 + 0.2 * (1.0 + beyond) ** 2
-            rows[past] -= R1[past, 0, 1][:, None, None]
-            return rows
-
-        monkeypatch.setattr(cpl, "coupling_rows_batch", negative_beyond)
-        for run in (mc, lambda s, q: en.simulate_coupled(s, q, path)):
-            err = _run_error(run, sc, p)
-            assert err == _run_error(run, sc, p, reference=True)
-            if first == "crossing":
-                assert err == crossing
-            else:
-                assert err.startswith("coupling produced negative rate ") and " at x=[" in err
 
 
 def _coefficients(d, shared):
@@ -822,12 +915,13 @@ class TestCandidateSchedule:
     # Poisson count per (step, path) cell, the stream gave 28,867 and 257,
     # 16,637 and 216, 4,106 and 135, and 8,215 and 179.  Rounds are counted
     # twice: per step, as the schedule lays them out, and per step block, as
-    # the block pass runs the route's rule over them, round r holding each
-    # path's r-th candidate in the block.  linear_feedback's rates do not read
-    # x, so its steps run no rounds: its block pass runs 7, where the
-    # per-step rounds were 130.  On the coupled runs, whose rates read x, the
-    # switching chain alone runs the per-step rounds, and the envelope chains
-    # move with it in the 30, 18 and 12 rounds of the block pass.
+    # a block pass runs a rule over them, round r holding each path's r-th
+    # candidate in the block.  linear_feedback's rates do not read x, so its
+    # steps run no rounds: the switching chain's pass ahead of them runs 7,
+    # where the per-step rounds were 130.  On the coupled runs, whose rates
+    # read x, the switching chain alone runs the per-step rounds, and the
+    # envelope chains move after them in the 30, 18 and 12 rounds of the
+    # envelope pass.
     COUNTS = {"three_state_rational": ("matrix", 28738, 267, 30), "six_state": ("matrix", 16435, 219, 18),
               "linear_feedback": ("marginal", 4128, 130, 7), "two_state_balanced": ("two_state", 8224, 179, 12)}
 
