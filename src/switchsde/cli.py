@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,7 +23,6 @@ from .scenario import (
     ScenarioError,
     canonical_json,
     load_scenario,
-    scenario_hash,
     validate_scenario,
 )
 
@@ -163,7 +163,14 @@ def cmd_spectral(args):
         table = []
         for n in ns:
             val = markov.exp_functional(mu, P, theta, n)
-            table.append({"n": n, "value": val, "ratio_to_root_pow_n": val / lam**n})
+            try:
+                root_n = lam**n
+            except OverflowError:
+                root_n = math.inf
+            if not 0 < root_n < math.inf:
+                raise markov.MarkovError(f"perron_root_tilted**n at n = {n}, theta = {theta.tolist()} "
+                                         f"is {root_n:.6g}, not a finite nonzero double")
+            table.append({"n": n, "value": val, "ratio_to_root_pow_n": val / root_n})
         doc[name] = {
             "skeleton": P.tolist(),
             "invariant_measure": mu.tolist(),

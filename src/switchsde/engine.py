@@ -8,9 +8,9 @@ For each block the jump stream draws one Poisson total of candidates over the
 block's (step, path) cells, a uniform cell for each, then three uniforms each
 (offset, mark, auxiliary), so its cost follows the candidates, not the cells.
 A path's variates therefore do not depend on chunk_size, on the worker count
-or on n_paths; a chunk draws the whole groups that overlap its columns, and
-simulate, which advances the requested path alone, draws only its group.
-Paths are processed in fixed-width chunks vectorized with numpy; per-path
+or on n_paths.  A run advances a range of global path indices and draws the
+whole groups under it: mc a chunk, simulate the requested path alone.
+mc processes paths in fixed-width chunks vectorized with numpy; per-path
 statistics are reduced chunk by chunk in path order for bit-reproducible
 aggregation, so mc floats depend on chunk_size at the ulp level.  Each step
 evaluates the drift and the diffusion at full width once per distinct
@@ -26,7 +26,8 @@ every row's block starts at 0, as a chain reads only the row of its current
 state (thinning; Lewis and Shedler 1979).  That layout exists once, as
 coupling.row_block_pick, which the marginal and matrix routes call.  A step
 block's candidates are scheduled once, in rounds: round r holds the r-th
-candidate in time of every live path in its (step, path) cell.  Only the
+candidate in time of every live path in its (step, path) cell.  The rules
+read that table, the step block's state, by candidate index.  Only the
 switching chain lambda feeds back into the diffusion.  Its rule runs once per
 candidate: step by step when some off-diagonal rate reads x, each step taking
 its candidate points and their rates once, or else in one pass ahead of the
@@ -267,11 +268,11 @@ class _ChunkResult:
 
 
 class _ChunkRun:
-    """State and step logic for one block of paths.  It advances only the
-    columns [lo, lo + na), local path 0 being column lo: every live column,
-    or the recorded one alone, and draws the whole path groups under them."""
+    """State and step logic for the global path range ``paths``: a chunk of
+    live paths, or the recorded one alone, drawing the whole path groups
+    under them.  The rules read the step block's candidate table by index."""
 
-    def __init__(self, sc, params, chunk_idx, route, env, record_local=None):
+    def __init__(self, sc, params, paths, route, env, recording=False):
         self.sc = sc
         self.params = params
         self.route = route
@@ -283,10 +284,7 @@ class _ChunkRun:
         self.M, self.d = M, d
         self.h = params.h
         self.sqrt_h = math.sqrt(self.h)
-        W = params.chunk_size
-        self.start = start = chunk_idx * W
-        self.recording = record_local is not None
-        self.lo, self.na = (record_local, 1) if self.recording else (0, min(params.n_paths - start, W))
+        self.paths, self.na, self.recording = paths, len(paths), recording
 
         # every row's mark block starts at 0; the two-state rule lays both
         # rows end to end under one mark, as it needs q12 + q21 of each chain
@@ -295,7 +293,7 @@ class _ChunkRun:
         self.state_free = sc.rates.state_free
         if self.state_free:  # the one rate stack, checked once
             self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
-            self._check_rate_bound(self.R0[None], self.R0.sum(axis=1)[None], None, None, None)
+            self._check_rate_bound(self.R0[None], self.R0.sum(axis=1)[None], None, None)
         self.R_cand = self.L
         if route == "matrix":
             self.Rbar = cpl.offdiag(env.qbar)
@@ -316,9 +314,7 @@ class _ChunkRun:
         self.m2_x2 = np.zeros(n_rec)
         self.sum_lag2 = np.zeros(n_rec)
         self.occ = np.zeros((3, M))
-        # the moves since the step block began, and each path's candidate in
-        # the round that runs
-        self._log, self._cand = [], np.empty(na, dtype=np.int64)
+        self._log = []  # the moves since the step block began
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
         self.tail_start = int(math.ceil(params.n_steps / 2))
@@ -383,17 +379,17 @@ class _ChunkRun:
             self.skel += np.bincount(flat.ravel(), minlength=3 * M * M).reshape(3, M, M)
         self.prev_obs_states = cur
 
-    def _apply_jump(self, chain_row, pj, new, call):
-        """Move chain ``chain_row`` of paths ``pj`` to ``new`` and log the
-        moves with their candidates; ``call`` numbers the rule's calls in
-        their order in a round.  ``_book_block`` books the log."""
-        states = self.S[chain_row]
+    def _apply_jump(self, chain_row, c, new, call):
+        """Move chain ``chain_row`` of the paths of candidates ``c`` to
+        ``new`` and log the moves with their candidates; ``call`` numbers the
+        rule's calls in their order in a round.  ``_book_block`` books the log."""
+        states, pj = self.S[chain_row], self._p[c]
         old = states[pj]
         moved = old != new
         if moved.any():
-            pj, new = pj[moved], new[moved]
-            self._log.append((chain_row, call, self._cand[pj], old[moved], new))
-            states[pj] = new
+            new = new[moved]
+            self._log.append((chain_row, call, c[moved], old[moved], new))
+            states[pj[moved]] = new
 
     def _crossed(self, p):
         ls, lm, lb = self.S[:, p]
@@ -401,55 +397,47 @@ class _ChunkRun:
 
     # -- jump dispatch
 
-    def _process_step(self, Xn, cand, tc, Roff, bounds):
+    def _process_step(self, Xn, bounds):
         """The switching chain's rounds of one step, delimited by ``bounds``,
-        at the candidate points and rates taken once into ``Roff``; returns
+        at the candidate points and rates taken once into the table; returns
         (round start, error) at a rate the check refuses, or None."""
-        p, offs, marks = cand[:3]
-        s0 = bounds[0]
-        c = slice(s0, bounds[-1])
-        X0 = self.X[p[c]]
-        Xc = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
-        Roff[c] = self.sc.rates.offdiag_batch(Xc)
+        s = slice(bounds[0], bounds[-1])
+        X0 = self.X[self._p[s]]
+        Xc = X0 + (Xn[self._p[s]] - X0) * (self._offs[s] / self.h)[:, None]
+        self._Roff[s] = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
-            r = slice(b0, b1)
-            self._cand[p[r]] = np.arange(b0, b1)
             try:
-                self._lambda_jump(Roff[r], marks[r], p[r], tc[r], Xc[b0 - s0:b1 - s0])
+                self._lambda_jump(np.arange(b0, b1), Xc[b0 - s.start:b1 - s.start])
             except EngineError as err:
                 return b0, err
 
-    def _block_pass(self, S0, cand, tc, Roff, stop):
+    def _block_pass(self, S0, stop):
         """Move the envelope chains from ``S0`` over a step block's candidates
-        before ``stop``, in ``_block_rounds``: each round sets lambda's row to
+        before ``stop``, in the block rounds: each round sets lambda's row to
         the states its rule kept and runs the route's envelope rule from
         lambda's states before.  After a crossing the rounds keep only the
         candidates up to the end of its (step, round).  Returns the earliest
         crossing as (candidate, error), or None."""
-        p, offs, marks, aux, step, rnd = cand
-        when = step * (int(rnd.max(initial=0)) + 1) + rnd  # the (step, round), ascending
+        when = self._step * (int(self._rnd.max(initial=0)) + 1) + self._rnd  # the (step, round), ascending
         self.S[:] = S0
         first = None
-        order, bounds = _block_rounds(p)
-        for b0, b1 in zip(bounds, bounds[1:]):
-            c = order[b0:b1]
+        for c in self._rounds:
             c = c[c < stop]
             if not len(c):
                 continue
-            pc = p[c]
-            self._cand[pc] = c
+            pc = self._p[c]
             lam = self.S[1, pc]
             self.S[1, pc] = self._lam_new[c]
-            self._jump(Roff[c], marks[c], aux[c], pc, tc[c], lam)
+            self._jump(c, lam)
             bad = np.flatnonzero(self._crossed(pc))
             if len(bad):  # a candidate's index orders it by (step, round, path)
-                i = bad[np.argmin(c[bad])]
-                if first is None or c[i] < first[0]:
-                    first = c[i], self._crossing_error(pc[i], tc[c[i]])
-                    stop = np.searchsorted(when, when[c[i]], "right")
+                i = c[bad].min()
+                if first is None or i < first[0]:
+                    first = i, self._crossing_error(i)
+                    stop = np.searchsorted(when, when[i], "right")
         return first
 
-    def _finish_block(self, S0, k0, steps, cand, tc, Roff, stop):
+    def _finish_block(self, S0, k0, steps, stop):
         """Close the step block from ``k0``, which began in the states ``S0``
         and whose steps failed at ``stop`` (candidate, error), if at all: a
         coupled run moves the envelope chains over the candidates before it
@@ -457,10 +445,10 @@ class _ChunkRun:
         a coupled run's give the envelope chains' states at the epochs and on
         the recorded path."""
         if self.coupled:
-            stop = self._block_pass(S0, cand, tc, Roff, stop[0] if stop else len(tc)) or stop
+            stop = self._block_pass(S0, stop[0] if stop else len(self._p)) or stop
         if stop:
             raise stop[1]
-        moves = self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
+        moves = self._book_block(S0, k0, steps)
         if self.coupled:
             states_before = _states_before(S0, *_last_moves(steps, *moves))
             for kk in range(-k0 % self.params.obs_every, steps, self.params.obs_every):
@@ -468,18 +456,18 @@ class _ChunkRun:
             if self.recording:
                 self.rS[k0 + 1:k0 + steps + 1, ::2] = states_before(np.arange(1, steps + 1))[:, ::2, 0]
 
-    def _book_block(self, S0, k0, steps, p, offs, step, rnd):
+    def _book_block(self, S0, k0, steps):
         """Book the moves logged in the step block from ``k0``, which began in
         the states ``S0``, as the per-step rounds would: the occupation, the
-        recorded path's jumps.  The block's candidates give each move's path,
-        offset in its step, step and round in the step.  Returns each move's
-        chain row, call number in its round, path, step, round and new state."""
+        recorded path's jumps, each move's path, offset, step and round read
+        from the candidate table.  Returns each move's chain row, call number
+        in its round, path, step, round and new state."""
         h, M, na = self.h, self.M, self.na
         log, self._log = self._log, []
         sizes = [len(e[2]) for e in log]
         row, call = (np.repeat(np.array([e[k] for e in log], dtype=np.int64), sizes) for k in (0, 1))
         cand, old, new = (np.concatenate([e[k] for e in log] or [np.zeros(0, np.int64)]) for k in (2, 3, 4))
-        path, step, rnd, offs = p[cand], step[cand], rnd[cand], offs[cand]
+        path, step, rnd, offs = self._p[cand], self._step[cand], self._rnd[cand], self._offs[cand]
         cells = 3 * M
         # populations at every step's start, from integer counts: the values
         # the per-step increments reach
@@ -508,72 +496,69 @@ class _ChunkRun:
                 self.jump_rec[CHAIN_NAMES[r]].append(tuple(rec))
         return row, call, path, step, rnd, new
 
-    def _crossing_error(self, path, t):
-        """A coupled round left ``path``'s chains out of order, which the
-        envelopes allow where they do not dominate the rates; every coupled
-        route refuses it at that round, naming the path."""
+    def _crossing_error(self, c):
+        """A coupled round left the chains of candidate ``c``'s path out of
+        order, which the envelopes allow where they do not dominate the rates;
+        every coupled route refuses it at that round, naming the path."""
+        path = self._p[c]
         states = ", ".join(f"{name}={s + 1}" for name, s in zip(CHAIN_NAMES, self.S[:, path].tolist()))
-        where = (
-            "; the envelopes were derived from the validation grid and are certified only on it"
-            if self.sc.envelopes is None else ""
-        )
-        return EngineError(
-            f"coupled chains crossed at t={t:.6g}, path {self.start + self.lo + path}: {states}{where}"
-        )
+        where = ("; the envelopes were derived from the validation grid and are certified only on it"
+                 if self.sc.envelopes is None else "")
+        return EngineError(f"coupled chains crossed at t={self._tc[c]:.6g}, path {self.paths[path]}: {states}{where}")
 
-    def _check_rate_bound(self, Roff, q, p, tc, Xc):
+    def _check_rate_bound(self, Roff, q, c, Xc):
         """Thinning is exact only while every off-diagonal rate ``Roff`` (n,
-        M, M) at the candidate points is nonnegative and every exit rate
-        ``q`` (n, M) stays within H; a NaN rate is not within it."""
+        M, M) at candidates ``c`` (points ``Xc``) is nonnegative and every
+        exit rate ``q`` (n, M) stays within H; a NaN rate is not within it."""
         q_max = q.max()
         if q_max <= self.H_max and Roff.min() >= -_NEG_TOL:
             return
         if q_max <= self.H_max:
-            c, i, j = np.unravel_index(int(Roff.argmin()), Roff.shape)
-            what = f"rate {Roff[c, i, j]:.6g} from state {i + 1} to state {j + 1} is negative"
+            k, i, j = np.unravel_index(int(Roff.argmin()), Roff.shape)
+            what = f"rate {Roff[k, i, j]:.6g} from state {i + 1} to state {j + 1} is negative"
         else:
-            c, i = np.unravel_index(int(q.argmax()), q.shape)  # argmax picks a NaN first
-            what = (f"exit rate {q[c, i]:.6g} from state {i + 1} "
+            k, i = np.unravel_index(int(q.argmax()), q.shape)  # argmax picks a NaN first
+            what = (f"exit rate {q[k, i]:.6g} from state {i + 1} "
                     f"{'exceeds' if q_max > self.H_max else 'is not within'} declared bound H={self.sc.rates.H}")
         where = (" at every x" if Xc is None  # state-free rates, checked before the first step
-                 else f" at t={tc[c]:.6g}, x={Xc[c].tolist()}, path {self.start + self.lo + p[c]}")
+                 else f" at t={self._tc[c[k]]:.6g}, x={Xc[k].tolist()}, path {self.paths[self._p[c[k]]]}")
         raise EngineError(what + where)
 
-    def _lambda_jump(self, Roff, mark, p, tc, Xc):
-        """The switching chain's rule at its candidates, with its rates at the
-        candidate points, diffusion values there (None at rates that do not
-        read x) and candidate times: the rate check, then the move under the
-        route's layout, logged as call 0; a row-block mark from L on is none
-        of its jumps.  It keeps each candidate's new state and, in the
-        row-block layout, the pick's width and the mark's position in it."""
-        lam, c = self.S[1, p], self._cand[p]
+    def _lambda_jump(self, c, Xc):
+        """The switching chain's rule at candidates ``c``, with the diffusion
+        values there (None at rates that do not read x): the rate check, then
+        the move under the route's layout, logged as call 0; a row-block mark
+        from L on is none of its jumps.  It keeps each candidate's new state
+        and, in the row-block layout, the pick's width and the mark's
+        position in it."""
+        Roff, mark, lam = self._Roff[c], self._marks[c], self.S[1, self._p[c]]
         if self.route == "two_state":
-            self._check_rate_bound(Roff, Roff.sum(axis=2), p, tc, Xc)
+            self._check_rate_bound(Roff, Roff.sum(axis=2), c, Xc)
             new = _interval_move(lam, mark, Roff[:, 0, 1], Roff[:, 1, 0])
         else:
             hit, tgt, width, u_in, q = cpl.row_block_pick(Roff, lam, mark)
-            self._check_rate_bound(Roff, q, p, tc, Xc)
+            self._check_rate_bound(Roff, q, c, Xc)
             new = np.where(hit & (mark < self.L), tgt, lam)
             self._lam_pick[:, c] = width, u_in
         self._lam_new[c] = new
-        self._apply_jump(1, p, new, 0)
+        self._apply_jump(1, c, new, 0)
 
-    # The envelope rules share one signature: (off-diagonal rates at the
-    # candidates, marks, auxiliary uniforms, local path indices, candidate
-    # times, lambda's states before the candidates, its row holding those
-    # after).  Each numbers its _apply_jump calls in their order in a round
-    # from 1, the same number at every round, and the block bookkeeping
-    # orders a round's moves on one chain by that number, as the rounds ran.
+    # The envelope rules share one signature: (the round's candidates,
+    # lambda's states before them, its row holding those after); the
+    # interval rule reads neither state of lambda.  Each numbers its
+    # _apply_jump calls in their order in a round from 1, the same number at
+    # every round, and the block bookkeeping orders a round's moves on one
+    # chain by that number, as the rounds ran.
 
-    def _two_state_jump(self, Roff, mark, aux, p, tc, lam):
+    def _two_state_jump(self, c, lam):
         qbar, qstar = self.env.qbar, self.env.qstar
         for call, (row, a12, a21) in enumerate(((2, qbar[0, 1], qbar[1, 0]), (0, qstar[0, 1], qstar[1, 0])), 1):
-            self._apply_jump(row, p, _interval_move(self.S[row, p], mark, a12, a21), call)
+            self._apply_jump(row, c, _interval_move(self.S[row, self._p[c]], self._marks[c], a12, a21), call)
 
-    def _matrix_jump(self, Roff, mark, aux, p, tc, lam):
-        nc = len(p)
-        M = self.M
-        star_c, new_c, bar_c = self.S[:, p]
+    def _matrix_jump(self, c, lam):
+        nc, M = len(c), self.M
+        Roff, mark = self._Roff[c], self._marks[c]
+        star_c, new_c, bar_c = self.S[:, self._p[c]]
         # one fused batch: rows of (switching, upper) then (lower, switching)
         R1, R2 = np.empty((2, 2 * nc, M, M))
         R1[:nc], R1[nc:] = Roff, self.Rstar
@@ -588,11 +573,12 @@ class _ChunkRun:
         # region A: the switching chain's own mark space [0, L), where it moved
         sub = np.flatnonzero(new_c != lam)
         if len(sub):
-            pj, mvs, (w, u2) = p[sub], new_c[sub], self._lam_pick[:, self._cand[p[sub]]]
+            cs, mvs = c[sub], new_c[sub]
+            w, u2 = self._lam_pick[:, cs]
             okb, nb = _pick(row1[sub, mvs], u2, w)
-            oks, ns = _pick(row2[sub, :, mvs], aux[sub], w)
-            self._apply_jump(2, pj, np.where(okb, nb, bar_c[sub]), 1)
-            self._apply_jump(0, pj, np.where(oks, ns, star_c[sub]), 2)
+            oks, ns = _pick(row2[sub, :, mvs], self._aux[cs], w)
+            self._apply_jump(2, cs, np.where(okb, nb, bar_c[sub]), 1)
+            self._apply_jump(0, cs, np.where(oks, ns, star_c[sub]), 2)
 
         # regions B and C: the upper chain moves alone on [L, L + Hbar), the
         # lower chain from L + Hbar; the lower table is read transposed
@@ -604,8 +590,7 @@ class _ChunkRun:
             sub = np.flatnonzero((mark >= lo) & (mark < hi))
             if len(sub):
                 picked, new = _pick(table[sub, lam[sub]], (mark[sub] - L) - shift)
-                s = sub[picked]
-                self._apply_jump(row, p[s], new[picked], call)
+                self._apply_jump(row, c[sub[picked]], new[picked], call)
 
     # -- main loop
 
@@ -617,10 +602,10 @@ class _ChunkRun:
         h = self.h
         n_steps = params.n_steps
         obs_every = params.obs_every
-        lo, na, d, M = self.lo, self.na, self.d, self.M
-        # the path groups g0, ..., g0 + ng - 1 hold global columns [start + lo,
-        # start + lo + na), each drawn whole; laid side by side, column lo is off
-        g0, off = divmod(self.start + lo, _GROUP)
+        na, d, M = self.na, self.d, self.M
+        # the path groups g0, ..., g0 + ng - 1 hold the paths, each drawn
+        # whole; laid side by side, the first path is column off
+        g0, off = divmod(self.paths.start, _GROUP)
         ng = (off + na - 1) // _GROUP + 1
         gens = [(_philox(params.seed, _NOISE, g), _philox(params.seed, _JUMPS, g))
                 for g in range(g0, g0 + ng)]
@@ -632,24 +617,27 @@ class _ChunkRun:
             for j, (ngen, jgen) in enumerate(gens):
                 ngen.standard_normal(out=xi_block[j])
                 draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
+            # the block's candidate table, which the rules read by index
             *cand, bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
-            p, n, step = cand[0], len(cand[0]), cand[4]
-            tc = (block_start + step) * h + cand[1]
+            self._p, self._offs, self._marks, self._aux, self._step, self._rnd = cand
+            p, n, step = self._p, len(self._p), self._step
+            self._tc = (block_start + step) * h + self._offs
             S0 = self.S.copy()  # the block's start states, which its booking reads
             # lambda's state after each candidate and its pick, which the envelope rules read
             self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
-            if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack
-                Roff = np.broadcast_to(self.R0, (n, M, M))
+            if self.state_free or self.coupled:  # the block rounds, each path's r-th candidate in round r
                 order, rb = _block_rounds(p)
-                for c in (order[b0:b1] for b0, b1 in zip(rb, rb[1:])):
-                    self._cand[p[c]] = c
-                    self._lambda_jump(Roff[c], cand[2][c], p[c], tc[c], None)
-                first, _, paths, states = _last_moves(
-                    bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, cand[5], self._lam_new)
+                self._rounds = [order[b0:b1] for b0, b1 in zip(rb, rb[1:])]
+            if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack
+                self._Roff = np.broadcast_to(self.R0, (n, M, M))
+                for c in self._rounds:
+                    self._lambda_jump(c, None)
+                first, _, to_path, to_state = _last_moves(
+                    bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, self._rnd, self._lam_new)
                 self.S[1] = S0[1]
             else:
                 step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
-                Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
+                self._Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
             stop = None  # (candidate, error) where the steps fail
 
             for kk in range(bsz):
@@ -669,23 +657,23 @@ class _ChunkRun:
                 if not np.isfinite(Xn).all():
                     bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
                     stop = int(np.searchsorted(step, kk)), EngineError(
-                        f"non-finite state at t={t + h:.6g}, path {self.start + lo + bad} (overflow)"
+                        f"non-finite state at t={t + h:.6g}, path {self.paths[bad]} (overflow)"
                     )
                     break
 
                 if self.state_free:  # lambda's states after the step, from the pass ahead
                     a, b = first[kk], first[kk + 1]
                     if a < b:
-                        self.S[1, paths[a:b]] = states[a:b]
+                        self.S[1, to_path[a:b]] = to_state[a:b]
                 else:
                     g0, g1 = step_first[kk], step_first[kk + 1]
-                    if g0 < g1 and (stop := self._process_step(Xn, cand, tc, Roff, bounds[g0:g1 + 1])):
+                    if g0 < g1 and (stop := self._process_step(Xn, bounds[g0:g1 + 1])):
                         break
 
                 self.X = Xn
                 if self.recording:
                     self._record_grid(k + 1)
-            self._finish_block(S0, block_start, bsz, cand, tc, Roff, stop)
+            self._finish_block(S0, block_start, bsz, stop)
 
         if n_steps % obs_every == 0:
             self._snapshot_obs(count=True)
@@ -702,7 +690,7 @@ class _ChunkRun:
                 lam_bar=(self.rS[:, 2] + 1) if self.coupled else None,
                 jumps=self.jump_rec,
                 meta={
-                    "path_index": self.start + self.lo,
+                    "path_index": self.paths.start,
                     "seed": params.seed,
                     "tau": params.tau,
                     "h": h,
@@ -888,26 +876,22 @@ def _plan(sc, coupled):
     return choose_route(sc) if coupled else ("marginal", None, [])
 
 
-def _worker_chunk(raw, params, chunk_idx, route, env):
-    return _ChunkRun(load_scenario(raw), params, chunk_idx, route, env).run()
+def _worker_chunk(raw, params, paths, route, env):
+    return _ChunkRun(load_scenario(raw), params, paths, route, env).run()
 
 
 def monte_carlo(sc: Scenario, params: SimParams, coupled: bool = False) -> McSummary:
     """Run n_paths independent paths and aggregate in path-index order."""
     route, env, warnings = _plan(sc, coupled)
-    n_chunks = (params.n_paths + params.chunk_size - 1) // params.chunk_size
-    if params.workers > 1 and n_chunks > 1:
+    n, W = params.n_paths, params.chunk_size
+    chunks = [range(s, min(s + W, n)) for s in range(0, n, W)]
+    if params.workers > 1 and len(chunks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool runs
         with ProcessPoolExecutor(max_workers=params.workers) as pool:
-            futs = [
-                pool.submit(_worker_chunk, sc.raw, params, ci, route, env)
-                for ci in range(n_chunks)
-            ]
+            futs = [pool.submit(_worker_chunk, sc.raw, params, paths, route, env) for paths in chunks]
             results = [f.result() for f in futs]
     else:
-        results = [
-            _ChunkRun(sc, params, ci, route, env).run() for ci in range(n_chunks)
-        ]
+        results = [_ChunkRun(sc, params, paths, route, env).run() for paths in chunks]
     return _merge(results, sc, params, route, warnings)
 
 
@@ -925,7 +909,6 @@ def _simulate_one(sc, params, path_index, coupled):
     if not 0 <= path_index < params.n_paths:
         raise EngineError(f"path_index {path_index} out of range 0..{params.n_paths - 1}")
     route, env, warnings = _plan(sc, coupled)
-    chunk, local = divmod(path_index, params.chunk_size)
-    res = _ChunkRun(sc, params, chunk, route, env, record_local=local).run()
+    res = _ChunkRun(sc, params, range(path_index, path_index + 1), route, env, recording=True).run()
     res.path.meta["warnings"] = warnings
     return res.path

@@ -185,16 +185,22 @@ def perron_root(P):
 
 def exp_functional(mu, P, theta, n: int) -> float:
     """E_mu[exp(sum_{k=0}^{n-1} theta(Y_k))] for the P-chain, via n mat-vec
-    products with the tilted matrix."""
+    products with the tilted matrix.  Raises where the value is not a finite
+    nonzero double."""
     P = _as_matrix(P)
     mu = np.asarray(mu, dtype=float)
     if n < 0:
         raise MarkovError("n must be nonnegative")
     Pt = tilt(P, theta)
     r = np.ones(P.shape[0])
-    for _ in range(n):
-        r = Pt @ r
-    return float(mu @ r)
+    with np.errstate(all="ignore"):  # a value beyond the doubles is refused below
+        for _ in range(n):
+            r = Pt @ r
+    value = float(mu @ r)
+    if not 0 < value < math.inf:
+        raise MarkovError(f"exp_functional at n = {n}, theta = {np.asarray(theta, dtype=float).tolist()} "
+                          f"is {value:.6g}, not a finite nonzero double")
+    return value
 
 
 def spectral_abscissa(Q, C, p: float) -> float:

@@ -54,7 +54,11 @@ def k_tau(tau: float, Cbar: float, Ma: float, bbar: float) -> float:
     """Contraction factor 2 tau (2 Cbar + Ma + bbar) e^{(2 Cbar + 3 Ma + bbar) tau}."""
     if not 0 < tau < math.inf:  # NaN fails too
         raise CertifyError(f"tau must be positive and finite, got {tau}")
-    return 2.0 * tau * (2.0 * Cbar + Ma + bbar) * math.exp((2.0 * Cbar + 3.0 * Ma + bbar) * tau)
+    a = 2.0 * Cbar + Ma + bbar
+    try:
+        return 2.0 * tau * a * math.exp((2.0 * Cbar + 3.0 * Ma + bbar) * tau)
+    except OverflowError:  # the exponential is beyond the doubles: K is its factor's infinity
+        return math.copysign(math.inf, a) if a else 0.0
 
 
 def max_tau_for_contraction(Cbar: float, Ma: float, bbar: float) -> float:

@@ -547,29 +547,27 @@ class PerStepRounds(engine._ChunkRun):
     chain's state at each step.  Run it in place of engine._ChunkRun with
     ``per_step_rounds``."""
 
-    def _process_step(self, Xn, cand, tc, Roff, bounds):
-        p, offs, marks, aux = cand[:4]
+    def _process_step(self, Xn, bounds):
         s0 = bounds[0]
         c = slice(s0, bounds[-1])
-        X0 = self.X[p[c]]
-        Xc = X0 + (Xn[p[c]] - X0) * (offs[c] / self.h)[:, None]
-        Roff = self.sc.rates.offdiag_batch(Xc)
+        X0 = self.X[self._p[c]]
+        Xc = X0 + (Xn[self._p[c]] - X0) * (self._offs[c] / self.h)[:, None]
+        self._Roff[c] = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
-            r, rc, pr = slice(b0, b1), slice(b0 - s0, b1 - s0), p[b0:b1]
-            self._cand[pr] = np.arange(b0, b1)
+            r, pr = np.arange(b0, b1), self._p[b0:b1]
             lam = self.S[1, pr]
-            self._lambda_jump(Roff[rc], marks[r], pr, tc[r], Xc[rc])
+            self._lambda_jump(r, Xc[b0 - s0:b1 - s0])
             if not self.coupled:
                 continue
-            self._jump(Roff[rc], marks[r], aux[r], pr, tc[r], lam)
+            self._jump(r, lam)
             if self._crossed(pr).any():
                 c = int(np.flatnonzero(self._crossed(pr))[0])
-                raise self._crossing_error(pr[c], tc[b0 + c])
+                raise self._crossing_error(b0 + c)
 
-    def _finish_block(self, S0, k0, steps, cand, tc, Roff, stop):
+    def _finish_block(self, S0, k0, steps, stop):
         if stop:
             raise stop[1]
-        self._book_block(S0, k0, steps, *cand[:2], *cand[4:])
+        self._book_block(S0, k0, steps)
 
     def _snapshot_obs(self, count):
         super()._snapshot_obs(True)  # every chain is where the steps left it

@@ -42,6 +42,15 @@ class TestKTau:
         with pytest.raises(ce.CertifyError):
             ce.k_tau(0.0, 1.0, 1.0, 1.0)
 
+    def test_overflow_takes_the_sign_of_the_factor(self):
+        # e^{(2 Cbar + 3 Ma + bbar) tau} beyond the doubles, once an
+        # OverflowError: K is inf, -inf or 0 by the sign of 2 Cbar + Ma + bbar
+        assert ce.k_tau(200.0, 1.04, 0.5, 1.0) == math.inf
+        assert ce.k_tau(1000.0, -2.0, 1.5, 0.5) == -math.inf
+        assert ce.k_tau(1000.0, -1.0, 1.0, 1.0) == 0.0
+        with pytest.raises(ce.CertifyError, match=r"^K\(tau\) = inf >= 1: certificate undefined at tau = 200.0;"):
+            ce.certify(QBAR, QBAR, [0.64, 1.04], [0.64, 1.04], [0.8, 1.0], 0.5, 200.0)
+
 
 class TestMaxTau:
     def test_root_property(self):

@@ -237,21 +237,21 @@ class TestCoupledRoutes:
             rates=[["0", "0.3"], ["0.3", "0"]], rate_bound=2.2, initial={"x": [1.0], "state": 2},
             envelopes={"qbar": [[-0.3, 0.3], [0.3, -0.3]], "qstar": [[-0.2, 0.2], [0.8, -0.8]]},
         ))
-        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), 0, "matrix", sc.envelopes)
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), range(1), "matrix", sc.envelopes)
         L, Hbar = run.L, run.Hbar
         assert L == sc.rates.H
         edge = 0.8 - min(0.8, 0.3)  # lower-chain excess down-rate from (2, 2)
         mark = (L + Hbar) + edge
         assert (mark - L) - Hbar < edge <= mark - (L + Hbar)
-        Roff = sc.rates.offdiag_batch(run.X)
-        p, S0 = np.array([0]), run.S.copy()
-        run._cand[p] = 0  # candidate 0: path 0 at the start of step 0, round 0
+        c, zero, S0 = np.array([0]), np.zeros(1, dtype=np.int64), run.S.copy()
+        # the candidate table of candidate 0: path 0 at the start of step 0, round 0
+        run._p, run._offs, run._step, run._rnd, run._tc = zero, np.zeros(1), zero, zero, np.zeros(1)
+        run._marks, run._aux, run._Roff = np.array([mark]), np.array([0.5]), sc.rates.offdiag_batch(run.X)
         run._lam_new, run._lam_pick = np.empty(1, dtype=np.int64), np.empty((2, 1))
-        run._lambda_jump(Roff, np.array([mark]), p, np.zeros(1), run.X)  # no jump: the mark is beyond L
-        run._matrix_jump(Roff, np.array([mark]), np.array([0.5]), p, np.zeros(1), S0[1, p])
+        run._lambda_jump(c, run.X)  # no jump: the mark is beyond L
+        run._matrix_jump(c, S0[1, c])
         assert run.S[:, 0].tolist() == [0, 1, 1]
-        zero = np.zeros(1, dtype=np.int64)
-        run._book_block(S0, 0, 1, p, np.zeros(1), zero, zero)
+        run._book_block(S0, 0, 1)
         # the step books h to every chain's start state, the move h from state 2 to state 1
         assert (run.occ - run.h * np.eye(2)[S0[:, 0]])[0].tolist() == [run.h, -run.h]
 
@@ -263,12 +263,13 @@ def _with_crossings(run):
     moves it logs."""
     rule = run._jump
 
-    def jump(Roff, mark, aux, p, tc, lam):
-        rule(Roff, mark, aux, p, tc, lam)
+    def jump(c, lam):
+        rule(c, lam)
+        p, aux = run._p[c], run._aux[c]
         down = (aux < 0.4) & (run.S[1, p] > 0)
-        run._apply_jump(2, p[down], run.S[1, p[down]] - 1, 5)  # after the rule's calls
+        run._apply_jump(2, c[down], run.S[1, p[down]] - 1, 5)  # after the rule's calls
         top = aux > 0.8
-        run._apply_jump(2, p[top], np.full(top.sum(), run.M - 1), 6)
+        run._apply_jump(2, c[top], np.full(top.sum(), run.M - 1), 6)
 
     run._jump = jump
     return run
@@ -280,14 +281,16 @@ def _crossing_error(sc, record_local):
     The calls run in time only in the per-step rounds of conftest."""
     route, env, _ = en.choose_route(sc)
     p = en.SimParams.from_scenario(sc, n_paths=64, horizon=3.0)
-    run = _with_crossings(en._ChunkRun(sc, p, 0, route, env, record_local=record_local))
+    paths = range(64) if record_local is None else range(record_local, record_local + 1)
+    run = _with_crossings(en._ChunkRun(sc, p, paths, route, env, recording=record_local is not None))
     rule, first = run._jump, []
 
-    def jump(Roff, mark, aux, p, tc, lam):  # the first crossing made
-        rule(Roff, mark, aux, p, tc, lam)
-        c = np.flatnonzero(run._crossed(p))
-        if len(c) and not first:
-            first.append((run.lo + p[c[0]], tc[c[0]], run.S[:, p[c[0]]] + 1))
+    def jump(c, lam):  # the first crossing made
+        rule(c, lam)
+        p = run._p[c]
+        i = np.flatnonzero(run._crossed(p))
+        if len(i) and not first:
+            first.append((run.paths[p[i[0]]], run._tc[c[i[0]]], run.S[:, p[i[0]]] + 1))
 
     run._jump = jump
     with pytest.raises(en.EngineError) as err:
@@ -383,6 +386,17 @@ class TestStateFreeRates:
     block; the per-call booking of conftest is the booking's reference."""
 
     @pytest.mark.parametrize("route", sorted(TWIN_CASES))
+    def test_block_rounds_sorted_once_per_step_block(self, route, monkeypatch):
+        # the switching chain's pass ahead of the steps and, on a coupled
+        # run, the envelope pass after them share the block's rounds
+        doc, coupled, horizon = TWIN_CASES[route]()
+        sc, calls, block_rounds = load(doc), [], en._block_rounds
+        monkeypatch.setattr(en, "_block_rounds", lambda p: calls.append(len(p)) or block_rounds(p))
+        p = en.SimParams.from_scenario(sc, n_paths=64, horizon=horizon)
+        en.monte_carlo(sc, p, coupled=coupled)
+        assert len(calls) == -(-p.n_steps // en._STEP_BLOCK) > 1
+
+    @pytest.mark.parametrize("route", sorted(TWIN_CASES))
     def test_matches_the_per_step_twin(self, route):
         doc, coupled, horizon = TWIN_CASES[route]()
         sc, twin = load(doc), load(state_dependent_twin(doc))
@@ -419,7 +433,7 @@ class TestStateFreeRates:
         assert route_ == route
         p = en.SimParams.from_scenario(sc)
         with pytest.raises(en.EngineError) as err:  # the chunk is not even built
-            en._ChunkRun(sc, p, 0, route, env)
+            en._ChunkRun(sc, p, range(p.n_paths), route, env)
         assert str(err.value) == want
         fx = write_scenario(tmp_path, doc)
         flag = ["--coupled"] if coupled else []
@@ -441,9 +455,9 @@ class TestStateFreeRates:
         # envelope rule after it are counted apart
         calls, apply = [], en._ChunkRun._apply_jump
 
-        def numbered(self, chain_row, pj, new, call):
+        def numbered(self, chain_row, c, new, call):
             calls[-1].append((call, chain_row))
-            return apply(self, chain_row, pj, new, call)
+            return apply(self, chain_row, c, new, call)
 
         def one_round(rule):
             def counted(self, *args):
@@ -476,7 +490,7 @@ class TestStateFreeRates:
         params = en.SimParams.from_scenario(sc, n_paths=8)
         steps, h = 40, params.h
         for shuffled, rows in product((False, True), ((1, 2, 0, 2, 0), (1, 2, 0, 2, 0, 2, 2))):
-            block = en._ChunkRun(sc, params, 0, route, env)
+            block = en._ChunkRun(sc, params, range(8), route, env)
             rng = np.random.default_rng(7)
             start = rng.integers(0, 3, (3, 8))
             ref = PerCallBooking(start, 3, h)
@@ -497,9 +511,9 @@ class TestStateFreeRates:
             if shuffled:
                 log = [(row, call, *(a[i:i + 1] for a in e)) for row, call, *e in log for i in range(len(e[0]))]
                 rng.shuffle(log)
-            p, step, rnd = (np.array([c[i] for c in cand], dtype=np.int64) for i in (0, 2, 3))
-            block._log = log
-            moves = block._book_block(start, 0, steps, p, np.array([c[1] for c in cand]), step, rnd)
+            block._p, block._step, block._rnd = (np.array([c[i] for c in cand], dtype=np.int64) for i in (0, 2, 3))
+            block._offs, block._log = np.array([c[1] for c in cand]), log
+            moves = block._book_block(start, 0, steps)
             assert block.occ.tobytes() == ref.occ.tobytes()
             first, rows_w, paths, written = en._last_moves(steps, *moves)
             S = start.copy()
@@ -790,7 +804,7 @@ class TestCoefficientGroups:
             coefficient_bounds={"C": [0.0] * 3, "c": [0.0] * 3, "Ma": 1.0},
             initial={"x": [1.0] * d, "state": 1},
         ))
-        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=50), 0, "marginal", None)
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=50), range(50), "marginal", None)
         assert [g[0] for g in run.drift_groups] == firsts[0]
         assert [g[0] for g in run.sigma_groups] == firsts[1]
         rng = np.random.default_rng(d)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,20 @@ class TestExpFunctional:
     def test_two_step_by_hand(self):
         P = np.full((2, 2), 0.5)
         assert abs(mk.exp_functional([1.0, 0.0], P, [np.log(2.0), 0.0], 2) - 3.0) < 1e-14
+
+    @pytest.mark.parametrize("theta, value", [(1.0, "inf"), (-1.0, "0")])
+    def test_refuses_a_value_beyond_the_doubles(self, theta, value):
+        # e^{+-1000} overflows (once with a numpy overflow warning) or
+        # underflows to 0; no warning is left, even where they raise
+        P = np.full((2, 2), 0.5)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(mk.MarkovError) as err:
+                mk.exp_functional([0.5, 0.5], P, [theta, theta], 1000)
+            below = mk.exp_functional([0.5, 0.5], P, [theta, theta], 700)
+        assert below == pytest.approx(np.exp(700 * theta), rel=1e-12)
+        assert str(err.value) == (f"exp_functional at n = 1000, theta = {[theta, theta]} is {value}, "
+                                  "not a finite nonzero double")
 
     def test_single_step(self):
         P = mk.skeleton_transition(Q21, 0.5)

@@ -375,6 +375,36 @@ class TestCli:
         assert len(doc["qbar"]["exp_functional"]) == 2
         assert doc["qbar"]["invariant_measure"] == pytest.approx([1 / 3, 2 / 3])
 
+    @pytest.mark.parametrize("theta, n, what, value", [
+        ("5,5", 1000, "exp_functional", "inf"), ("1,1", 800, "exp_functional", "inf"),
+        ("-5,-5", 1000, "exp_functional", "0"), ("-3,-1", 589, "perron_root_tilted**n", "0"),
+    ])
+    def test_spectral_refuses_values_beyond_the_doubles(self, theta, n, what, value):
+        # once an OverflowError or a ZeroDivisionError traceback (exit 1),
+        # after a numpy overflow warning; at the last tilt the functional is
+        # a subnormal double and the root's power alone underflows
+        proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), f"--theta={theta}", "--n", f"60,{n}")
+        assert proc.returncode == 2 and proc.stdout == ""
+        tilt = [float(v) for v in theta.split(",")]
+        assert proc.stderr == (f"runtime error: {what} at n = {n}, theta = {tilt} is {value}, "
+                               "not a finite nonzero double\n")
+
+    def test_spectral_table_below_the_overflow_is_unchanged(self):
+        proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), "--theta=1,1", "--n", "500")
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert [doc[name]["exp_functional"][0]["ratio_to_root_pow_n"] for name in ("qbar", "qstar")] == [
+            0.9999999999999856, 1.0000000000000684]
+
+    @pytest.mark.parametrize("tau", ["200", "1000"])
+    def test_certify_refuses_tau_where_k_overflows(self, tau):
+        # once an OverflowError traceback from math.exp in k_tau (exit 1),
+        # while tau = 100 was refused (exit 2)
+        proc = run_cli("certify", str(FIXTURES / "lag_bound.json"), "--tau", tau)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (f"runtime error: K(tau) = inf >= 1: certificate undefined at tau = {float(tau)}; "
+                               "reduce tau below 0.0917476\n")
+
     def test_certify_emits_quantities(self):
         proc = run_cli("certify", str(FIXTURES / "linear_feedback.json"))
         assert proc.returncode == 0
