@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,31 +152,36 @@ def cmd_spectral(args):
     if sc.envelopes is None:
         raise ScenarioError("spectral quantities need declared envelopes")
     tau = args.tau if args.tau is not None else sc.tau
+    envelopes = [np.asarray(Q, dtype=float) for Q in (sc.envelopes.qbar, sc.envelopes.qstar)]
+    skeletons = [markov.skeleton_transition(Q, tau) for Q in envelopes]  # refuses a bad tau before theta reads it
     theta = np.array(args.theta) if args.theta else -6.0 * tau * sc.gains
     if theta.shape != (sc.M,):
         raise ScenarioError(f"--theta must have {sc.M} components")
     ns = args.n or [60, 80]
     doc = {"scenario_hash": sc.hash, "tau": tau, "theta": theta.tolist()}
-    for name, Q in (("qbar", sc.envelopes.qbar), ("qstar", sc.envelopes.qstar)):
-        P = markov.skeleton_transition(np.asarray(Q, dtype=float), tau)
-        mu = markov.invariant_measure(np.asarray(Q, dtype=float))
+
+    def power(lam, e, what):
+        try:
+            value = lam**e
+        except OverflowError:
+            value = math.inf
+        if not 0 < value < math.inf:
+            raise markov.MarkovError(f"perron_root_tilted**{what}, theta = {theta.tolist()} "
+                                     f"is {value:.6g}, not a finite nonzero double")
+        return value
+
+    for name, Q, P in zip(("qbar", "qstar"), envelopes, skeletons):
+        mu = markov.invariant_measure(Q)
         lam = markov.perron_root(markov.tilt(P, theta))
         table = []
         for n in ns:
             val = markov.exp_functional(mu, P, theta, n)
-            try:
-                root_n = lam**n
-            except OverflowError:
-                root_n = math.inf
-            if not 0 < root_n < math.inf:
-                raise markov.MarkovError(f"perron_root_tilted**n at n = {n}, theta = {theta.tolist()} "
-                                         f"is {root_n:.6g}, not a finite nonzero double")
-            table.append({"n": n, "value": val, "ratio_to_root_pow_n": val / root_n})
+            table.append({"n": n, "value": val, "ratio_to_root_pow_n": val / power(lam, n, f"n at n = {n}")})
         doc[name] = {
             "skeleton": P.tolist(),
             "invariant_measure": mu.tolist(),
             "perron_root_tilted": lam,
-            "per_unit_time_root": lam ** (1.0 / tau),
+            "per_unit_time_root": power(lam, 1.0 / tau, f"(1/tau) at tau = {tau}"),
             "exp_functional": table,
         }
     doc["eta"] = {
@@ -256,7 +262,9 @@ def cmd_mc(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of a process; each ``parse_args`` returns a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="switchsde",
         description="Simulate and certify feedback-stabilized regime-switching diffusions.",

@@ -127,9 +127,9 @@ def skeleton_transition(Q, tau) -> np.ndarray:
     stacked = np.ndim(tau) > 0
     taus = np.atleast_1d(np.asarray(tau, dtype=float)).tolist()
     for i, t in enumerate(taus):
-        if t <= 0:
+        if t <= 0 or not math.isfinite(t):
             where = f" (stack entry {i})" if stacked else ""
-            raise MarkovError(f"skeleton step must be positive, got {t}{where}")
+            raise MarkovError(f"skeleton step must be {'positive' if t <= 0 else 'finite'}, got {t}{where}")
     M = Q.shape[0]
     lam = float(np.max(-np.diag(Q)))
     if lam <= 0:

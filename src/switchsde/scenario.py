@@ -9,6 +9,7 @@ Expressions are strings in the exprlang grammar.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.resources
 import itertools
@@ -29,9 +30,10 @@ class ScenarioError(ValueError):
     pass
 
 
-def _schema():
+@functools.cache
+def _validator():
     text = importlib.resources.files("switchsde").joinpath("schema.json").read_text()
-    return json.loads(text)
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def _jsonify(obj):
@@ -42,8 +44,42 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+_esc = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _key(k):
+    if not (k is None or isinstance(k, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return k if isinstance(k, str) else _text(k, "")
+
+
+def _text(o, pad):
+    """``o`` as json.dumps writes it at ``pad``, a newline and its line's indent: exact floats
+    and bools first, then json's isinstance order (disjoint kinds but bool < int), then _jsonify."""
+    t = type(o)
+    if t is float or t is not dict and isinstance(o, float):
+        return _NONFINITE.get(r := float.__repr__(o), r)
+    if t is bool or o is None:
+        return _CONSTANTS[o]
+    if isinstance(o, str):
+        return _esc(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + pad + "]" if o else "[]"
+    if isinstance(o, dict):
+        items = [f"{_esc(k if type(k) is str else _key(k))}: {_text(v, inner)}" for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if o else "{}"
+    return _text(_jsonify(o), pad)
+
+
 def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonify)
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2,
+    default=_jsonify)``, without json's pure-Python encoder."""
+    return _text(doc, "\n")
 
 
 def scenario_hash(doc) -> str:
@@ -184,8 +220,7 @@ def load_scenario(source) -> Scenario:
         with open(source, encoding="utf-8") as fh:
             doc = json.load(fh)
 
-    validator = jsonschema.Draft202012Validator(_schema())
-    schema_errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
+    schema_errors = sorted(_validator().iter_errors(doc), key=lambda e: e.json_path)
     if schema_errors:
         msgs = [f"{e.json_path}: {e.message}" for e in schema_errors]
         raise ScenarioError("schema violations:\n  " + "\n  ".join(msgs))

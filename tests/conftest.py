@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import operator
@@ -19,6 +20,7 @@ from switchsde.coupling import (
 )
 from switchsde.exprlang import BinOp, Call, EvalError, Expr, Neg, Num, Var
 from switchsde.markov import UNIFORMIZATION_TERMS, MarkovError
+from switchsde.scenario import _jsonify
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = [
@@ -585,6 +587,17 @@ def per_step_rounds():
         yield
     finally:
         engine._ChunkRun = chunk_run
+
+
+def canonical_json_reference(doc) -> str:
+    """scenario.canonical_json as it stood when it called json.dumps, whose
+    indented output comes from json's pure-Python encoder: its bytewise
+    reference."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_jsonify)
+
+
+def scenario_hash_reference(doc) -> str:
+    return hashlib.sha256(canonical_json_reference(doc).encode()).hexdigest()[:16]
 
 
 def write_csv_reference(path, out, scenario_hash):

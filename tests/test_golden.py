@@ -25,6 +25,9 @@ three simulate hashes of paths with no jump in either stream stayed.  The
 sha256 of ``certify`` JSON, swept over tau and at each fixture's own tau, and
 of one ``spectral`` run pin the certificate's bytes.  Runs of 600 steps on the
 fixtures whose rates read x cross two step-block boundaries on every route.
+The sha256 of one ``couple`` table, of every fixture's ``validate --echo`` on
+stdout and of the metadata that ``simulate --coupled`` prints pin the
+remaining ``canonical_json`` call sites of the CLI.
 """
 
 import hashlib
@@ -251,6 +254,28 @@ SPECTRAL_ARGS = ["--theta", "0.3,-0.2,0.1", "--tau", "0.25"]
 SPECTRAL_GOLDEN = "ac6d0c9248ade7ce7b02758ed4a4d1e2411efae1d1da6d7e8dba3a1c007b8ef7"
 
 
+# couple --x 2.0 on three_state_rational, validate --echo on stdout, and the
+# metadata simulate --coupled prints at SIZE with --out path.csv; taken before
+# canonical_json stopped going through json.dumps
+COUPLE_GOLDEN = "1127c5a07476f62144c057ac4f5451902b7ca090dcb0736ca7a6159f63ef6a65"
+ECHO_GOLDEN = {
+    "lag_bound": "489e461ef1b275abd263884024637d06526d4f496156da044704cb73ed1b26ed",
+    "linear_feedback": "917363cf90f4aa6293ea43672a3bcd686ced23654e3702f636f8de00571ecb6a",
+    "linear_unstable": "2e1f60d155bd02eae836a6b4a70f37a7eb61b7cc7c2fa6afe29477b1f0172286",
+    "three_state_rational": "6f3620b5a9e768647ab5b9d3e89d50f530e8ace3c83d80cee66222dc550b6cbb",
+    "two_state_balanced": "fded1c06de6be3778fbb34e2f13437acc6bd5ea14f6cfecd00445f59cb6182ea",
+    "two_state_trig": "39c0a551acc79ccc8ddbaebbf6576f3979b765f26fd58f9ab763f089dde952a9",
+}
+SIMULATE_META_GOLDEN = {
+    "lag_bound": "dda4d7464287b5d09bac342d55592c1905213fb59758066d2f923917052224d3",
+    "linear_feedback": "a90595c78b97dcbc9b2c5e4dcddaf8dfb1c62e8a814408c91526d183fa035a6a",
+    "linear_unstable": "6b7f794e3ae9b7938932efde860a2e8ece37c078650caa8a40b5f1124bed5c48",
+    "three_state_rational": "4f3d1dc1791ad695228ef549f3b359ea7ba6ad81a29a54beaf996bbebd8e98a4",
+    "two_state_balanced": "af21b695d7b7e6049cd1cd389a24f83a88767e4bac75046a5349c18be44c79cd",
+    "two_state_trig": "1bc10d33b24c6cf6b434502ec62cc8a674e1b79ddf95a850f0c88ce7631045f7",
+}
+
+
 def six_state_birth_death():
     """Birth-death chain on six states with up rates 1 + 0.5 sin(x1)^2 and
     down rates 1 + 0.5 cos(x1)^2; the envelopes take the extreme rates, which
@@ -426,3 +451,31 @@ def test_golden_spectral(tmp_path, capsys):
     assert cli.main(["spectral", fx, *SPECTRAL_ARGS, "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha256(out) == SPECTRAL_GOLDEN
+
+
+def _stdout_sha256(capsys, argv):
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_golden_couple(tmp_path, capsys):
+    out = tmp_path / "couple.json"
+    fx = str(FIXTURES / "three_state_rational.json")
+    assert cli.main(["couple", fx, "--x", "2.0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out) == COUPLE_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(ECHO_GOLDEN))
+def test_golden_validate_echo(name, capsys):
+    fx = str(FIXTURES / f"{name}.json")
+    assert _stdout_sha256(capsys, ["validate", fx, "--echo"]) == ECHO_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_META_GOLDEN))
+def test_golden_simulate_metadata(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the metadata names the --out path
+    fx = str(FIXTURES / f"{name}.json")
+    argv = ["simulate", fx, "--coupled", *SIZE, "--out", "path.csv"]
+    assert _stdout_sha256(capsys, argv) == SIMULATE_META_GOLDEN[name]

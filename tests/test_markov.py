@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -328,6 +329,19 @@ class TestStacks:
             with pytest.raises(mk.MarkovError) as exc:
                 mk.skeleton_transition(Q21, bad)
             assert str(exc.value) == f"skeleton step must be positive, got {bad}"
+
+    def test_non_finite_tau_names_its_entry(self):
+        # inf once died in math.ceil with an OverflowError, nan with a
+        # ValueError, neither naming the step
+        for bad in (math.inf, math.nan):
+            with pytest.raises(mk.MarkovError) as exc:
+                mk.skeleton_transition(Q21, [0.1, 0.2, bad, 0.4])
+            assert str(exc.value) == f"skeleton step must be finite, got {bad} (stack entry 2)"
+            with pytest.raises(mk.MarkovError) as exc:
+                mk.skeleton_transition(Q21, bad)
+            assert str(exc.value) == f"skeleton step must be finite, got {bad}"
+        with pytest.raises(mk.MarkovError, match="must be positive, got -inf"):
+            mk.skeleton_transition(Q21, -math.inf)
 
     def test_bad_matrix_names_its_entry(self):
         stack = mk.skeleton_transition(Q22, [0.1, 0.5, 1.0, 2.0])

@@ -1,14 +1,25 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde import cli, engine
 from switchsde import scenario as sn
-from tests.conftest import FIXTURE_NAMES, FIXTURES, make_scenario, write_csv_reference, write_scenario
+from tests.conftest import (
+    FIXTURE_NAMES,
+    FIXTURES,
+    canonical_json_reference,
+    make_scenario,
+    scenario_hash_reference,
+    write_csv_reference,
+    write_scenario,
+)
 
 
 class TestSchema:
@@ -120,6 +131,91 @@ class TestCanonicalForm:
         doc = make_scenario()
         shuffled = dict(reversed(list(doc.items())))
         assert sn.scenario_hash(doc) == sn.scenario_hash(shuffled)
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+_FLOATS = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_INTS = st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70).flatmap(lambda n: st.sampled_from([n, -n]))
+_TEXT = st.one_of(
+    st.text(), st.text(st.characters(max_codepoint=0x1F)), st.sampled_from(["\ud800", "\x7f\u2028\U0001f600", "\u00e9"])
+)
+_NUMPY = st.one_of(
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(st.floats(width=32), max_size=4).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=3).map(np.array),
+)
+
+
+class _Float(float):
+    """Subclasses whose own repr and str json does not read."""
+
+    def __repr__(self):
+        return "subclass repr"
+
+    __str__ = __repr__
+
+
+class _Int(int):
+    __repr__ = __str__ = _Float.__repr__
+
+
+class _Str(str):
+    __repr__ = __str__ = _Float.__repr__
+
+
+_SUBCLASSES = _FLOATS.map(_Float) | _INTS.map(_Int) | _TEXT.map(_Str)
+_LEAVES = _FLOATS | _INTS | st.booleans() | st.none() | _TEXT | _NUMPY | _SUBCLASSES
+# keys of one dict are mutually orderable, as json's sort_keys needs: text,
+# or numbers and bools (np.float64 is a float), or None alone
+_NUMBER_KEYS = _FLOATS | _INTS | st.booleans() | _FLOATS.map(np.float64) | _FLOATS.map(_Float) | _INTS.map(_Int)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT | _TEXT.map(_Str), children, max_size=4),
+        st.dictionaries(_NUMBER_KEYS, children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+_DOCUMENTS = st.recursive(_LEAVES, _containers, max_leaves=24)
+
+
+class TestCanonicalWriter:
+    """canonical_json against json.dumps(sort_keys=True, indent=2,
+    default=_jsonify), its reference in conftest."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_same_bytes_as_json(self, doc):
+        assert sn.canonical_json(doc) == canonical_json_reference(doc)
+        assert sn.scenario_hash(doc) == scenario_hash_reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"sweep": [{"tau": 0.5, "passed": True, "rho": -1e-05}], "best": None, "x": (1, 2**64, -0.0)},
+        {2: "b", 10: "a", 1.5: [], True: {}, -math.inf: [[]]},
+        {math.nan: 1}, {None: np.arange(3)}, {np.float64(0.25): np.float32(0.1)}, [], {}, "é\n", 5e-324,
+        {_Float(1.5): [_Int(7), _Str("s")], _Int(2): _Float(-math.inf)},
+    ])
+    def test_examples(self, doc):
+        assert sn.canonical_json(doc) == canonical_json_reference(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: 0, "a": 0}, {None: 0, 1: 0}, {(1, 2): 0}, {np.int64(1): 0}, {np.bool_(True): 0}, [object()], {"a": {1j}},
+    ])
+    def test_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError) as want:
+            canonical_json_reference(doc)
+        with pytest.raises(TypeError) as got:
+            sn.canonical_json(doc)
+        assert str(got.value) == str(want.value)
 
 
 def run_cli(*argv):
@@ -389,6 +485,26 @@ class TestCli:
         assert proc.stderr == (f"runtime error: {what} at n = {n}, theta = {tilt} is {value}, "
                                "not a finite nonzero double\n")
 
+    @pytest.mark.parametrize("theta, value", [("10,10", "inf"), ("-10,-10", "0")])
+    def test_spectral_refuses_a_per_unit_time_root_beyond_the_doubles(self, theta, value):
+        # 10,10 once died in lam ** (1 / tau) with an OverflowError traceback
+        # (exit 1); -10,-10 printed per_unit_time_root 0.0
+        proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), f"--theta={theta}", "--tau", "0.01",
+                       "--n", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        theta_list = [float(v) for v in theta.split(",")]
+        assert proc.stderr == (f"runtime error: perron_root_tilted**(1/tau) at tau = 0.01, theta = {theta_list} "
+                               f"is {value}, not a finite nonzero double\n")
+
+    @pytest.mark.parametrize("tau", ["inf", "nan"])
+    def test_spectral_refuses_a_non_finite_tau(self, tau):
+        # inf once died in the skeleton's math.ceil with an OverflowError
+        # traceback (exit 1) after numpy's warning on -6 tau gains; nan exited
+        # 2 with "cannot convert float NaN to integer"
+        proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), "--tau", tau, "--n", "5")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"runtime error: skeleton step must be finite, got {tau}\n"
+
     def test_spectral_table_below_the_overflow_is_unchanged(self):
         proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), "--theta=1,1", "--n", "500")
         assert proc.returncode == 0 and proc.stderr == ""
@@ -476,6 +592,40 @@ class TestCli:
         assert doc["scenario_hash"] == sn.scenario_hash(
             sn.load_scenario(fx).raw | {"horizon": 0.5, "paths": 8, "seed": 3}
         )
+
+
+class TestParserReuse:
+    """main builds its parser once per process; calls in one process must not
+    see each other's options."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        mc_fx = str(FIXTURES / "two_state_balanced.json")
+        cert_fx = str(FIXTURES / "linear_feedback.json")
+        mc = ["mc", mc_fx, "--paths", "16", "--horizon", "0.5"]
+        jobs = {
+            "mc-stride": [*mc, "--coupled", "--record-stride", "3"],
+            "mc": mc,
+            "certify-tau": ["certify", cert_fx, "--tau", "0.02"],
+            "certify": ["certify", cert_fx],
+        }
+        cli.build_parser.cache_clear()
+        in_process, usage = {}, []
+        for name, argv in jobs.items():
+            assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0
+            in_process[name] = (tmp_path / name).read_bytes()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["simulate", mc_fx])
+            assert exc.value.code == 2
+            usage.append(capsys.readouterr())
+        assert cli.build_parser.cache_info().misses == 1
+        assert usage[0] == usage[1] and usage[0].err.endswith("error: simulate requires --out\n")
+        for name, argv in jobs.items():
+            assert run_cli(*argv, "--out", str(tmp_path / f"{name}.fresh")).returncode == 0
+            assert in_process[name] == (tmp_path / f"{name}.fresh").read_bytes(), name
+        fresh = run_cli("simulate", mc_fx)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", usage[0].err)
+        assert in_process["mc"] != in_process["mc-stride"] and in_process["certify"] != in_process["certify-tau"]
 
 
 def _hand_path(d, coupled, jumps, h=0.1, n=8):
