@@ -19,7 +19,7 @@ from .engine import (
     simulate_coupled,
     simulate_hybrid,
 )
-from .exprlang import EvalError, ParseError, evaluate, parse, to_source
+from .exprlang import ParseError, parse, to_source
 from .markov import (
     exp_functional,
     invariant_measure,
@@ -37,7 +37,7 @@ __all__ = [
     "check_two_state_conditions", "extremal_envelopes",
     "full_coupling_generator", "HybridPath", "McSummary", "SimParams",
     "monte_carlo", "occupation_time_average", "simulate_coupled",
-    "simulate_hybrid", "EvalError", "ParseError", "evaluate", "parse",
+    "simulate_hybrid", "ParseError", "parse",
     "to_source", "exp_functional", "invariant_measure", "perron_root",
     "skeleton_transition", "spectral_abscissa", "tilt", "validate_generator",
     "Scenario", "load_scenario", "scenario_hash", "validate_scenario",

@@ -118,6 +118,8 @@ def cmd_couple(args):
     x = np.array(args.x, dtype=float)
     if x.shape != (sc.d,):
         raise ScenarioError(f"--x must have {sc.d} component(s)")
+    if not np.isfinite(x).all():
+        raise ScenarioError(f"--x must be finite, got {x.tolist()}")
     if args.pair and not all(1 <= v <= sc.M for v in args.pair):
         raise ScenarioError(f"--from {args.pair[0]},{args.pair[1]}: states run from 1 to {sc.M}")
     Qx = sc.rates.at(x)
@@ -151,6 +153,8 @@ def cmd_spectral(args):
     sc = _load(args)
     if sc.envelopes is None:
         raise ScenarioError("spectral quantities need declared envelopes")
+    if not math.isfinite(args.p):
+        raise ScenarioError(f"--p must be finite, got {args.p}")
     tau = args.tau if args.tau is not None else sc.tau
     envelopes = [np.asarray(Q, dtype=float) for Q in (sc.envelopes.qbar, sc.envelopes.qstar)]
     skeletons = [markov.skeleton_transition(Q, tau) for Q in envelopes]  # refuses a bad tau before theta reads it

@@ -10,11 +10,12 @@ block's (step, path) cells, a uniform cell for each, then three uniforms each
 A path's variates therefore do not depend on chunk_size, on the worker count
 or on n_paths.  A run advances a range of global path indices and draws the
 whole groups under it: mc a chunk, simulate the requested path alone.
-mc processes paths in fixed-width chunks vectorized with numpy; per-path
-statistics are reduced chunk by chunk in path order for bit-reproducible
-aggregation, so mc floats depend on chunk_size at the ulp level.  Each step
-evaluates the drift and the diffusion at full width once per distinct
-expression tree; the regimes that share a tree share its values.
+mc processes paths in fixed-width chunks vectorized with numpy, keeps float
+statistics per piece, the paths of a 64-path group in a chunk, and reduces
+them once in group order: no mc byte depends on the worker count or on a
+chunk_size that is a multiple of 64; other widths agree up to rounding.
+Each step evaluates the drift and the diffusion at full width once per
+distinct expression tree; the regimes that share a tree share its values.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the mark space a chain can read: the exit-rate bound H on the marginal route,
@@ -257,11 +258,9 @@ def _philox(seed: int, kind: int, group: int) -> np.random.Generator:
 
 @dataclass
 class _ChunkResult:
-    n_active: int
-    sum_x2: np.ndarray
-    m2_x2: np.ndarray  # sum of squared deviations of |X|^2 from the chunk mean
-    sum_lag2: np.ndarray
-    occupation: np.ndarray  # (3, M) time sums; rows follow CHAIN_NAMES
+    sizes: np.ndarray  # (pieces,) paths; a piece holds the paths of one 64-path group in the chunk
+    stats: np.ndarray  # (3, n_rec, pieces): _ChunkRun.stats
+    occupation: np.ndarray  # (3, M, pieces) time sums; rows follow CHAIN_NAMES
     skeleton_counts: np.ndarray  # (3, M, M)
     tail_exceed: int
     path: HybridPath | None = None
@@ -309,11 +308,19 @@ class _ChunkRun:
         self.sigma_groups = _tree_groups([tuple(map(tuple, mat)) for mat in sc.diffusion])
 
         self.rec_index = {k: r for r, k in enumerate(params.record_steps())}
-        n_rec = len(self.rec_index)
-        self.sum_x2 = np.zeros(n_rec)
-        self.m2_x2 = np.zeros(n_rec)
-        self.sum_lag2 = np.zeros(n_rec)
-        self.occ = np.zeros((3, M))
+        # each path's piece, the paths of its 64-path group in the range: the
+        # float statistics are kept per piece, for _merge to reduce in group order
+        self._piece = (np.arange(na) + paths.start % _GROUP) // _GROUP
+        self._starts = np.flatnonzero(np.diff(self._piece, prepend=-1))
+        self._sizes = np.diff(self._starts, append=na)
+        n_pieces = len(self._sizes)
+        # at each recording time: the sum of |X|^2, its squared deviations
+        # from the piece mean, and the sum of |X - X_obs|^2
+        self.stats = np.zeros((3, len(self.rec_index), n_pieces))
+        # the occupation per chain, state and piece: whole steps, and the
+        # times left in the moves' steps (_book_block)
+        self.occ_steps = np.zeros((3, M, n_pieces), dtype=np.int64)
+        self.occ_rem = np.zeros((3, M, n_pieces))
         self._log = []  # the moves since the step block began
         self.skel = np.zeros((3, M, M), dtype=np.int64)
         self.prev_obs_states = None
@@ -353,11 +360,16 @@ class _ChunkRun:
 
     # -- bookkeeping
 
+    @property
+    def occ(self):
+        """The occupation times booked so far, (3, M, pieces)."""
+        return self.h * self.occ_steps + self.occ_rem
+
     def _record_stats(self, r):
-        x2 = (self.X**2).sum(axis=1)
-        self.sum_x2[r] = x2.sum()
-        self.m2_x2[r] = ((x2 - self.sum_x2[r] / self.na) ** 2).sum()
-        self.sum_lag2[r] = ((self.X - self.X_obs) ** 2).sum()
+        x2, lag2, starts = (self.X**2).sum(axis=1), ((self.X - self.X_obs) ** 2).sum(axis=1), self._starts
+        s = np.add.reduceat(x2, starts)
+        dev = x2 - (s / self._sizes)[self._piece]
+        self.stats[:, r] = s, np.add.reduceat(dev * dev, starts), np.add.reduceat(lag2, starts)
 
     def _record_grid(self, k):
         self.rX[k] = self.X[0]
@@ -460,38 +472,31 @@ class _ChunkRun:
         """Book the moves logged in the step block from ``k0``, which began in
         the states ``S0``, as the per-step rounds would: the occupation, the
         recorded path's jumps, each move's path, offset, step and round read
-        from the candidate table.  Returns each move's chain row, call number
-        in its round, path, step, round and new state."""
-        h, M, na = self.h, self.M, self.na
+        from the candidate table.  Whole steps count in integers: the block's
+        steps go to its start states, and a move at step s moves the steps
+        after s and the time left in s, h - offset, from its old state to its
+        new one.  Those times go to the path's piece in one ordered update
+        sorted by (step, round, call, sign, path); ufunc.at applies them one
+        by one, and a - v == a + (-v).  Returns each move's chain row, call
+        number in its round, path, step, round and new state."""
+        M, na = self.M, self.na
         log, self._log = self._log, []
         sizes = [len(e[2]) for e in log]
         row, call = (np.repeat(np.array([e[k] for e in log], dtype=np.int64), sizes) for k in (0, 1))
         cand, old, new = (np.concatenate([e[k] for e in log] or [np.zeros(0, np.int64)]) for k in (2, 3, 4))
         path, step, rnd, offs = self._p[cand], self._step[cand], self._rnd[cand], self._offs[cand]
-        cells = 3 * M
-        # populations at every step's start, from integer counts: the values
-        # the per-step increments reach
-        delta = (np.bincount(step * cells + row * M + new, minlength=steps * cells)
-                 - np.bincount(step * cells + row * M + old, minlength=steps * cells)).reshape(steps, cells)
-        pop0 = np.bincount((np.arange(3)[:, None] * M + S0).ravel(), minlength=cells)
-        pop = pop0 + np.cumsum(delta, axis=0) - delta
-        # one ordered update: each step's pop * h, then round by round and
-        # call by call the subtractions, then the additions, paths ascending,
-        # sorted by one key (step, round, call, sign, path); ufunc.at applies
-        # them one by one, and a - v == a + (-v)
-        n_rnd, n_call = int(rnd.max(initial=0)) + 2, int(call.max(initial=0)) + 1
-        sub = ((step * n_rnd + rnd + 1) * n_call + call) * 2 * na + path
-        keys = np.concatenate([np.repeat(np.arange(steps) * (n_rnd * n_call * 2 * na), cells), sub, sub + na])
-        at = np.concatenate([np.tile(np.arange(cells), steps), row * M + old, row * M + new])
-        rem = h - offs
-        val = np.concatenate([(pop * h).ravel(), -rem, rem])
-        order = np.argsort(keys, kind="stable")
-        np.add.at(self.occ.reshape(-1), at[order], val[order])
+        np.add.at(self.occ_steps, (np.arange(3)[:, None], S0, self._piece), steps)
+        at = np.concatenate([row * M + old, row * M + new]) * len(self._sizes) + np.tile(self._piece[path], 2)
+        left, rem = steps - 1 - step, self.h - offs
+        np.add.at(self.occ_steps.reshape(-1), at, np.concatenate([-left, left]))
+        n_rnd, n_call = int(rnd.max(initial=0)) + 1, int(call.max(initial=0)) + 1
+        sub = ((step * n_rnd + rnd) * n_call + call) * 2 * na + path
+        order = np.argsort(np.concatenate([sub, sub + na]), kind="stable")
+        np.add.at(self.occ_rem.reshape(-1), at[order], np.concatenate([-rem, rem])[order])
 
         if self.recording:  # the window is the recorded path alone: its moves by (step, round, call)
-            o = order - steps * cells
-            o = o[(o >= 0) & (o < len(row))]
-            tc = (k0 + step[o]) * h + offs[o]
+            o = order[order < len(row)]
+            tc = (k0 + step[o]) * self.h + offs[o]
             for r, *rec in zip(row[o].tolist(), tc.tolist(), (old[o] + 1).tolist(), (new[o] + 1).tolist()):
                 self.jump_rec[CHAIN_NAMES[r]].append(tuple(rec))
         return row, call, path, step, rnd, new
@@ -700,10 +705,8 @@ class _ChunkRun:
                 },
             )
         return _ChunkResult(
-            n_active=na,
-            sum_x2=self.sum_x2,
-            m2_x2=self.m2_x2,
-            sum_lag2=self.sum_lag2,
+            sizes=self._sizes,
+            stats=self.stats,
             occupation=self.occ,
             skeleton_counts=self.skel,
             tail_exceed=int((np.sqrt(self.tail_x2) > self.x0_norm).sum()),
@@ -818,33 +821,23 @@ def _pick(weights, u, denom=None):
 
 
 def _merge(results, sc, params, route, warnings) -> McSummary:
-    n_rec = results[0].sum_x2.shape[0]
-    sum_x2 = np.zeros(n_rec)
-    m2 = np.zeros(n_rec)  # of |X|^2, merged by Chan, Golub and LeVeque (1983)
-    sum_lag2 = np.zeros(n_rec)
-    occ = np.zeros_like(results[0].occupation)
-    skel = np.zeros_like(results[0].skeleton_counts)
-    tail = 0
-    n = 0
-    for res in results:  # ascending chunk order: deterministic float reduction
-        if n:
-            with np.errstate(over="ignore", invalid="ignore"):
-                m2 += (res.sum_x2 / res.n_active - sum_x2 / n) ** 2 * (n * res.n_active / (n + res.n_active))
-        m2 += res.m2_x2
-        sum_x2 += res.sum_x2
-        sum_lag2 += res.sum_lag2
-        occ += res.occupation
-        skel += res.skeleton_counts
-        tail += res.tail_exceed
-        n += res.n_active
+    """Reduce the chunks' pieces once, stacked in path order; sum the integers."""
+    sizes = np.concatenate([res.sizes for res in results])
+    sum_x2, m2, sum_lag2 = np.concatenate([res.stats for res in results], axis=-1)
+    n = int(sizes.sum())
     times = np.array(params.record_steps()) * params.h
-    mean_x2 = sum_x2 / n
+    mean_x2 = sum_x2.sum(axis=-1) / n
     with np.errstate(over="ignore", invalid="ignore"):
+        # the squared deviations of |X|^2, merged by Chan, Golub and LeVeque (1983)
+        m2 = m2.sum(axis=-1) + (sizes * (sum_x2 / sizes - mean_x2[:, None]) ** 2).sum(axis=-1)
         x4 = m2 / n + mean_x2**2  # mean of |X|^4: not finite once the paths diverge
     if not np.isfinite(x4).all():
         t = times[np.flatnonzero(~np.isfinite(x4))[0]]
         raise EngineError(f"fourth moment of |X| is not finite at recording time t={t:.6g} (overflow)")
     se = np.sqrt(m2 / n / n)
+    occ = np.concatenate([res.occupation for res in results], axis=-1).sum(axis=-1)
+    skel = sum(res.skeleton_counts for res in results)
+    tail = sum(res.tail_exceed for res in results)
     coupled = route != "marginal"
     rows = (0, 1, 2) if coupled else (1,)
     occupation = {CHAIN_NAMES[cc]: occ[cc] / (n * params.horizon) for cc in rows}
@@ -853,7 +846,7 @@ def _merge(results, sc, params, route, warnings) -> McSummary:
         times=times,
         mean_x2=mean_x2,
         se_x2=se,
-        mean_lag2=sum_lag2 / n,
+        mean_lag2=sum_lag2.sum(axis=-1) / n,
         occupation=occupation,
         skeleton_counts=skeleton,
         tail_exceed_fraction=tail / n,

@@ -11,7 +11,6 @@ Trees are immutable; parse -> to_source -> parse is the identity on trees.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -29,10 +28,6 @@ class ParseError(ExprError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
-
-
-class EvalError(ExprError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -271,41 +266,6 @@ def max_variable(e: Expr) -> int:
     """Largest variable index used (0 for constant expressions)."""
     return _fold(e, lambda v: 0, lambda k: k, lambda a: a,
                  lambda name, args: max(args, default=0), lambda op, a, b: max(a, b))
-
-
-def evaluate(e: Expr, x) -> float:
-    """Evaluate at a point x (sequence of floats), with domain checks."""
-
-    def var(k):
-        if k > len(x):
-            raise EvalError(f"variable x{k} out of range for dimension {len(x)}")
-        return float(x[k - 1])
-
-    return _fold(e, lambda v: v, var, operator.neg, _eval_call, _eval_binop)
-
-
-_SCALAR_CALLS = {"sin": math.sin, "cos": math.cos, "abs": abs, "sqrt": math.sqrt, "min": min, "max": max}
-_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def _eval_call(name, args):
-    if name == "sqrt" and args[0] < 0:
-        raise EvalError(f"sqrt of negative value {args[0]}")
-    try:
-        return _SCALAR_CALLS[name](*args)
-    except ValueError as exc:  # sin and cos of an infinite argument
-        raise EvalError(f"{name} domain error: {args[0]}") from exc
-
-
-def _eval_binop(op, a, b):
-    if op == "/" and b == 0:
-        raise EvalError("division by zero")
-    if op != "^":
-        return _SCALAR_OPS[op](a, b)
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise EvalError(f"pow domain error: {a} ^ {b}") from exc
 
 
 def compile_vectorized(e: Expr):

@@ -96,19 +96,7 @@ class StabilityCertificate:
     conditions: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "tau": self.tau,
-            "k_tau": self.k_tau,
-            "eta_3C": self.eta_3C,
-            "lam_star": self.lam_star,
-            "lam_bar": self.lam_bar,
-            "lam_star_step": self.lam_star_step,
-            "lam_bar_step": self.lam_bar_step,
-            "lag_tilt_coefficient": self.lag_tilt_coefficient,
-            "passed": self.passed,
-            "rho": self.rho,
-            "conditions": self.conditions,
-        }
+        return dict(vars(self))
 
 
 def certify(qbar, qstar, C, c, b, Ma: float, tau: float) -> StabilityCertificate:

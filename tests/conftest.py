@@ -18,7 +18,7 @@ from switchsde.coupling import (
     EnvelopePair,
     offdiag,
 )
-from switchsde.exprlang import BinOp, Call, EvalError, Expr, Neg, Num, Var
+from switchsde.exprlang import BinOp, Call, Expr, Neg, Num, Var
 from switchsde.markov import UNIFORMIZATION_TERMS, MarkovError
 from switchsde.scenario import _jsonify
 
@@ -510,20 +510,25 @@ def candidate_rounds_reference(counts_block, u_all, na, h, R_cand):
 class PerCallBooking:
     """The occupation booking of the step-by-step rounds before every move
     was logged and booked once per step block, kept as the reference for
-    engine._ChunkRun._book_block: each step first books h to the states its
-    chains start in (``step``), and each call of a jump rule books its moves
-    as it makes them (``apply``), the time left in the step taken from the
-    old state and given to the new one, paths ascending.  ``S`` holds the
-    chain states, rows in engine.CHAIN_NAMES order."""
+    engine._ChunkRun._book_block: each step first books one whole step, an
+    integer, to the states its chains start in (``step``), and each call of
+    a jump rule books its moves as it makes them (``apply``), the time left
+    in the step taken from the old state and given to the new one, paths
+    ascending.  ``S`` holds the chain states, rows in engine.CHAIN_NAMES
+    order; ``occ`` is h times the whole steps plus the times left."""
 
     def __init__(self, S, M, h):
         self.S, self.M, self.h = S.copy(), M, h
-        self.occ = np.zeros((3, M))
-        # state population per chain, updated incrementally at jumps
-        self.pop = np.stack([np.bincount(row, minlength=M) for row in S]).astype(float)
+        self.steps = np.zeros((3, M), dtype=np.int64)
+        self.rem = np.zeros((3, M))
+
+    @property
+    def occ(self):
+        return self.h * self.steps + self.rem
 
     def step(self):
-        self.occ += self.pop * self.h  # whole step to the start states; jumps correct below
+        for row, states in zip(self.steps, self.S):
+            row += np.bincount(states, minlength=self.M)
 
     def apply(self, chain_row, pj, new, rem):
         states = self.S[chain_row]
@@ -533,11 +538,9 @@ class PerCallBooking:
             return
         pj, old, new, rem = pj[moved], old[moved], new[moved], rem[moved]
         states[pj] = new
-        occ_row = self.occ[chain_row]
-        np.subtract.at(occ_row, old, rem)
-        np.add.at(occ_row, new, rem)
-        # exact integer counts: the same bytes as per-index updates
-        self.pop[chain_row] += np.bincount(new, minlength=self.M) - np.bincount(old, minlength=self.M)
+        rem_row = self.rem[chain_row]
+        np.subtract.at(rem_row, old, rem)
+        np.add.at(rem_row, new, rem)
 
 
 class PerStepRounds(engine._ChunkRun):
@@ -634,11 +637,9 @@ def write_csv_reference(path, out, scenario_hash):
         fh.write("\n".join(lines) + "\n")
 
 
-# The three value walks of exprlang as they stood before they became rule
-# tables over one fold, kept verbatim (bar the names) as references for
-# max_variable, evaluate, compile_vectorized and constant_value; since then
-# evaluate raises EvalError for sin and cos of an infinite argument, and so
-# does its reference.
+# The value walks of exprlang as they stood before they became rule tables
+# over one fold, kept verbatim (bar the names) as references for max_variable,
+# compile_vectorized and constant_value.
 
 
 def max_variable_reference(e: Expr) -> int:
@@ -652,54 +653,6 @@ def max_variable_reference(e: Expr) -> int:
     if isinstance(e, BinOp):
         return max(max_variable_reference(e.left), max_variable_reference(e.right))
     return 0
-
-
-def evaluate_reference(e: Expr, x) -> float:
-    """Evaluate at a point x (sequence of floats), with domain checks."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > len(x):
-            raise EvalError(f"variable x{e.index} out of range for dimension {len(x)}")
-        return float(x[e.index - 1])
-    if isinstance(e, Neg):
-        return -evaluate_reference(e.arg, x)
-    if isinstance(e, Call):
-        args = [evaluate_reference(a, x) for a in e.args]
-        if e.name == "sqrt":
-            if args[0] < 0:
-                raise EvalError(f"sqrt of negative value {args[0]}")
-            return math.sqrt(args[0])
-        if e.name == "abs":
-            return abs(args[0])
-        if e.name in ("sin", "cos") and math.isinf(args[0]):
-            raise EvalError(f"{e.name} domain error: {args[0]}")
-        if e.name == "sin":
-            return math.sin(args[0])
-        if e.name == "cos":
-            return math.cos(args[0])
-        if e.name == "min":
-            return min(args)
-        return max(args)
-    if isinstance(e, BinOp):
-        a = evaluate_reference(e.left, x)
-        b = evaluate_reference(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            return a / b
-        try:
-            v = math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(f"pow domain error: {a} ^ {b}") from exc
-        return v
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def compile_vectorized_reference(e: Expr):

@@ -253,7 +253,7 @@ class TestCoupledRoutes:
         assert run.S[:, 0].tolist() == [0, 1, 1]
         run._book_block(S0, 0, 1)
         # the step books h to every chain's start state, the move h from state 2 to state 1
-        assert (run.occ - run.h * np.eye(2)[S0[:, 0]])[0].tolist() == [run.h, -run.h]
+        assert (run.occ[..., 0] - run.h * np.eye(2)[S0[:, 0]])[0].tolist() == [run.h, -run.h]
 
 
 def _with_crossings(run):
@@ -1154,33 +1154,83 @@ class TestWidthInvariance:
         assert len(seen) == 1
 
     @pytest.mark.parametrize("name, coupled", WIDTH_CASES)
-    def test_mc_ignores_workers_and_width_up_to_rounding(self, name, coupled):
+    def test_mc_bytes_ignore_workers_and_aligned_widths(self, name, coupled):
+        # the float statistics are kept per piece of a 64-path group and
+        # reduced once in group order, so widths that are multiples of 64
+        # give the same bytes; narrower widths split the groups and agree up
+        # to rounding.  300 paths end in a partial group of 44
         sc = sn.load_scenario(str(FIXTURES / f"{name}.json"))
-        docs = []
-        for width in WIDTHS:
-            one, two = (
-                json.dumps(en.monte_carlo(sc, en.SimParams.from_scenario(
-                    sc, n_paths=100, horizon=3.0, chunk_size=width, workers=workers), coupled).to_dict())
-                for workers in (1, 2)
-            )
-            assert one == two, width
-            docs.append(json.loads(one))
-        for doc in docs[1:]:
-            _assert_close(docs[0], doc)
+
+        def mc(width, workers=1):
+            p = en.SimParams.from_scenario(sc, n_paths=300, horizon=3.0, chunk_size=width, workers=workers)
+            return json.dumps(en.monte_carlo(sc, p, coupled).to_dict())
+
+        aligned = {mc(width, workers) for width in (64, 128, 2048, 8192) for workers in (1, 2)}
+        assert len(aligned) == 1
+        doc = json.loads(aligned.pop())
+        for width in (1, 7):
+            one = mc(width)
+            assert mc(width, 2) == one, width
+            _assert_close(doc, json.loads(one))
+
+
+class TestOccupationBooking:
+    def test_remainders_follow_the_per_call_order_on_each_piece(self):
+        # h times the whole steps, added last, hides the rounding of the
+        # times left in the steps, so compare those directly with the
+        # per-call reference, piece by piece: paths 60 to 67 lie in two
+        # 64-path groups.  Random moves, logged in the per-step order or
+        # shuffled, with two calls of a round on chains 0 and 2
+        sc = load(three_state_constant())
+        route, env, _ = en.choose_route(sc)
+        params = en.SimParams.from_scenario(sc, n_paths=100)
+        steps, h = 40, params.h
+        for shuffled in (False, True):
+            rng = np.random.default_rng(11)
+            start = rng.integers(0, 3, (3, 8))
+            refs = [PerCallBooking(start[:, :4], 3, h), PerCallBooking(start[:, 4:], 3, h)]
+            S, cand, log = start.copy(), [], []  # cand: (path, offset, step, round)
+            for k in range(steps):
+                for ref in refs:
+                    ref.step()
+                for rnd in range(rng.integers(1, 4)):
+                    base, offs = len(cand), h * rng.random(8)  # a candidate of every path
+                    cand += zip(range(8), offs, [k] * 8, [rnd] * 8)
+                    for call, row in enumerate((1, 2, 0, 2, 0, 2)):
+                        pj = np.sort(rng.choice(8, rng.integers(0, 7), replace=False))
+                        new = rng.integers(0, 3, len(pj))
+                        moved = S[row, pj] != new
+                        if moved.any():
+                            log.append((row, call, base + pj[moved], S[row, pj[moved]], new[moved]))
+                        S[row, pj] = new
+                        for half, ref in enumerate(refs):
+                            sel = pj // 4 == half
+                            ref.apply(row, pj[sel] - 4 * half, new[sel], h - offs[pj[sel]])
+            if shuffled:
+                log = [(row, call, *(a[i:i + 1] for a in e)) for row, call, *e in log for i in range(len(e[0]))]
+                rng.shuffle(log)
+            block = en._ChunkRun(sc, params, range(60, 68), route, env)
+            block._p, block._step, block._rnd = (np.array([c[i] for c in cand], dtype=np.int64) for i in (0, 2, 3))
+            block._offs, block._log = np.array([c[1] for c in cand]), log
+            block._book_block(start, 0, steps)
+            for piece, ref in enumerate(refs):
+                assert block.occ_steps[..., piece].tolist() == ref.steps.tolist()
+                assert block.occ_rem[..., piece].tobytes() == ref.rem.tobytes()
 
 
 class TestMerge:
     def test_se_x2_at_a_large_mean(self, ex_balanced):
-        # |X|^2 is 1e8 + 0.1 on one chunk and 1e8 - 0.1 on the other: the
+        # |X|^2 is 1e8 + 0.1 on one piece and 1e8 - 0.1 on the other: the
         # variance 0.01 is below the rounding of (1e8)^2, so only the merged
         # deviations (Chan, Golub and LeVeque) recover it
         params = en.SimParams(tau=0.5, h=0.5, horizon=0.5, seed=1, n_paths=4)
         results = []
         for v in (1e8 + 0.1, 1e8 - 0.1):
             x2 = np.array([v, v])
+            stats = np.zeros((3, 2, 1))  # one piece at both recording times
+            stats[0], stats[1] = x2.sum(), ((x2 - x2.mean()) ** 2).sum()
             results.append(en._ChunkResult(
-                n_active=2, sum_x2=np.full(2, x2.sum()), m2_x2=np.full(2, ((x2 - x2.mean()) ** 2).sum()),
-                sum_lag2=np.zeros(2), occupation=np.zeros((3, 2)),
+                sizes=np.array([2]), stats=stats, occupation=np.zeros((3, 2, 1)),
                 skeleton_counts=np.zeros((3, 2, 2), dtype=np.int64), tail_exceed=0,
             ))
         summ = en._merge(results, ex_balanced, params, "marginal", [])

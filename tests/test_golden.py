@@ -27,7 +27,12 @@ of one ``spectral`` run pin the certificate's bytes.  Runs of 600 steps on the
 fixtures whose rates read x cross two step-block boundaries on every route.
 The sha256 of one ``couple`` table, of every fixture's ``validate --echo`` on
 stdout and of the metadata that ``simulate --coupled`` prints pin the
-remaining ``canonical_json`` call sites of the CLI.
+remaining ``canonical_json`` call sites of the CLI.  Every ``mc`` hash was
+re-recorded once more when mc began to keep its float statistics per piece
+of a 64-path group and to reduce the pieces once in group order, with the
+occupation counted in whole steps plus the times left in the moves' steps:
+the sums round in another order, every float moved by at most 5e-15
+relative, and no integer, string or ``simulate`` byte moved.
 """
 
 import hashlib
@@ -43,27 +48,27 @@ SIZE = ["--paths", "64", "--horizon", "1"]
 
 GOLDEN = {
     "lag_bound": (
-        "81fc4aa7450bcf3156fced3abc8079d2ab53c4bfc7af03933cf478ad9024693e",
+        "0d6ee45fbdf1de3b299c911c319cc725eaac2ba52355a4a25ea77beb11e59126",
         "471a7802af10dd84fce8fd3fdea601544e9b68e5f8e343faa62c15caa37e32e3",
     ),
     "linear_feedback": (
-        "6d3c3d0c1d0af9eb84d98429796ee04c6489e6201effff7626f8a82f23ad5129",
+        "89ce48e75cdc1a2efcdde801acc309e6f2437d07c61195bd405d2cb6b2d82626",
         "f6d0f6792bdfe4a59abcb06dd60723e29fb02632823a8ee346ec5d1b9d7355a6",
     ),
     "linear_unstable": (
-        "79db44dd82c6c74aff9b7f19df3464f877df6e64656eee3c07b52ad918387c49",
+        "7195b45148f893145c313ae1fafd9629b6f144c45d344a2b042aa632d8deca08",
         "1138eadb8205e3e7124804d9125762d1b4b8a712a7e1360993265dfc7bc735ec",
     ),
     "three_state_rational": (
-        "2d3455185b1bba9cc066daa1efe0dc979ad389b9e40b7c103e64579e6647cd8d",
+        "c7156e732fda8b2f44bac9b0819af0cebb50ca073e3303d12cae15d5561a7155",
         "1d97725d9ca16c15792a6c1bee399eefa93398a15ec1b7d796ea12a366f69332",
     ),
     "two_state_balanced": (
-        "29bf376523fa085bd41e4e39fd6ec20706ddcbf83e8a62f5dbeed640b9a21346",
+        "a5c6560f86e3faf535384c9635853aa2aa1734c08597e454145df782d0264adb",
         "b2cca036a84649a3ded92fabac2e3d60622177323895702b8d6ef38109118270",
     ),
     "two_state_trig": (
-        "55b247b4dc359d6714ea8941b3e65a947d13353d58a2f2a9741a3d8f0b43b8a9",
+        "238b7136df22820cfee0c00d4aadca4c2a4c6f86b4e13853c6e061d7f6213788",
         "ac6a8ef311b98ecbadc42c9cb01f7fdb1be4589635e36f01e2bd9ed85fd37423",
     ),
 }
@@ -72,45 +77,45 @@ GOLDEN = {
 # the same runs without --coupled: the marginal route
 GOLDEN_MARGINAL = {
     "lag_bound": (
-        "e3d00ece4c137a1db27f9cc99f0401607e32f0e3651815d0447466249252d327",
+        "699676882050cdfcdc5a045f092f64251f43f845ecd31f29ffd31e23eda8082f",
         "3864cf058d3f901f842b8a2d23f373219df6cf5fdbb50fad8a38e15c8b19e7f4",
     ),
     "linear_feedback": (
-        "9552aa7dc2a73d90662f2467a74dd17794906de5a453e1d013fc72af3166a8f6",
+        "a8027a1a1687efb88e3bb335a12c95f065b1ae4dc36051d6b00989049a8191e7",
         "e797187d344912a77e57052ea3f0cc586821b0e3255bee441987d1175c4d11d7",
     ),
     "linear_unstable": (
-        "ff8cfa20d2560a8a0260131158a51ebf52c808033e792a93eb84628fe683d351",
+        "ab669d5a861de59132a4118fd06fb3925d0e22a48d9540efd4e5fa405ba5c7a0",
         "5889fc8268b730fad5803bf90a4a369c45cdb232a8d86d0b4f81591b444d7483",
     ),
     "three_state_rational": (
-        "2a58c4c00cbbc5fa185c3b70a649628a8152af1255428831a18c7574ab8d23e5",
+        "92cb70a6cd0d5b38399da726b7f1a80e91e05096fb424639b5ada02dd5650e17",
         "5c76bcaac056708cd39a8bbc92b4814f91afcfaaae3101c92ec73dab9c8fa3d3",
     ),
     "two_state_balanced": (
-        "56d6bb8580e105b49a28a8bdf1c8a54d10bd68b170f1b77b1615fce8cb0a906a",
+        "c2b6547a2498f6e88d8b51ddef16973343f42debdb953d2e6f653f553d7c95b7",
         "9b6347228425c6ee58861d58e7a75a58f0b844260e402d316d7ac377111e30c3",
     ),
     "two_state_trig": (
-        "f53ae567211a3067f94783f2aa6ac3480a4e7078623dec72d667c0a9d04cc8cd",
+        "ee64c542d2417472db9b568f98f186858b9eceedcc259cdfae156c76f8e797ee",
         "fdd3357de32231330275518ec3479927e6d6e4a77c08a5a64d1f1bfd32d7bfa8",
     ),
 }
 
 
 SIX_STATE_GOLDEN = (
-    "f2a5594d5fa2faa05179a5064e53a8cb9f0d9d60e3950d01b09315cf9340658e",
+    "00a0d914bcb211bdaa22f512c30169c7b32aa7ce55b078b31df13d0fa885b55d",
     "68c63e7e60be17492cd2f0d94d9a16a4319395542878118d12da88a16dceb550",
 )
 SIX_STATE_GOLDEN_MARGINAL = (
-    "a7e5841ff1e081ba03c1e0f4cc1ec5f063f0b201b273090b80a18c20514c42ee",
+    "04ce8eca96bd4c68f70a6ae9e3664fe2f96ffd212b2f283682a5bb8dc9c4b7cb",
     "d5e7032cead0339018672a2b2cf7c20041b3469290de2e4f2edc70cd2085be38",
 )
 
 
 # mc --coupled over two chunks (2,048 paths and 52) and simulate of the last path
 MULTI_CHUNK_GOLDEN = (
-    "2a28eb7f818c3f24b478a545854d8da857479a2be5ab9927a0ffd8246b1769ad",
+    "1f8900b30a5bdb0d89ad8fb6400f8e4beb4a88621912624b320e9a63f97e0e7f",
     "aaebe9b5c2f83607d8faeceda1686d1e38a60be3775a588e7c92833f4e5c7bce",
 )
 
@@ -119,15 +124,15 @@ MULTI_CHUNK_GOLDEN = (
 # marginal route
 INTERIOR_GOLDEN = {
     "three_state_rational": (
-        ("34cf443965c95ecf1e2d01d35d86fc7578eeef5283aa7f9c21c7b4b6c79aac12",
+        ("a56ee4dca4685a099e20fef9eae9615c5d18d2b04b5b254b445a06dee08d46bc",
          "1726e21b73cfb66222fb78f9fff9211691d852ce2086fde7900ddf7ba34745ce"),
-        ("ee2766ab8be6960cf23e0748a03107ad0d82af91aa739bd2062427ae5c199bc6",
+        ("80cb1ca6ef5c8d40bd5b9b6c7bc860bebf469f734a3902a50ff9724502ad8295",
          "eec3f2ec03f7976bb571a75e892faadd257040c3ac83732ec23a2a90422d8ca2"),
     ),
     "six_state": (
-        ("06654ca5826837b7a314fc40d35637551af7f8dee9efba46460acd572b698f6c",
+        ("6f89f15b511d4e2675d25a239f353c33a9a34418003b60f95f8e8dde2a09cb56",
          "19827374898a454a4942fe739d171abcff7ead275e1345a5b6911946e4945bde"),
-        ("3da2e625e5c7725a8caef1a3e7d8ebb7797cbb4b91a245c8d7267774d9b7413b",
+        ("8e66b1f96c70ccfbe7d4ccac97cad3b1124b4be40efc1b167d0b3364bbb02a93",
          "8bb817248c2e4a62904ab089a2035212edd391af8cdd0696f8da8daa889af22b"),
     ),
 }
@@ -139,21 +144,21 @@ INTERIOR_GOLDEN = {
 # step block
 MULTI_BLOCK_GOLDEN = {
     "three_state_rational": (
-        ("c37715c24e9572f537cf0f2883f04d457170b5a40814c13bad7d509d0ec5030b",
+        ("d110693083de8480e1af02f51b64e406481f4ca7b147c3eb5fd9d90ef0cb1587",
          "e847d7640c6f14c60ac990cfe54e2146a9fa32bfefc9eea0b23afa5a63fd27b5"),
-        ("9e7f8a2b50052ece066175ed18eb732bf5dfaa74c68d08f006f941acab011c9a",
+        ("7e443bfdf6c7c6040c2da364bf63e1e2b24cd4d397ad33fe57a8aadb1886d1b9",
          "70302b50649831beed2d1acb972d53c6f41a41261a32bea4260c9a50ee162bf2"),
     ),
     "two_state_balanced": (
-        ("234ae955de1bb3c8cd1c613fdc80e2e84f7020609ed7a5562a1c15f14f80c078",
+        ("c6c4fc03595ca5073d892224041311dd1d1fc4a4529d092c5e78567bd9590eab",
          "0b4e9233fd7d489d4d70593341b57cec29fcbbb20de2927e407ad7248e99bd7f"),
-        ("db11456372712021fe7f37cf5d2582dbeead3e89735077cf194d0e9f960ce4e5",
+        ("f1857dac4037050b4977e6904de141a557f8ee03014f5ca6534b49ab3a965d50",
          "7a6dd31367b19e74fa9de4229a52ed2ce5dc2e0cbad61c79c5b1a3510307d991"),
     ),
     "two_state_trig": (
-        ("231e64da21e89caf537839390306ebf3ece05233d86398da9e3a468b60cedfef",
+        ("16c0fbeadb96ef8cd08dabd5f7aa706014c21fca6a91578725d5f1c4ac0b55d1",
          "af3cdbcc18bd598e4027e2d2fb7c54f42527e3d1321f1efc1d76d23d813d3984"),
-        ("21e479331b39ef6fbb5d4028e18ca655eb49924c33a2c4e8afaa63cf6c634448",
+        ("13498a51424a9b39c0d868ede5110519a3a1fc62cca61b8ed9e0e3d6c2f3d29a",
          "b7e44549f318803a2ef7a623bb0b258ac0bac3e6ddbffc06230129f71c381dc3"),
     ),
 }
@@ -163,21 +168,21 @@ MULTI_BLOCK_GOLDEN = {
 # marginal route; taken before the engine grouped regimes by coefficient tree
 COEFFICIENT_GOLDEN = {
     "drift_2d": (
-        ("6b00c246cbec9538ffdeafa89377a6555205306f61a5f871f16acccd1910a302",
+        ("abd88e66b2e4234557df46651f0e05b00d687c68f9c15eac5d9206b3094e5dba",
          "2806cd3c859f3b9a46d523e1f6a7b7056791a03dea8a9c9bc5ec634363c306ce"),
-        ("1e88ff9dab577fe08829127365843639b6277341f32d2ebb8d057586b9e671cf",
+        ("01c201af15e50e2f5b81bc94b43e7ad3cf362ba51860666e770ea0d69bd82ea9",
          "4311a7db34cce2ef74e6fe8aba1d25b5bfe3f0c2fe6aa63258c9743ccf6f6e8b"),
     ),
     "sigma_1d": (
-        ("c0b34323b3fa6b87c5fffedd8ac05ad7f64cbf1c19c2a476de1f483d82ec3373",
+        ("f8e61214fb77fa94a5dcc83627c17753867dfe29e1f9905d43acb3a9d3b9aafd",
          "5b5bee63f6595c767d9da73d0ea4870908391f1025fe164ed099ccb73c345286"),
-        ("3fa02470257177adc9d08457056b6e58e96b5f1dc31142b2ea09bcce63d02e8c",
+        ("dd796769a200aa0bf2b44315ab14f2fbe5e4f5b58cd428373fb8cf6fd3a1fa67",
          "95a68a2dcb6c6eea862ba6cebddd7be4e14e8e79ee406542f98970e7a2746e36"),
     ),
     "sigma_2d": (
-        ("9d3cd116be664fa105e5af837bb4d112b9727bcd59f0cefa1ec1b3b803b40b3e",
+        ("18a7e7336315fb5a06f30cf79b109e8ba1f4117c707351934b970338df83f92b",
          "64525d005e4d744e71d3cd7a3959c84b162e038ed1d97fba830c0596ab4af68e"),
-        ("9ab3ca2924eeafa0f4c5ad41cf8cccfc9fb519cf39257adb017c95815893c398",
+        ("518e8243cdad7e8b206075eb649cd5f8a3b11d397947f64d80b60540bd832fcf",
          "584cd01633839cc423eea3cc47fda469b20f7dff4cebfecaab6cd3763a7bf85d"),
     ),
 }

@@ -371,6 +371,14 @@ class TestCli:
         assert "--from 3,1: states run from 1 to 2" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("x, shown", [("nan", "[nan]"), ("inf", "[inf]"), ("-inf", "[-inf]")])
+    def test_couple_refuses_a_non_finite_point(self, x, shown):
+        # once exit 0 with tables full of NaN, which is not standard JSON;
+        # inf after numpy's warning on cos
+        proc = run_cli("couple", str(FIXTURES / "two_state_trig.json"), f"--x={x}")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"validation error: --x must be finite, got {shown}\n"
+
     @pytest.mark.parametrize("pair", ["1", "a,b", "1,2,3"])
     def test_couple_malformed_pair_is_a_usage_error(self, pair):
         # once a ValueError traceback (exit 1)
@@ -504,6 +512,14 @@ class TestCli:
         proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), "--tau", tau, "--n", "5")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == f"runtime error: skeleton step must be finite, got {tau}\n"
+
+    @pytest.mark.parametrize("p", ["nan", "inf", "-inf"])
+    def test_spectral_refuses_a_non_finite_p(self, p):
+        # nan once exited 2 with "Array must not contain infs or NaNs", which
+        # named neither --p nor its value; inf printed numpy's warning first
+        proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), f"--p={p}")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"validation error: --p must be finite, got {p}\n"
 
     def test_spectral_table_below_the_overflow_is_unchanged(self):
         proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), "--theta=1,1", "--n", "500")
