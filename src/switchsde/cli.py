@@ -155,6 +155,8 @@ def cmd_spectral(args):
         raise ScenarioError("spectral quantities need declared envelopes")
     if not math.isfinite(args.p):
         raise ScenarioError(f"--p must be finite, got {args.p}")
+    if args.theta and not all(map(math.isfinite, args.theta)):
+        raise ScenarioError(f"--theta must be finite, got {args.theta}")
     tau = args.tau if args.tau is not None else sc.tau
     envelopes = [np.asarray(Q, dtype=float) for Q in (sc.envelopes.qbar, sc.envelopes.qstar)]
     skeletons = [markov.skeleton_transition(Q, tau) for Q in envelopes]  # refuses a bad tau before theta reads it

@@ -9,7 +9,11 @@ block's (step, path) cells, a uniform cell for each, then three uniforms each
 (offset, mark, auxiliary), so its cost follows the candidates, not the cells.
 A path's variates therefore do not depend on chunk_size, on the worker count
 or on n_paths.  A run advances a range of global path indices and draws the
-whole groups under it: mc a chunk, simulate the requested path alone.
+whole groups under it: mc a chunk, simulate the requested path alone.  A run
+of several step blocks over several groups draws block b + 1 on one helper
+thread while block b steps, into the other of two noise buffers; each stream
+is still read by one thread at a time in block order, so the variates do not
+change.
 mc processes paths in fixed-width chunks vectorized with numpy, keeps float
 statistics per piece, the paths of a 64-path group in a chunk, and reduces
 them once in group order: no mc byte depends on the worker count or on a
@@ -53,6 +57,8 @@ from the next grid node (consistent with the first-order scheme).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -323,6 +329,7 @@ class _ChunkRun:
         self.occ_rem = np.zeros((3, M, n_pieces))
         self._log = []  # the moves since the step block began
         self.skel = np.zeros((3, M, M), dtype=np.int64)
+        self._counted = np.arange(3) if self.coupled else np.array([1])  # the chain rows a run moves
         self.prev_obs_states = None
         self.tail_start = int(math.ceil(params.n_steps / 2))
         self.tail_x2 = np.zeros(na)  # maximum of |X|^2 over the tail
@@ -381,13 +388,14 @@ class _ChunkRun:
         self.X_obs = self.X.copy()
         self.fb = self.sc.gains[self.S[1]][:, None] * self.X_obs
         if count:
-            self._count_epoch(self.S.copy())
+            self._count_epoch(self.S[self._counted])  # a copy: S moves on
 
     def _count_epoch(self, cur):
-        """Count the chains' transitions from the last observation epoch."""
+        """Count the transitions from the last observation epoch of the chain
+        rows a run moves, whose states are ``cur``."""
         M = self.M
         if self.prev_obs_states is not None:
-            flat = (np.arange(3)[:, None] * M + self.prev_obs_states) * M + cur
+            flat = (self._counted[:, None] * M + self.prev_obs_states) * M + cur
             self.skel += np.bincount(flat.ravel(), minlength=3 * M * M).reshape(3, M, M)
         self.prev_obs_states = cur
 
@@ -599,6 +607,70 @@ class _ChunkRun:
 
     # -- main loop
 
+    def _step_block(self, block_start, off, xi_block, draws):
+        """Run the step block from ``block_start`` on its noise ``xi_block``
+        (group, step, column, d), the paths from column ``off``, and each
+        group's candidates ``draws``."""
+        h, obs_every, na, d, M = self.h, self.params.obs_every, self.na, self.d, self.M
+        bsz = xi_block.shape[1]
+        # the block's candidate table, which the rules read by index
+        *cand, bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
+        self._p, self._offs, self._marks, self._aux, self._step, self._rnd = cand
+        p, n, step = self._p, len(self._p), self._step
+        self._tc = (block_start + step) * h + self._offs
+        S0 = self.S.copy()  # the block's start states, which its booking reads
+        # lambda's state after each candidate and its pick, which the envelope rules read
+        self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
+        if self.state_free or self.coupled:  # the block rounds, each path's r-th candidate in round r
+            order, rb = _block_rounds(p)
+            self._rounds = [order[b0:b1] for b0, b1 in zip(rb, rb[1:])]
+        if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack
+            self._Roff = np.broadcast_to(self.R0, (n, M, M))
+            for c in self._rounds:
+                self._lambda_jump(c, None)
+            first, _, to_path, to_state = _last_moves(
+                bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, self._rnd, self._lam_new)
+            self.S[1] = S0[1]
+        else:
+            step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
+            self._Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
+        stop = None  # (candidate, error) where the steps fail
+
+        for kk in range(bsz):
+            k = block_start + kk
+            t = k * h
+            if k % obs_every == 0:  # a coupled run counts once its envelope chains moved
+                self._snapshot_obs(count=not self.coupled)
+            r = self.rec_index.get(k)
+            if r is not None:
+                self._record_stats(r)
+
+            xi = xi_block[:, kk].reshape(-1, d)[off:off + na]
+            X, lam = self.X, self.S[1]
+            Xn = X + (self._drift(X, lam) - self.fb) * h + self._noise_term(X, lam, xi) * self.sqrt_h
+            if k >= self.tail_start:  # sqrt once at the end: it is monotone
+                np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
+            if not np.isfinite(Xn).all():
+                bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
+                stop = int(np.searchsorted(step, kk)), EngineError(
+                    f"non-finite state at t={t + h:.6g}, path {self.paths[bad]} (overflow)"
+                )
+                break
+
+            if self.state_free:  # lambda's states after the step, from the pass ahead
+                a, b = first[kk], first[kk + 1]
+                if a < b:
+                    self.S[1, to_path[a:b]] = to_state[a:b]
+            else:
+                g0, g1 = step_first[kk], step_first[kk + 1]
+                if g0 < g1 and (stop := self._process_step(Xn, bounds[g0:g1 + 1])):
+                    break
+
+            self.X = Xn
+            if self.recording:
+                self._record_grid(k + 1)
+        self._finish_block(S0, block_start, bsz, stop)
+
     # a diverging state overflows, and its square before it, until the step
     # update raises for it; the error state is set once per run, not per step
     @np.errstate(over="ignore", invalid="ignore")
@@ -607,78 +679,39 @@ class _ChunkRun:
         h = self.h
         n_steps = params.n_steps
         obs_every = params.obs_every
-        na, d, M = self.na, self.d, self.M
         # the path groups g0, ..., g0 + ng - 1 hold the paths, each drawn
         # whole; laid side by side, the first path is column off
         g0, off = divmod(self.paths.start, _GROUP)
-        ng = (off + na - 1) // _GROUP + 1
+        ng = (off + self.na - 1) // _GROUP + 1
         gens = [(_philox(params.seed, _NOISE, g), _philox(params.seed, _JUMPS, g))
                 for g in range(g0, g0 + ng)]
+        blocks = range(0, n_steps, _STEP_BLOCK)
+        bufs = [np.empty((ng, min(_STEP_BLOCK, n_steps), _GROUP, self.d)) for _ in blocks[:2]]
 
-        for block_start in range(0, n_steps, _STEP_BLOCK):
-            bsz = min(_STEP_BLOCK, n_steps - block_start)
-            xi_block = np.empty((ng, bsz, _GROUP, d))
-            draws = []
+        def draw(b):
+            """Step block b's noise, into buffer b % 2, and each group's candidates."""
+            bsz = min(_STEP_BLOCK, n_steps - blocks[b])
+            xi_block, draws = bufs[b % 2][:, :bsz], []
             for j, (ngen, jgen) in enumerate(gens):
                 ngen.standard_normal(out=xi_block[j])
                 draws.append(_draw_candidates(jgen, bsz * _GROUP, self.R_cand * h))
-            # the block's candidate table, which the rules read by index
-            *cand, bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
-            self._p, self._offs, self._marks, self._aux, self._step, self._rnd = cand
-            p, n, step = self._p, len(self._p), self._step
-            self._tc = (block_start + step) * h + self._offs
-            S0 = self.S.copy()  # the block's start states, which its booking reads
-            # lambda's state after each candidate and its pick, which the envelope rules read
-            self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
-            if self.state_free or self.coupled:  # the block rounds, each path's r-th candidate in round r
-                order, rb = _block_rounds(p)
-                self._rounds = [order[b0:b1] for b0, b1 in zip(rb, rb[1:])]
-            if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack
-                self._Roff = np.broadcast_to(self.R0, (n, M, M))
-                for c in self._rounds:
-                    self._lambda_jump(c, None)
-                first, _, to_path, to_state = _last_moves(
-                    bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, self._rnd, self._lam_new)
-                self.S[1] = S0[1]
-            else:
-                step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
-                self._Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
-            stop = None  # (candidate, error) where the steps fail
+            return xi_block, draws
 
-            for kk in range(bsz):
-                k = block_start + kk
-                t = k * h
-                if k % obs_every == 0:  # a coupled run counts once its envelope chains moved
-                    self._snapshot_obs(count=not self.coupled)
-                r = self.rec_index.get(k)
-                if r is not None:
-                    self._record_stats(r)
-
-                xi = xi_block[:, kk].reshape(-1, d)[off:off + na]
-                X, lam = self.X, self.S[1]
-                Xn = X + (self._drift(X, lam) - self.fb) * h + self._noise_term(X, lam, xi) * self.sqrt_h
-                if k >= self.tail_start:  # sqrt once at the end: it is monotone
-                    np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
-                if not np.isfinite(Xn).all():
-                    bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
-                    stop = int(np.searchsorted(step, kk)), EngineError(
-                        f"non-finite state at t={t + h:.6g}, path {self.paths[bad]} (overflow)"
-                    )
-                    break
-
-                if self.state_free:  # lambda's states after the step, from the pass ahead
-                    a, b = first[kk], first[kk + 1]
-                    if a < b:
-                        self.S[1, to_path[a:b]] = to_state[a:b]
-                else:
-                    g0, g1 = step_first[kk], step_first[kk + 1]
-                    if g0 < g1 and (stop := self._process_step(Xn, bounds[g0:g1 + 1])):
-                        break
-
-                self.X = Xn
-                if self.recording:
-                    self._record_grid(k + 1)
-            self._finish_block(S0, block_start, bsz, stop)
+        # with more than one block and more than one path group, one helper
+        # thread draws block b + 1 while block b steps; each stream is still
+        # read by one thread at a time, in block order.  One group's draws,
+        # about 0.3 ms a block, cost less than handing them over.
+        pool = contextlib.nullcontext()
+        if len(blocks) > 1 and ng > 1:
+            from concurrent.futures import ThreadPoolExecutor  # imported only where a helper runs
+            pool = ThreadPoolExecutor(1)
+        with pool as helper:
+            take = functools.partial(draw, 0)
+            for b, block_start in enumerate(blocks):
+                xi_block, draws = take()
+                if b + 1 < len(blocks):
+                    take = helper.submit(draw, b + 1).result if helper else functools.partial(draw, b + 1)
+                self._step_block(block_start, off, xi_block, draws)
 
         if n_steps % obs_every == 0:
             self._snapshot_obs(count=True)

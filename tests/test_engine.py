@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 from contextlib import nullcontext
 from itertools import product
 from pathlib import Path
@@ -24,7 +26,7 @@ from tests.conftest import (
     state_dependent_twin,
     write_scenario,
 )
-from tests.test_golden import six_state_birth_death
+from tests.test_golden import BLOCK_BOUNDARY_GOLDEN, BLOCK_BOUNDARY_SIZES, six_state_birth_death
 
 
 def load(doc):
@@ -1105,12 +1107,65 @@ class TestReproducibility:
         assert a.to_dict() == b.to_dict()
 
     def test_cli_import_leaves_the_pool_out(self):
-        # only a run with several workers imports the process pool; a fresh
-        # interpreter shows what importing the CLI loads
-        code = "import sys, switchsde.cli; print('concurrent.futures.process' in sys.modules)"
+        # only a run with several workers imports the process pool, and only
+        # a run of several step blocks over several path groups the thread
+        # pool; a fresh interpreter shows what importing the CLI loads
+        code = "import sys, switchsde.cli; print('concurrent.futures' in sys.modules)"
         env = os.environ | {"PYTHONPATH": str(Path(en.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+
+class TestDrawAhead:
+    """A run of several step blocks over several path groups draws block
+    b + 1 on one helper thread while block b steps; block 0 is drawn inline,
+    a run of one block or of one group starts no thread, and no thread
+    outlives the run, whether it returns or raises."""
+
+    @pytest.mark.parametrize("n_paths, horizon, ahead", [(130, 1.6, True), (130, 0.2, False), (64, 1.6, False)],
+                             ids=["four-blocks", "one-block", "one-group"])
+    def test_blocks_after_the_first_are_drawn_on_one_helper(self, n_paths, horizon, ahead, monkeypatch):
+        draw, where = en._draw_candidates, []
+        monkeypatch.setattr(en, "_draw_candidates", lambda *a: where.append(threading.get_ident()) or draw(*a))
+        sc = sn.load_scenario(str(FIXTURES / "linear_feedback.json"))
+        p = en.SimParams.from_scenario(sc, n_paths=n_paths, horizon=horizon)
+        before = threading.active_count()
+        en.monte_carlo(sc, p, coupled=True)
+        assert threading.active_count() == before
+        groups, blocks = -(-n_paths // en._GROUP), -(-p.n_steps // en._STEP_BLOCK)
+        assert len(where) == groups * blocks and (blocks > 1 and groups > 1) == ahead
+        main, helpers = threading.get_ident(), set(where[groups:])
+        assert where[:groups] == [main] * groups
+        assert (main not in helpers and len(helpers) == 1) if ahead else helpers <= {main}
+
+    def test_bytes_hold_at_a_short_switch_interval(self, tmp_path, capsys):
+        # the handoff of each block's buffer and draws, with the interpreter
+        # switching threads as often as it can
+        size, _, _ = BLOCK_BOUNDARY_SIZES["four_blocks"]
+        out = tmp_path / "mc.json"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                assert cli.main(["mc", str(FIXTURES / "linear_feedback.json"), *size, "--out", str(out)]) == 0
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == BLOCK_BOUNDARY_GOLDEN["four_blocks"][1][0]
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n_paths", [8, 130])
+    def test_no_thread_outlives_a_failed_run(self, n_paths):
+        # test_overflow_reported's scenario fails in step block 2 of 4, on
+        # one path group and on three
+        sc = load(no_switching(
+            drift=[["300*x1"], ["300*x1"]], step=0.01, horizon=10.0,
+            coefficient_bounds={"C": [600.0, 600.0], "c": [600.0, 600.0], "Ma": 300.0},
+        ))
+        before = threading.active_count()
+        with pytest.raises(en.EngineError) as err:
+            en.monte_carlo(sc, en.SimParams.from_scenario(sc, n_paths=n_paths))
+        assert threading.active_count() == before
+        assert str(err.value) == "non-finite state at t=5.09, path 0 (overflow)"
 
 
 WIDTHS = (1, 7, 64, 2048, 8192)

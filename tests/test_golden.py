@@ -32,7 +32,10 @@ re-recorded once more when mc began to keep its float statistics per piece
 of a 64-path group and to reduce the pieces once in group order, with the
 occupation counted in whole steps plus the times left in the moves' steps:
 the sums round in another order, every float moved by at most 5e-15
-relative, and no integer, string or ``simulate`` byte moved.
+relative, and no integer, string or ``simulate`` byte moved.  Runs of
+linear_feedback, whose rates read no x, over two full step blocks and over
+four blocks in two chunks, the second also with two workers, pin the
+boundaries between the step blocks' draws.
 """
 
 import hashlib
@@ -160,6 +163,31 @@ MULTI_BLOCK_GOLDEN = {
          "af3cdbcc18bd598e4027e2d2fb7c54f42527e3d1321f1efc1d76d23d813d3984"),
         ("13498a51424a9b39c0d868ede5110519a3a1fc62cca61b8ed9e0e3d6c2f3d29a",
          "b7e44549f318803a2ef7a623bb0b258ac0bac3e6ddbffc06230129f71c381dc3"),
+    ),
+}
+
+
+# (mc, simulate) of linear_feedback, whose rates read no x, for --coupled and
+# for the marginal route: 100 paths over two full step blocks (512 steps)
+# recording path 37, and 2,100 paths in two chunks over four blocks, the last
+# one partial (800 steps), recording path 2099; taken before the next step
+# block's draws ran on a helper thread while a block steps
+BLOCK_BOUNDARY_SIZES = {  # (size, recorded path, steps)
+    "two_blocks": (["--paths", "100", "--horizon", "1.024"], 37, 512),
+    "four_blocks": (["--paths", "2100", "--horizon", "1.6"], 2099, 800),
+}
+BLOCK_BOUNDARY_GOLDEN = {
+    "two_blocks": (
+        ("8ed1d613f8b0b45cda930bb3faa65483bbcc128ddad18dd072df3a9eba827304",
+         "2c2851bf318544d2584569330f51c5ce69f60a46567682e3c26d756be46fbfe5"),
+        ("8007f0a1842fa6690eeb9e36a2e2888e7a388f64ad9a1ecf66167ef1e54e122a",
+         "bc1386087a71035ebb4957df6104e17008e0a31d87bf3b07211b35512ab2b7c1"),
+    ),
+    "four_blocks": (
+        ("04a0699c6ec3328fd476c7ba9e46fdf08c30b25887b9bc0d6c6e32a1d152a4d5",
+         "2a3e4993c417d22063c7e77797e7c36a66f15c32581b150b8948b3c7969b0690"),
+        ("84183fbd0794c80d4f1e0a7a4df8872c7da753f05c4f0dcb10bac94e27a4c050",
+         "e818953d125b59fe45eaa21e10261695494d7c47c0c530eb97cb534666d7d9ae"),
     ),
 }
 
@@ -418,6 +446,22 @@ def test_golden_multi_block(name, coupled, tmp_path, capsys):
     size = ["--paths", "100", "--horizon", "6"]
     got = _artifact_hashes(fx, tmp_path, capsys, coupled, size=size, path_index=37)
     assert got == MULTI_BLOCK_GOLDEN[name][0 if coupled else 1]
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "marginal"])
+@pytest.mark.parametrize("name", sorted(BLOCK_BOUNDARY_GOLDEN))
+def test_golden_block_boundaries(name, coupled, tmp_path, capsys):
+    fx = str(FIXTURES / "linear_feedback.json")
+    size, path_index, steps = BLOCK_BOUNDARY_SIZES[name]
+    sc = scenario.load_scenario(fx)
+    assert sc.rates.state_free and round(float(size[3]) / sc.step) == steps and engine._STEP_BLOCK == 256
+    want = BLOCK_BOUNDARY_GOLDEN[name][0 if coupled else 1]
+    assert _artifact_hashes(fx, tmp_path, capsys, coupled, size=size, path_index=path_index) == want
+    if int(size[1]) > engine.SimParams.chunk_size:  # the chunks' bytes do not depend on the worker count
+        out = tmp_path / "mc.json"
+        flag = ["--coupled"] if coupled else []
+        assert cli.main(["mc", fx, *flag, *size, "--workers", "2", "--out", str(out)]) == 0
+        assert _sha256(out) == want[0]
 
 
 @pytest.mark.parametrize("name", sorted(DOMINATION_GOLDEN))

@@ -521,6 +521,15 @@ class TestCli:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == f"validation error: --p must be finite, got {p}\n"
 
+    @pytest.mark.parametrize("theta, shown", [("nan,0", "[nan, 0.0]"), ("0,inf", "[0.0, inf]"),
+                                              ("-inf,0", "[-inf, 0.0]")])
+    def test_spectral_refuses_a_non_finite_theta(self, theta, shown):
+        # nan and inf once exited 2 with "Array must not contain infs or
+        # NaNs", which named neither --theta nor its value; -inf exited 0
+        proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), f"--theta={theta}")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"validation error: --theta must be finite, got {shown}\n"
+
     def test_spectral_table_below_the_overflow_is_unchanged(self):
         proc = run_cli("spectral", str(FIXTURES / "two_state_trig.json"), "--theta=1,1", "--n", "500")
         assert proc.returncode == 0 and proc.stderr == ""
