@@ -75,7 +75,7 @@ def _csv(kind):
 def cmd_validate(args):
     sc = _load(args)
     if args.echo:
-        _print_json(sc.raw)
+        _print_json(sc.raw, args.out)
         return 0
     rep = validate_scenario(sc)
     doc = {"scenario_hash": sc.hash, **rep.as_dict()}

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CHECK_TOL = 1e-9  # slack of the grid checks and of the exit-rate bound H
+NEG_TOL = 1e-12  # slack of a rate below 0, in validate and in the engine
 MAX_VIOLATIONS = 200  # domination violations kept in a report
 
 
@@ -384,34 +385,3 @@ def full_coupling_generator(Q1, Q2) -> np.ndarray:
         T[i, j] = -T.sum()
     return Qt.reshape(M * M, M * M)
 
-
-# ---------------------------------------------------------------------------
-# mark-space layout
-
-
-def row_block_pick(Roff, states, mark):
-    """Locate jumps out of ``states`` (0-based, (n,)) for marks in the
-    row-block layout of the off-diagonal rate stack ``Roff`` (n, M, M).
-
-    Every row's block starts at 0, since a chain reads only the row of its
-    current state: inside it the left-closed right-open target intervals
-    follow in state order with widths equal to the rates.  A row's block
-    ends at the last of its cumulative sums, the exit rate q_i, so every mark
-    inside the block lies below some target's upper edge; a mark at or above
-    q_i is no jump.
-
-    Returns (hit, target, width, u_in, q): whether the mark falls in the
-    source row's block, the target state, that interval's width, the mark's
-    position inside the interval as a fraction of the width, and the exit
-    rates of every state (n, M) that the layout was built from.
-    """
-    ar = np.arange(len(states))
-    cums = np.cumsum(Roff, axis=2)
-    q = cums[:, :, -1]
-    qi = q[ar, states]
-    rows = cums[ar, states]
-    hit = (mark >= 0) & (mark < qi)
-    tgt = (mark[:, None] < rows).argmax(axis=1)
-    width = Roff[ar, states, tgt]
-    u_in = (mark - (rows[ar, tgt] - width)) / np.maximum(width, 1e-300)
-    return hit, tgt, width, u_in, q

@@ -28,8 +28,9 @@ two-state interval route, whose shared mark lays both rows end to end.  At
 each candidate the diffusion value is linearly interpolated inside the step
 and a uniform mark decides the jump through the row-block layout, in which
 every row's block starts at 0, as a chain reads only the row of its current
-state (thinning; Lewis and Shedler 1979).  That layout exists once, as
-coupling.row_block_pick, which the marginal and matrix routes call.  A step
+state (thinning; Lewis and Shedler 1979).  The mark space lives here: its
+size, its regions, and one cumulative-interval pick, _pick, which lambda's
+row and the coupling-row regions of the matrix route share.  A step
 block's candidates are scheduled once, in rounds: round r holds the r-th
 candidate in time of every live path in its (step, path) cell.  The rules
 read that table, the step block's state, by candidate index.  Only the
@@ -71,7 +72,6 @@ _NOISE = 1
 _JUMPS = 2
 _STEP_BLOCK = 256
 _GROUP = 64  # paths per random-stream key
-_NEG_TOL = 1e-12  # the slack validate allows a rate below 0
 CHAIN_NAMES = ("lambda_star", "lambda", "lambda_bar")
 
 
@@ -196,26 +196,14 @@ class McSummary:
     x0_norm: float
 
     def to_dict(self):
-        return {
-            "scenario_hash": self.scenario_hash,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "tau": self.tau,
-            "h": self.h,
-            "horizon": self.horizon,
-            "coupled": self.coupled,
-            "route": self.route,
-            "x0_norm": self.x0_norm,
-            "times": self.times.tolist(),
-            "mean_x2": self.mean_x2.tolist(),
-            "se_x2": self.se_x2.tolist(),
-            "mean_lag2": self.mean_lag2.tolist(),
-            "occupation": {k: v.tolist() for k, v in self.occupation.items()},
-            "skeleton_counts": {k: v.tolist() for k, v in self.skeleton_counts.items()},
-            "tail_exceed_fraction": self.tail_exceed_fraction,
-            "ordering_violations": self.ordering_violations,
-            "warnings": self.warnings,
-        }
+        return _listed(vars(self))
+
+
+def _listed(v):
+    """``v`` with its arrays as lists, also inside dicts."""
+    if isinstance(v, dict):
+        return {k: _listed(x) for k, x in v.items()}
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def choose_route(sc: Scenario):
@@ -229,7 +217,7 @@ def choose_route(sc: Scenario):
         warnings.append("envelopes derived from the validation grid")
     for name in ("qbar", "qstar"):  # derived ones go below 0 only where the rates do on the grid
         off = cpl.offdiag(getattr(env, name))
-        if off.min() < -_NEG_TOL:
+        if off.min() < -cpl.NEG_TOL:
             i, j = np.unravel_index(int(off.argmin()), off.shape)
             raise EngineError(f"envelopes.{name}: negative rate {name}[{i + 1}][{j + 1}] = {off[i, j]:.6g}"
                               + ("" if sc.envelopes is not None else " (derived from the validation grid)"))
@@ -524,7 +512,7 @@ class _ChunkRun:
         M, M) at candidates ``c`` (points ``Xc``) is nonnegative and every
         exit rate ``q`` (n, M) stays within H; a NaN rate is not within it."""
         q_max = q.max()
-        if q_max <= self.H_max and Roff.min() >= -_NEG_TOL:
+        if q_max <= self.H_max and Roff.min() >= -cpl.NEG_TOL:
             return
         if q_max <= self.H_max:
             k, i, j = np.unravel_index(int(Roff.argmin()), Roff.shape)
@@ -541,18 +529,19 @@ class _ChunkRun:
         """The switching chain's rule at candidates ``c``, with the diffusion
         values there (None at rates that do not read x): the rate check, then
         the move under the route's layout, logged as call 0; a row-block mark
-        from L on is none of its jumps.  It keeps each candidate's new state
+        below 0 or from L on is none of its jumps.  It keeps each candidate's new state
         and, in the row-block layout, the pick's width and the mark's
         position in it."""
         Roff, mark, lam = self._Roff[c], self._marks[c], self.S[1, self._p[c]]
+        self._check_rate_bound(Roff, Roff.sum(axis=2), c, Xc)
         if self.route == "two_state":
-            self._check_rate_bound(Roff, Roff.sum(axis=2), c, Xc)
             new = _interval_move(lam, mark, Roff[:, 0, 1], Roff[:, 1, 0])
         else:
-            hit, tgt, width, u_in, q = cpl.row_block_pick(Roff, lam, mark)
-            self._check_rate_bound(Roff, q, c, Xc)
-            new = np.where(hit & (mark < self.L), tgt, lam)
-            self._lam_pick[:, c] = width, u_in
+            ar = np.arange(len(c))
+            hit, tgt, edges = _pick(Roff[ar, lam], mark)
+            new = np.where(hit & (mark >= 0) & (mark < self.L), tgt, lam)
+            width = Roff[ar, lam, tgt]
+            self._lam_pick[:, c] = width, (mark - (edges[ar, tgt] - width)) / np.maximum(width, 1e-300)
         self._lam_new[c] = new
         self._apply_jump(1, c, new, 0)
 
@@ -588,8 +577,8 @@ class _ChunkRun:
         if len(sub):
             cs, mvs = c[sub], new_c[sub]
             w, u2 = self._lam_pick[:, cs]
-            okb, nb = _pick(row1[sub, mvs], u2, w)
-            oks, ns = _pick(row2[sub, :, mvs], self._aux[cs], w)
+            okb, nb, _ = _pick(row1[sub, mvs], u2, w)
+            oks, ns, _ = _pick(row2[sub, :, mvs], self._aux[cs], w)
             self._apply_jump(2, cs, np.where(okb, nb, bar_c[sub]), 1)
             self._apply_jump(0, cs, np.where(oks, ns, star_c[sub]), 2)
 
@@ -602,7 +591,7 @@ class _ChunkRun:
         ):
             sub = np.flatnonzero((mark >= lo) & (mark < hi))
             if len(sub):
-                picked, new = _pick(table[sub, lam[sub]], (mark[sub] - L) - shift)
+                picked, new, _ = _pick(table[sub, lam[sub]], (mark[sub] - L) - shift)
                 self._apply_jump(row, c[sub[picked]], new[picked], call)
 
     # -- main loop
@@ -842,15 +831,18 @@ def _interval_move(states, mark, a12, a21):
 
 
 def _pick(weights, u, denom=None):
-    """Categorical pick against cumulative rate intervals; returns (picked
-    mask, index).  Without ``denom``, u in [0, total) picks an interval and
-    anything beyond is a no-op candidate.  With ``denom`` the intervals are
-    scaled by max(denom, total), so a uniform u beyond the covered mass keeps
-    the current state (the caller interprets 'not picked' as 'stay')."""
+    """The mark space's one cumulative-interval pick: left-closed right-open
+    intervals of widths ``weights`` (n, K), laid from 0 in index order, so a
+    zero weight gives no interval.  Returns (picked mask, index, the
+    intervals' upper edges).  Without ``denom``, u in [0, total) picks an
+    interval and anything beyond is a no-op candidate.  With ``denom`` the
+    intervals are scaled by max(denom, total), so a uniform u beyond the
+    covered mass keeps the current state (the caller interprets 'not picked'
+    as 'stay')."""
     thr = np.cumsum(weights, axis=1)
     if denom is not None:
         thr /= (np.maximum(denom, weights.sum(axis=1)) + 1e-300)[:, None]
-    return u < thr[:, -1], (u[:, None] < thr).argmax(axis=1)
+    return u < thr[:, -1], (u[:, None] < thr).argmax(axis=1), thr
 
 
 def _merge(results, sc, params, route, warnings) -> McSummary:

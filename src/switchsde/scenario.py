@@ -243,6 +243,8 @@ def load_scenario(source) -> Scenario:
         "$.coefficient_bounds.c", (len(doc["coefficient_bounds"]["c"]),), (M,)
     )
     expect_shape("$.initial.x", (len(doc["initial"]["x"]),), (d,))
+    if doc["initial"]["state"] > M:
+        errors.append(f"$.initial.state: expected a state in 1..{M}, got {doc['initial']['state']}")
     if len(doc["diffusion"]) != M or any(
         len(mat) != d or any(len(row) != d for row in mat) for mat in doc["diffusion"]
     ):
@@ -341,8 +343,8 @@ def validate_scenario(sc: Scenario) -> ValidationReport:
     if not np.isfinite(R).all():
         rep.structural.append("rates: non-finite value on the validation grid")
         return rep
-    if R.min() < -1e-12:
-        k, i, j = np.unravel_index(int((R < -1e-12).argmax()), R.shape)
+    if R.min() < -coupling.NEG_TOL:
+        k, i, j = np.unravel_index(int((R < -coupling.NEG_TOL).argmax()), R.shape)
         rep.structural.append(
             f"rates: negative rate q[{i + 1}][{j + 1}] = {R[k, i, j]:.6g} at x = {pts[k].tolist()}"
         )

@@ -543,6 +543,20 @@ class PerCallBooking:
         np.add.at(rem_row, new, rem)
 
 
+def one_round_table(run, marks, Roff):
+    """Give ``run`` the candidate table of one round, the fields _step_block
+    takes from _candidate_schedule: candidate k on path k at the start of
+    step 0, with mark ``marks[k]``, auxiliary uniform 0.5 and off-diagonal
+    rates ``Roff[k]``, and room for lambda's new states and picks.  Returns
+    the candidates."""
+    n = len(marks)
+    c, zero = np.arange(n), np.zeros(n, dtype=np.int64)
+    run._p, run._offs, run._step, run._rnd, run._tc = c, np.zeros(n), zero, zero, np.zeros(n)
+    run._marks, run._aux, run._Roff = np.asarray(marks, dtype=float), np.full(n, 0.5), Roff
+    run._lam_new, run._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
+    return c
+
+
 class PerStepRounds(engine._ChunkRun):
     """The coupled schedule on rates that read x with every chain moved round
     by round in each step, kept as the reference for the envelope pass that

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from switchsde import coupling as cp
+from switchsde import engine as en
 from switchsde import exprlang as ex
+from switchsde import scenario as sn
 from tests.conftest import (
     FIXTURE_NAMES,
     check_domination_reference,
     coupling_rows_reference,
     load_fixture,
+    make_scenario,
+    one_round_table,
     random_dominated_pair,
     two_state_envelopes_reference,
     verify_coupling_matrix,
@@ -50,12 +54,35 @@ def product_rows(Q1, Q2):
 
 
 def pick(R, state, u):
-    """row_block_pick for one mark out of ``state`` (0-based) of the rate
-    array R: (target or None on a miss, interval width, position in it)."""
-    hit, tgt, width, u_in, _ = cp.row_block_pick(
-        np.asarray(R, dtype=float)[None], np.array([state]), np.array([u], dtype=float)
-    )
-    return (int(tgt[0]) if hit[0] else None), float(width[0]), float(u_in[0])
+    """engine._pick of one mark on the row of ``state`` (0-based) of the rate
+    array R: the target, or None on a miss."""
+    hit, tgt, _ = en._pick(np.asarray(R, dtype=float)[state][None], np.array([u], dtype=float))
+    return int(tgt[0]) if hit[0] else None
+
+
+def lambda_jumps(R, states, marks):
+    """The switching chain's rule on one round of candidates, candidate k on
+    path k in ``states[k]`` (0-based) at the rate array ``R[k]``, in a
+    marginal run whose bound H = 10, the end of lambda's mark space, lies
+    above every mark used here.  Returns lambda's new states and the kept
+    pick: the intervals' widths and the marks' positions in them."""
+    R = np.asarray(R, dtype=float)
+    n, M = R.shape[:2]
+    sc = sn.load_scenario(make_scenario(
+        dimensions={"d": 1, "M": M}, drift=[["0"]] * M, diffusion=[[["0"]]] * M, gains=[0.0] * M,
+        rates=[["0"] * M] * M, rate_bound=10.0, coefficient_bounds={"C": [0.0] * M, "c": [0.0] * M, "Ma": 0.0},
+    ))
+    run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=n), range(n), "marginal", None)
+    run.S[1] = states
+    run._lambda_jump(one_round_table(run, marks, R), run.X)
+    return run._lam_new, *run._lam_pick
+
+
+def lambda_jump(R, state, mark):
+    """lambda_jumps at one candidate in ``state`` at the rate array R (M,
+    M): the new state (None if it stays), the width and the position."""
+    new, width, u_in = lambda_jumps(np.asarray(R, dtype=float)[None], [state], [mark])
+    return (None if new[0] == state else int(new[0])), float(width[0]), float(u_in[0])
 
 
 class TestEnvelopes:
@@ -450,43 +477,47 @@ class TestVerifyOracle:
 
 
 class TestSkorokhodPartition:
-    """The row-block mark layout of row_block_pick: every row's block starts
-    at 0 and holds left-closed right-open target intervals of width equal to
-    the rates, in state order; a mark at or above the exit rate q_i is no
-    jump."""
+    """The row-block mark layout: every row's block starts at 0 and holds
+    left-closed right-open target intervals of width equal to the rates, in
+    state order; a mark at or above the exit rate q_i is no jump.  The edges
+    come from engine._pick on the current state's row; the widths, the
+    mark's position inside its interval and the refusal of a mark below 0
+    from the switching chain's rule."""
 
     def test_single_interval(self):
         R = np.array([[0.0, 1.5], [1.0, 0.0]])
         below = np.nextafter(1.5, -np.inf)
-        assert pick(R, 0, 0.0) == (1, 1.5, 0.0)
-        assert pick(R, 0, 0.75)[::2] == (1, 0.5)
-        assert pick(R, 0, below)[0] == 1
-        assert pick(R, 0, 1.5)[0] is None  # the block ends at q_1
-        assert pick(R, 0, np.nextafter(0.0, -np.inf))[0] is None
-        assert pick(R, 1, 0.0) == (0, 1.0, 0.0)
-        assert pick(R, 1, np.nextafter(1.0, -np.inf))[0] == 0
-        assert pick(R, 1, 1.0)[0] is None
-        _, _, _, _, q = cp.row_block_pick(R[None], np.array([0]), np.array([0.0]))
-        assert q.tolist() == [[1.5, 1.0]]
+        assert lambda_jump(R, 0, 0.0) == (1, 1.5, 0.0)
+        assert lambda_jump(R, 0, 0.75)[::2] == (1, 0.5)
+        assert pick(R, 0, below) == 1
+        assert pick(R, 0, 1.5) is None  # the block ends at q_1
+        assert lambda_jump(R, 0, 1.5)[0] is None
+        assert lambda_jump(R, 0, np.nextafter(0.0, -np.inf))[0] is None
+        assert lambda_jump(R, 1, 0.0) == (0, 1.0, 0.0)
+        assert pick(R, 1, np.nextafter(1.0, -np.inf)) == 0
+        assert pick(R, 1, 1.0) is None
 
     def test_zero_rate_gives_no_interval(self):
         R = np.array([[0.0, 0.0], [1.0, 0.0]])
-        for u in (np.nextafter(0.0, -np.inf), 0.0, 0.5, 1.0):
-            assert pick(R, 0, u)[0] is None
-        assert pick(R, 1, 0.0)[:2] == (0, 1.0)
-        assert pick(R, 1, 1.0)[0] is None
+        for u in (0.0, 0.5, 1.0):
+            assert pick(R, 0, u) is None
+            assert lambda_jump(R, 0, u)[0] is None
+        assert lambda_jump(R, 0, np.nextafter(0.0, -np.inf))[0] is None
+        assert lambda_jump(R, 1, 0.0)[:2] == (0, 1.0)
+        assert pick(R, 1, 1.0) is None
 
     def test_every_row_starts_at_zero(self):
         R = np.array([[0.0, 1.2, 0.3], [0.4, 0.0, 0.6], [0.2, 0.1, 0.0]])
         # each row's targets in state order from 0, the block ending at q_i
         for i, blocks in enumerate([[(0.0, 1), (1.2, 2)], [(0.0, 0), (0.4, 2)], [(0.0, 0), (0.2, 1)]]):
             for lo, j in blocks:
-                assert pick(R, i, lo)[:2] == (j, R[i, j])
-                assert pick(R, i, lo + R[i, j] / 2)[0] == j
+                assert pick(R, i, lo) == j
+                assert lambda_jump(R, i, lo)[:2] == (j, R[i, j])
+                assert pick(R, i, lo + R[i, j] / 2) == j
             q = R[i].sum()
-            assert pick(R, i, np.nextafter(q, -np.inf))[0] == blocks[-1][1]
-            assert pick(R, i, q)[0] is None
-            assert pick(R, i, np.nextafter(0.0, -np.inf))[0] is None
+            assert pick(R, i, np.nextafter(q, -np.inf)) == blocks[-1][1]
+            assert pick(R, i, q) is None
+            assert lambda_jump(R, i, np.nextafter(0.0, -np.inf))[0] is None
 
     def test_lengths_sum_to_exit_rate(self):
         rng = np.random.default_rng(15)
@@ -496,7 +527,7 @@ class TestSkorokhodPartition:
             widths = []
             for j in np.flatnonzero(R[i]):
                 mid = R[i, :j].sum() + R[i, j] / 2
-                tgt, width, u_in = pick(R, i, mid)
+                tgt, width, u_in = lambda_jump(R, i, mid)
                 assert tgt == j and width == R[i, j]
                 assert u_in == pytest.approx(0.5)
                 widths.append(width)
@@ -504,22 +535,25 @@ class TestSkorokhodPartition:
             # the edges are exact marks: an edge belongs to the interval above
             # it, one ulp below to the interval before
             edges = np.cumsum(R[i])
+            assert np.array_equal(en._pick(R[i][None], np.zeros(1))[2][0], edges)
             targets = np.flatnonzero(R[i])
             for k, j in enumerate(targets):
                 e = edges[j - 1] if j else 0.0
-                assert pick(R, i, e)[0] == j
-                assert pick(R, i, np.nextafter(e, np.inf))[0] == j
-                assert pick(R, i, np.nextafter(e, -np.inf))[0] == (targets[k - 1] if k else None)
-            assert pick(R, i, np.nextafter(edges[-1], -np.inf))[0] == targets[-1]
-            assert pick(R, i, edges[-1])[0] is None
+                assert pick(R, i, e) == j
+                assert pick(R, i, np.nextafter(e, np.inf)) == j
+                assert lambda_jump(R, i, np.nextafter(e, -np.inf))[0] == (targets[k - 1] if k else None)
+            assert pick(R, i, np.nextafter(edges[-1], -np.inf)) == targets[-1]
+            assert pick(R, i, edges[-1]) is None
 
 
 @pytest.mark.parametrize("M", range(2, 11))
 def test_pick_hits_lie_in_their_target_interval(M):
-    """A hit lies inside its target's interval of the cumulative row sums,
-    also for marks at and just below the end q_i of the source row's block (a
-    block that ended at the pairwise row sum left an ulp gap from 8 states
-    on, where the pick answered state 1)."""
+    """The edges of engine._pick on the source row are its cumulative sums,
+    and a jump of the switching chain lands in the target whose interval
+    holds the mark, also for marks at and just below the end q_i of the
+    source row's block (a block that ended at the pairwise row sum left an
+    ulp gap from 8 states on, where the pick answered state 1), and below 0
+    (one ulp and more under an empty row's block), where it stays."""
     rng = np.random.default_rng(M)
     n = 3000
     R = rng.uniform(0.0, 1.0, (n, M, M)) * (rng.random((n, M, M)) < 0.8)
@@ -534,7 +568,9 @@ def test_pick_hits_lie_in_their_target_interval(M):
         marks.append(np.nextafter(marks[-1], -np.inf))
     marks.append(rng.random(n) * q[ar, states])
     for mark in marks:
-        hit, tgt, *_ = cp.row_block_pick(R, states, mark)
+        assert np.array_equal(en._pick(R[ar, states], mark)[2], rows)
+        tgt = lambda_jumps(R, states, mark)[0]
+        hit = tgt != states
         upper = rows[ar, tgt][hit]
         lower = np.where(tgt > 0, rows[ar, tgt - 1], 0.0)[hit]
         assert np.all((lower <= mark[hit]) & (mark[hit] < upper))

@@ -22,6 +22,7 @@ from tests.conftest import (
     candidate_rounds_reference,
     cell_lists,
     make_scenario,
+    one_round_table,
     per_step_rounds,
     state_dependent_twin,
     write_scenario,
@@ -245,11 +246,8 @@ class TestCoupledRoutes:
         edge = 0.8 - min(0.8, 0.3)  # lower-chain excess down-rate from (2, 2)
         mark = (L + Hbar) + edge
         assert (mark - L) - Hbar < edge <= mark - (L + Hbar)
-        c, zero, S0 = np.array([0]), np.zeros(1, dtype=np.int64), run.S.copy()
-        # the candidate table of candidate 0: path 0 at the start of step 0, round 0
-        run._p, run._offs, run._step, run._rnd, run._tc = zero, np.zeros(1), zero, zero, np.zeros(1)
-        run._marks, run._aux, run._Roff = np.array([mark]), np.array([0.5]), sc.rates.offdiag_batch(run.X)
-        run._lam_new, run._lam_pick = np.empty(1, dtype=np.int64), np.empty((2, 1))
+        S0 = run.S.copy()
+        c = one_round_table(run, [mark], sc.rates.offdiag_batch(run.X))
         run._lambda_jump(c, run.X)  # no jump: the mark is beyond L
         run._matrix_jump(c, S0[1, c])
         assert run.S[:, 0].tolist() == [0, 1, 1]

@@ -244,6 +244,25 @@ class TestCli:
         assert proc2.returncode == 0
         assert sn.scenario_hash(echoed) == json.loads(proc2.stdout)["scenario_hash"]
 
+    def test_validate_echo_honours_out(self, tmp_path, capsys):
+        # once printed to stdout and wrote no file
+        fx, out = str(FIXTURES / "two_state_trig.json"), tmp_path / "echo.json"
+        assert cli.main(["validate", fx, "--echo"]) == 0
+        echoed = capsys.readouterr().out
+        assert cli.main(["validate", fx, "--echo", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert out.read_text() == echoed
+
+    @pytest.mark.parametrize("cmd", ["validate", "mc", "simulate"])
+    def test_initial_state_beyond_m(self, cmd, tmp_path, capsys):
+        # validate once passed it (ok: true); mc and simulate then died with
+        # an IndexError on the feedback gains
+        path = write_scenario(tmp_path, make_scenario(initial={"x": [1.0], "state": 3}, horizon=0.5))
+        out = ["--out", str(tmp_path / "p.csv")] if cmd == "simulate" else []
+        assert cli.main([cmd, path, *out]) == 1
+        assert capsys.readouterr() == (
+            "", "validation error: dimension violations:\n  $.initial.state: expected a state in 1..2, got 3\n")
+
     def test_validate_failure_exit_code(self, tmp_path):
         path = write_scenario(tmp_path, make_scenario(rate_bound=0.5))
         proc = run_cli("validate", path)
