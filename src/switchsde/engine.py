@@ -23,7 +23,8 @@ distinct expression tree; the regimes that share a tree share its values.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the mark space a chain can read: the exit-rate bound H on the marginal route,
-H plus the envelopes' largest exit rates on the matrix route, and 2H on the
+H plus the larger of the envelopes' largest exit rates on the matrix route,
+whose envelope chains read one shared mark space beyond H, and 2H on the
 two-state interval route, whose shared mark lays both rows end to end.  At
 each candidate the diffusion value is linearly interpolated inside the step
 and a uniform mark decides the jump through the row-block layout, in which
@@ -288,11 +289,10 @@ class _ChunkRun:
             self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
             self._check_rate_bound(self.R0[None], self.R0.sum(axis=1)[None], None, None)
         self.R_cand = self.L
-        if route == "matrix":
+        if route == "matrix":  # regions B and C share [L, R_cand)
             self.Rbar = cpl.offdiag(env.qbar)
             self.Rstar = cpl.offdiag(env.qstar)
-            self.Hbar = float(self.Rbar.sum(axis=1).max())
-            self.R_cand = self.L + self.Hbar + float(self.Rstar.sum(axis=1).max())
+            self.R_cand = self.L + float(max(self.Rbar.sum(axis=1).max(), self.Rstar.sum(axis=1).max()))
 
         na = self.na
         self.X = np.tile(sc.x0, (na, 1)).astype(float)
@@ -582,16 +582,15 @@ class _ChunkRun:
             self._apply_jump(2, cs, np.where(okb, nb, bar_c[sub]), 1)
             self._apply_jump(0, cs, np.where(oks, ns, star_c[sub]), 2)
 
-        # regions B and C: the upper chain moves alone on [L, L + Hbar), the
-        # lower chain from L + Hbar; the lower table is read transposed
-        L, Hbar = self.L, self.Hbar
-        for call, row, table, lo, hi, shift in (
-            (3, 2, row1, L, L + Hbar, 0.0),
-            (4, 0, row2.transpose(0, 2, 1), L + Hbar, np.inf, Hbar),
-        ):
-            sub = np.flatnonzero((mark >= lo) & (mark < hi))
-            if len(sub):
-                picked, new, _ = _pick(table[sub, lam[sub]], (mark[sub] - L) - shift)
+        # regions B and C: from L on, one mark moves the upper chain alone and
+        # the lower chain alone, each through its own table at mark - L (the
+        # lower one read transposed); neither move passes lambda, which the
+        # mark leaves in place, so the two keep the order and their laws
+        sub = np.flatnonzero(mark >= self.L)
+        if len(sub):
+            u, lam_s = mark[sub] - self.L, lam[sub]
+            for call, row, table in ((3, 2, row1), (4, 0, row2.transpose(0, 2, 1))):
+                picked, new, _ = _pick(table[sub, lam_s], u)
                 self._apply_jump(row, c[sub[picked]], new[picked], call)
 
     # -- main loop

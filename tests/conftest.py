@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from switchsde import engine
 from switchsde.coupling import (
@@ -177,6 +178,37 @@ def perron_root_reference(P) -> float:
     if P.max() == 0:
         raise MarkovError("perron_root of the zero matrix is undefined")
     return float(np.linalg.eigvals(P).real.max())
+
+
+def skeleton_law(counts, P):
+    """Anderson and Goodman's (1957) chi-square test that a chain's skeleton
+    transition counts ``counts`` (M, M) follow the transition matrix P.
+    Given the visits n_i to state i, row i's counts are multinomial(n_i,
+    P[i]) for a Markov skeleton, so sum (n_ij - n_i P_ij)^2 / (n_i P_ij) is
+    chi-square with M(M - 1) degrees of freedom for large counts.  Every
+    state must be visited and every P_ij positive.  Returns (statistic,
+    degrees of freedom, p-value)."""
+    counts, P = np.asarray(counts, dtype=float), np.asarray(P, dtype=float)
+    M = len(P)
+    expected = counts.sum(axis=1, keepdims=True) * P
+    assert expected.min() > 0, expected
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return stat, M * (M - 1), float(stats.chi2.sf(stat, M * (M - 1)))
+
+
+def rows_contingency(a, b):
+    """Pearson's two-sample chi-square that the transition counts ``a`` and
+    ``b`` (M, M) of two independent samples share each row's law: per row
+    the 2 x M contingency table of the targets that either sample reaches,
+    with its (targets - 1) degrees of freedom, pooled over the rows.
+    Returns (statistic, degrees of freedom, p-value)."""
+    stat, dof = 0.0, 0
+    for ra, rb in zip(np.asarray(a, dtype=float), np.asarray(b, dtype=float)):
+        table = np.stack([ra, rb])[:, ra + rb > 0]
+        if table.shape[1] > 1:
+            chi2, _, k, _ = stats.chi2_contingency(table, correction=False)
+            stat, dof = stat + float(chi2), dof + int(k)
+    return stat, dof, float(stats.chi2.sf(stat, dof))
 
 
 def random_generator(rng, M, lo=0.8, hi=3.0):

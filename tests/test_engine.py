@@ -231,30 +231,55 @@ class TestCoupledRoutes:
             emp = counts[i] / counts[i].sum()
             assert np.abs(emp - P[i]).sum() / 2 < 0.05
 
-    def test_region_c_subtracts_l_then_hbar(self):
-        # the lower chain's mark space starts at L + Hbar, and region C places
-        # a mark in it as (mark - L) - Hbar; at this mark on the edge of the
-        # lower table's interval, mark - (L + Hbar) rounds to the other side.
-        # Off the two-state route L = H, taken here as 2.2
+    def test_region_c_starts_at_l(self):
+        # the lower chain's mark space starts at L, where the upper chain's
+        # does, and region C places a mark in it as mark - L.  Candidate 0's
+        # mark lies below L + Hbar, where only the upper chain read marks
+        # while region C began at L + Hbar.  Candidate 1's lies on the edge
+        # of the lower table's interval: mark - L falls inside it, while L
+        # plus the edge rounds down onto the mark.  Off the two-state route
+        # L = H, taken here as 1.8
         sc = load(make_scenario(
-            rates=[["0", "0.3"], ["0.3", "0"]], rate_bound=2.2, initial={"x": [1.0], "state": 2},
+            rates=[["0", "0.3"], ["0.3", "0"]], rate_bound=1.8, initial={"x": [1.0], "state": 2},
             envelopes={"qbar": [[-0.3, 0.3], [0.3, -0.3]], "qstar": [[-0.2, 0.2], [0.8, -0.8]]},
         ))
-        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), range(1), "matrix", sc.envelopes)
-        L, Hbar = run.L, run.Hbar
-        assert L == sc.rates.H
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=2), range(2), "matrix", sc.envelopes)
+        L, Hbar = run.L, 0.3
+        assert L == sc.rates.H and run.R_cand == L + 0.8
         edge = 0.8 - min(0.8, 0.3)  # lower-chain excess down-rate from (2, 2)
-        mark = (L + Hbar) + edge
-        assert (mark - L) - Hbar < edge <= mark - (L + Hbar)
+        marks = [L + Hbar / 2, L + edge]
+        assert marks[1] - L < edge and marks[1] == L + edge
         S0 = run.S.copy()
-        c = one_round_table(run, [mark], sc.rates.offdiag_batch(run.X))
-        run._lambda_jump(c, run.X)  # no jump: the mark is beyond L
+        c = one_round_table(run, marks, sc.rates.offdiag_batch(run.X))
+        run._lambda_jump(c, run.X)  # no jump: the marks are beyond L
         run._matrix_jump(c, S0[1, c])
-        assert run.S[:, 0].tolist() == [0, 1, 1]
+        assert run.S.tolist() == [[0, 0], [1, 1], [1, 1]]
         run._book_block(S0, 0, 1)
-        # the step books h to every chain's start state, the move h from state 2 to state 1
-        assert (run.occ[..., 0] - run.h * np.eye(2)[S0[:, 0]])[0].tolist() == [run.h, -run.h]
+        # both paths' lower chains move from state 2 to state 1 at the step's start
+        assert run.occ[..., 0].tolist() == [[2 * run.h, 0.0], [0.0, 2 * run.h], [0.0, 2 * run.h]]
 
+    def test_one_mark_moves_both_envelope_chains(self):
+        # regions B and C overlap from L on: at a mark there the upper chain
+        # (call 3) and the lower chain (call 4) move alone in the same round,
+        # each by its own table, toward lambda and never past it
+        sc = load(three_state_constant())
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), range(1), "matrix", sc.envelopes)
+        Hbar, Hstar = (en.cpl.offdiag(q).sum(axis=1).max() for q in (sc.envelopes.qbar, sc.envelopes.qstar))
+        assert run.R_cand == run.L + max(Hbar, Hstar) < run.L + Hbar + Hstar
+        run.S[:, 0] = [0, 1, 2]
+        S0 = run.S.copy()
+        # from (2, 3) the upper chain moves down alone at 0.1, and from (1, 2)
+        # the lower chain up alone at 0.1
+        c = one_round_table(run, [run.L + 0.05], sc.rates.offdiag_batch(run.X))
+        run._lambda_jump(c, run.X)
+        run._matrix_jump(c, S0[1, c])
+        assert [e[:2] for e in run._log] == [(2, 3), (0, 4)]
+        assert run.S[:, 0].tolist() == [1, 1, 1]  # lambda_star <= lambda <= lambda_bar
+        row, call, path, step, rnd, new = run._book_block(S0, 0, 1)
+        assert (row.tolist(), call.tolist(), new.tolist()) == ([2, 0], [3, 4], [1, 1])
+        assert path.tolist() == step.tolist() == rnd.tolist() == [0, 0]
+        h = run.h
+        assert run.occ[..., 0].tolist() == [[0.0, h, 0.0], [0.0, h, 0.0], [0.0, h, 0.0]]
 
 def _with_crossings(run):
     """Wrap the bound envelope rule: after it, some candidate paths get
@@ -522,17 +547,23 @@ class TestStateFreeRates:
                 S[rows_w[w], paths[w]] = written[w]
                 assert np.array_equal(S, states[k])
 
-    # seeds at which some path crosses in a later block round, but earlier
-    # in time, than another path's first crossing found
-    CROSSING_SEEDS = {"two_state": 16, "matrix": 6}
+    # (seed, crossing named by mc, by simulate of path 10): seeds at which
+    # some path crosses in a later block round, but earlier in time, than
+    # another path's first crossing found
+    CROSSINGS = {
+        "two_state": (16, "t=0.0319662, path 1: lambda_star=2, lambda=1, lambda_bar=1",
+                      "t=2.16262, path 10: lambda_star=2, lambda=1, lambda_bar=1"),
+        "matrix": (16, "t=0.114812, path 2: lambda_star=3, lambda=3, lambda_bar=2",
+                   "t=1.21064, path 10: lambda_star=2, lambda=1, lambda_bar=1"),
+    }
 
-    @pytest.mark.parametrize("route", sorted(CROSSING_SEEDS))
+    @pytest.mark.parametrize("route", sorted(CROSSINGS))
     def test_crossing_matches_the_per_step_twin(self, route):
         # the block pass meets the crossings path by path, not in time; it
         # raises the earliest by step, round and path, as the per-step run,
         # for mc and for a path that crosses in a later step block
         doc = interval_constant() if route == "two_state" else three_state_constant(dominate=False)
-        doc["seed"] = self.CROSSING_SEEDS[route]
+        doc["seed"], *want = self.CROSSINGS[route]
         sc, twin = load(doc), load(state_dependent_twin(doc))
         assert en.choose_route(sc)[0] == route
         p = en.SimParams.from_scenario(sc, n_paths=16, horizon=3.0, h=0.001)
@@ -543,8 +574,7 @@ class TestStateFreeRates:
                     run(s)
                 errors.append(str(err.value))
         assert errors[0] == errors[1] and errors[2] == errors[3]
-        assert errors[0].startswith("coupled chains crossed at t=")
-        assert errors[2].startswith("coupled chains crossed at t=") and ", path 10: " in errors[2]
+        assert errors[::2] == [f"coupled chains crossed at {w}" for w in want]
         assert float(errors[2].split("t=")[1].split(",")[0]) > 256 * p.h
 
 
@@ -579,7 +609,9 @@ class TestNegativeRates:
     the first step, on every route and schedule."""
 
     # (mc, simulate of path 5) per route: rates that read x, the constant
-    # rate, and the constant rate written to read x
+    # rate, and the constant rate written to read x.  At rates that read x
+    # (H = 1) the matrix route thins at H + 1, the interval route's 2H, so
+    # the two name the same candidates
     WANT = {
         "marginal": (
             "rate -1.25762 from state 1 to state 2 is negative at t=0.00288159, x=[3.005077096917084], path 188",
@@ -594,10 +626,10 @@ class TestNegativeRates:
             "rate -0.5 from state 1 to state 2 is negative at t=0.0342827, x=[2.992988847638999], path 5",
         ),
         "matrix": (
-            "rate -1.27356 from state 1 to state 2 is negative at t=0.0088912, x=[3.0156654975599704], path 188",
-            "rate -1.23957 from state 1 to state 2 is negative at t=0.0340115, x=[2.993036870834208], path 5",
-            "rate -0.5 from state 1 to state 2 is negative at t=0.00592559, x=[2.9825728702158725], path 46",
-            "rate -0.5 from state 1 to state 2 is negative at t=0.0342827, x=[2.992988847638999], path 5",
+            "rate -1.26381 from state 1 to state 2 is negative at t=0.00369689, x=[3.009191169183149], path 176",
+            "rate -1.24013 from state 1 to state 2 is negative at t=0.0318741, x=[2.9934153961490026], path 5",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.00464078, x=[2.9863514865607876], path 46",
+            "rate -0.5 from state 1 to state 2 is negative at t=0.0340115, x=[2.993036870834208], path 5",
         ),
     }
 
@@ -920,23 +952,26 @@ class TestCandidateSchedule:
         if rate == 0.0:
             assert got == []
 
-    # (route, candidates, rounds) of one 2,048-path job, h = 0.01, T = 1,
-    # seed 3.  With every row's mark block at 0 the marginal route thins at H
-    # and the matrix route at H + Hbar + Hstar; when the rows lay end to end
-    # over [0, M*H) the counts were 49,599 and 322 (three_state_rational),
-    # 47,566 and 316 (six states) and 8,215 and 179 (linear_feedback,
-    # marginal).  The two-state route keeps its 2H mark space.  Drawn as one
-    # Poisson count per (step, path) cell, the stream gave 28,867 and 257,
-    # 16,637 and 216, 4,106 and 135, and 8,215 and 179.  Rounds are counted
-    # twice: per step, as the schedule lays them out, and per step block, as
-    # a block pass runs a rule over them, round r holding each path's r-th
+    # (route, candidates, rounds) of one 2,048-path job, h = 0.01, T = 1, seed 3.
+    # With every row's mark block at 0 the marginal route thins at H and the
+    # matrix route at H + Hbar + Hstar (until the change below); when the rows
+    # lay end to end over [0, M*H) the counts were 49,599 and 322
+    # (three_state_rational), 47,566 and 316 (six states) and 8,215 and 179
+    # (linear_feedback, marginal).  The two-state route keeps its 2H mark space.
+    # Drawn as one Poisson count per (step, path) cell, the stream gave 28,867
+    # and 257, 16,637 and 216, 4,106 and 135, and 8,215 and 179.  Rounds are
+    # counted twice: per step, as the schedule lays them out, and per step block,
+    # as a block pass runs a rule over them, round r holding each path's r-th
     # candidate in the block.  linear_feedback's rates do not read x, so its
-    # steps run no rounds: the switching chain's pass ahead of them runs 7,
-    # where the per-step rounds were 130.  On the coupled runs, whose rates
-    # read x, the switching chain alone runs the per-step rounds, and the
-    # envelope chains move after them in the 30, 18 and 12 rounds of the
-    # envelope pass.
-    COUNTS = {"three_state_rational": ("matrix", 28738, 267, 30), "six_state": ("matrix", 16435, 219, 18),
+    # steps run no rounds: the switching chain's pass ahead of them runs 7, where
+    # the per-step rounds were 130.  On the coupled runs, whose rates read x, the
+    # switching chain alone runs the per-step rounds, and the envelope chains
+    # move after them in the 22, 14 and 12 rounds of the envelope pass.  The
+    # matrix route's counts moved on purpose when the envelope chains' lone moves
+    # began to share one mark space from L, so that it thins at H + max(Hbar,
+    # Hstar), not H + Hbar + Hstar (14 -> 10 and 8 -> 5.5): they were 28,738, 267
+    # and 30 (three_state_rational) and 16,435, 219 and 18 (six states).
+    COUNTS = {"three_state_rational": ("matrix", 20534, 228, 22), "six_state": ("matrix", 11304, 206, 14),
               "linear_feedback": ("marginal", 4128, 130, 7), "two_state_balanced": ("two_state", 8224, 179, 12)}
 
     @pytest.mark.parametrize("name", sorted(COUNTS))
@@ -1355,8 +1390,10 @@ class TestGuards:
         assert cli.main(["mc", write_scenario(tmp_path, doc), "--paths", "8"]) == 2
         assert "t=3 " in capsys.readouterr().err
 
-    # the candidate time named for path 0 of 1 and for path 5 of 8
-    BREACH_TIMES = {"marginal": ("0.0988676", "0.0505211"), "matrix": ("0.0274328", "0.0476781"),
+    # the candidate time named for path 0 of 1 and for path 5 of 8; on the
+    # derived envelopes here (Hbar = 2 = H) the matrix route thins at 2H, as
+    # the interval route does, and names the same candidates
+    BREACH_TIMES = {"marginal": ("0.0988676", "0.0505211"), "matrix": ("0.028397", "0.0546809"),
                     "two_state": ("0.028397", "0.0546809")}
 
     @pytest.mark.parametrize("route", ["marginal", "matrix", "two_state"])

@@ -35,7 +35,14 @@ the sums round in another order, every float moved by at most 5e-15
 relative, and no integer, string or ``simulate`` byte moved.  Runs of
 linear_feedback, whose rates read no x, over two full step blocks and over
 four blocks in two chunks, the second also with two workers, pin the
-boundaries between the step blocks' draws.
+boundaries between the step blocks' draws.  Every coupled hash of the
+coupling-matrix route (GOLDEN and MULTI_BLOCK_GOLDEN of three_state_rational
+and two_state_trig, and the six-state, coefficient, multi-chunk, interior
+column and simulate-metadata runs) was re-recorded once more when the
+envelope chains' lone moves began to share one mark space from L, so that
+the route thins at H + max(Hbar, Hstar) instead of H + Hbar + Hstar; no hash
+of the marginal or two-state interval route moved, nor the six-state
+simulate hash, whose path jumps in neither stream.
 """
 
 import hashlib
@@ -63,16 +70,16 @@ GOLDEN = {
         "1138eadb8205e3e7124804d9125762d1b4b8a712a7e1360993265dfc7bc735ec",
     ),
     "three_state_rational": (
-        "c7156e732fda8b2f44bac9b0819af0cebb50ca073e3303d12cae15d5561a7155",
-        "1d97725d9ca16c15792a6c1bee399eefa93398a15ec1b7d796ea12a366f69332",
+        "d9b10a532589d9e94b0a4f18516db09c1ed0f64241fd593d5ea500f02e3320ff",
+        "e3793bb7af3487f30a166c08d1d9779075d6f5d57b4ce16854e6d0f18aaccda6",
     ),
     "two_state_balanced": (
         "a5c6560f86e3faf535384c9635853aa2aa1734c08597e454145df782d0264adb",
         "b2cca036a84649a3ded92fabac2e3d60622177323895702b8d6ef38109118270",
     ),
     "two_state_trig": (
-        "238b7136df22820cfee0c00d4aadca4c2a4c6f86b4e13853c6e061d7f6213788",
-        "ac6a8ef311b98ecbadc42c9cb01f7fdb1be4589635e36f01e2bd9ed85fd37423",
+        "6473f470519d48fdbe38e83aef3ffc3fad853455aa06be48e96d80e1de5c44ea",
+        "4d3256e98b37647c87f4379e01e19ca04712cfbd905ffe374c1f5df88acc5b1b",
     ),
 }
 
@@ -107,7 +114,7 @@ GOLDEN_MARGINAL = {
 
 
 SIX_STATE_GOLDEN = (
-    "00a0d914bcb211bdaa22f512c30169c7b32aa7ce55b078b31df13d0fa885b55d",
+    "57861ca4ea63c323c5a6a13119b9a47cfa157c3fb2544a38fbf48210f14d666c",
     "68c63e7e60be17492cd2f0d94d9a16a4319395542878118d12da88a16dceb550",
 )
 SIX_STATE_GOLDEN_MARGINAL = (
@@ -118,8 +125,8 @@ SIX_STATE_GOLDEN_MARGINAL = (
 
 # mc --coupled over two chunks (2,048 paths and 52) and simulate of the last path
 MULTI_CHUNK_GOLDEN = (
-    "1f8900b30a5bdb0d89ad8fb6400f8e4beb4a88621912624b320e9a63f97e0e7f",
-    "aaebe9b5c2f83607d8faeceda1686d1e38a60be3775a588e7c92833f4e5c7bce",
+    "de0ba1a5ee6620fdc9ae7130cc8282efdf1468d65af002cef0f7a36a1f3583a9",
+    "aa0c0fbcdf8023b32d2d07fe3bf21ccd47fc53d74bce8eb08d335070bc1b7fb3",
 )
 
 
@@ -127,14 +134,14 @@ MULTI_CHUNK_GOLDEN = (
 # marginal route
 INTERIOR_GOLDEN = {
     "three_state_rational": (
-        ("a56ee4dca4685a099e20fef9eae9615c5d18d2b04b5b254b445a06dee08d46bc",
-         "1726e21b73cfb66222fb78f9fff9211691d852ce2086fde7900ddf7ba34745ce"),
+        ("c46f451465fe03858b2a2ea6e4337ff1f53b622aba2a9f4edf37f28654cd1013",
+         "7e9dc1af56d13491fd67952dfdf18164109d9021e20030020fa82a7ff1b576c8"),
         ("80cb1ca6ef5c8d40bd5b9b6c7bc860bebf469f734a3902a50ff9724502ad8295",
          "eec3f2ec03f7976bb571a75e892faadd257040c3ac83732ec23a2a90422d8ca2"),
     ),
     "six_state": (
-        ("6f89f15b511d4e2675d25a239f353c33a9a34418003b60f95f8e8dde2a09cb56",
-         "19827374898a454a4942fe739d171abcff7ead275e1345a5b6911946e4945bde"),
+        ("531b7da0b4666d14fe1340355a539795c43cd6d2eeb811e790fa70d4c279f1a1",
+         "fcfa34b606629d9ebb3576323b777c4a0cfabb687992544fb925aa24d865bcd1"),
         ("8e66b1f96c70ccfbe7d4ccac97cad3b1124b4be40efc1b167d0b3364bbb02a93",
          "8bb817248c2e4a62904ab089a2035212edd391af8cdd0696f8da8daa889af22b"),
     ),
@@ -147,8 +154,8 @@ INTERIOR_GOLDEN = {
 # step block
 MULTI_BLOCK_GOLDEN = {
     "three_state_rational": (
-        ("d110693083de8480e1af02f51b64e406481f4ca7b147c3eb5fd9d90ef0cb1587",
-         "e847d7640c6f14c60ac990cfe54e2146a9fa32bfefc9eea0b23afa5a63fd27b5"),
+        ("d8b8d38ea541ff1eed73eea09e614b5221fbad86ba1182cf3e49051121717fc8",
+         "3b60d2d3ba74015c0cd8978835185a986da2cdf1e7248509c02c2f2d2f98012e"),
         ("7e443bfdf6c7c6040c2da364bf63e1e2b24cd4d397ad33fe57a8aadb1886d1b9",
          "70302b50649831beed2d1acb972d53c6f41a41261a32bea4260c9a50ee162bf2"),
     ),
@@ -159,8 +166,8 @@ MULTI_BLOCK_GOLDEN = {
          "7a6dd31367b19e74fa9de4229a52ed2ce5dc2e0cbad61c79c5b1a3510307d991"),
     ),
     "two_state_trig": (
-        ("16c0fbeadb96ef8cd08dabd5f7aa706014c21fca6a91578725d5f1c4ac0b55d1",
-         "af3cdbcc18bd598e4027e2d2fb7c54f42527e3d1321f1efc1d76d23d813d3984"),
+        ("7ee8ed7065a0ff2ba2058e022edb47b979144ac79310b4e55d79262a395f0ef5",
+         "2d2b3d92bafdb328f79a84aedb49a15b54c40e75c2fb9cf4aa5c1cca4f272fa8"),
         ("13498a51424a9b39c0d868ede5110519a3a1fc62cca61b8ed9e0e3d6c2f3d29a",
          "b7e44549f318803a2ef7a623bb0b258ac0bac3e6ddbffc06230129f71c381dc3"),
     ),
@@ -196,20 +203,20 @@ BLOCK_BOUNDARY_GOLDEN = {
 # marginal route; taken before the engine grouped regimes by coefficient tree
 COEFFICIENT_GOLDEN = {
     "drift_2d": (
-        ("abd88e66b2e4234557df46651f0e05b00d687c68f9c15eac5d9206b3094e5dba",
-         "2806cd3c859f3b9a46d523e1f6a7b7056791a03dea8a9c9bc5ec634363c306ce"),
+        ("7abd6aa9a6c4cb75d4524003cf15609325114cb99465fe7ab48b2831013aeb96",
+         "67b6e73678a9616342bfe578fcffcf74005986417215cf65e50f2b2b65246497"),
         ("01c201af15e50e2f5b81bc94b43e7ad3cf362ba51860666e770ea0d69bd82ea9",
          "4311a7db34cce2ef74e6fe8aba1d25b5bfe3f0c2fe6aa63258c9743ccf6f6e8b"),
     ),
     "sigma_1d": (
-        ("f8e61214fb77fa94a5dcc83627c17753867dfe29e1f9905d43acb3a9d3b9aafd",
-         "5b5bee63f6595c767d9da73d0ea4870908391f1025fe164ed099ccb73c345286"),
+        ("de8cc5f8f0efb1c8540d365363113540a859d96c83a38a1c674494b94c7bc82c",
+         "2f69a69009ee3ac022335f4349bddee22149b48d282927102b96ebd4ffe9095a"),
         ("dd796769a200aa0bf2b44315ab14f2fbe5e4f5b58cd428373fb8cf6fd3a1fa67",
          "95a68a2dcb6c6eea862ba6cebddd7be4e14e8e79ee406542f98970e7a2746e36"),
     ),
     "sigma_2d": (
-        ("18a7e7336315fb5a06f30cf79b109e8ba1f4117c707351934b970338df83f92b",
-         "64525d005e4d744e71d3cd7a3959c84b162e038ed1d97fba830c0596ab4af68e"),
+        ("ad011f1689f38ee4cf3e95b20c2061d5cf47611f8a0a1145053ec05d78c373bc",
+         "22ec99412560159586096b35f88a9e78f15151bd302d95bda709ce3ab8b53be3"),
         ("518e8243cdad7e8b206075eb649cd5f8a3b11d397947f64d80b60540bd832fcf",
          "584cd01633839cc423eea3cc47fda469b20f7dff4cebfecaab6cd3763a7bf85d"),
     ),
@@ -303,9 +310,9 @@ SIMULATE_META_GOLDEN = {
     "lag_bound": "dda4d7464287b5d09bac342d55592c1905213fb59758066d2f923917052224d3",
     "linear_feedback": "a90595c78b97dcbc9b2c5e4dcddaf8dfb1c62e8a814408c91526d183fa035a6a",
     "linear_unstable": "6b7f794e3ae9b7938932efde860a2e8ece37c078650caa8a40b5f1124bed5c48",
-    "three_state_rational": "4f3d1dc1791ad695228ef549f3b359ea7ba6ad81a29a54beaf996bbebd8e98a4",
+    "three_state_rational": "0fd5f3a8fa7695d059d82fc2924ca244411a1af9449e1b248b056345c8c17ff5",
     "two_state_balanced": "af21b695d7b7e6049cd1cd389a24f83a88767e4bac75046a5349c18be44c79cd",
-    "two_state_trig": "1bc10d33b24c6cf6b434502ec62cc8a674e1b79ddf95a850f0c88ce7631045f7",
+    "two_state_trig": "2a80c31ad4c5ddc7c16cc4b0cb01f092c2a2f7ea8aaeb24453f5c44d5e87b2f7",
 }
 
 

@@ -318,8 +318,8 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["mc", fx, "--coupled", "--paths", "64", "--horizon", "3"]) == 2
         assert capsys.readouterr().err == (
-            "runtime error: coupled chains crossed at t=1.38645, path 61: "
-            "lambda_star=3, lambda=3, lambda_bar=1; "
+            "runtime error: coupled chains crossed at t=0.707233, path 60: "
+            "lambda_star=2, lambda=2, lambda_bar=1; "
             "the envelopes were derived from the validation grid and are certified only on it\n"
         )
 
