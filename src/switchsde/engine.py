@@ -19,7 +19,9 @@ statistics per piece, the paths of a 64-path group in a chunk, and reduces
 them once in group order: no mc byte depends on the worker count or on a
 chunk_size that is a multiple of 64; other widths agree up to rounding.
 Each step evaluates the drift and the diffusion at full width once per
-distinct expression tree; the regimes that share a tree share its values.
+coefficient shape: regimes whose trees differ only in their literals share
+one evaluation, with the literals that differ read per path, kept current as
+lambda moves.  The Euler update writes into buffers allocated once per run.
 
 Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the mark space a chain can read: the exit-rate bound H on the marginal route,
@@ -67,6 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupling as cpl
+from . import exprlang
 from .scenario import Scenario, load_scenario
 
 _NOISE = 1
@@ -296,10 +299,16 @@ class _ChunkRun:
 
         na = self.na
         self.X = np.tile(sc.x0, (na, 1)).astype(float)
+        # buffers, allocated once: the Euler step writes X's successor into
+        # _X_next, and the two alternate
+        self._X_next = np.empty((na, d))
+        self._tmp = np.empty((2, na) if d == 1 else (2, na, d))  # the Euler step's temporaries
         # chain states, rows in CHAIN_NAMES order; a marginal run moves row 1 only
         self.S = np.full((3, na), sc.i0 - 1, dtype=np.int64)
-        self.drift_groups = _tree_groups([tuple(row) for row in sc.drift])
-        self.sigma_groups = _tree_groups([tuple(map(tuple, mat)) for mat in sc.diffusion])
+        # the coefficient entries, drift columns and then the diffusion's
+        # entries row by row, by shape, with each path's differing literals
+        entries = [*zip(*sc.drift), *zip(*([e for row in mat for e in row] for mat in sc.diffusion))]
+        self._shapes, self._lit_table, self._lits = _shape_plan(entries, sc.i0 - 1, na)
 
         self.rec_index = {k: r for r, k in enumerate(params.record_steps())}
         # each path's piece, the paths of its 64-path group in the range: the
@@ -330,28 +339,37 @@ class _ChunkRun:
             self.jump_rec = {name: [] for name in CHAIN_NAMES}
             self._record_grid(0)
 
-    # -- coefficient evaluation (full width, once per distinct tree)
+    # -- coefficients and the Euler step (full width, once per shape)
 
-    def _by_regime(self, groups, states, value):
-        """Each path's row of ``value(i)``, evaluated for the first regime i of each group."""
-        out = value(groups[0][0])
-        for regimes in groups[1:]:
+    def _coefficient(self, X, states, entry):
+        """Each path's value of coefficient entry ``entry`` at its state in
+        ``states``: one evaluation per shape at the per-path literals, the
+        shapes chosen per path by a mask."""
+        shapes = self._shapes[entry]
+        out = shapes[0][1](X, shapes[0][2])
+        for regimes, f, lits in shapes[1:]:
             mask = states == regimes[0] if len(regimes) == 1 else np.isin(states, regimes)
-            out = np.where(mask[:, None], value(regimes[0]), out)
+            out = np.where(mask, f(X, lits), out)
         return out
 
-    def _drift(self, X, states):
-        if self.d == 1:
-            fns = self.sc.drift_fn
-            return self._by_regime(self.drift_groups, states, lambda i: fns[i][0](X)[:, None])
-        return self._by_regime(self.drift_groups, states, lambda i: self.sc.drift_at(X, i))
-
-    def _noise_term(self, X, states, xi):
-        if self.d == 1:
-            fns = self.sc.sigma_fn
-            return self._by_regime(self.sigma_groups, states, lambda i: fns[i][0][0](X)[:, None] * xi)
-        sigma = self.sc.sigma_at
-        return self._by_regime(self.sigma_groups, states, lambda i: np.einsum("nij,nj->ni", sigma(X, i), xi))
+    def _euler(self, X, xi, Xn):
+        """Write X + (a - fb) h + (sigma xi) sqrt(h), at lambda's states, into
+        ``Xn``: the formula's operations on its operands, each rounding as
+        there.  No operation writes over its input, whose overlap check would
+        cost a one-path run more than the operation."""
+        lam, d, (t, noise), h = self.S[1], self.d, self._tmp, self.h
+        x, xn, fb = (X[:, 0], Xn[:, 0], self.fb[:, 0]) if d == 1 else (X, Xn, self.fb)
+        if d == 1:
+            a = self._coefficient(X, lam, 0)
+            np.multiply(self._coefficient(X, lam, 1), xi[:, 0], out=t)
+        else:  # the drift's d entries, then the diffusion's d * d
+            a, sigma = np.split(np.stack([self._coefficient(X, lam, e) for e in range(d + d * d)], axis=1), [d], axis=1)
+            np.einsum("nij,nj->ni", sigma.reshape(-1, d, d), xi, out=t)
+        np.multiply(t, self.sqrt_h, out=noise)
+        np.subtract(a, fb, out=t)
+        np.multiply(t, h, out=xn)
+        np.add(x, xn, out=t)
+        np.add(t, noise, out=xn)
 
     # -- bookkeeping
 
@@ -407,8 +425,9 @@ class _ChunkRun:
 
     def _process_step(self, Xn, bounds):
         """The switching chain's rounds of one step, delimited by ``bounds``,
-        at the candidate points and rates taken once into the table; returns
-        (round start, error) at a rate the check refuses, or None."""
+        at the candidate points and rates taken once into the table, and the
+        moved paths' literals after them; returns (round start, error) at a
+        rate the check refuses, or None."""
         s = slice(bounds[0], bounds[-1])
         X0 = self.X[self._p[s]]
         Xc = X0 + (Xn[self._p[s]] - X0) * (self._offs[s] / self.h)[:, None]
@@ -418,6 +437,8 @@ class _ChunkRun:
                 self._lambda_jump(np.arange(b0, b1), Xc[b0 - s.start:b1 - s.start])
             except EngineError as err:
                 return b0, err
+        moved = self._p[s]
+        self._lits[:, moved] = self._lit_table[:, self.S[1, moved]]
 
     def _block_pass(self, S0, stop):
         """Move the envelope chains from ``S0`` over a step block's candidates
@@ -606,6 +627,7 @@ class _ChunkRun:
         self._p, self._offs, self._marks, self._aux, self._step, self._rnd = cand
         p, n, step = self._p, len(self._p), self._step
         self._tc = (block_start + step) * h + self._offs
+        xi = self._xi.reshape(-1, d)[off:off + na]  # each step's noise, copied into self._xi
         S0 = self.S.copy()  # the block's start states, which its booking reads
         # lambda's state after each candidate and its pick, which the envelope rules read
         self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
@@ -633,11 +655,11 @@ class _ChunkRun:
             if r is not None:
                 self._record_stats(r)
 
-            xi = xi_block[:, kk].reshape(-1, d)[off:off + na]
-            X, lam = self.X, self.S[1]
-            Xn = X + (self._drift(X, lam) - self.fb) * h + self._noise_term(X, lam, xi) * self.sqrt_h
+            X, Xn = self.X, self._X_next
+            np.copyto(self._xi, xi_block[:, kk])
+            self._euler(X, xi, Xn)
             if k >= self.tail_start:  # sqrt once at the end: it is monotone
-                np.maximum(self.tail_x2, (Xn**2).sum(axis=1), out=self.tail_x2)
+                np.maximum(self.tail_x2, np.square(Xn[:, 0]) if self.d == 1 else (Xn**2).sum(axis=1), out=self.tail_x2)
             if not np.isfinite(Xn).all():
                 bad = int(np.flatnonzero(~np.isfinite(Xn).all(axis=1))[0])
                 stop = int(np.searchsorted(step, kk)), EngineError(
@@ -649,12 +671,13 @@ class _ChunkRun:
                 a, b = first[kk], first[kk + 1]
                 if a < b:
                     self.S[1, to_path[a:b]] = to_state[a:b]
+                    self._lits[:, to_path[a:b]] = self._lit_table[:, to_state[a:b]]
             else:
                 g0, g1 = step_first[kk], step_first[kk + 1]
                 if g0 < g1 and (stop := self._process_step(Xn, bounds[g0:g1 + 1])):
                     break
 
-            self.X = Xn
+            self.X, self._X_next = Xn, X
             if self.recording:
                 self._record_grid(k + 1)
         self._finish_block(S0, block_start, bsz, stop)
@@ -675,6 +698,7 @@ class _ChunkRun:
                 for g in range(g0, g0 + ng)]
         blocks = range(0, n_steps, _STEP_BLOCK)
         bufs = [np.empty((ng, min(_STEP_BLOCK, n_steps), _GROUP, self.d)) for _ in blocks[:2]]
+        self._xi = np.empty((ng, _GROUP, self.d))
 
         def draw(b):
             """Step block b's noise, into buffer b % 2, and each group's candidates."""
@@ -813,9 +837,34 @@ def _rank(first):
     return at - np.maximum.accumulate(np.where(first, at, 0))
 
 
-def _tree_groups(trees):
-    """The regimes grouped by equal coefficient trees, in order of first regime."""
-    return [[i for i, t in enumerate(trees) if t == key] for key in dict.fromkeys(trees)]
+def _shape_plan(entries, state, na):
+    """The evaluation plan of coefficient entries, each given as its regimes'
+    trees: per entry, one (regimes, f, literals) per shape (exprlang.shape)
+    in order of first regime, f that of the first.  A literal whose bits are
+    equal across the shape's regimes stays a float; one that differs is a row
+    of the per-path literals.  Returns the plan, the (rows, M) table of every
+    regime's value of those literals, a regime outside the literal's shape
+    taking the shape's first regime's, and the per-path literals (rows, na),
+    all at ``state``."""
+    plan, table = [], []
+    for trees in entries:
+        shaped = [exprlang.shape(t) for t in trees]  # (key, literals, f)
+        plan.append([])
+        for key in dict.fromkeys(s[0] for s in shaped):
+            regimes, slots = [i for i, s in enumerate(shaped) if s[0] == key], []
+            for v in np.array([shaped[i][1] for i in regimes], dtype=float).T:  # (regimes,): one literal
+                if (v.view(np.int64) == v.view(np.int64)[0]).all():
+                    slots.append(float(v[0]))
+                else:  # the index of its row
+                    slots.append(len(table))
+                    table.append(np.full(len(trees), v[0]))
+                    table[-1][regimes] = v
+            plan[-1].append((regimes, shaped[regimes[0]][2], slots))
+    table = np.array(table).reshape(len(table), len(entries[0]))
+    lits = np.repeat(table[:, state:state + 1], na, axis=1)
+    plan = [[(regimes, f, [lits[s] if isinstance(s, int) else s for s in slots]) for regimes, f, slots in shapes]
+            for shapes in plan]
+    return plan, table, lits
 
 
 def _interval_move(states, mark, a12, a21):

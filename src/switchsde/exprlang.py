@@ -274,38 +274,59 @@ def compile_vectorized(e: Expr):
     No domain checks: division by zero and invalid powers propagate as
     inf/nan, to be caught by the caller's finiteness checks.
     """
-    return _as_array(_compile(e))
+    _, lits, f = shape(e)
+    return lambda X: f(X, lits)
 
 
 def constant_value(e: Expr) -> float | None:
     """The value of a tree built from literals by ``+ - * /`` and unary
     minus, else None.  It equals every entry of ``compile_vectorized(e)``."""
-    f = _compile(e)
-    return None if callable(f) else f
+    v = _fold(e, float, _shape_var, _shape_neg, _shape_call, _shape_binop)
+    return v if isinstance(v, float) else None
 
 
-def _as_array(f):
-    if callable(f):
-        return f
-    return lambda X: np.full(X.shape[0], f)
+def shape(e: Expr):
+    """The tree's shape key, its literals and a closure ``f(X, literals)``.
+
+    A literal is a maximal constant subtree of ``+ - * /`` and unary minus,
+    folded to a float, in fold order, so two trees have equal keys exactly
+    when they differ only in their literals.  ``f`` reads literal k as
+    ``literals[k]``, a float or an array with one value per row of X; these
+    operations round once, so a float operand gives the same bits as a
+    constant array.  A literal read as an exponent, a call argument or the
+    whole tree becomes an array: numpy's scalar fast paths for ``power``
+    (2, 0.5, -1) round differently."""
+    key, lits, make = _as_part(_fold(e, float, _shape_var, _shape_neg, _shape_call, _shape_binop))
+    return key, lits, make(0)
 
 
-def _compile(e: Expr):
-    """A closure of X, or a float for a constant subtree of ``+ - * /`` and
-    unary minus.  These operations round once, so a float operand gives the
-    same bits as a constant array.  The exponent of ``^`` and the arguments of
-    calls stay arrays: numpy's scalar fast paths for ``power`` (2, 0.5, -1)
-    round differently."""
-    return _fold(e, float, _compile_var, _compile_neg, _compile_call, _compile_binop)
+# A shape part is (key, literals, make), where make(k) builds the closure of
+# (X, literals) whose first literal is literals[k]; a float is a folded
+# constant whose slot its parent lays out.
 
 
-def _compile_var(index):
-    k = index - 1
-    return lambda X: X[:, k]
+def _as_part(a):
+    """``a`` as a part; a folded constant becomes one literal read as an array."""
+    if not isinstance(a, float):
+        return a
+    return "#", (a,), lambda k: lambda X, L: np.full(X.shape[0], L[k])
 
 
-def _compile_neg(f):
-    return (lambda X: -f(X)) if callable(f) else -f
+def _shape_var(index):
+    j = index - 1
+    return ("x", index), (), lambda k: lambda X, L: X[:, j]
+
+
+def _shape_neg(a):
+    if isinstance(a, float):
+        return -a
+    key, lits, make = a
+
+    def build(k):
+        f = make(k)
+        return lambda X, L: -f(X, L)
+
+    return ("-", key), lits, build
 
 
 def _safe_sqrt(a):
@@ -317,28 +338,53 @@ def _safe_sqrt(a):
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sqrt": _safe_sqrt, "min": np.minimum, "max": np.maximum}
 
 
-def _compile_call(name, fs):
-    ufunc, fs = _UFUNCS[name], [_as_array(f) for f in fs]
-    if len(fs) == 1:
-        f0 = fs[0]
-        return lambda X: ufunc(f0(X))
-    f0, f1 = fs
-    return lambda X: ufunc(f0(X), f1(X))
+def _shape_call(name, args):
+    ufunc, parts = _UFUNCS[name], [_as_part(a) for a in args]
+
+    def build(k):
+        fs = []
+        for _, lits, make in parts:
+            fs.append(make(k))
+            k += len(lits)
+        if len(fs) == 1:
+            f0 = fs[0]
+            return lambda X, L: ufunc(f0(X, L))
+        f0, f1 = fs
+        return lambda X, L: ufunc(f0(X, L), f1(X, L))
+
+    return (name, *(p[0] for p in parts)), sum((p[1] for p in parts), ()), build
 
 
-def _compile_binop(op, fl, fr):
-    if op == "^":
-        fl, fr = _as_array(fl), _as_array(fr)
-        return lambda X: _safe_pow(fl(X), fr(X))
-    op = _ARITH[op]
-    if callable(fl) and callable(fr):
-        return lambda X: op(fl(X), fr(X))
-    if callable(fl):
-        return lambda X: op(fl(X), fr)
-    if callable(fr):
-        return lambda X: op(fl, fr(X))
-    with np.errstate(all="ignore"):
-        return float(op(np.float64(fl), fr))
+def _shape_binop(op, a, b):
+    consts = isinstance(a, float), isinstance(b, float)
+    if op != "^" and all(consts):
+        with np.errstate(all="ignore"):
+            return float(_ARITH[op](np.float64(a), b))
+    if op == "^" or not any(consts):
+        (ka, la, ma), (kb, lb, mb) = _as_part(a), _as_part(b)
+        ev = _safe_pow if op == "^" else _ARITH[op]
+
+        def build(k):
+            fa, fb = ma(k), mb(k + len(la))
+            return lambda X, L: ev(fa(X, L), fb(X, L))
+
+        return (op, ka, kb), la + lb, build
+    ev = _ARITH[op]
+    if consts[0]:  # the literal is the first slot, read as it is
+        kb, lb, mb = b
+
+        def build(k):
+            fb = mb(k + 1)
+            return lambda X, L: ev(L[k], fb(X, L))
+
+        return (op, "#", kb), (a,) + lb, build
+    ka, la, ma = a
+
+    def build(k):
+        fa, j = ma(k), k + len(la)
+        return lambda X, L: ev(fa(X, L), L[j])
+
+    return (op, ka, "#"), la + (b,), build
 
 
 def _safe_div(a, b):

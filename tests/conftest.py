@@ -614,6 +614,8 @@ class PerStepRounds(engine._ChunkRun):
             if self._crossed(pr).any():
                 c = int(np.flatnonzero(self._crossed(pr))[0])
                 raise self._crossing_error(b0 + c)
+        moved = self._p[s0:bounds[-1]]
+        self._lits[:, moved] = self._lit_table[:, self.S[1, moved]]
 
     def _finish_block(self, S0, k0, steps, stop):
         if stop:

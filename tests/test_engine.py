@@ -14,6 +14,7 @@ from scipy import stats
 
 from switchsde import cli
 from switchsde import engine as en
+from switchsde import exprlang as ex
 from switchsde import markov as mk
 from switchsde import scenario as sn
 from tests.conftest import (
@@ -27,7 +28,12 @@ from tests.conftest import (
     state_dependent_twin,
     write_scenario,
 )
-from tests.test_golden import BLOCK_BOUNDARY_GOLDEN, BLOCK_BOUNDARY_SIZES, six_state_birth_death
+from tests.test_golden import (
+    BLOCK_BOUNDARY_GOLDEN,
+    BLOCK_BOUNDARY_SIZES,
+    literal_scenario,
+    six_state_birth_death,
+)
 
 
 def load(doc):
@@ -812,53 +818,107 @@ class TestBlockPassAfterSteps:
             assert err == crossing
 
 
-def _coefficients(d, shared):
-    """Three regimes whose drift rows and diffusion matrices are one tree for
-    all, for some (drift: regimes 2 and 3; diffusion: 1 and 3) or for none;
-    also the first regime of each group."""
-    a = ["-1*x1", "0.5*x1 - x2", "sin(x1)"] if d == 2 else ["-1*x1", "0.5*x1", "sin(x1)"]
-    s = ["0.3*x1", "0.5*x2 + 0.1", "cos(x1)"] if d == 2 else ["0.3*x1", "0.5*x1 + 0.1", "cos(x1)"]
-    pick_a, pick_s = {"all": ([0, 0, 0], [0, 0, 0]), "some": ([0, 1, 1], [0, 1, 0]),
-                      "none": ([0, 1, 2], [0, 1, 2])}[shared]
-    drift = [[a[i]] + ["-2*x2"] * (d - 1) for i in pick_a]
-    diffusion = [[[s[i], "0.1*x1"], ["0.2*x2", s[i]]] if d == 2 else [[s[i]]] for i in pick_s]
-    return drift, diffusion, [sorted({pick.index(j) for j in pick}) for pick in (pick_a, pick_s)]
+# each case's three regimes: (drift column 1, diffusion diagonal), and the
+# shapes each of the two entries has; "literals" differ only in literals,
+# among them 0 against -0, which the bits tell apart
+_COEFFICIENT_CASES = {
+    "all": ((["-1*x1"] * 3, ["0.3*x1"] * 3), (1, 1)),
+    "literals": ((["0*x1 + sin(2*x1)", "-0*x1 + sin(3*x1)", "0.5*x1 + sin(2*x1)"],
+                  ["0.3*abs(x1)^2", "0.5*abs(x1)^0.5", "0.3*abs(x1)^-1"]), (1, 1)),
+    "some": ((["-1*x1", "sin(2*x1)", "sin(3*x1)"], ["0.3*x1", "0.5*x1 + 0.1", "0.4*x1"]), (2, 2)),
+    "none": ((["-1*x1", "sin(x1)", "x1^2"], ["0.3*x1", "0.5*x1 + 0.1", "cos(x1)"]), (3, 3)),
+}
+
+
+def _coefficients(d, case):
+    """Three regimes' drift rows and diffusion matrices for ``case``, with
+    entries shared by all regimes in two dimensions."""
+    (a, s), _ = _COEFFICIENT_CASES[case]
+    drift = [[a[i]] + ["-2*x2"] * (d - 1) for i in range(3)]
+    diffusion = [[[s[i], "0.1*x1"], ["0.2*x2", s[i]]] if d == 2 else [[s[i]]] for i in range(3)]
+    return drift, diffusion
+
+
+def _entry_trees(sc, entry):
+    """The regimes' compiled trees of coefficient entry ``entry``: drift
+    columns, then the diffusion's entries row by row."""
+    d = sc.d
+    if entry < d:
+        return [row[entry] for row in sc.drift_fn]
+    r, c = divmod(entry - d, d)
+    return [mat[r][c] for mat in sc.sigma_fn]
+
+
+def _per_path_choice(self, X, states, entry):
+    """Each path's value of its own regime's tree, compiled alone."""
+    values = np.stack([f(X) for f in _entry_trees(self.sc, entry)])
+    return values[states, np.arange(len(states))]
 
 
 class TestCoefficientGroups:
-    @pytest.mark.parametrize("shared", ["all", "some", "none"])
+    @pytest.mark.parametrize("case", sorted(_COEFFICIENT_CASES))
     @pytest.mark.parametrize("d", [1, 2])
-    def test_grouped_equals_per_path_choice(self, d, shared):
-        drift, diffusion, firsts = _coefficients(d, shared)
+    def test_grouped_equals_per_path_choice(self, d, case):
+        drift, diffusion = _coefficients(d, case)
         sc = load(make_scenario(
             dimensions={"d": d, "M": 3}, drift=drift, diffusion=diffusion, gains=[0.0] * 3,
             rates=[["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
             coefficient_bounds={"C": [0.0] * 3, "c": [0.0] * 3, "Ma": 1.0},
             initial={"x": [1.0] * d, "state": 1},
         ))
-        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=50), range(50), "marginal", None)
-        assert [g[0] for g in run.drift_groups] == firsts[0]
-        assert [g[0] for g in run.sigma_groups] == firsts[1]
+        n = 50
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=n), range(n), "marginal", None)
+        # entries shared by all regimes in two dimensions have one shape
+        a_shapes, s_shapes = _COEFFICIENT_CASES[case][1]
+        want = [a_shapes, 1, s_shapes, 1, 1, s_shapes] if d == 2 else [a_shapes, s_shapes]
+        assert [len(entry) for entry in run._shapes] == want
         rng = np.random.default_rng(d)
-        X, xi = rng.normal(size=(2, 50, d))
-        states = np.arange(50) % 3
+        X, xi, run.fb = rng.normal(size=(3, n, d))
+        states = np.arange(n) % 3
         rng.shuffle(states)
+        run.S[1] = states
+        run._lits[:] = run._lit_table[:, states]
         calls = []
-
-        def counted(f, key):
-            return lambda X: calls.append(key) or f(X)
-
-        sc.drift_fn = [[counted(f, ("a", i)) for f in row] for i, row in enumerate(sc.drift_fn)]
-        sc.sigma_fn = [[[counted(f, ("s", i)) for f in r] for r in m] for i, m in enumerate(sc.sigma_fn)]
-        got_a, got_noise = run._drift(X, states), run._noise_term(X, states, xi)
-        # one evaluation per distinct tree, of the group's first regime
-        assert calls == [("a", i) for i in firsts[0] for _ in range(d)] + [
-            ("s", i) for i in firsts[1] for _ in range(d * d)]
-        a = np.stack([sc.drift_at(X, i) for i in range(3)])[states, np.arange(50)]
-        S = np.stack([sc.sigma_at(X, i) for i in range(3)])[states, np.arange(50)]
+        for e, entry in enumerate(run._shapes):
+            entry[:] = [(regimes, lambda X, L, f=f, key=(e, regimes[0]): calls.append(key) or f(X, L), lits)
+                        for regimes, f, lits in entry]
+        Xn = np.empty_like(X)
+        run._euler(X, xi, Xn)
+        # one evaluation per shape, of its first regime's closure
+        assert sorted(calls) == sorted((e, g[0][0]) for e, entry in enumerate(run._shapes) for g in entry)
+        for e in range(d + d * d):
+            assert run._coefficient(X, states, e).tobytes() == _per_path_choice(run, X, states, e).tobytes()
+        a = np.stack([sc.drift_at(X, i) for i in range(3)])[states, np.arange(n)]
+        S = np.stack([sc.sigma_at(X, i) for i in range(3)])[states, np.arange(n)]
         noise = np.einsum("nij,nj->ni", S, xi) if d > 1 else S[:, :, 0] * xi
-        assert got_a.tobytes() == a.tobytes()
-        assert got_noise.tobytes() == noise.tobytes()
+        assert Xn.tobytes() == (X + (a - run.fb) * run.h + noise * run.sqrt_h).tobytes()
+
+    def test_literals_are_told_apart_by_their_bits(self):
+        plan, table, lits = en._shape_plan([[ex.parse("0*x1"), ex.parse("-0*x1"), ex.parse("0*x1")]], 1, 4)
+        assert len(plan[0]) == 1 and [s.tolist() for s in plan[0][0][2]] == [[-0.0] * 4]
+        assert np.signbit(table).tolist() == [[False, True, False]]
+        lits[0, :2] = table[0, [0, 2]]
+        got = plan[0][0][1](np.full((4, 1), -2.0), plan[0][0][2])
+        assert np.signbit(got).tolist() == [True, True, False, False]
+
+    @pytest.mark.parametrize("schedule", ["state_free", "per_step"])
+    @pytest.mark.parametrize("name", ["d1", "d2"])
+    def test_literals_follow_lambda_inside_a_block(self, name, schedule, monkeypatch):
+        doc = literal_scenario(name)
+        sc = load(doc if schedule == "state_free" else state_dependent_twin(doc))
+        assert sc.rates.state_free == (schedule == "state_free")
+        p = en.SimParams.from_scenario(sc, n_paths=40, horizon=6.5)
+        path = en.simulate_coupled(sc, p, 7)
+        blocks = en._STEP_BLOCK * p.h
+        # lambda moves inside the step blocks, not at their edges only
+        assert any(0 < t % blocks for t, *_ in path.jumps["lambda"])
+        got = [path, en.monte_carlo(sc, p), en.monte_carlo(sc, p, coupled=True)]
+        monkeypatch.setattr(en._ChunkRun, "_coefficient", _per_path_choice)
+        want = [en.simulate_coupled(sc, p, 7), en.monte_carlo(sc, p), en.monte_carlo(sc, p, coupled=True)]
+        assert got[0].X.tobytes() == want[0].X.tobytes()
+        assert got[0].jumps == want[0].jumps
+        for g, w in zip(got[1:], want[1:]):
+            assert json.dumps(g.to_dict()) == json.dumps(w.to_dict())
 
 
 def _per_step_schedule(draws, steps, G, lo, na, h, R_cand):

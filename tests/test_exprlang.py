@@ -262,3 +262,109 @@ def test_walks_match_references_on_1000_random_trees():
 def test_walks_match_references_on_hypothesis_trees(e):
     _assert_matches_references(e, _points(np.random.default_rng(7)))
 
+
+
+# exprlang.shape: regimes whose trees differ only in literals share one
+# closure, which reads the literals per row
+
+
+def _skeleton(e):
+    """(key, literals) by a walk of the test's own: every maximal subtree
+    that the reference constant_value folds is one literal, "#" in the key."""
+    c = constant_value_reference(e)
+    if c is not None:
+        return "#", (c,)
+    if isinstance(e, ex.Var):
+        return ("x", e.index), ()
+    if isinstance(e, ex.Neg):
+        key, lits = _skeleton(e.arg)
+        return ("-", key), lits
+    parts = [_skeleton(a) for a in (e.args if isinstance(e, ex.Call) else (e.left, e.right))]
+    return (e.name if isinstance(e, ex.Call) else e.op, *(k for k, _ in parts)), sum((l for _, l in parts), ())
+
+
+def _with_nums(e, new):
+    if isinstance(e, ex.Num):
+        return ex.Num(new(e.value))
+    if isinstance(e, ex.Var):
+        return e
+    if isinstance(e, ex.Neg):
+        return ex.Neg(_with_nums(e.arg, new))
+    if isinstance(e, ex.Call):
+        return ex.Call(e.name, tuple(_with_nums(a, new) for a in e.args))
+    return ex.BinOp(e.op, _with_nums(e.left, new), _with_nums(e.right, new))
+
+
+def _twin(e, rng):
+    """``e`` with some literals replaced, from values that include both
+    zeros and the exponents numpy special-cases."""
+    values = [0.0, -0.0, 0.5, 2.0, -1.0, 3.25]
+    return _with_nums(e, lambda v: v if rng.random() < 0.3 else float(values[rng.integers(len(values))]))
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _assert_shape_reads_rows(e, rng, X):
+    """The closure of ``e``'s shape, fed each row's literals from a twin of
+    its own, gives that row what the reference compiler gives the twin:
+    with every literal an array, and with the literals equal in every row
+    as floats."""
+    key, lits, f = ex.shape(e)
+    skel_key, skel_lits = _skeleton(e)
+    assert _bits(lits) == _bits(skel_lits), ex.to_source(e)
+    twins = [_twin(e, rng) for _ in range(X.shape[0])]
+    rows = [ex.shape(t) for t in twins]
+    assert {r[0] for r in rows} == {key}, ex.to_source(e)
+    columns = [np.array(v) for v in zip(*(r[1] for r in rows))]
+    with np.errstate(all="ignore"):
+        want = np.array([compile_vectorized_reference(t)(X)[r] for r, t in enumerate(twins)])
+        assert f(X, columns).tobytes() == want.tobytes(), ex.to_source(e)
+        mixed = [float(c[0]) if len(set(_bits(c))) == 1 else c for c in columns]
+        assert f(X, mixed).tobytes() == want.tobytes(), ex.to_source(e)
+    return skel_key
+
+
+def test_shape_keys_and_per_row_literals_on_random_trees():
+    rng = np.random.default_rng(20261021)
+    X = _points(rng)
+    trees = [_random_expr(k % 5, rng) if k % 2 else _oracle_expr(rng, k % 5) for k in range(600)]
+    skeletons = [_assert_shape_reads_rows(e, rng, X) for e in trees]
+    keys = [ex.shape(e)[0] for e in trees]
+    # equal keys exactly when the trees differ only in their literals
+    for i in range(len(trees)):
+        for j in range(i + 1, len(trees), 7):
+            assert (keys[i] == keys[j]) == (skeletons[i] == skeletons[j])
+
+
+@given(expr_trees(depth=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_shape_reads_rows_on_hypothesis_trees(e, seed):
+    _assert_shape_reads_rows(e, np.random.default_rng(seed), _points(np.random.default_rng(7)))
+
+
+def test_shape_tells_signed_zero_literals_apart():
+    (k0, l0, f), (k1, l1, _) = ex.shape(ex.parse("0*x1")), ex.shape(ex.parse("-0*x1"))
+    assert k0 == k1 and _bits(l0) != _bits(l1)
+    got = f(np.full((2, 1), -1.0), [np.array([l0[0], l1[0]])])
+    assert np.signbit(got).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("source", ["x1^2", "x1^0.5", "x1^-1", "(x1 + 1)^2 - 2^x1", "abs(x1)^0.5^2"])
+def test_shape_keeps_exponents_arrays(source, monkeypatch):
+    # numpy's scalar-exponent fast paths round differently from the array form
+    seen = []
+
+    def power(a, b):
+        seen.append((np.ndim(a), np.ndim(b)))
+        return np.power(a, b)
+
+    monkeypatch.setattr(ex, "_safe_pow", power)
+    key, lits, f = ex.shape(ex.parse(source))
+    X = np.random.default_rng(4).uniform(0.1, 10.0, (1000, 1))
+    for literals in (list(lits), [np.full(len(X), v) for v in lits]):
+        seen.clear()
+        got = f(X, literals)
+        assert seen and set(seen) == {(1, 1)}
+        assert got.tobytes() == compile_vectorized_reference(ex.parse(source))(X).tobytes()

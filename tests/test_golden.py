@@ -42,7 +42,10 @@ column and simulate-metadata runs) was re-recorded once more when the
 envelope chains' lone moves began to share one mark space from L, so that
 the route thins at H + max(Hbar, Hstar) instead of H + Hbar + Hstar; no hash
 of the marginal or two-state interval route moved, nor the six-state
-simulate hash, whose path jumps in neither stream.
+simulate hash, whose path jumps in neither stream.  Runs of two state-free
+three-regime scenarios whose coefficients differ mostly in literals, with
+``mc --record-stride 7`` over three step blocks, were recorded before the
+engine evaluated the regimes of one coefficient shape once.
 """
 
 import hashlib
@@ -223,6 +226,28 @@ COEFFICIENT_GOLDEN = {
 }
 
 
+# (mc --record-stride 7, simulate) of 100 paths over 650 steps (two full step
+# blocks and a partial one) recording path 37, for --coupled and for the
+# marginal route, on state-free scenarios whose regimes' coefficients differ
+# only in literals (literal_scenario); taken before the engine evaluated the
+# regimes of one coefficient shape once, with their literals read per path
+LITERAL_SIZE = ["--paths", "100", "--horizon", "6.5"]
+LITERAL_GOLDEN = {
+    "d1": (
+        ("91d0fd76fa781f3937aebae756e48ffb43ea1d751f08e9001a9b32b58e1bb3c8",
+         "a5281c3b3c52a64e5c62af6e6f9b736350a42a220e765c5b58731900bee991ef"),
+        ("09427d9af79a496f4272fc19c1b515dc762adbf922005ab9805e72c2654fffa6",
+         "b27dbf8275aff25d26dd46e65d47efc5c96f95bfcc7e676c7edc7dda5b3a9a66"),
+    ),
+    "d2": (
+        ("a43e2b1ce6fb11ce6c39d4530786b17cf0352daf9cae4997ffed72dbc2737d4e",
+         "6e49637cbeb806e47d995e1b2cd00521264a643a3c3e3efd6ea317218ebce8f3"),
+        ("2cc9f126a47e15048120bd093b8afed56eb75b58890c0ac8bd7e706a6daa0ada",
+         "ac365cd6e851e6b0b3042a1fa651aba1d1e51560e2dfa33641168b671bab6425"),
+    ),
+}
+
+
 # (validate, envelopes) JSON of every fixture and of the six-state scenario:
 # they carry the partial-sum domination reports, and three_state_rational's
 # upper envelope has a deficit, so its reports list a violation; taken before
@@ -385,6 +410,37 @@ def coefficient_scenario(name):
     return doc | {k: three[k] for k in ("rates", "rate_bound", "envelopes")}
 
 
+def literal_scenario(name):
+    """Three regimes with constant switching rates whose drift and diffusion
+    differ between regimes mostly in literals: inside a call (sin(2*x1)
+    against sin(3*x1)), as a call argument, as an exponent that differs
+    between regimes and one that is equal, next to entries that one regime
+    writes in another shape and entries that are one tree for all."""
+    base = dict(
+        gains=[0.2, 0.3, 0.5], rate_bound=2.0, step=0.01,
+        rates=[["0", "1", "0.5"], ["0.7", "0", "1"], ["1", "0.4", "0"]],
+        coefficient_bounds={"C": [0.0] * 3, "c": [-4.0] * 3, "Ma": 2.0},
+    )
+    if name == "d1":
+        return make_scenario(
+            drift=[["-1*x1 + 0.2*sin(2*x1) + 0.1*min(x1, 2)"], ["-1.5*x1 + 0.2*sin(3*x1) + 0.1*min(x1, 3)"],
+                   ["-0.8*x1 + 0.2*sin(2*x1) + 0.1*min(x1, 2)"]],
+            diffusion=[[["0.3*abs(x1)^1.5/(1 + x1^2)"]], [["0.2*abs(x1)^0.5/(1 + x1^2)"]],
+                       [["0.3*abs(x1)^1.5/(1 + x1^2)"]]],
+            dimensions={"d": 1, "M": 3}, initial={"x": [1.5], "state": 2}, **base,
+        )
+    return make_scenario(
+        drift=[["-1*x1 + 0.2*sin(2*x1)", "-1*x2 + 0.1*abs(x1)^1.5"],
+               ["-1.5*x1 + 0.2*sin(3*x1)", "-1*x2 + 0.1*abs(x1)^2"],
+               ["-0.8*x1 + 0.3*sin(2*x1)", "-2*x2 + 0.1*cos(x1)"]],
+        diffusion=[[["0.3*x1", "0.1*x2^2/(1 + x2^2)"], ["0.05*x1", "0.2*x2"]],
+                   [["0.4*x1", "0.1*x2^2/(1 + x2^2)"], ["0.05*x1", "0.25*x2"]],
+                   [["0.2*x1", "0.15*x2^2/(1 + x2^2)"], ["0.05*x1", "0.2*x2"]]],
+        dimensions={"d": 2, "M": 3}, initial={"x": [1.5, -1.0], "state": 2},
+        grid={"lo": -2.0, "hi": 2.0, "n": 441}, **base,
+    )
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -469,6 +525,20 @@ def test_golden_block_boundaries(name, coupled, tmp_path, capsys):
         flag = ["--coupled"] if coupled else []
         assert cli.main(["mc", fx, *flag, *size, "--workers", "2", "--out", str(out)]) == 0
         assert _sha256(out) == want[0]
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "marginal"])
+@pytest.mark.parametrize("name", sorted(LITERAL_GOLDEN))
+def test_golden_literal_coefficients(name, coupled, tmp_path, capsys):
+    fx = write_scenario(tmp_path, literal_scenario(name))
+    sc = scenario.load_scenario(fx)
+    assert sc.rates.state_free and 2 * engine._STEP_BLOCK < round(6.5 / sc.step) < 3 * engine._STEP_BLOCK
+    mc_out, sim_out = tmp_path / "mc.json", tmp_path / "path.csv"
+    flag = ["--coupled"] if coupled else []
+    assert cli.main(["mc", fx, *flag, *LITERAL_SIZE, "--record-stride", "7", "--out", str(mc_out)]) == 0
+    assert cli.main(["simulate", fx, *flag, *LITERAL_SIZE, "--path-index", "37", "--out", str(sim_out)]) == 0
+    capsys.readouterr()
+    assert (_sha256(mc_out), _sha256(sim_out)) == LITERAL_GOLDEN[name][0 if coupled else 1]
 
 
 @pytest.mark.parametrize("name", sorted(DOMINATION_GOLDEN))
