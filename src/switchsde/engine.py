@@ -27,24 +27,29 @@ Jump mechanism: candidate events arrive as a Poisson stream whose rate covers
 the mark space a chain can read: the exit-rate bound H on the marginal route,
 H plus the larger of the envelopes' largest exit rates on the matrix route,
 whose envelope chains read one shared mark space beyond H, and 2H on the
-two-state interval route, whose shared mark lays both rows end to end.  At
-each candidate the diffusion value is linearly interpolated inside the step
-and a uniform mark decides the jump through the row-block layout, in which
-every row's block starts at 0, as a chain reads only the row of its current
-state (thinning; Lewis and Shedler 1979).  The mark space lives here: its
-size, its regions, and one cumulative-interval pick, _pick, which lambda's
-row and the coupling-row regions of the matrix route share.  A step
-block's candidates are scheduled once, in rounds: round r holds the r-th
-candidate in time of every live path in its (step, path) cell.  The rules
-read that table, the step block's state, by candidate index.  Only the
-switching chain lambda feeds back into the diffusion.  Its rule runs once per
-candidate: step by step when some off-diagonal rate reads x, each step taking
-its candidate points and their rates once, or else in one pass ahead of the
-block's steps at the one rate stack.  It refuses a negative rate and an exit
-rate beyond the declared bound H with EngineError, and keeps each candidate's
-new state and pick.  A coupled run then moves the envelope chains, which never
-touch the path, once per step block after its steps, from those kept values;
-that pass's rounds hold each path's r-th candidate in the block.  Every move
+two-state interval route.  At each candidate the diffusion value is linearly
+interpolated inside the step and a uniform mark decides the jump through one
+of two layouts.  In the row-block layout every row's block starts at 0, as a
+chain reads only the row of its current state (thinning; Lewis and Shedler
+1979).  The interval route lays a chain's rows end to end, row-major, as in
+Skorokhod's representation (Shao 2017), so that one mark moves all three
+chains: a chain moves from state index // M to index % M.  The mark space
+lives here: its size, its regions, and one cumulative-interval pick, _pick,
+which reads both layouts, for lambda and for the envelope chains.  A step
+block's candidates are scheduled once, in rounds, from one sort by (path,
+step, offset): a step's round r holds the r-th candidate in time of every
+live path in its (step, path) cell, and a block round r each path's r-th
+candidate in the block.  The rules read that table, the step block's state,
+by candidate index.  Only the switching chain lambda feeds back into the
+diffusion.  Its rule runs once per candidate: step by step when some
+off-diagonal rate reads x, each step taking its candidate points and their
+rates once, or else in one pass ahead of the block's steps, in the block
+rounds, at the one rate stack.  Each rate stack is checked once, a step
+round's before its rule and the one stack before the first step: a negative
+rate or an exit rate beyond the declared bound H raises EngineError.  The
+rule keeps each candidate's new state and pick.  A coupled run then moves the
+envelope chains, which never touch the path, once per step block after its
+steps, from those kept values, in the block rounds.  Every move
 is logged and booked once per block in the per-step order, so the schedules
 give the same bytes.  Coupled runs either share one mark among all three
 chains (two-state interval route, when the interval-sum conditions hold) or
@@ -290,11 +295,11 @@ class _ChunkRun:
         self.state_free = sc.rates.state_free
         if self.state_free:  # the one rate stack, checked once
             self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
-            self._check_rate_bound(self.R0[None], self.R0.sum(axis=1)[None], None, None)
+            self._check_rate_bound(self.R0[None], None, None)
         self.R_cand = self.L
+        if self.coupled:  # the envelope chains' rows
+            self.Rbar, self.Rstar = cpl.offdiag(env.qbar), cpl.offdiag(env.qstar)
         if route == "matrix":  # regions B and C share [L, R_cand)
-            self.Rbar = cpl.offdiag(env.qbar)
-            self.Rstar = cpl.offdiag(env.qstar)
             self.R_cand = self.L + float(max(self.Rbar.sum(axis=1).max(), self.Rstar.sum(axis=1).max()))
 
         na = self.na
@@ -425,16 +430,19 @@ class _ChunkRun:
 
     def _process_step(self, Xn, bounds):
         """The switching chain's rounds of one step, delimited by ``bounds``,
-        at the candidate points and rates taken once into the table, and the
-        moved paths' literals after them; returns (round start, error) at a
-        rate the check refuses, or None."""
+        at the candidate points and rates taken once into the table, each
+        round's rates checked before its rule, and the moved paths' literals
+        after them; returns (round start, error) at a rate the check refuses,
+        or None."""
         s = slice(bounds[0], bounds[-1])
         X0 = self.X[self._p[s]]
         Xc = X0 + (Xn[self._p[s]] - X0) * (self._offs[s] / self.h)[:, None]
         self._Roff[s] = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
+            c = np.arange(b0, b1)
             try:
-                self._lambda_jump(np.arange(b0, b1), Xc[b0 - s.start:b1 - s.start])
+                self._check_rate_bound(self._Roff[b0:b1], c, Xc[b0 - s.start:b1 - s.start])
+                self._lambda_jump(c)
             except EngineError as err:
                 return b0, err
         moved = self._p[s]
@@ -528,10 +536,11 @@ class _ChunkRun:
                  if self.sc.envelopes is None else "")
         return EngineError(f"coupled chains crossed at t={self._tc[c]:.6g}, path {self.paths[path]}: {states}{where}")
 
-    def _check_rate_bound(self, Roff, q, c, Xc):
+    def _check_rate_bound(self, Roff, c, Xc):
         """Thinning is exact only while every off-diagonal rate ``Roff`` (n,
         M, M) at candidates ``c`` (points ``Xc``) is nonnegative and every
-        exit rate ``q`` (n, M) stays within H; a NaN rate is not within it."""
+        exit rate stays within H; a NaN rate is not within it."""
+        q = Roff.sum(axis=2)
         q_max = q.max()
         if q_max <= self.H_max and Roff.min() >= -cpl.NEG_TOL:
             return
@@ -546,17 +555,19 @@ class _ChunkRun:
                  else f" at t={self._tc[c[k]]:.6g}, x={Xc[k].tolist()}, path {self.paths[self._p[c[k]]]}")
         raise EngineError(what + where)
 
-    def _lambda_jump(self, c, Xc):
-        """The switching chain's rule at candidates ``c``, with the diffusion
-        values there (None at rates that do not read x): the rate check, then
-        the move under the route's layout, logged as call 0; a row-block mark
-        below 0 or from L on is none of its jumps.  It keeps each candidate's new state
-        and, in the row-block layout, the pick's width and the mark's
-        position in it."""
-        Roff, mark, lam = self._Roff[c], self._marks[c], self.S[1, self._p[c]]
-        self._check_rate_bound(Roff, Roff.sum(axis=2), c, Xc)
+    def _lambda_jump(self, c):
+        """The switching chain's rule at candidates ``c``, whose rates the
+        check has passed: the move under the route's layout, logged as call
+        0.  In the interval layout a candidate's rows lie end to end, and a
+        picked index moves a chain from index // M to index % M; a mark it
+        leaves unpicked reads index 0, the zero-width diagonal (0, 0), which
+        moves nothing.  In the row-block layout a mark below 0 or from L on is
+        none of its jumps, and the rule keeps, besides each candidate's new
+        state, the pick's width and the mark's position in it."""
+        Roff, mark, lam, M = self._Roff[c], self._marks[c], self.S[1, self._p[c]], self.M
         if self.route == "two_state":
-            new = _interval_move(lam, mark, Roff[:, 0, 1], Roff[:, 1, 0])
+            src, tgt = np.divmod(_pick(Roff.reshape(len(c), M * M), mark)[1], M)
+            new = np.where(src == lam, tgt, lam)
         else:
             ar = np.arange(len(c))
             hit, tgt, edges = _pick(Roff[ar, lam], mark)
@@ -574,9 +585,13 @@ class _ChunkRun:
     # chain by that number, as the rounds ran.
 
     def _two_state_jump(self, c, lam):
-        qbar, qstar = self.env.qbar, self.env.qstar
-        for call, (row, a12, a21) in enumerate(((2, qbar[0, 1], qbar[1, 0]), (0, qstar[0, 1], qstar[1, 0])), 1):
-            self._apply_jump(row, c, _interval_move(self.S[row, self._p[c]], self._marks[c], a12, a21), call)
+        """Each envelope chain's move in the interval layout, its constant
+        rows laid end to end and read as lambda's rule reads a candidate's."""
+        M = self.M
+        for call, (row, R) in enumerate(((2, self.Rbar), (0, self.Rstar)), 1):
+            src, tgt = np.divmod(_pick(R.reshape(1, M * M), self._marks[c])[1], M)
+            states = self.S[row, self._p[c]]
+            self._apply_jump(row, c, np.where(src == states, tgt, states), call)
 
     def _matrix_jump(self, c, lam):
         nc, M = len(c), self.M
@@ -623,7 +638,7 @@ class _ChunkRun:
         h, obs_every, na, d, M = self.h, self.params.obs_every, self.na, self.d, self.M
         bsz = xi_block.shape[1]
         # the block's candidate table, which the rules read by index
-        *cand, bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
+        *cand, bounds, block_order, block_bounds = _candidate_schedule(draws, bsz, _GROUP, off, na, h, self.R_cand)
         self._p, self._offs, self._marks, self._aux, self._step, self._rnd = cand
         p, n, step = self._p, len(self._p), self._step
         self._tc = (block_start + step) * h + self._offs
@@ -631,13 +646,12 @@ class _ChunkRun:
         S0 = self.S.copy()  # the block's start states, which its booking reads
         # lambda's state after each candidate and its pick, which the envelope rules read
         self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
-        if self.state_free or self.coupled:  # the block rounds, each path's r-th candidate in round r
-            order, rb = _block_rounds(p)
-            self._rounds = [order[b0:b1] for b0, b1 in zip(rb, rb[1:])]
-        if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack
+        # the block rounds, each path's r-th candidate in round r
+        self._rounds = [block_order[b0:b1] for b0, b1 in zip(block_bounds, block_bounds[1:])]
+        if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack, checked in __init__
             self._Roff = np.broadcast_to(self.R0, (n, M, M))
             for c in self._rounds:
-                self._lambda_jump(c, None)
+                self._lambda_jump(c)
             first, _, to_path, to_state = _last_moves(
                 bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, self._rnd, self._lam_new)
             self.S[1] = S0[1]
@@ -774,9 +788,13 @@ def _candidate_schedule(draws, steps, G, lo, na, h, R_cand):
     candidate, in draw order.  Columns [lo, lo + na) of the groups laid side
     by side are kept, as paths from lo.  Round r holds the r-th candidate in
     time (ties in draw order) of every path in its (step, path) cell, paths
-    ascending, and the rounds follow in (step, round) order.  Returns the
-    per-candidate (path, offset in the step, mark, auxiliary uniform, step,
-    round in its step) in round order and the round bounds.
+    ascending, and the rounds follow in (step, round) order.  The sort by
+    (path, step, offset) that ranks a cell's candidates also ranks each
+    path's candidates in the block: the block round of a candidate, which
+    holds every path's r-th candidate in the block, paths ascending.  Returns
+    the per-candidate (path, offset in the step, mark, auxiliary uniform,
+    step, round in its step) in round order, the round bounds, and the
+    candidate indices in block-round order with the block rounds' bounds.
     """
     group = np.repeat(np.arange(len(draws)), [len(cells) for cells, _ in draws])
     step, path = np.divmod(np.concatenate([cells for cells, _ in draws]), G)
@@ -792,18 +810,13 @@ def _candidate_schedule(draws, steps, G, lo, na, h, R_cand):
     by_round = np.argsort(key, kind="stable")  # paths stay ascending in a round
     order, key = order[by_round], key[by_round]
     bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    block = _rank(new_path)  # each candidate's rank in its path: its block round
+    by_block = np.argsort(block, kind="stable")  # paths stay ascending in a block round
+    index = np.empty_like(by_round)
+    index[by_round] = np.arange(len(by_round))  # the candidate index of each (path, step, offset) entry
+    block_bounds = np.flatnonzero(np.diff(block[by_block], prepend=-1, append=-1))
     return (path[by_round], offs[order], u[order, 1] * R_cand, u[order, 2], step[by_round], rnd[by_round],
-            bounds.tolist())
-
-
-def _block_rounds(p):
-    """The block pass's rounds over the per-step schedule's paths ``p``:
-    round r holds every path's r-th candidate in the block, paths ascending.
-    Returns the candidates in round order and the round bounds."""
-    by_path = np.argsort(p, kind="stable")
-    rank = _rank(np.diff(p[by_path], prepend=-1) != 0)
-    o = np.argsort(rank, kind="stable")
-    return by_path[o], np.flatnonzero(np.diff(rank[o], prepend=-1, append=-1)).tolist()
+            bounds.tolist(), index[by_block], block_bounds.tolist())
 
 
 def _last_moves(steps, row, call, path, step, rnd, new):
@@ -867,26 +880,18 @@ def _shape_plan(entries, state, na):
     return plan, table, lits
 
 
-def _interval_move(states, mark, a12, a21):
-    """Two-state interval rule: up-interval [0, a12), down-interval
-    [a12, a12 + a21); returns the new states."""
-    new = states.copy()
-    up = (states == 0) & (mark < a12)
-    dn = (states == 1) & (mark >= a12) & (mark < a12 + a21)
-    new[up] = 1
-    new[dn] = 0
-    return new
-
-
 def _pick(weights, u, denom=None):
     """The mark space's one cumulative-interval pick: left-closed right-open
-    intervals of widths ``weights`` (n, K), laid from 0 in index order, so a
-    zero weight gives no interval.  Returns (picked mask, index, the
-    intervals' upper edges).  Without ``denom``, u in [0, total) picks an
-    interval and anything beyond is a no-op candidate.  With ``denom`` the
-    intervals are scaled by max(denom, total), so a uniform u beyond the
-    covered mass keeps the current state (the caller interprets 'not picked'
-    as 'stay')."""
+    intervals of widths ``weights`` (n, K), or (1, K) for every u alike,
+    laid from 0 in index order, so a zero weight gives no interval.  A row of
+    weights is a chain's row of rates in the row-block layout, its rows laid
+    end to end (M * M, row-major) in the interval layout, or a coupling row
+    in the matrix route's regions.  Returns (picked mask, index, the
+    intervals' upper edges); an unpicked u reads index 0.  Without
+    ``denom``, u in [0, total) picks an interval and anything beyond is a
+    no-op candidate.  With ``denom`` the intervals are scaled by max(denom,
+    total), so a uniform u beyond the covered mass keeps the current state
+    (the caller interprets 'not picked' as 'stay')."""
     thr = np.cumsum(weights, axis=1)
     if denom is not None:
         thr /= (np.maximum(denom, weights.sum(axis=1)) + 1e-300)[:, None]

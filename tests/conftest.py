@@ -589,14 +589,29 @@ def one_round_table(run, marks, Roff):
     return c
 
 
+def interval_move_reference(states, mark, a12, a21):
+    """engine._interval_move as it stood before the interval layout became
+    engine._pick over the rows laid end to end, kept verbatim (bar the name)
+    as its bitwise reference.
+
+    Two-state interval rule: up-interval [0, a12), down-interval
+    [a12, a12 + a21); returns the new states."""
+    new = states.copy()
+    up = (states == 0) & (mark < a12)
+    dn = (states == 1) & (mark >= a12) & (mark < a12 + a21)
+    new[up] = 1
+    new[dn] = 0
+    return new
+
+
 class PerStepRounds(engine._ChunkRun):
     """The coupled schedule on rates that read x with every chain moved round
     by round in each step, kept as the reference for the envelope pass that
-    follows a block's steps: each round runs the switching chain's rule, then
-    the route's envelope rule, and raises a crossing at the round that makes
-    it; the block books the logged moves, and the recorded path takes every
-    chain's state at each step.  Run it in place of engine._ChunkRun with
-    ``per_step_rounds``."""
+    follows a block's steps: each round checks its rates and runs the
+    switching chain's rule, then the route's envelope rule, and raises a
+    crossing at the round that makes it; the block books the logged moves,
+    and the recorded path takes every chain's state at each step.  Run it in
+    place of engine._ChunkRun with ``per_step_rounds``."""
 
     def _process_step(self, Xn, bounds):
         s0 = bounds[0]
@@ -607,7 +622,8 @@ class PerStepRounds(engine._ChunkRun):
         for b0, b1 in zip(bounds, bounds[1:]):
             r, pr = np.arange(b0, b1), self._p[b0:b1]
             lam = self.S[1, pr]
-            self._lambda_jump(r, Xc[b0 - s0:b1 - s0])
+            self._check_rate_bound(self._Roff[b0:b1], r, Xc[b0 - s0:b1 - s0])
+            self._lambda_jump(r)
             if not self.coupled:
                 continue
             self._jump(r, lam)

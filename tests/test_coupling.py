@@ -11,6 +11,7 @@ from tests.conftest import (
     FIXTURE_NAMES,
     check_domination_reference,
     coupling_rows_reference,
+    interval_move_reference,
     load_fixture,
     make_scenario,
     one_round_table,
@@ -74,7 +75,7 @@ def lambda_jumps(R, states, marks):
     ))
     run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=n), range(n), "marginal", None)
     run.S[1] = states
-    run._lambda_jump(one_round_table(run, marks, R), run.X)
+    run._lambda_jump(one_round_table(run, marks, R))
     return run._lam_new, *run._lam_pick
 
 
@@ -575,6 +576,78 @@ def test_pick_hits_lie_in_their_target_interval(M):
         lower = np.where(tgt > 0, rows[ar, tgt - 1], 0.0)[hit]
         assert np.all((lower <= mark[hit]) & (mark[hit] < upper))
         assert np.array_equal(hit, (mark >= 0) & (mark < rows[:, -1]))
+
+
+class TestIntervalLayout:
+    """The two-state interval layout: a chain's off-diagonal rates laid end
+    to end, row-major, under one mark, so that [0, a12) moves state 1 up and
+    [a12, a12 + a21) moves state 2 down.  engine._pick reads it, and a chain
+    moves to index % M when index // M is its state.  The rule it replaced,
+    interval_move_reference, is its bitwise reference on lambda's
+    per-candidate rate stacks and on an envelope chain's single row, from
+    both states, at rates of 0 and +-1e-13 (the rate check lets rates down
+    to -NEG_TOL through), and at marks on the edges 0, a12 and a12 + a21 and
+    one ulp either side; the marks are nonnegative, as the engine draws
+    them."""
+
+    @staticmethod
+    def run(n):
+        """A run of n paths on the interval route, at H = 2."""
+        sc = sn.load_scenario(make_scenario())
+        return en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=n), range(n), "two_state",
+                            cp.EnvelopePair(QBAR, QSTAR))
+
+    @staticmethod
+    def rates(rng, n):
+        """n rate pairs (a12, a21), each rate uniform on [0, 2), 0 or +-1e-13."""
+        return np.choose(rng.integers(0, 4, (n, 2)), [rng.uniform(0.0, 2.0, (n, 2)), 0.0, 1e-13, -1e-13])
+
+    @staticmethod
+    def marks(rng, a12, a21, n):
+        """n marks, each the absolute value of an edge 0, a12 or a12 + a21, of
+        its neighbour one ulp below or above, or of a uniform on the route's
+        mark space [0, 2H)."""
+        edges = np.zeros((3, n))
+        edges[1], edges[2] = a12, a12 + a21
+        marks = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                                rng.uniform(0.0, 4.0, (1, n))])
+        return np.abs(marks[rng.integers(0, len(marks), n), np.arange(n)])
+
+    def test_lambda_matches_the_reference(self):
+        rng, n = np.random.default_rng(28), 60000
+        a = self.rates(rng, n)
+        R = np.zeros((n, 2, 2))
+        R[:, 0, 1], R[:, 1, 0] = a.T
+        states, mark = rng.integers(0, 2, n), self.marks(rng, a[:, 0], a[:, 1], n)
+        run = self.run(n)
+        run.S[1] = states
+        run._lambda_jump(one_round_table(run, mark, R))
+        want = interval_move_reference(states, mark, a[:, 0], a[:, 1])
+        assert np.array_equal(run._lam_new, want) and np.array_equal(run.S[1], want)
+        assert 0 < (want != states).sum() < n
+        # below 0, where the engine draws no mark, the pick reads the diagonal
+        # (0, 0) and no chain moves, as in the row-block layout
+        run.S[1] = states
+        run._lambda_jump(one_round_table(run, np.nextafter(-mark, -np.inf), R))
+        assert np.array_equal(run._lam_new, states)
+
+    def test_envelope_rows_match_the_reference(self):
+        rng, n = np.random.default_rng(29), 64
+        run = self.run(n)
+        c = one_round_table(run, np.zeros(n), np.zeros((n, 2, 2)))
+        moved = 0
+        for _ in range(300):
+            rows = self.rates(rng, 2)  # the upper and the lower envelope's (a12, a21)
+            run.Rbar, run.Rstar = (np.array([[0.0, a12], [a21, 0.0]]) for a12, a21 in rows)
+            run._marks = self.marks(rng, *rows[rng.integers(0, 2)], n)
+            run.S[:] = S0 = rng.integers(0, 2, (3, n))
+            run._two_state_jump(c, S0[1])
+            for row, (a12, a21) in zip((2, 0), rows):
+                want = interval_move_reference(S0[row], run._marks, a12, a21)
+                assert np.array_equal(run.S[row], want)
+                moved += (want != S0[row]).sum()
+            assert np.array_equal(run.S[1], S0[1])
+        assert 0 < moved < 300 * 2 * n
 
 
 def test_rates_match_expression_language():

@@ -257,7 +257,7 @@ class TestCoupledRoutes:
         assert marks[1] - L < edge and marks[1] == L + edge
         S0 = run.S.copy()
         c = one_round_table(run, marks, sc.rates.offdiag_batch(run.X))
-        run._lambda_jump(c, run.X)  # no jump: the marks are beyond L
+        run._lambda_jump(c)  # no jump: the marks are beyond L
         run._matrix_jump(c, S0[1, c])
         assert run.S.tolist() == [[0, 0], [1, 1], [1, 1]]
         run._book_block(S0, 0, 1)
@@ -277,7 +277,7 @@ class TestCoupledRoutes:
         # from (2, 3) the upper chain moves down alone at 0.1, and from (1, 2)
         # the lower chain up alone at 0.1
         c = one_round_table(run, [run.L + 0.05], sc.rates.offdiag_batch(run.X))
-        run._lambda_jump(c, run.X)
+        run._lambda_jump(c)
         run._matrix_jump(c, S0[1, c])
         assert [e[:2] for e in run._log] == [(2, 3), (0, 4)]
         assert run.S[:, 0].tolist() == [1, 1, 1]  # lambda_star <= lambda <= lambda_bar
@@ -419,10 +419,11 @@ class TestStateFreeRates:
     @pytest.mark.parametrize("route", sorted(TWIN_CASES))
     def test_block_rounds_sorted_once_per_step_block(self, route, monkeypatch):
         # the switching chain's pass ahead of the steps and, on a coupled
-        # run, the envelope pass after them share the block's rounds
+        # run, the envelope pass after them share the block's rounds, which
+        # come with the per-step rounds from the schedule's one sort by path
         doc, coupled, horizon = TWIN_CASES[route]()
-        sc, calls, block_rounds = load(doc), [], en._block_rounds
-        monkeypatch.setattr(en, "_block_rounds", lambda p: calls.append(len(p)) or block_rounds(p))
+        sc, calls, schedule = load(doc), [], en._candidate_schedule
+        monkeypatch.setattr(en, "_candidate_schedule", lambda *args: calls.append(args[1]) or schedule(*args))
         p = en.SimParams.from_scenario(sc, n_paths=64, horizon=horizon)
         en.monte_carlo(sc, p, coupled=coupled)
         assert len(calls) == -(-p.n_steps // en._STEP_BLOCK) > 1
@@ -924,7 +925,7 @@ class TestCoefficientGroups:
 def _per_step_schedule(draws, steps, G, lo, na, h, R_cand):
     """The per-step schedule's (path, offs, marks, aux, round bounds, first
     round of every step with one more entry closing the last step)."""
-    p, offs, marks, aux, step, _, bounds = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
+    p, offs, marks, aux, step, _, bounds, *_ = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
     return p, offs, marks, aux, bounds, np.searchsorted(step[bounds[:-1]], np.arange(steps + 1)).tolist()
 
 
@@ -1044,17 +1045,12 @@ class TestCandidateSchedule:
         def schedule(*args):
             out = schedule_block(*args)
             seen[0] += len(out[0])
-            seen[1] += len(out[-1]) - 1
+            seen[1] += len(out[6]) - 1  # the per-step round bounds
+            seen[2] += len(out[8]) - 1  # the block round bounds
             return out
 
-        def block(p):
-            out = block_rounds(p)
-            seen[2] += len(out[1]) - 1
-            return out
-
-        schedule_block, block_rounds = en._candidate_schedule, en._block_rounds
+        schedule_block = en._candidate_schedule
         monkeypatch.setattr(en, "_candidate_schedule", schedule)
-        monkeypatch.setattr(en, "_block_rounds", block)
         p = en.SimParams.from_scenario(sc, n_paths=2048, seed=3, h=0.01, horizon=1.0)
         assert en.monte_carlo(sc, p, coupled=route != "marginal").route == route
         assert seen == want
@@ -1094,9 +1090,8 @@ class TestCandidateSchedule:
         counts = rng.poisson(rate, (ng, steps, G))
         u = rng.integers(0, 4, 3 * int(counts.sum())) / 4  # ties inside a step
         draws = cell_lists(counts, u, rng)
-        per_step = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
-        order, bounds = en._block_rounds(per_step[0])
-        block = [a[order] for a in per_step[:-1]]
+        *per_step, _, order, bounds = en._candidate_schedule(draws, steps, G, lo, na, h, R_cand)
+        block = [a[order] for a in per_step]
 
         def candidates(out):
             p, offs, marks, aux, step, rnd = out[:6]
@@ -1491,6 +1486,21 @@ class TestGuards:
         err = capsys.readouterr().err
         assert err.count("exceeds declared bound H=2.0 at t=") == 2
         assert err.count("x=[3.0], path ") == 2
+
+    def test_refused_round_runs_no_rule(self):
+        # one path's two candidates in a step from x = 0.5 to x = 1.5, at
+        # x = 0.75 and x = 1.25: the first round's rates 1.75 move lambda up,
+        # the second round's exit rates 2.25 exceed H = 2, and the step stops
+        # at that round with lambda where the first round left it
+        sc = load(make_scenario(rates=[["0", "1 + x1"], ["1 + x1", "0"]], rate_bound=2.0))
+        run = en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), range(1), "marginal", None)
+        run.X[:] = 0.5
+        one_round_table(run, [0.1, 0.1], np.empty((2, 2, 2)))
+        run._p, run._rnd = np.zeros(2, dtype=np.int64), np.arange(2)
+        run._offs = run._tc = np.array([0.25, 0.75]) * run.h
+        rnd, err = run._process_step(np.full((1, 1), 1.5), [0, 1, 2])
+        assert rnd == 1 and str(err).startswith("exit rate 2.25 from state 1 exceeds declared bound H=2.0 at t=")
+        assert run.S[1].tolist() == [1] and len(run._log) == 1
 
     def test_path_index_range(self, ex_balanced):
         p = en.SimParams.from_scenario(ex_balanced, n_paths=4, horizon=2.0)
