@@ -41,17 +41,26 @@ step, offset): a step's round r holds the r-th candidate in time of every
 live path in its (step, path) cell, and a block round r each path's r-th
 candidate in the block.  The rules read that table, the step block's state,
 by candidate index.  Only the switching chain lambda feeds back into the
-diffusion.  Its rule runs once per candidate: step by step when some
-off-diagonal rate reads x, each step taking its candidate points and their
-rates once, or else in one pass ahead of the block's steps, in the block
-rounds, at the one rate stack.  Each rate stack is checked once, a step
-round's before its rule and the one stack before the first step: a negative
-rate or an exit rate beyond the declared bound H raises EngineError.  The
-rule keeps each candidate's new state and pick.  A coupled run then moves the
-envelope chains, which never touch the path, once per step block after its
-steps, from those kept values, in the block rounds.  Every move
-is logged and booked once per block in the per-step order, so the schedules
-give the same bytes.  Coupled runs either share one mark among all three
+diffusion, through the coefficients and gains that read the regime.  Its
+rule runs once per candidate, on one of three schedules.  Ahead: where no
+off-diagonal rate reads x, in one pass ahead of the block's steps, in the
+block rounds, at the one rate stack.  After: where some rate reads x but X
+cannot read lambda, as every coefficient entry has one shape and no per-path
+literal and the gains are equal in their bits, the steps take the candidate
+points alone, and after the block's last step their rates are taken at once
+and the rule runs in the block rounds.  Per step: else each step takes its
+candidate points and their rates once and runs its rounds.  Each rate stack
+is checked once, the one stack before the first step, a step round's before
+its rule, and the after schedule's once the steps are done, where the step
+round of its first refused candidate is checked as the per-step rounds would
+check it: a negative rate or an exit rate beyond the declared bound H raises
+EngineError.  The rule keeps each candidate's new state and pick.  A coupled
+run then moves the envelope chains, which never touch the path, once per
+step block after its steps, from those kept values, in the block rounds.
+Every move is logged and booked once per block in the per-step order, so the
+schedules give the same bytes; the booking gives the states of the chains
+the steps do not keep current at the observation epochs and on the recorded
+path.  Coupled runs either share one mark among all three
 chains (two-state interval route, when the interval-sum conditions hold) or
 drive the pair transitions from the order-preserving coupling rows with
 shared candidate times (matrix route).  A crossing of the order lambda_star
@@ -292,10 +301,6 @@ class _ChunkRun:
         # rows end to end under one mark, as it needs q12 + q21 of each chain
         self.L = (M if route == "two_state" else 1) * sc.rates.H
         self.H_max = sc.rates.H + cpl.CHECK_TOL
-        self.state_free = sc.rates.state_free
-        if self.state_free:  # the one rate stack, checked once
-            self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]
-            self._check_rate_bound(self.R0[None], None, None)
         self.R_cand = self.L
         if self.coupled:  # the envelope chains' rows
             self.Rbar, self.Rstar = cpl.offdiag(env.qbar), cpl.offdiag(env.qstar)
@@ -314,6 +319,24 @@ class _ChunkRun:
         # entries row by row, by shape, with each path's differing literals
         entries = [*zip(*sc.drift), *zip(*([e for row in mat for e in row] for mat in sc.diffusion))]
         self._shapes, self._lit_table, self._lits = _shape_plan(entries, sc.i0 - 1, na)
+        # when lambda's rule runs: ahead of a step block's steps at rates
+        # that do not read x; after them where X cannot read lambda, as every
+        # coefficient entry has one shape and no per-path literal and the
+        # gains are equal in their bits; else step by step
+        gains = sc.gains.view(np.int64)
+        if sc.rates.state_free:
+            self.schedule = "ahead"
+            self.R0 = sc.rates.offdiag_batch(sc.x0[None])[0]  # the one rate stack, checked once
+            self._check_rate_bound(self.R0[None], None, None)
+        elif all(len(s) == 1 for s in self._shapes) and not len(self._lit_table) and (gains == gains[0]).all():
+            self.schedule = "after"
+        else:
+            self.schedule = "per_step"
+        # the chain rows whose states the steps do not keep current, which
+        # _finish_block gives at the epochs and on the recorded path
+        self._late = [0, 1, 2] if self.coupled else [1]
+        if self.schedule != "after":
+            self._late.remove(1)
 
         self.rec_index = {k: r for r, k in enumerate(params.record_steps())}
         # each path's piece, the paths of its 64-path group in the range: the
@@ -391,7 +414,7 @@ class _ChunkRun:
 
     def _record_grid(self, k):
         self.rX[k] = self.X[0]
-        self.rS[k, 1] = self.S[1, 0]  # _finish_block writes the envelope chains'
+        self.rS[k, 1] = self.S[1, 0]  # _finish_block writes the rows in _late, this one too on the after schedule
 
     def _snapshot_obs(self, count):
         """Freeze the observation and its feedback term; with ``count``,
@@ -428,15 +451,20 @@ class _ChunkRun:
 
     # -- jump dispatch
 
-    def _process_step(self, Xn, bounds):
-        """The switching chain's rounds of one step, delimited by ``bounds``,
-        at the candidate points and rates taken once into the table, each
-        round's rates checked before its rule, and the moved paths' literals
-        after them; returns (round start, error) at a rate the check refuses,
-        or None."""
-        s = slice(bounds[0], bounds[-1])
+    def _points(self, Xn, s):
+        """The diffusion at candidates ``s`` of the step to ``Xn``, linearly
+        interpolated at their offsets."""
         X0 = self.X[self._p[s]]
-        Xc = X0 + (Xn[self._p[s]] - X0) * (self._offs[s] / self.h)[:, None]
+        return X0 + (Xn[self._p[s]] - X0) * (self._offs[s] / self.h)[:, None]
+
+    def _process_step(self, Xn, bounds):
+        """The per-step schedule's rounds of one step, delimited by
+        ``bounds``, at the candidate points and rates taken once into the
+        table, each round's rates checked before its rule, and the moved
+        paths' literals after them; returns (round start, error) at a rate
+        the check refuses, or None."""
+        s = slice(bounds[0], bounds[-1])
+        Xc = self._points(Xn, s)
         self._Roff[s] = self.sc.rates.offdiag_batch(Xc)
         for b0, b1 in zip(bounds, bounds[1:]):
             c = np.arange(b0, b1)
@@ -447,6 +475,34 @@ class _ChunkRun:
                 return b0, err
         moved = self._p[s]
         self._lits[:, moved] = self._lit_table[:, self.S[1, moved]]
+
+    def _lambda_pass(self, stop):
+        """The switching chain's rule over the step block's candidates before
+        ``stop``, in the block rounds: each path's candidates in time."""
+        for c in self._rounds:
+            c = c[c < stop]
+            if len(c):
+                self._lambda_jump(c)
+
+    def _lambda_after(self, bounds, stop):
+        """The after schedule's pass, once the block's steps took the
+        candidate points up to ``stop`` (candidate, error), if any: their
+        rates at once, the step round of the first refused candidate, by
+        index, checked as the per-step rounds check it, and lambda's rule
+        before the earlier stop.  Returns that stop, or None."""
+        m = stop[0] if stop else len(self._p)
+        self._Roff = Roff = self.sc.rates.offdiag_batch(self._Xc[:m])
+        q = Roff.sum(axis=2)
+        if not (q.max(initial=0) <= self.H_max and Roff.min(initial=0) >= -cpl.NEG_TOL):
+            refused = ~((q <= self.H_max).all(axis=1) & (Roff >= -cpl.NEG_TOL).all(axis=(1, 2)))
+            r = np.searchsorted(bounds, np.argmax(refused), "right") - 1
+            b0, b1 = bounds[r], bounds[r + 1]
+            try:
+                self._check_rate_bound(Roff[b0:b1], np.arange(b0, b1), self._Xc[b0:b1])
+            except EngineError as err:
+                stop = b0, err
+        self._lambda_pass(stop[0] if stop else m)
+        return stop
 
     def _block_pass(self, S0, stop):
         """Move the envelope chains from ``S0`` over a step block's candidates
@@ -476,22 +532,24 @@ class _ChunkRun:
 
     def _finish_block(self, S0, k0, steps, stop):
         """Close the step block from ``k0``, which began in the states ``S0``
-        and whose steps failed at ``stop`` (candidate, error), if at all: a
-        coupled run moves the envelope chains over the candidates before it
-        and the earliest error raises; then the block's moves are booked, and
-        a coupled run's give the envelope chains' states at the epochs and on
-        the recorded path."""
+        and whose steps, or lambda's pass after them, failed at ``stop``
+        (candidate, error), if at all: a coupled run moves the envelope
+        chains over the candidates before it and the earliest error raises;
+        then the block's moves are booked, and they give the states of the
+        chains the steps did not keep current at the epochs and on the
+        recorded path: the envelope chains', and lambda's on the after
+        schedule."""
         if self.coupled:
             stop = self._block_pass(S0, stop[0] if stop else len(self._p)) or stop
         if stop:
             raise stop[1]
         moves = self._book_block(S0, k0, steps)
-        if self.coupled:
+        if self._late:
             states_before = _states_before(S0, *_last_moves(steps, *moves))
             for kk in range(-k0 % self.params.obs_every, steps, self.params.obs_every):
-                self._count_epoch(states_before([kk])[0])
+                self._count_epoch(states_before([kk])[0, self._counted])
             if self.recording:
-                self.rS[k0 + 1:k0 + steps + 1, ::2] = states_before(np.arange(1, steps + 1))[:, ::2, 0]
+                self.rS[k0 + 1:k0 + steps + 1, self._late] = states_before(np.arange(1, steps + 1))[:, self._late, 0]
 
     def _book_block(self, S0, k0, steps):
         """Book the moves logged in the step block from ``k0``, which began in
@@ -634,7 +692,8 @@ class _ChunkRun:
     def _step_block(self, block_start, off, xi_block, draws):
         """Run the step block from ``block_start`` on its noise ``xi_block``
         (group, step, column, d), the paths from column ``off``, and each
-        group's candidates ``draws``."""
+        group's candidates ``draws``: lambda's rule ahead of the steps, in
+        them, or after them by the schedule, then ``_finish_block``."""
         h, obs_every, na, d, M = self.h, self.params.obs_every, self.na, self.d, self.M
         bsz = xi_block.shape[1]
         # the block's candidate table, which the rules read by index
@@ -648,23 +707,25 @@ class _ChunkRun:
         self._lam_new, self._lam_pick = np.empty(n, dtype=np.int64), np.empty((2, n))
         # the block rounds, each path's r-th candidate in round r
         self._rounds = [block_order[b0:b1] for b0, b1 in zip(block_bounds, block_bounds[1:])]
-        if self.state_free:  # lambda's rule ahead of the steps, at the one rate stack, checked in __init__
+        if self.schedule == "ahead":  # lambda's rule ahead of the steps, at the one rate stack, checked in __init__
             self._Roff = np.broadcast_to(self.R0, (n, M, M))
-            for c in self._rounds:
-                self._lambda_jump(c)
+            self._lambda_pass(n)
             first, _, to_path, to_state = _last_moves(
                 bsz, np.ones(n, np.int64), np.zeros(n, np.int64), p, step, self._rnd, self._lam_new)
             self.S[1] = S0[1]
         else:
             step_first = np.searchsorted(step[bounds[:-1]], np.arange(bsz + 1)).tolist()
-            self._Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
+            if self.schedule == "after":
+                self._Xc = np.empty((n, d))  # the candidate points, as the steps take them
+            else:
+                self._Roff = np.empty((n, M, M))  # at the candidates, as the steps take them
         stop = None  # (candidate, error) where the steps fail
 
         for kk in range(bsz):
             k = block_start + kk
             t = k * h
             if k % obs_every == 0:  # a coupled run counts once its envelope chains moved
-                self._snapshot_obs(count=not self.coupled)
+                self._snapshot_obs(count=not self._late)
             r = self.rec_index.get(k)
             if r is not None:
                 self._record_stats(r)
@@ -681,19 +742,24 @@ class _ChunkRun:
                 )
                 break
 
-            if self.state_free:  # lambda's states after the step, from the pass ahead
+            if self.schedule == "ahead":  # lambda's states after the step, from the pass ahead
                 a, b = first[kk], first[kk + 1]
                 if a < b:
                     self.S[1, to_path[a:b]] = to_state[a:b]
                     self._lits[:, to_path[a:b]] = self._lit_table[:, to_state[a:b]]
             else:
                 g0, g1 = step_first[kk], step_first[kk + 1]
-                if g0 < g1 and (stop := self._process_step(Xn, bounds[g0:g1 + 1])):
+                if g0 < g1 and self.schedule == "after":  # the points alone; lambda's pass follows the steps
+                    s = slice(bounds[g0], bounds[g1])
+                    self._Xc[s] = self._points(Xn, s)
+                elif g0 < g1 and (stop := self._process_step(Xn, bounds[g0:g1 + 1])):
                     break
 
             self.X, self._X_next = Xn, X
             if self.recording:
                 self._record_grid(k + 1)
+        if self.schedule == "after":
+            stop = self._lambda_after(bounds, stop)
         self._finish_block(S0, block_start, bsz, stop)
 
     # a diverging state overflows, and its square before it, until the step

@@ -605,13 +605,18 @@ def interval_move_reference(states, mark, a12, a21):
 
 
 class PerStepRounds(engine._ChunkRun):
-    """The coupled schedule on rates that read x with every chain moved round
-    by round in each step, kept as the reference for the envelope pass that
-    follows a block's steps: each round checks its rates and runs the
-    switching chain's rule, then the route's envelope rule, and raises a
-    crossing at the round that makes it; the block books the logged moves,
-    and the recorded path takes every chain's state at each step.  Run it in
-    place of engine._ChunkRun with ``per_step_rounds``."""
+    """The per-step schedule on rates that read x with every chain moved
+    round by round in each step, kept as the reference for the passes that
+    follow a block's steps, lambda's on the after schedule and the envelope
+    chains': each round checks its rates and runs the switching chain's rule,
+    then the route's envelope rule, and raises a crossing at the round that
+    makes it; the block books the logged moves, and the recorded path takes
+    every chain's state at each step.  Run it in place of engine._ChunkRun
+    with ``per_step_rounds``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.schedule = "per_step"  # also where X cannot read lambda
 
     def _process_step(self, Xn, bounds):
         s0 = bounds[0]

@@ -20,6 +20,7 @@ from switchsde import scenario as sn
 from tests.conftest import (
     FIXTURES,
     PerCallBooking,
+    PerStepRounds,
     candidate_rounds_reference,
     cell_lists,
     make_scenario,
@@ -754,33 +755,41 @@ def _time(message):
 
 
 class TestBlockPassAfterSteps:
-    """On rates that read x the switching chain alone runs the per-step
-    rounds, and the route's envelope rule runs once per step block after the
-    block's steps.  The per-step rounds of every chain in conftest are the
-    reference: the same bytes and the same first error."""
+    """On rates that read x, the switching chain's rule runs after a step
+    block's steps, in the block rounds, where X cannot read lambda: every
+    fixture whose rates read x.  Elsewhere it runs the per-step rounds.  On
+    a coupled run the route's envelope rule runs once per step block after
+    the block's steps and lambda's rule.  The per-step rounds of every chain
+    in conftest are the reference: the same bytes and the same first error."""
 
     @pytest.mark.parametrize("chunk_size", [64, 2048])
     @pytest.mark.parametrize("name", ["two_state_balanced", "two_state_trig", "three_state_rational"])
     def test_matches_the_per_step_rounds(self, name, chunk_size):
         sc = load(str(FIXTURES / f"{name}.json"))
         assert not sc.rates.state_free
-        # several step blocks, an interior recorded path, recording off the epochs
+        # several step blocks, an interior recorded path, recording off the
+        # epochs; marginal runs too, whose epoch counts and recorded lambda
+        # the block's booking gives on the after schedule
         p = en.SimParams.from_scenario(sc, n_paths=150, chunk_size=chunk_size, horizon=10.0, h=0.01, record_stride=7)
         assert p.n_steps > 3 * en._STEP_BLOCK
         runs = []
         for reference in (False, True):
             with per_step_rounds() if reference else nullcontext():
-                runs.append((sn.canonical_json(en.monte_carlo(sc, p, coupled=True).to_dict()),
-                             en.simulate_coupled(sc, p, 101)))
-        (mc, a), (mc_ref, b) = runs
+                runs.append([sn.canonical_json(en.monte_carlo(sc, p, coupled=coupled).to_dict()) for coupled in (True, False)]
+                            + [en.simulate_coupled(sc, p, 101), en.simulate_hybrid(sc, p, 101)])
+        (mc, mc_marginal, a, m), (mc_ref, mc_marginal_ref, b, m_ref) = runs
         assert json.loads(mc)["route"] == ("two_state" if name == "two_state_balanced" else "matrix")
-        assert mc == mc_ref
+        assert (mc, mc_marginal) == (mc_ref, mc_marginal_ref)
         for field in ("X", "lam", "lam_star", "lam_bar"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-        assert a.jumps == b.jumps
-        assert all(a.jumps[chain] for chain in en.CHAIN_NAMES)
+        for field in ("X", "lam"):
+            assert getattr(m, field).tobytes() == getattr(m_ref, field).tobytes()
+        assert m.lam_star is m_ref.lam_star is None
+        assert a.jumps == b.jumps and m.jumps == m_ref.jumps
+        assert all(a.jumps[chain] for chain in en.CHAIN_NAMES) and m.jumps["lambda"]
         blocks = {int(t / (en._STEP_BLOCK * p.h)) for chain in en.CHAIN_NAMES for t, _, _ in a.jumps[chain]}
         assert len(blocks) >= 3
+        assert len({int(t / (en._STEP_BLOCK * p.h)) for t, _, _ in m.jumps["lambda"]}) >= 3
 
     @pytest.mark.parametrize("case", sorted(ORDER_CASES))
     @pytest.mark.parametrize("route", ["two_state", "matrix"])
@@ -817,6 +826,106 @@ class TestBlockPassAfterSteps:
             assert err.startswith("exit rate ") and err.endswith(f", path {path}")
         else:
             assert err == crossing
+
+
+def _hand_block_error(run_class, candidates, overflow=None):
+    """The error of one hand-made step block of eight steps on two marginal
+    paths, run on ``run_class``: x starts at 0.985 and rises by h = 0.01 a
+    step on every path, and the rates 1 + x1^2 pass H = 2 from x = 1, within
+    step 1.  ``candidates`` are (path, step, offset as a fraction of h);
+    ``overflow`` (path, step) gives that path's step infinite noise, so its
+    state is NaN at the step's end."""
+    sc = load(make_scenario(drift=[["1"], ["1"]], rates=[["0", "1 + x1^2"], ["1 + x1^2", "0"]], rate_bound=2.0,
+                            grid={"lo": -1.0, "hi": 1.0, "n": 41}, initial={"x": [0.985], "state": 1}))
+    run = run_class(sc, en.SimParams.from_scenario(sc, n_paths=2), range(2), "marginal", None)
+    assert run.schedule == ("after" if run_class is en._ChunkRun else "per_step")
+    xi_block = np.zeros((1, 8, en._GROUP, 1))
+    if overflow:
+        xi_block[0, overflow[1], overflow[0]] = np.inf
+    path, step, frac = np.array(candidates).T
+    cells = (step * en._GROUP + path).astype(np.int64)
+    u = np.stack([frac, np.full(len(frac), 0.999), np.full(len(frac), 0.5)], axis=1).ravel()
+    run._xi = np.empty((1, en._GROUP, 1))
+    with np.errstate(invalid="ignore"), pytest.raises(en.EngineError) as err:
+        run._step_block(0, 0, xi_block, [(cells, u)])
+    return str(err.value)
+
+
+class TestLambdaPassAfterSteps:
+    """On the after schedule a step block's refused rates are found once
+    the steps are done, over the block's candidates before a non-finite
+    state; the first refused candidate by index, in (step, round, path)
+    order, names the error, as the per-step rounds of conftest would."""
+
+    @pytest.mark.parametrize("case", ["block_round_1_first", "refusal_then_overflow", "overflow_then_refusal"])
+    def test_first_error_matches_the_per_step_rounds(self, case):
+        # path 0 passes at step 1 (x = 0.997) and is refused at step 2 in
+        # its block round 1; path 1 is refused at step 3 in its block round 0
+        candidates = [(0, 1, 0.2), (0, 2, 0.5), (1, 3, 0.5)]
+        overflow = {"block_round_1_first": None, "refusal_then_overflow": (1, 4),
+                    "overflow_then_refusal": (1, 2)}[case]
+        if case == "overflow_then_refusal":  # and one in the step whose end is NaN
+            candidates.append((1, 2, 0.5))
+        err = _hand_block_error(en._ChunkRun, candidates, overflow)
+        assert err == _hand_block_error(PerStepRounds, candidates, overflow)
+        if case == "overflow_then_refusal":
+            assert err == "non-finite state at t=0.03, path 1 (overflow)"
+        else:
+            assert err == "exit rate 2.0201 from state 1 exceeds declared bound H=2.0 at t=0.025, x=[1.0099999999999998], path 0"
+        # without path 0's refused candidate, path 1's in block round 0 names
+        # the error, unless its state is NaN first
+        later = _hand_block_error(en._ChunkRun, [c for c in candidates if c != (0, 2, 0.5)], overflow)
+        assert later == _hand_block_error(PerStepRounds, [c for c in candidates if c != (0, 2, 0.5)], overflow)
+        if case == "overflow_then_refusal":
+            assert later == err
+        else:
+            assert later == "exit rate 2.0404 from state 1 exceeds declared bound H=2.0 at t=0.035, x=[1.02], path 1"
+
+
+# every fixture's schedule of lambda's rule, and the six-state scenario's
+SCHEDULES = {"lag_bound": "ahead", "linear_feedback": "ahead", "linear_unstable": "ahead",
+             "three_state_rational": "after", "two_state_balanced": "after", "two_state_trig": "after",
+             "six_state": "after"}
+
+
+def _schedule_run(doc, coupled):
+    """A one-path run of ``doc``, marginal or coupled, at its construction."""
+    sc = load(doc)
+    route, env, _ = en._plan(sc, coupled)
+    return en._ChunkRun(sc, en.SimParams.from_scenario(sc, n_paths=1), range(1), route, env)
+
+
+class TestScheduleChoice:
+    """The scenario alone picks the schedule of lambda's rule: ahead of a
+    step block's steps at rates that do not read x, after them where X
+    cannot read lambda, and else step by step."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    def test_each_scenario_takes_its_schedule(self, name):
+        doc = six_state_birth_death() if name == "six_state" else json.loads((FIXTURES / f"{name}.json").read_text())
+        assert [_schedule_run(doc, coupled).schedule for coupled in (False, True)] == [SCHEDULES[name]] * 2
+        if SCHEDULES[name] != "after":
+            return
+        # one regime's gain, its sign of zero, or one regime's drift literal
+        # lets X read lambda
+        for edit in ("gain", "signed_zero", "literal"):
+            edited = json.loads(json.dumps(doc))
+            if edit == "literal":
+                assert edited["drift"][-1] == ["-1*x1"]
+                edited["drift"][-1] = ["-2*x1"]
+            else:
+                edited["gains"][-1] = 0.5 if edit == "gain" else -0.0
+            runs = [_schedule_run(edited, coupled) for coupled in (False, True)]
+            assert [run.schedule for run in runs] == ["per_step"] * 2
+            assert all(len(shapes) == 1 for shapes in runs[0]._shapes)
+            assert len(runs[0]._lit_table) == (edit == "literal")
+
+    def test_error_order_cases(self):
+        # the coupled error order cases run the after schedule on the
+        # interval route, and the per-step one on the matrix route
+        for route, schedule in (("two_state", "after"), ("matrix", "per_step")):
+            for case in ORDER_CASES:
+                assert _schedule_run(_order_case(route, case).raw, True).schedule == schedule
 
 
 # each case's three regimes: (drift column 1, diffusion diagonal), and the
